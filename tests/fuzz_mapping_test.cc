@@ -6,6 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/analysis/analyzer.h"
 #include "src/analysis/planner.h"
@@ -162,30 +166,202 @@ TEST_P(FuzzMappingSweep, PlannerScheduleIsSoundOnRandomMappings) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Configuration differential. The engine options semi_naive, scheduled,
+// incremental_normalize and jobs only choose HOW the chase is executed, never
+// WHAT it computes: every combination must render the same target with the
+// same outcome kinds and the same fire/egd/null/rewrite counts. Trigger
+// counts agree only among runs that share semi_naive, since naive rounds
+// re-enumerate every trigger by design.
+
+struct EngineConfig {
+  bool semi_naive = true;
+  bool scheduled = true;
+  bool incremental_normalize = true;  // c-chase only
+  unsigned jobs = 1;
+
+  std::string Name() const {
+    return std::string(semi_naive ? "semi-naive" : "naive") +
+           (scheduled ? "/scheduled" : "/flat") +
+           (incremental_normalize ? "/incremental" : "/full") +
+           "/jobs=" + std::to_string(jobs);
+  }
+};
+
+/// {naive, semi-naive} x {flat, scheduled} x [{full, incremental}] x {1, 4}.
+std::vector<EngineConfig> EngineConfigs(bool vary_normalizer) {
+  std::vector<EngineConfig> configs;
+  for (bool semi_naive : {false, true}) {
+    for (bool scheduled : {false, true}) {
+      for (bool incremental : {true, false}) {
+        if (!incremental && !vary_normalizer) continue;
+        for (unsigned jobs : {1u, 4u}) {
+          configs.push_back({semi_naive, scheduled, incremental, jobs});
+        }
+      }
+    }
+  }
+  return configs;
+}
+
+/// What every configuration must reproduce.
+struct ChaseDigest {
+  std::string rendered;  ///< outcome kinds and targets, in run order
+  std::size_t tgd_triggers = 0;
+  std::size_t tgd_fires = 0;
+  std::size_t egd_steps = 0;
+  std::size_t fresh_nulls = 0;
+  std::size_t values_rewritten = 0;
+
+  void Add(ChaseResultKind kind, const std::string& target,
+           const ChaseStats& stats) {
+    rendered += "kind=" + std::to_string(static_cast<int>(kind)) + "\n";
+    rendered += target;
+    tgd_triggers += stats.tgd_triggers;
+    tgd_fires += stats.tgd_fires;
+    egd_steps += stats.egd_steps;
+    fresh_nulls += stats.fresh_nulls;
+    values_rewritten += stats.values_rewritten;
+  }
+};
+
+using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
+
+ChaseDigest CChaseDigest(const WorkloadFactory& make,
+                         const EngineConfig& config) {
+  auto w = make();
+  CChaseOptions options;
+  options.semi_naive = config.semi_naive;
+  options.scheduled = config.scheduled;
+  options.incremental_normalize = config.incremental_normalize;
+  options.jobs = config.jobs;
+  ChaseDigest digest;
+  auto outcome = CChase(w->source, w->lifted, &w->universe, options);
+  if (!outcome.ok()) {
+    ADD_FAILURE() << outcome.status();
+    return digest;
+  }
+  digest.Add(outcome->kind,
+             RenderConcreteInstance(outcome->target, w->universe),
+             outcome->stats);
+  return digest;
+}
+
+/// Chases the snapshot at every source endpoint (plus 0 and a point past
+/// stabilization), in order, through one universe.
+ChaseDigest SnapshotChaseDigest(const WorkloadFactory& make,
+                                const EngineConfig& config) {
+  auto w = make();
+  ChaseOptions options;
+  options.semi_naive = config.semi_naive;
+  options.scheduled = config.scheduled;
+  options.jobs = config.jobs;
+  std::vector<TimePoint> points = w->source.Endpoints();
+  points.push_back(w->source.StabilizationPoint() + 2);
+  points.push_back(0);
+  ChaseDigest digest;
+  for (TimePoint l : points) {
+    auto snapshot = SnapshotAt(w->source, l, &w->universe);
+    if (!snapshot.ok()) {
+      ADD_FAILURE() << snapshot.status();
+      return digest;
+    }
+    auto outcome = ChaseSnapshot(*snapshot, w->mapping, &w->universe, options);
+    if (!outcome.ok()) {
+      ADD_FAILURE() << outcome.status();
+      return digest;
+    }
+    digest.rendered += "--- db_" + std::to_string(l) + " ---\n";
+    digest.Add(outcome->kind,
+               RenderInstanceTables(outcome->target, w->universe),
+               outcome->stats);
+  }
+  return digest;
+}
+
+void ExpectAllConfigurationsAgree(
+    const WorkloadFactory& make, bool vary_normalizer,
+    const std::function<ChaseDigest(const WorkloadFactory&,
+                                    const EngineConfig&)>& run) {
+  const std::vector<EngineConfig> configs = EngineConfigs(vary_normalizer);
+  std::vector<ChaseDigest> digests;
+  for (const EngineConfig& config : configs) {
+    digests.push_back(run(make, config));
+  }
+  const ChaseDigest& ref = digests.front();
+  for (std::size_t i = 1; i < configs.size(); ++i) {
+    SCOPED_TRACE(configs[i].Name() + " vs " + configs.front().Name());
+    const ChaseDigest& got = digests[i];
+    EXPECT_EQ(got.rendered, ref.rendered);
+    EXPECT_EQ(got.tgd_fires, ref.tgd_fires);
+    EXPECT_EQ(got.egd_steps, ref.egd_steps);
+    EXPECT_EQ(got.fresh_nulls, ref.fresh_nulls);
+    EXPECT_EQ(got.values_rewritten, ref.values_rewritten);
+    std::size_t same_mode = 0;
+    while (configs[same_mode].semi_naive != configs[i].semi_naive) {
+      ++same_mode;
+    }
+    EXPECT_EQ(got.tgd_triggers, digests[same_mode].tgd_triggers)
+        << "vs " << configs[same_mode].Name();
+  }
+}
+
 TEST_P(FuzzMappingSweep, ScheduledCChaseMatchesUnscheduled) {
-  // The schedule only removes provably no-op work: scheduled and flat runs
-  // must agree bit-for-bit on outcome, target, and chase statistics.
-  auto w_flat = MakeWorkload();
-  auto w_sched = MakeWorkload();
-  CChaseOptions flat_options;
-  flat_options.scheduled = false;
-  CChaseOptions sched_options;
-  sched_options.jobs = 4;
-  auto flat = CChase(w_flat->source, w_flat->lifted, &w_flat->universe,
-                     flat_options);
-  auto sched = CChase(w_sched->source, w_sched->lifted, &w_sched->universe,
-                      sched_options);
-  ASSERT_TRUE(flat.ok()) << flat.status();
-  ASSERT_TRUE(sched.ok()) << sched.status();
-  ASSERT_EQ(flat->kind, sched->kind) << "seed=" << GetParam();
-  EXPECT_EQ(RenderConcreteInstance(flat->target, w_flat->universe),
-            RenderConcreteInstance(sched->target, w_sched->universe))
-      << "seed=" << GetParam();
-  EXPECT_EQ(flat->stats.tgd_triggers, sched->stats.tgd_triggers);
-  EXPECT_EQ(flat->stats.tgd_fires, sched->stats.tgd_fires);
-  EXPECT_EQ(flat->stats.egd_steps, sched->stats.egd_steps);
-  EXPECT_EQ(flat->stats.fresh_nulls, sched->stats.fresh_nulls);
-  EXPECT_EQ(flat->stats.values_rewritten, sched->stats.values_rewritten);
+  SCOPED_TRACE("seed=" + std::to_string(GetParam()));
+  ExpectAllConfigurationsAgree([this] { return MakeWorkload(); },
+                               /*vary_normalizer=*/true, CChaseDigest);
+}
+
+TEST_P(FuzzMappingSweep, ScheduledSnapshotChaseMatchesUnscheduled) {
+  SCOPED_TRACE("seed=" + std::to_string(GetParam()));
+  ExpectAllConfigurationsAgree([this] { return MakeWorkload(); },
+                               /*vary_normalizer=*/false, SnapshotChaseDigest);
+}
+
+// Random mappings carry no target tgds, so the same sweep also runs over
+// the generators whose target tgds drive many rounds, egd-gated loops, dead
+// rules, effect-free egds and multi-member parallel groups.
+TEST(ConfigurationDifferentialTest, TargetTgdWorkloadsAgree) {
+  const std::vector<std::pair<std::string, WorkloadFactory>> workloads = {
+      {"flight",
+       [] {
+         FlightConfig cfg;
+         cfg.num_airports = 8;
+         cfg.num_flights = 16;
+         cfg.horizon = 12;
+         cfg.max_interval_length = 6;
+         return MakeFlightWorkload(cfg);
+       }},
+      {"chain",
+       [] {
+         ChainConfig cfg;
+         cfg.hops = 6;
+         cfg.horizon = 4;
+         return MakeChainWorkload(cfg);
+       }},
+      {"stratified",
+       [] {
+         StratifiedConfig cfg;
+         cfg.hops = 5;
+         cfg.horizon = 4;
+         return MakeStratifiedWorkload(cfg);
+       }},
+      {"cascade",
+       [] {
+         CascadeConfig cfg;
+         cfg.stages = 4;
+         cfg.ballast_keys = 6;
+         cfg.ballast_dup = 2;
+         cfg.horizon = 4;
+         return MakeCascadeWorkload(cfg);
+       }},
+  };
+  for (const auto& [name, make] : workloads) {
+    SCOPED_TRACE(name);
+    ExpectAllConfigurationsAgree(make, /*vary_normalizer=*/true, CChaseDigest);
+    ExpectAllConfigurationsAgree(make, /*vary_normalizer=*/false,
+                                 SnapshotChaseDigest);
+  }
 }
 
 // Seeds swept: [1, TDX_FUZZ_SEEDS) from the environment, default 21. PR CI
