@@ -487,4 +487,9 @@ ChaseSchedule PlanChase(const Mapping& mapping, const Schema& schema) {
   return PlanChaseDetailed(mapping, schema).schedule;
 }
 
+ChaseSchedule ScheduleFor(const Mapping& mapping, const Schema& schema) {
+  return mapping.schedule.has_value() ? *mapping.schedule
+                                      : PlanChase(mapping, schema);
+}
+
 }  // namespace tdx

@@ -72,6 +72,11 @@ PlanDetails PlanChaseDetailed(const Mapping& mapping, const Schema& schema);
 /// Mapping and the engines consume).
 ChaseSchedule PlanChase(const Mapping& mapping, const Schema& schema);
 
+/// The schedule `mapping` carries, or PlanChase's when it carries none
+/// (hand-built mappings). Lifting carries the schedule over, so parsed
+/// programs are planned once.
+ChaseSchedule ScheduleFor(const Mapping& mapping, const Schema& schema);
+
 }  // namespace tdx
 
 #endif  // TDX_ANALYSIS_PLANNER_H_

@@ -54,8 +54,8 @@ std::uint64_t FingerprintText(std::string_view text);
 /// with LoadChaseCheckpoint, and fed back via ChaseOptions::resume_from.
 struct ChaseCheckpoint {
   /// Bumped whenever the durable encoding changes shape; ParseCheckpoint
-  /// refuses versions it does not understand.
-  static constexpr std::uint32_t kFormatVersion = 1;
+  /// refuses every other version, so each line has exactly one layout.
+  static constexpr std::uint32_t kFormatVersion = 2;
 
   enum class Engine : std::uint8_t {
     kSnapshot = 0,  ///< relational/chase.h ChaseSnapshot

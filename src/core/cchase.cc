@@ -4,12 +4,10 @@
 #include <unordered_map>
 #include <utility>
 
-#include "src/analysis/planner.h"
-#include "src/analysis/termination.h"
 #include "src/common/checkpoint.h"
 #include "src/core/normalize_incremental.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/relational/chase_run.h"
 
 namespace tdx {
 
@@ -32,72 +30,6 @@ Result<VarId> InferTemporalVar(const Conjunction& conj) {
   }
   return *t;
 }
-
-namespace {
-
-/// Run-level metrics for the c-chase, published once per run as bulk deltas
-/// of the ChaseStats the engine maintains anyway — the chase interior pays
-/// nothing per trigger. See docs/INTERNALS.md ("Observability").
-struct CChaseMetrics {
-  obs::Counter runs{"cchase.runs"};
-  obs::Counter aborts{"cchase.aborts"};
-  obs::Counter rounds{"cchase.rounds"};
-  obs::Counter tgd_triggers{"cchase.tgd_triggers"};
-  obs::Counter tgd_fires{"cchase.tgd_fires"};
-  obs::Counter egd_steps{"cchase.egd_steps"};
-  obs::Counter fresh_nulls{"cchase.fresh_nulls"};
-  obs::Counter values_rewritten{"cchase.values_rewritten"};
-  obs::Counter skipped_egd_passes{"cchase.skipped_egd_passes"};
-  obs::Counter skipped_normalize_passes{"cchase.skipped_normalize_passes"};
-  obs::Gauge strata{"cchase.schedule_strata"};
-  obs::Histogram run_us{"cchase.run_us"};
-};
-
-CChaseMetrics& GetCChaseMetrics() {
-  static auto* metrics = new CChaseMetrics();
-  return *metrics;
-}
-
-/// Publishes the run's stats deltas when the engine returns by any path.
-class CChaseRunScope {
- public:
-  CChaseRunScope(const ChaseStats* stats, const std::size_t* rounds,
-                 const ChaseResultKind* kind)
-      : stats_(stats),
-        rounds_(rounds),
-        kind_(kind),
-        entry_(*stats),
-        entry_rounds_(*rounds),
-        latency_(&GetCChaseMetrics().run_us) {}
-
-  ~CChaseRunScope() {
-    CChaseMetrics& m = GetCChaseMetrics();
-    m.runs.Inc();
-    if (*kind_ == ChaseResultKind::kAborted) m.aborts.Inc();
-    m.rounds.Inc(*rounds_ - entry_rounds_);
-    m.tgd_triggers.Inc(stats_->tgd_triggers - entry_.tgd_triggers);
-    m.tgd_fires.Inc(stats_->tgd_fires - entry_.tgd_fires);
-    m.egd_steps.Inc(stats_->egd_steps - entry_.egd_steps);
-    m.fresh_nulls.Inc(stats_->fresh_nulls - entry_.fresh_nulls);
-    m.values_rewritten.Inc(stats_->values_rewritten -
-                           entry_.values_rewritten);
-    m.skipped_egd_passes.Inc(stats_->skipped_egd_passes -
-                             entry_.skipped_egd_passes);
-    m.skipped_normalize_passes.Inc(stats_->skipped_normalize_passes -
-                                   entry_.skipped_normalize_passes);
-    m.strata.Set(stats_->schedule_strata);
-  }
-
- private:
-  const ChaseStats* stats_;
-  const std::size_t* rounds_;
-  const ChaseResultKind* kind_;
-  ChaseStats entry_;
-  std::size_t entry_rounds_;
-  obs::ScopedLatency latency_;
-};
-
-}  // namespace
 
 Result<CChaseOutcome> CChase(const ConcreteInstance& source,
                              const Mapping& lifted, Universe* universe,
@@ -132,19 +64,6 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   TDX_RETURN_IF_ERROR(resolve_temporal(lifted.st_tgds));
   TDX_RETURN_IF_ERROR(resolve_temporal(lifted.target_tgds));
 
-  // Consult the lifted mapping's termination certificate (or derive one)
-  // before doing any work: an uncertified set of target tgds may chase
-  // forever.
-  TerminationCertificate certificate =
-      lifted.certificate.has_value()
-          ? *lifted.certificate
-          : CertifyTermination(lifted.target_tgds, source.schema());
-  if (!certificate.guarantees_termination()) {
-    return Status::InvalidArgument(
-        "refusing to c-chase: target tgds are not weakly acyclic (cycle " +
-        certificate.witness + "); the chase might not terminate");
-  }
-
   // Checkpoint/resume plumbing. The config fingerprint covers every option
   // that alters the execution trajectory; resource limits are deliberately
   // excluded (raising the budget on resume is the intended recovery path).
@@ -155,18 +74,18 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   config += options.use_naive_normalizer ? '1' : '0';
   config += " coalesce=";
   config += options.coalesce_result ? '1' : '0';
+  CChaseOutcome outcome(ConcreteInstance(&source.schema()),
+                        ConcreteInstance(&source.schema()));
+  // One guard governs all four phases; any trip unwinds to here and is
+  // reported as kAborted with whatever stats accrued.
+  ChaseRun run(options.limits, resume);
+  TDX_RETURN_IF_ERROR(run.Begin(lifted, source.schema(),
+                                ChaseCheckpoint::Engine::kCChase, config,
+                                options.scheduled, options.jobs,
+                                &outcome.stats, universe));
   const std::string start_phase =
       resume != nullptr ? resume->phase : std::string("init");
   if (resume != nullptr) {
-    if (resume->engine != ChaseCheckpoint::Engine::kCChase) {
-      return Status::InvalidArgument(
-          "checkpoint was not written by the c-chase engine");
-    }
-    if (resume->config != config) {
-      return Status::InvalidArgument(
-          "checkpoint was written under different execution options (\"" +
-          resume->config + "\" vs \"" + config + "\")");
-    }
     if (start_phase != "init" && start_phase != "st-tgd" &&
         start_phase != "loop-top" && start_phase != "rounds") {
       return Status::InvalidArgument("unknown c-chase checkpoint phase '" +
@@ -181,64 +100,16 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       return Status::InvalidArgument(
           "c-chase checkpoint is missing its target instance");
     }
-  }
-
-  CChaseOutcome outcome(ConcreteInstance(&source.schema()),
-                        ConcreteInstance(&source.schema()));
-  outcome.stats.certificate = std::move(certificate);
-
-  // One guard governs all four phases; any trip unwinds to here and is
-  // reported as kAborted with whatever stats accrued. A resumed guard
-  // starts with the interrupted run's consumption already charged.
-  ResourceGuard guard = resume != nullptr
-                            ? ResourceGuard(options.limits, resume->consumed)
-                            : ResourceGuard(options.limits);
-  if (resume != nullptr) {
-    // Stats and the null namespace resume from the safe point; the
-    // certificate is derived state and keeps the recomputed value.
-    const auto recomputed = outcome.stats.certificate;
-    outcome.stats = resume->stats;
-    outcome.stats.certificate = recomputed;
     outcome.source_norm_stats = resume->source_norm_stats;
     outcome.target_norm_stats = resume->target_norm_stats;
-    universe->RestoreNullState(resume->next_null, resume->null_names);
   }
+  ResourceGuard& guard = run.guard;
   const auto aborted = [&]() {
     outcome.kind = ChaseResultKind::kAborted;
     outcome.abort_dimension = guard.dimension();
     outcome.abort_reason = guard.reason();
     return outcome;
   };
-
-  // The schedule steers only provably-no-op skips and parallel trigger
-  // collection — the fire order (and every fresh-null id and annotation) is
-  // the unscheduled one, so the config fingerprint carries no scheduling
-  // fields and checkpoints interchange between scheduled and flat runs.
-  std::optional<ChaseSchedule> derived_schedule;
-  const ChaseSchedule* schedule = nullptr;
-  if (options.scheduled) {
-    if (lifted.schedule.has_value()) {
-      schedule = &*lifted.schedule;
-    } else {
-      derived_schedule = PlanChase(lifted, source.schema());
-      schedule = &*derived_schedule;
-    }
-  }
-  // Derived state like the certificate: recomputed even on resume.
-  outcome.stats.schedule_strata =
-      schedule != nullptr ? schedule->stratum_count() : 0;
-  TgdRunPlan st_plan;
-  TgdRunPlan target_plan;
-  std::vector<Egd> live_egds;
-  if (schedule != nullptr) {
-    st_plan = BuildStTgdRunPlan(lifted.st_tgds, options.jobs);
-    target_plan =
-        BuildTargetTgdRunPlan(lifted.target_tgds, *schedule, options.jobs);
-    live_egds.reserve(schedule->live_egds.size());
-    for (std::size_t index : schedule->live_egds) {
-      live_egds.push_back(lifted.egds[index]);
-    }
-  }
 
   // Loop-top/rounds checkpoints carry the resume round count; earlier-phase
   // checkpoints carry 0, so seeding here is correct for every phase (the
@@ -247,7 +118,8 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   std::size_t rounds = resume != nullptr ? resume->rounds : 0;
   // The stats above reflect the resume restore, so the scope's exit-time
   // deltas cover only this run's own work.
-  CChaseRunScope run_metrics(&outcome.stats, &rounds, &outcome.kind);
+  ChaseRunScope run_metrics(ChaseCheckpoint::Engine::kCChase, &outcome.stats,
+                            &rounds, &outcome.kind);
   DeltaFrontier frontier;
   // Incremental target-normalization state (declared before the checkpoint
   // lambda so its watermark can be captured at safe points). Stays invalid
@@ -328,13 +200,12 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   if (start_phase == "init" || start_phase == "st-tgd") {
     if (!guard.PokeFault("cchase/tgd-phase")) return aborted();
     TDX_TRACE_SPAN("cchase.st_tgd");
-    if (schedule != nullptr) {
-      TgdPhasePlanned(outcome.normalized_source.facts(), &target,
-                      lifted.st_tgds, st_plan, fresh, &outcome.stats, &guard);
-    } else {
-      TgdPhase(outcome.normalized_source.facts(), &target, lifted.st_tgds,
-               fresh, &outcome.stats, &guard);
-    }
+    const Instance& normalized = outcome.normalized_source.facts();
+    HomomorphismFinder source_finder(normalized, &outcome.stats.search);
+    HomomorphismFinder target_finder(target, &outcome.stats.search);
+    DeltaFrontier full;
+    RunTgds(normalized, &target, run.st_plan, &full, fresh, &outcome.stats,
+            &guard, &source_finder, &target_finder);
     if (guard.tripped()) return aborted();
   } else {
     target = *resume->target;
@@ -407,30 +278,17 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   // store for the whole loop — normalization move-assigns a fresh Instance
   // into the same object, which bumps the generation and invalidates the
   // finder's indexes. The frontier must re-seed with the full instance after
-  // every normalization, since fragmentation rewrites existing facts. The
-  // finder is derived state: on resume it is rebuilt over the restored
-  // target.
-  HomomorphismFinder round_finder(concrete_target.facts(),
-                                  &outcome.stats.search);
+  // every normalization, since fragmentation rewrites existing facts. Naive
+  // rounds reset it every time and index afresh (RunTgds). The finder is
+  // derived state: on resume it is rebuilt over the restored target.
+  HomomorphismFinder finder(concrete_target.facts(), &outcome.stats.search);
+  HomomorphismFinder* round_finder = options.semi_naive ? &finder : nullptr;
   const auto run_round = [&]() {
     TDX_TRACE_SPAN("cchase.tgd_round");
-    if (schedule != nullptr) {
-      return options.semi_naive
-                 ? TargetTgdRoundDeltaPlanned(&concrete_target.mutable_facts(),
-                                              lifted.target_tgds, target_plan,
-                                              fresh, &outcome.stats, &guard,
-                                              &frontier, &round_finder)
-                 : TargetTgdRoundPlanned(&concrete_target.mutable_facts(),
-                                         lifted.target_tgds, target_plan,
-                                         fresh, &outcome.stats, &guard);
-    }
-    return options.semi_naive
-               ? TargetTgdRoundDelta(&concrete_target.mutable_facts(),
-                                     lifted.target_tgds, fresh, &outcome.stats,
-                                     &guard, &frontier, &round_finder)
-               : TargetTgdRound(&concrete_target.mutable_facts(),
-                                lifted.target_tgds, fresh, &outcome.stats,
-                                &guard);
+    if (!options.semi_naive) frontier.Reset();
+    Instance& facts = concrete_target.mutable_facts();
+    return RunTgds(facts, &facts, run.target_plan, &frontier, fresh,
+                   &outcome.stats, &guard, round_finder, round_finder);
   };
   // Normalization is idempotent, so the loop-top pass is a provable no-op
   // whenever the target is untouched since the last pass: nothing fired and
@@ -443,7 +301,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   bool normalized_clean = false;
   while (true) {
     if (!mid_rounds) {
-      if (schedule != nullptr && normalized_clean) {
+      if (run.schedule.has_value() && normalized_clean) {
         ++outcome.stats.skipped_normalize_passes;
         frontier.Reset();
       } else {
@@ -477,7 +335,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       if (guard.tripped()) return aborted_with_target();
     }
     const std::size_t egd_before = outcome.stats.egd_steps;
-    if (schedule != nullptr && !schedule->egd_fixpoint_live()) {
+    if (run.SkipsEgdFixpoint()) {
       // Every egd is dead or effect-free: the pass would collect nothing
       // and return success without touching the target. Count the skip
       // only when there was a pass to skip at all.
@@ -488,10 +346,9 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
         return aborted_with_target();
       }
       TDX_TRACE_SPAN("cchase.egd_fixpoint");
-      outcome.kind = EgdFixpoint(
-          &concrete_target.mutable_facts(),
-          schedule != nullptr ? live_egds : lifted.egds, &outcome.stats,
-          &outcome.failure_reason, &guard);
+      outcome.kind =
+          EgdFixpoint(&concrete_target.mutable_facts(), run.egds,
+                      &outcome.stats, &outcome.failure_reason, &guard);
     }
     if (outcome.kind == ChaseResultKind::kFailure) break;
     if (outcome.kind == ChaseResultKind::kAborted) return aborted_with_target();

@@ -595,83 +595,51 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
     return Malformed("malformed piece-cursor");
   }
   ck.piece_cursor = static_cast<std::size_t>(n);
-  {
-    c = TokenCursor{reader.Next()};
-    std::uint64_t v[5];
-    if (!c.Eat("stats ") || !c.Uint(&v[0]) || !c.Uint(&v[1]) ||
-        !c.Uint(&v[2]) || !c.Uint(&v[3]) || !c.Uint(&v[4])) {
-      return Malformed("malformed stats line");
+  // A counter line: its head, then exactly `count` unsigned fields.
+  const auto parse_counts = [&reader](const char* head, std::uint64_t* v,
+                                      std::size_t count) -> Status {
+    TokenCursor line{reader.Next()};
+    bool ok = line.Eat(head) && line.Eat(" ");
+    for (std::size_t i = 0; ok && i < count; ++i) ok = line.Uint(&v[i]);
+    line.SkipSpaces();
+    if (!ok || !line.s.empty()) {
+      return Malformed(std::string("malformed ") + head + " line");
     }
+    return Status::OK();
+  };
+  {
+    std::uint64_t v[10];
+    TDX_RETURN_IF_ERROR(parse_counts("stats", v, 10));
     ck.stats.tgd_triggers = static_cast<std::size_t>(v[0]);
     ck.stats.tgd_fires = static_cast<std::size_t>(v[1]);
     ck.stats.egd_steps = static_cast<std::size_t>(v[2]);
     ck.stats.fresh_nulls = static_cast<std::size_t>(v[3]);
     ck.stats.values_rewritten = static_cast<std::size_t>(v[4]);
-    // Scheduler counters, appended in a later format revision: absent from
-    // older checkpoints, which decode with both counters at zero.
-    std::uint64_t skip = 0;
-    if (c.Uint(&skip)) {
-      ck.stats.skipped_egd_passes = static_cast<std::size_t>(skip);
-      if (c.Uint(&skip)) {
-        ck.stats.skipped_normalize_passes = static_cast<std::size_t>(skip);
-      } else {
-        return Malformed("malformed stats line");
-      }
-      // Search counters, appended in a yet later revision: 5- and 7-field
-      // stats lines decode with all three at zero.
-      std::uint64_t probes = 0;
-      if (c.Uint(&probes)) {
-        std::uint64_t cands = 0;
-        std::uint64_t scans = 0;
-        if (!c.Uint(&cands) || !c.Uint(&scans)) {
-          return Malformed("malformed stats line");
-        }
-        ck.stats.search.index_probes = probes;
-        ck.stats.search.index_candidates = cands;
-        ck.stats.search.full_scans = scans;
-      }
-    }
+    ck.stats.skipped_egd_passes = static_cast<std::size_t>(v[5]);
+    ck.stats.skipped_normalize_passes = static_cast<std::size_t>(v[6]);
+    ck.stats.search.index_probes = v[7];
+    ck.stats.search.index_candidates = v[8];
+    ck.stats.search.full_scans = v[9];
   }
-  const auto parse_norm = [&reader](const char* head, NormalizeStats* ns)
-      -> Status {
-    TokenCursor line{reader.Next()};
-    std::uint64_t v[4];
-    if (!line.Eat(head) || !line.Eat(" ") || !line.Uint(&v[0]) ||
-        !line.Uint(&v[1]) || !line.Uint(&v[2]) || !line.Uint(&v[3])) {
-      return Malformed(std::string("malformed ") + head + " line");
-    }
+  const auto parse_norm = [&](const char* head, NormalizeStats* ns) -> Status {
+    std::uint64_t v[8];
+    TDX_RETURN_IF_ERROR(parse_counts(head, v, 8));
+    if (v[7] > 1) return Malformed(std::string("malformed ") + head + " line");
     ns->input_facts = static_cast<std::size_t>(v[0]);
     ns->output_facts = static_cast<std::size_t>(v[1]);
     ns->homomorphisms = static_cast<std::size_t>(v[2]);
     ns->groups = static_cast<std::size_t>(v[3]);
-    // Incremental-normalization counters, appended in a later format
-    // revision: a 4-field line decodes with all of them zero.
-    std::uint64_t delta = 0;
-    if (line.Uint(&delta)) {
-      std::uint64_t dirty = 0;
-      std::uint64_t reused = 0;
-      std::uint64_t partial = 0;
-      if (!line.Uint(&dirty) || !line.Uint(&reused) || !line.Uint(&partial) ||
-          partial > 1) {
-        return Malformed(std::string("malformed ") + head + " line");
-      }
-      ns->delta_facts = static_cast<std::size_t>(delta);
-      ns->dirty_components = static_cast<std::size_t>(dirty);
-      ns->reused_components = static_cast<std::size_t>(reused);
-      ns->partial = partial != 0;
-    }
+    ns->delta_facts = static_cast<std::size_t>(v[4]);
+    ns->dirty_components = static_cast<std::size_t>(v[5]);
+    ns->reused_components = static_cast<std::size_t>(v[6]);
+    ns->partial = v[7] != 0;
     return Status::OK();
   };
   TDX_RETURN_IF_ERROR(parse_norm("norm-source", &ck.source_norm_stats));
   TDX_RETURN_IF_ERROR(parse_norm("norm-target", &ck.target_norm_stats));
   {
-    c = TokenCursor{reader.Next()};
     std::uint64_t v[6];
-    if (!c.Eat("consumed ") || !c.Uint(&v[0]) || !c.Uint(&v[1]) ||
-        !c.Uint(&v[2]) || !c.Uint(&v[3]) || !c.Uint(&v[4]) ||
-        !c.Uint(&v[5])) {
-      return Malformed("malformed consumed line");
-    }
+    TDX_RETURN_IF_ERROR(parse_counts("consumed", v, 6));
     ck.consumed.tgd_fires = static_cast<std::size_t>(v[0]);
     ck.consumed.egd_steps = static_cast<std::size_t>(v[1]);
     ck.consumed.fresh_nulls = static_cast<std::size_t>(v[2]);

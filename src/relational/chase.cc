@@ -4,84 +4,18 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "src/analysis/planner.h"
-#include "src/analysis/termination.h"
 #include "src/common/checkpoint.h"
 #include "src/common/thread_pool.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/relational/chase_run.h"
 
 namespace tdx {
-
-namespace {
-
-/// Run-level metrics for the snapshot engine. Published once per run, as
-/// bulk deltas of the ChaseStats the engine maintains anyway, so the chase
-/// interior pays nothing per trigger. See docs/INTERNALS.md
-/// ("Observability") for the name registry.
-struct SnapshotMetrics {
-  obs::Counter runs{"snapshot.runs"};
-  obs::Counter aborts{"snapshot.aborts"};
-  obs::Counter rounds{"snapshot.rounds"};
-  obs::Counter tgd_triggers{"snapshot.tgd_triggers"};
-  obs::Counter tgd_fires{"snapshot.tgd_fires"};
-  obs::Counter egd_steps{"snapshot.egd_steps"};
-  obs::Counter fresh_nulls{"snapshot.fresh_nulls"};
-  obs::Counter values_rewritten{"snapshot.values_rewritten"};
-  obs::Counter skipped_egd_passes{"snapshot.skipped_egd_passes"};
-  obs::Gauge strata{"snapshot.schedule_strata"};
-  obs::Histogram run_us{"snapshot.run_us"};
-};
-
-SnapshotMetrics& GetSnapshotMetrics() {
-  static auto* metrics = new SnapshotMetrics();
-  return *metrics;
-}
-
-/// Publishes the run's stats deltas (and round count) when the engine
-/// returns by any path — success, chase failure, abort, or Status error.
-class SnapshotRunScope {
- public:
-  SnapshotRunScope(const ChaseStats* stats, const std::size_t* rounds,
-                   const ChaseResultKind* kind)
-      : stats_(stats),
-        rounds_(rounds),
-        kind_(kind),
-        entry_(*stats),
-        entry_rounds_(*rounds),
-        latency_(&GetSnapshotMetrics().run_us) {}
-
-  ~SnapshotRunScope() {
-    SnapshotMetrics& m = GetSnapshotMetrics();
-    m.runs.Inc();
-    if (*kind_ == ChaseResultKind::kAborted) m.aborts.Inc();
-    m.rounds.Inc(*rounds_ - entry_rounds_);
-    m.tgd_triggers.Inc(stats_->tgd_triggers - entry_.tgd_triggers);
-    m.tgd_fires.Inc(stats_->tgd_fires - entry_.tgd_fires);
-    m.egd_steps.Inc(stats_->egd_steps - entry_.egd_steps);
-    m.fresh_nulls.Inc(stats_->fresh_nulls - entry_.fresh_nulls);
-    m.values_rewritten.Inc(stats_->values_rewritten -
-                           entry_.values_rewritten);
-    m.skipped_egd_passes.Inc(stats_->skipped_egd_passes -
-                             entry_.skipped_egd_passes);
-    m.strata.Set(stats_->schedule_strata);
-  }
-
- private:
-  const ChaseStats* stats_;
-  const std::size_t* rounds_;
-  const ChaseResultKind* kind_;
-  ChaseStats entry_;
-  std::size_t entry_rounds_;
-  obs::ScopedLatency latency_;
-};
-
-}  // namespace
 
 namespace {
 
@@ -112,44 +46,34 @@ std::vector<VarId> HeadUniversalVars(const Tgd& tgd) {
 /// instance may alias the insertion target.
 using TriggerSet = std::map<std::vector<Value>, Binding>;
 
-void CollectTriggers(HomomorphismFinder* finder, const Tgd& tgd,
-                     const std::vector<VarId>& key_vars, ChaseStats* stats,
+/// Collects the triggers of `tgd` over `inst`. A full frontier enumerates
+/// every body homomorphism; otherwise enumeration is seeded on each body
+/// atom's frontier range, so only triggers whose image touches at least one
+/// frontier fact are found. Triggers touching several frontier facts are
+/// enumerated once per touched atom; the key map absorbs the duplicates.
+void CollectTriggers(HomomorphismFinder* finder, const Instance& inst,
+                     const Tgd& tgd, const std::vector<VarId>& key_vars,
+                     const DeltaFrontier& frontier, ChaseStats* stats,
                      TriggerSet* triggers) {
-  finder->ForEach(tgd.body, Binding(tgd.num_vars()),
-                  [&](const Binding& binding, const AtomImage&) {
-                    ++stats->tgd_triggers;
-                    std::vector<Value> key;
-                    key.reserve(key_vars.size());
-                    for (VarId v : key_vars) key.push_back(binding.Get(v));
-                    triggers->emplace(std::move(key), binding);
-                    return true;
-                  });
-}
-
-/// Semi-naive collection: seeds enumeration on each body atom's frontier
-/// range, so only triggers whose image touches at least one frontier fact
-/// are found. Triggers touching several frontier facts are enumerated once
-/// per touched atom; the key map absorbs the duplicates.
-void CollectTriggersDelta(HomomorphismFinder* finder, const Instance& inst,
-                          const Tgd& tgd, const std::vector<VarId>& key_vars,
-                          const DeltaFrontier& frontier, ChaseStats* stats,
-                          TriggerSet* triggers) {
+  const HomCallback add = [&](const Binding& binding, const AtomImage&) {
+    ++stats->tgd_triggers;
+    std::vector<Value> key;
+    key.reserve(key_vars.size());
+    for (VarId v : key_vars) key.push_back(binding.Get(v));
+    triggers->emplace(std::move(key), binding);
+    return true;
+  };
+  if (frontier.full()) {
+    finder->ForEach(tgd.body, Binding(tgd.num_vars()), add);
+    return;
+  }
   for (std::size_t i = 0; i < tgd.body.atoms.size(); ++i) {
     const RelationId rel = tgd.body.atoms[i].rel;
     const std::uint32_t begin = frontier.mark(rel);
     const auto end = static_cast<std::uint32_t>(inst.facts(rel).size());
     if (begin >= end) continue;
     finder->ForEachSeeded(tgd.body, i, begin, end, Binding(tgd.num_vars()),
-                          [&](const Binding& binding, const AtomImage&) {
-                            ++stats->tgd_triggers;
-                            std::vector<Value> key;
-                            key.reserve(key_vars.size());
-                            for (VarId v : key_vars) {
-                              key.push_back(binding.Get(v));
-                            }
-                            triggers->emplace(std::move(key), binding);
-                            return true;
-                          });
+                          add);
   }
 }
 
@@ -201,241 +125,82 @@ bool FireTriggers(Instance* target, const Tgd& tgd, TriggerSet& triggers,
   return inserted_any;
 }
 
-/// Naive firing of one tgd: full trigger enumeration via `body_finder`,
-/// witness checks via `head_finder` (the two may be one finder when source
-/// aliases target).
-bool FireTgd(const Instance& source, Instance* target, const Tgd& tgd,
-             const FreshNullFactory& fresh, ChaseStats* stats,
-             ResourceGuard* guard, HomomorphismFinder* body_finder,
-             HomomorphismFinder* head_finder) {
-  (void)source;
-  const std::vector<VarId> key_vars = HeadUniversalVars(tgd);
-  TriggerSet triggers;
-  CollectTriggers(body_finder, tgd, key_vars, stats, &triggers);
-  return FireTriggers(target, tgd, triggers, fresh, stats, guard, head_finder);
-}
-
 }  // namespace
 
-void TgdPhase(const Instance& source, Instance* target,
-              const std::vector<Tgd>& tgds, const FreshNullFactory& fresh,
-              ChaseStats* stats, ResourceGuard* guard) {
-  // One finder per side for the whole phase: the source is immutable here,
-  // and the target finder's indexes absorb the phase's own inserts.
-  HomomorphismFinder body_finder(source, &stats->search);
-  HomomorphismFinder head_finder(*target, &stats->search);
-  for (const Tgd& tgd : tgds) {
-    if (guard->tripped()) return;
-    FireTgd(source, target, tgd, fresh, stats, guard, &body_finder,
-            &head_finder);
+TgdRunPlan BuildTgdRunPlan(const std::vector<Tgd>& tgds,
+                           const ChaseSchedule* schedule, unsigned jobs) {
+  TgdRunPlan plan;
+  plan.tgds = &tgds;
+  plan.jobs = jobs;
+  plan.key_vars.reserve(tgds.size());
+  for (const Tgd& tgd : tgds) plan.key_vars.push_back(HeadUniversalVars(tgd));
+  if (schedule != nullptr) {
+    plan.groups = schedule->parallel_groups;
+  } else {
+    for (std::size_t i = 0; i < tgds.size(); ++i) plan.groups.push_back({i});
   }
+  return plan;
 }
 
-bool TargetTgdRound(Instance* target, const std::vector<Tgd>& tgds,
-                    const FreshNullFactory& fresh, ChaseStats* stats,
-                    ResourceGuard* guard) {
-  bool inserted = false;
-  for (const Tgd& tgd : tgds) {
-    if (guard->tripped()) break;
-    // A fresh finder per tgd, as the naive engine always did: this path is
-    // the oracle, kept deliberately simple.
-    HomomorphismFinder finder(*target, &stats->search);
-    if (FireTgd(*target, target, tgd, fresh, stats, guard, &finder, &finder)) {
-      inserted = true;
-    }
-  }
-  return inserted;
-}
-
-bool TargetTgdRoundDelta(Instance* target, const std::vector<Tgd>& tgds,
-                         const FreshNullFactory& fresh, ChaseStats* stats,
-                         ResourceGuard* guard, DeltaFrontier* frontier,
-                         HomomorphismFinder* finder) {
+bool RunTgds(const Instance& collect_from, Instance* target,
+             const TgdRunPlan& plan, DeltaFrontier* frontier,
+             const FreshNullFactory& fresh, ChaseStats* stats,
+             ResourceGuard* guard, HomomorphismFinder* collect_finder,
+             HomomorphismFinder* fire_finder) {
+  const std::vector<Tgd>& tgds = *plan.tgds;
   // Everything inserted from here on is the next round's frontier. Sizes
   // are captured before any firing; facts a tgd inserts this round are
-  // enumerated by later tgds' collections (they are past the current marks)
-  // AND again next round — redundant but harmless, the witness check skips
-  // re-fires.
-  const std::size_t relation_count = target->schema().relation_count();
+  // enumerated by later groups' collections (they are past the current
+  // marks) AND again next round — redundant but harmless, the witness check
+  // skips re-fires.
+  const std::size_t relation_count = collect_from.schema().relation_count();
   std::vector<std::uint32_t> start_sizes(relation_count);
   for (RelationId rel = 0; rel < relation_count; ++rel) {
-    start_sizes[rel] = static_cast<std::uint32_t>(target->facts(rel).size());
+    start_sizes[rel] =
+        static_cast<std::uint32_t>(collect_from.facts(rel).size());
   }
   bool inserted = false;
-  for (const Tgd& tgd : tgds) {
-    if (guard->tripped()) break;
-    const std::vector<VarId> key_vars = HeadUniversalVars(tgd);
-    TriggerSet triggers;
-    if (frontier->full()) {
-      CollectTriggers(finder, tgd, key_vars, stats, &triggers);
-    } else {
-      CollectTriggersDelta(finder, *target, tgd, key_vars, *frontier, stats,
-                           &triggers);
-    }
-    if (FireTriggers(target, tgd, triggers, fresh, stats, guard, finder)) {
-      inserted = true;
-    }
-  }
-  frontier->AdvanceTo(std::move(start_sizes));
-  return inserted;
-}
-
-TgdRunPlan BuildStTgdRunPlan(const std::vector<Tgd>& tgds, unsigned jobs) {
-  TgdRunPlan plan;
-  plan.jobs = jobs;
-  plan.key_vars.reserve(tgds.size());
-  for (const Tgd& tgd : tgds) plan.key_vars.push_back(HeadUniversalVars(tgd));
-  if (!tgds.empty()) {
-    // Collections read only the immutable source: one all-inclusive group.
-    std::vector<std::size_t> all(tgds.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    plan.groups.push_back(std::move(all));
-  }
-  return plan;
-}
-
-TgdRunPlan BuildTargetTgdRunPlan(const std::vector<Tgd>& tgds,
-                                 const ChaseSchedule& schedule,
-                                 unsigned jobs) {
-  TgdRunPlan plan;
-  plan.jobs = jobs;
-  plan.key_vars.reserve(tgds.size());
-  for (const Tgd& tgd : tgds) plan.key_vars.push_back(HeadUniversalVars(tgd));
-  plan.groups = schedule.parallel_groups;
-  return plan;
-}
-
-namespace {
-
-/// Collects the triggers of every group member, concurrently when the plan
-/// allows, then fires the members in declaration order through the shared
-/// `fire_finder`. `collect` runs against per-task scratch finders (each
-/// task owns one over `collect_instance`); it must only READ the instance.
-/// Trigger counts accrue per member right before its firing — exactly when
-/// the flat engine would have counted them — so stats sequences match the
-/// unplanned path even across guard trips.
-bool RunGroup(
-    const std::vector<std::size_t>& group, Instance* target,
-    const std::vector<Tgd>& tgds, const TgdRunPlan& plan,
-    const Instance& collect_instance, const FreshNullFactory& fresh,
-    ChaseStats* stats, ResourceGuard* guard, HomomorphismFinder* fire_finder,
-    const std::function<void(HomomorphismFinder*, std::size_t, ChaseStats*,
-                             TriggerSet*)>& collect) {
-  std::vector<TriggerSet> sets(group.size());
-  std::vector<ChaseStats> local(group.size());
-  if (plan.jobs > 1 && group.size() > 1) {
-    ParallelFor(plan.jobs, group.size(), [&](std::size_t k) {
-      HomomorphismFinder scratch(collect_instance, &local[k].search);
-      collect(&scratch, group[k], &local[k], &sets[k]);
-    });
-  } else {
-    for (std::size_t k = 0; k < group.size(); ++k) {
-      collect(fire_finder, group[k], &local[k], &sets[k]);
-    }
-  }
-  bool inserted = false;
-  for (std::size_t k = 0; k < group.size(); ++k) {
-    if (guard->tripped()) break;
-    stats->tgd_triggers += local[k].tgd_triggers;
-    stats->search += local[k].search;
-    if (FireTriggers(target, tgds[group[k]], sets[k], fresh, stats, guard,
-                     fire_finder)) {
-      inserted = true;
-    }
-  }
-  return inserted;
-}
-
-}  // namespace
-
-void TgdPhasePlanned(const Instance& source, Instance* target,
-                     const std::vector<Tgd>& tgds, const TgdRunPlan& plan,
-                     const FreshNullFactory& fresh, ChaseStats* stats,
-                     ResourceGuard* guard) {
-  HomomorphismFinder body_finder(source, &stats->search);
-  HomomorphismFinder head_finder(*target, &stats->search);
   for (const std::vector<std::size_t>& group : plan.groups) {
-    if (guard->tripped()) return;
-    // The st phase never aliases source and target, so collection always
-    // goes through `body_finder` (or scratch copies of it) while witness
-    // checks and fires go through `head_finder`.
+    if (guard->tripped()) break;
+    // Collect every member before firing any, concurrently when the plan
+    // allows. This matches the flat plan's collect-then-fire per rule: the
+    // members cannot feed one another, so the facts earlier members fire
+    // match nothing in later members' bodies, and the trigger sets (and
+    // counts) come out identical.
     std::vector<TriggerSet> sets(group.size());
     std::vector<ChaseStats> local(group.size());
+    std::optional<HomomorphismFinder> own;
+    HomomorphismFinder* collect_with = collect_finder;
+    HomomorphismFinder* fire_with = fire_finder;
+    if (collect_finder == nullptr) {
+      own.emplace(*target, &stats->search);
+      collect_with = fire_with = &*own;
+    }
     const auto collect = [&](HomomorphismFinder* finder, std::size_t k) {
-      CollectTriggers(finder, tgds[group[k]], plan.key_vars[group[k]],
-                      &local[k], &sets[k]);
+      CollectTriggers(finder, collect_from, tgds[group[k]],
+                      plan.key_vars[group[k]], *frontier, &local[k], &sets[k]);
     };
     if (plan.jobs > 1 && group.size() > 1) {
       ParallelFor(plan.jobs, group.size(), [&](std::size_t k) {
-        HomomorphismFinder scratch(source, &local[k].search);
+        HomomorphismFinder scratch(collect_from, &local[k].search);
         collect(&scratch, k);
       });
     } else {
-      for (std::size_t k = 0; k < group.size(); ++k) collect(&body_finder, k);
+      for (std::size_t k = 0; k < group.size(); ++k) collect(collect_with, k);
     }
+    // Trigger counts accrue per member right before its firing, so stats
+    // sequences are the same for every grouping, even across guard trips.
     for (std::size_t k = 0; k < group.size(); ++k) {
-      if (guard->tripped()) return;
+      if (guard->tripped()) break;
       stats->tgd_triggers += local[k].tgd_triggers;
       stats->search += local[k].search;
-      FireTriggers(target, tgds[group[k]], sets[k], fresh, stats, guard,
-                   &head_finder);
-    }
-  }
-}
-
-bool TargetTgdRoundDeltaPlanned(Instance* target, const std::vector<Tgd>& tgds,
-                                const TgdRunPlan& plan,
-                                const FreshNullFactory& fresh,
-                                ChaseStats* stats, ResourceGuard* guard,
-                                DeltaFrontier* frontier,
-                                HomomorphismFinder* finder) {
-  const std::size_t relation_count = target->schema().relation_count();
-  std::vector<std::uint32_t> start_sizes(relation_count);
-  for (RelationId rel = 0; rel < relation_count; ++rel) {
-    start_sizes[rel] = static_cast<std::uint32_t>(target->facts(rel).size());
-  }
-  // Frontier ranges are pinned to the round-start sizes for the parallel
-  // path: an earlier group member's inserts land past these sizes, and
-  // non-interference guarantees they could not match a later member's body
-  // anyway — the flat engine enumerates them as candidates and matches
-  // nothing, so the trigger sets (and counts) come out identical.
-  const DeltaFrontier frontier_now = *frontier;
-  const auto collect = [&](HomomorphismFinder* f, std::size_t index,
-                           ChaseStats* local, TriggerSet* triggers) {
-    if (frontier_now.full()) {
-      CollectTriggers(f, tgds[index], plan.key_vars[index], local, triggers);
-    } else {
-      CollectTriggersDelta(f, *target, tgds[index], plan.key_vars[index],
-                           frontier_now, local, triggers);
-    }
-  };
-  bool inserted = false;
-  for (const std::vector<std::size_t>& group : plan.groups) {
-    if (guard->tripped()) break;
-    if (RunGroup(group, target, tgds, plan, *target, fresh, stats, guard,
-                 finder, collect)) {
-      inserted = true;
-    }
-  }
-  frontier->AdvanceTo(std::move(start_sizes));
-  return inserted;
-}
-
-bool TargetTgdRoundPlanned(Instance* target, const std::vector<Tgd>& tgds,
-                           const TgdRunPlan& plan,
-                           const FreshNullFactory& fresh, ChaseStats* stats,
-                           ResourceGuard* guard) {
-  bool inserted = false;
-  for (const std::vector<std::size_t>& group : plan.groups) {
-    for (std::size_t index : group) {
-      if (guard->tripped()) return inserted;
-      HomomorphismFinder finder(*target, &stats->search);
-      if (FireTgd(*target, target, tgds[index], fresh, stats, guard, &finder,
-                  &finder)) {
+      if (FireTriggers(target, tgds[group[k]], sets[k], fresh, stats, guard,
+                       fire_with)) {
         inserted = true;
       }
     }
   }
+  frontier->AdvanceTo(std::move(start_sizes));
   return inserted;
 }
 
@@ -633,46 +398,20 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
   const ChaseCheckpoint* resume = options.resume_from;
   const std::string config = std::string("engine=snapshot semi-naive=") +
                              (options.semi_naive ? "1" : "0");
+  ChaseOutcome outcome(Instance(&source.schema()));
+  ChaseRun run(options.limits, resume);
+  TDX_RETURN_IF_ERROR(run.Begin(mapping, source.schema(),
+                                ChaseCheckpoint::Engine::kSnapshot, config,
+                                options.scheduled, options.jobs,
+                                &outcome.stats, universe));
   if (resume != nullptr) {
-    if (resume->engine != ChaseCheckpoint::Engine::kSnapshot) {
-      return Status::InvalidArgument(
-          "checkpoint was not written by the snapshot chase engine");
-    }
-    if (resume->config != config) {
-      return Status::InvalidArgument(
-          "checkpoint was written under different execution options (\"" +
-          resume->config + "\" vs \"" + config + "\")");
-    }
     if (!resume->target.has_value()) {
       return Status::InvalidArgument(
           "snapshot checkpoint is missing its target instance");
     }
+    outcome.target = *resume->target;
   }
-  ResourceGuard guard = resume != nullptr
-                            ? ResourceGuard(options.limits, resume->consumed)
-                            : ResourceGuard(options.limits);
-  ChaseOutcome outcome(resume != nullptr ? *resume->target
-                                         : Instance(&source.schema()));
-  // Consult the mapping's termination certificate (or derive one) before
-  // doing any work: an uncertified set of target tgds may chase forever.
-  outcome.stats.certificate =
-      mapping.certificate.has_value()
-          ? *mapping.certificate
-          : CertifyTermination(mapping.target_tgds, source.schema());
-  if (!outcome.stats.certificate->guarantees_termination()) {
-    return Status::InvalidArgument(
-        "refusing to chase: target tgds are not weakly acyclic (cycle " +
-        outcome.stats.certificate->witness + "); the chase might not "
-        "terminate");
-  }
-  if (resume != nullptr) {
-    // Stats and the null namespace resume from the safe point; the
-    // certificate is derived state and keeps the recomputed value.
-    const auto certificate = outcome.stats.certificate;
-    outcome.stats = resume->stats;
-    outcome.stats.certificate = certificate;
-    universe->RestoreNullState(resume->next_null, resume->null_names);
-  }
+  ResourceGuard& guard = run.guard;
   const auto aborted = [&]() {
     outcome.kind = ChaseResultKind::kAborted;
     outcome.abort_dimension = guard.dimension();
@@ -683,37 +422,6 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
     return universe->FreshNull();
   };
 
-  // The schedule steers only provably-no-op skips and parallel trigger
-  // collection; the fire order (and with it every fresh-null id) is the
-  // unscheduled one, so the config string needs no scheduling fields —
-  // checkpoints interchange freely between scheduled and flat runs.
-  std::optional<ChaseSchedule> derived_schedule;
-  const ChaseSchedule* schedule = nullptr;
-  if (options.scheduled) {
-    if (mapping.schedule.has_value()) {
-      schedule = &*mapping.schedule;
-    } else {
-      derived_schedule = PlanChase(mapping, source.schema());
-      schedule = &*derived_schedule;
-    }
-  }
-  // schedule_strata is derived state like the certificate: recomputed even
-  // on resume rather than trusted from the checkpoint.
-  outcome.stats.schedule_strata =
-      schedule != nullptr ? schedule->stratum_count() : 0;
-  TgdRunPlan st_plan;
-  TgdRunPlan target_plan;
-  std::vector<Egd> live_egds;
-  if (schedule != nullptr) {
-    st_plan = BuildStTgdRunPlan(mapping.st_tgds, options.jobs);
-    target_plan =
-        BuildTargetTgdRunPlan(mapping.target_tgds, *schedule, options.jobs);
-    live_egds.reserve(schedule->live_egds.size());
-    for (std::size_t index : schedule->live_egds) {
-      live_egds.push_back(mapping.egds[index]);
-    }
-  }
-
   DeltaFrontier frontier;
   // Init-phase checkpoints carry rounds == 0, so seeding from the resume
   // point is correct for every phase; the loop-top dispatch below re-assigns
@@ -723,7 +431,8 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
   // From here on the stats reflect only this run's work (the resume restore
   // above already happened), so the scope's exit-time deltas attribute
   // resumed work to the run that actually did it.
-  SnapshotRunScope run_metrics(&outcome.stats, &rounds, &outcome.kind);
+  ChaseRunScope run_metrics(ChaseCheckpoint::Engine::kSnapshot, &outcome.stats,
+                            &rounds, &outcome.kind);
   // Offers a safe point to the checkpointer. Everything captured is the
   // state a fresh run would hold at the same point, so resuming from the
   // checkpoint and re-executing produces bit-identical results.
@@ -752,13 +461,11 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
     if (!guard.PokeFault("chase/tgd-phase")) return aborted();
     {
       TDX_TRACE_SPAN("snapshot.st_tgd");
-      if (schedule != nullptr) {
-        TgdPhasePlanned(source, &outcome.target, mapping.st_tgds, st_plan,
-                        fresh, &outcome.stats, &guard);
-      } else {
-        TgdPhase(source, &outcome.target, mapping.st_tgds, fresh,
-                 &outcome.stats, &guard);
-      }
+      HomomorphismFinder source_finder(source, &outcome.stats.search);
+      HomomorphismFinder target_finder(outcome.target, &outcome.stats.search);
+      DeltaFrontier full;
+      RunTgds(source, &outcome.target, run.st_plan, &full, fresh,
+              &outcome.stats, &guard, &source_finder, &target_finder);
     }
     if (guard.tripped()) return aborted();
     offer_checkpoint(true, "loop-top");
@@ -785,27 +492,17 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
   // indexes absorb inserts incrementally and rebuild after egd rewrites
   // (generation check). The frontier resets whenever the egd fixpoint
   // rewrote anything, since rewritten facts can seed triggers the frontier
-  // would otherwise never revisit. The finder is derived state: on resume
-  // it is rebuilt fresh over the restored target.
+  // would otherwise never revisit. Naive rounds reset it every time and
+  // index afresh (RunTgds). The finder is derived state: on resume it is
+  // rebuilt fresh over the restored target.
   HomomorphismFinder finder(outcome.target, &outcome.stats.search);
+  HomomorphismFinder* round_finder = options.semi_naive ? &finder : nullptr;
   const auto run_round = [&]() {
     TDX_TRACE_SPAN("snapshot.tgd_round");
-    if (schedule != nullptr) {
-      return options.semi_naive
-                 ? TargetTgdRoundDeltaPlanned(&outcome.target,
-                                              mapping.target_tgds, target_plan,
-                                              fresh, &outcome.stats, &guard,
-                                              &frontier, &finder)
-                 : TargetTgdRoundPlanned(&outcome.target, mapping.target_tgds,
-                                         target_plan, fresh, &outcome.stats,
-                                         &guard);
-    }
-    return options.semi_naive
-               ? TargetTgdRoundDelta(&outcome.target, mapping.target_tgds,
-                                     fresh, &outcome.stats, &guard, &frontier,
-                                     &finder)
-               : TargetTgdRound(&outcome.target, mapping.target_tgds, fresh,
-                                &outcome.stats, &guard);
+    if (!options.semi_naive) frontier.Reset();
+    return RunTgds(outcome.target, &outcome.target, run.target_plan,
+                   &frontier, fresh, &outcome.stats, &guard, round_finder,
+                   round_finder);
   };
   while (true) {
     bool fired = mid_rounds;
@@ -822,7 +519,7 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
     }
     if (guard.tripped()) return aborted();
     const std::size_t egd_before = outcome.stats.egd_steps;
-    if (schedule != nullptr && !schedule->egd_fixpoint_live()) {
+    if (run.SkipsEgdFixpoint()) {
       // Every egd is dead or effect-free: the pass would collect nothing
       // and return success without touching the target. Count the skip only
       // when there was a pass to skip at all.
@@ -830,10 +527,8 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
       if (!mapping.egds.empty()) ++outcome.stats.skipped_egd_passes;
     } else {
       TDX_TRACE_SPAN("snapshot.egd_fixpoint");
-      outcome.kind = EgdFixpoint(
-          &outcome.target,
-          schedule != nullptr ? live_egds : mapping.egds, &outcome.stats,
-          &outcome.failure_reason, &guard);
+      outcome.kind = EgdFixpoint(&outcome.target, run.egds, &outcome.stats,
+                                 &outcome.failure_reason, &guard);
     }
     if (outcome.kind == ChaseResultKind::kFailure) return outcome;
     if (outcome.kind == ChaseResultKind::kAborted) return aborted();

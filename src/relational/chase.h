@@ -92,12 +92,14 @@ struct ChaseOptions {
   /// parallel trigger collection under `jobs`. Scheduled and unscheduled
   /// runs produce bit-identical outcomes — the schedule only removes work
   /// the graph proves is a no-op; rule firing order never changes. Off =
-  /// the exact legacy engine, kept as the oracle.
+  /// a flat plan (every rule live, each in its own group), kept as the
+  /// oracle.
   bool scheduled = true;
-  /// Worker threads for trigger collection within a provably
-  /// non-interfering parallel group (ChaseSchedule::parallel_groups); 1 =
-  /// fully sequential. Firing stays sequential in declaration order
-  /// regardless, so results are deterministic and jobs-independent.
+  /// Worker threads for trigger collection within a group: the s-t tgd
+  /// phase, or a provably non-interfering parallel group of target tgds
+  /// (ChaseSchedule::parallel_groups); 1 = fully sequential. Firing stays
+  /// sequential in declaration order regardless, so results are
+  /// deterministic and jobs-independent.
   unsigned jobs = 1;
   /// When set, the engine offers a checkpoint at every safe point (phase
   /// boundaries and fired target-tgd rounds); the checkpointer decides which
@@ -158,15 +160,7 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
 using FreshNullFactory =
     std::function<Value(const Tgd& tgd, const Binding& trigger)>;
 
-/// Phase 1: fires every s-t tgd trigger from `source` into `target`
-/// (restricted chase: triggers whose head is already witnessed are skipped).
-/// Charges `guard` per fire/null/fact and stops early once it trips; the
-/// caller checks guard->tripped() to surface the abort.
-void TgdPhase(const Instance& source, Instance* target,
-              const std::vector<Tgd>& tgds, const FreshNullFactory& fresh,
-              ChaseStats* stats, ResourceGuard* guard);
-
-/// Phase 2: applies egd steps on `target` until fixpoint. Returns kFailure
+/// Applies egd steps on `target` until fixpoint. Returns kFailure
 /// (and fills `failure_reason`) when an egd equates two distinct non-null
 /// values, kAborted when `guard` trips (budget, deadline, or the armed
 /// fault point "chase/egd-fixpoint"). Handles labeled and
@@ -181,24 +175,15 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
                             ChaseStats* stats, std::string* failure_reason,
                             ResourceGuard* guard);
 
-/// One round of target-tgd firing: collects all triggers over the current
-/// target, fires those without an extension witness, and returns true if
-/// anything was inserted. Callers loop rounds to a fixpoint (guaranteed to
-/// exist for weakly acyclic target tgds) and interleave with EgdFixpoint.
-/// This is the naive round: every trigger is re-enumerated every round. It
-/// is kept as the oracle the semi-naive engine is tested (and benchmarked)
-/// against.
-bool TargetTgdRound(Instance* target, const std::vector<Tgd>& tgds,
-                    const FreshNullFactory& fresh, ChaseStats* stats,
-                    ResourceGuard* guard);
-
 /// Per-relation delta frontier for semi-naive target-tgd rounds: facts of
 /// relation r at positions >= mark(r) form the frontier (inserted since the
 /// frontier last advanced). A fresh or Reset frontier covers every fact —
 /// round 0 seeds semi-naive evaluation with the full instance; callers also
 /// Reset after anything rewrites existing facts (egd merges, normalization),
 /// since rewritten facts can participate in triggers the frontier would
-/// otherwise skip.
+/// otherwise skip. Naive rounds are the same rounds with the frontier Reset
+/// before each one: every trigger is re-enumerated every round, the oracle
+/// the semi-naive engine is tested (and benchmarked) against.
 class DeltaFrontier {
  public:
   DeltaFrontier() = default;
@@ -234,74 +219,60 @@ class DeltaFrontier {
   std::vector<std::uint32_t> marks_;
 };
 
-/// Semi-naive round: like TargetTgdRound, but only enumerates triggers whose
-/// body image touches the frontier, and probes the restricted-chase Exists
-/// check against `finder` — a persistent HomomorphismFinder over `target`
-/// whose indexes catch up incrementally instead of being rebuilt per round.
-/// Advances `frontier` past the facts that existed at round start.
-bool TargetTgdRoundDelta(Instance* target, const std::vector<Tgd>& tgds,
-                         const FreshNullFactory& fresh, ChaseStats* stats,
-                         ResourceGuard* guard, DeltaFrontier* frontier,
-                         HomomorphismFinder* finder);
-
-// ---------------------------------------------------------------------------
-// Scheduled execution (analysis/planner.h). A TgdRunPlan is the runtime
-// form of a ChaseSchedule for one tgd vector: dead rules dropped, the rest
-// partitioned into consecutive groups whose trigger collections commute
-// (so they may fan out onto the thread pool), head-universal key variables
-// precomputed. Firing is ALWAYS sequential in declaration order — parallel
-// collection over the immutable round-start state is the only concurrency,
-// which keeps fresh-null identities and therefore the whole outcome
-// bit-identical to the flat engine at any job count.
-// ---------------------------------------------------------------------------
-
+/// The runtime form of one tgd vector's execution: which rules run, in
+/// which groups, on how many threads. A group's members collect their
+/// triggers before any of them fires, so where collection reads the
+/// instance being fired into, a group may only hold rules none of whose
+/// heads feed a later member's body. Firing is ALWAYS sequential in
+/// declaration order — parallel collection over the immutable group-start
+/// state is the only concurrency, which keeps fresh-null identities and
+/// therefore the whole outcome bit-identical at any plan and job count.
 struct TgdRunPlan {
-  /// Indices into the tgd vector: live rules in declaration order,
-  /// partitioned into runs where no earlier member's head may feed a later
-  /// member's body (singleton groups collect sequentially).
+  /// The rules; not owned, must outlive the plan.
+  const std::vector<Tgd>* tgds = nullptr;
+  /// Indices into *tgds: live rules in declaration order, partitioned into
+  /// groups.
   std::vector<std::vector<std::size_t>> groups;
   /// Per tgd (all indices, dead included): its head-visible universal
   /// variables, precomputed once per run instead of once per round.
   std::vector<std::vector<VarId>> key_vars;
-  /// Worker threads for group collection; <= 1 disables concurrency.
+  /// Worker threads for multi-member group collection; <= 1 disables
+  /// concurrency.
   unsigned jobs = 1;
 };
 
-/// Plan for the s-t tgd phase: every collection reads only the immutable
-/// source, so all tgds form one group regardless of the schedule.
-TgdRunPlan BuildStTgdRunPlan(const std::vector<Tgd>& tgds, unsigned jobs);
+/// Builds the plan for `tgds`. Without a schedule the plan is flat: every
+/// rule live, each in its own group. With one (analysis/planner.h), dead
+/// rules are dropped and ChaseSchedule::parallel_groups are the groups —
+/// so `schedule` must have been planned for the mapping `tgds` are the
+/// target tgds of.
+TgdRunPlan BuildTgdRunPlan(const std::vector<Tgd>& tgds,
+                           const ChaseSchedule* schedule, unsigned jobs);
 
-/// Plan for target-tgd rounds, from the mapping's schedule: dead rules
-/// dropped, ChaseSchedule::parallel_groups as the groups.
-TgdRunPlan BuildTargetTgdRunPlan(const std::vector<Tgd>& tgds,
-                                 const ChaseSchedule& schedule, unsigned jobs);
-
-/// TgdPhase consuming a plan. Bit-identical to TgdPhase for every plan and
-/// job count; with jobs > 1 the per-tgd trigger collections run
-/// concurrently (each task owns a scratch finder over the source).
-void TgdPhasePlanned(const Instance& source, Instance* target,
-                     const std::vector<Tgd>& tgds, const TgdRunPlan& plan,
-                     const FreshNullFactory& fresh, ChaseStats* stats,
-                     ResourceGuard* guard);
-
-/// TargetTgdRoundDelta consuming a plan: skips dead rules and collects
-/// each multi-member group concurrently over the round-start instance
-/// before firing its members in declaration order. Bit-identical to
-/// TargetTgdRoundDelta for every plan and job count.
-bool TargetTgdRoundDeltaPlanned(Instance* target, const std::vector<Tgd>& tgds,
-                                const TgdRunPlan& plan,
-                                const FreshNullFactory& fresh,
-                                ChaseStats* stats, ResourceGuard* guard,
-                                DeltaFrontier* frontier,
-                                HomomorphismFinder* finder);
-
-/// TargetTgdRound (the naive oracle) consuming a plan: dead rules are
-/// skipped; collection stays sequential (the naive path exists for oracle
-/// clarity, not speed).
-bool TargetTgdRoundPlanned(Instance* target, const std::vector<Tgd>& tgds,
-                           const TgdRunPlan& plan,
-                           const FreshNullFactory& fresh, ChaseStats* stats,
-                           ResourceGuard* guard);
+/// Runs `plan` once: group by group, collects the members' triggers from
+/// `collect_from` through `collect_finder` — only triggers whose body image
+/// touches `frontier`, unless it is full — then fires them into `target`
+/// through `fire_finder` (restricted chase: triggers whose head is already
+/// witnessed are skipped). Returns true if anything was inserted, and
+/// advances `frontier` past the facts `collect_from` held on entry.
+///
+/// A semi-naive target-tgd round collects from the target itself, through
+/// the same persistent finder it fires through (its indexes catch up with
+/// inserts incrementally instead of being rebuilt per round). A naive round
+/// passes a full frontier and null finders: each group then builds one
+/// fresh finder over the target, so the oracle re-indexes as well as
+/// re-enumerates. The s-t tgd phase collects from the source with a full
+/// frontier.
+///
+/// With plan.jobs > 1, multi-member groups collect concurrently, each task
+/// through a scratch finder over `collect_from`. Charges `guard` per
+/// fire/null/fact and stops early once it trips; the caller checks
+/// guard->tripped() to surface the abort.
+bool RunTgds(const Instance& collect_from, Instance* target,
+             const TgdRunPlan& plan, DeltaFrontier* frontier,
+             const FreshNullFactory& fresh, ChaseStats* stats,
+             ResourceGuard* guard, HomomorphismFinder* collect_finder,
+             HomomorphismFinder* fire_finder);
 
 }  // namespace tdx
 

@@ -176,6 +176,10 @@ Result<Mapping> LiftMapping(const Mapping& mapping, const Schema& schema) {
     TDX_ASSIGN_OR_RETURN(Egd lifted, LiftEgd(egd, schema));
     out.egds.push_back(std::move(lifted));
   }
+  // Rules lift 1:1 and in order, and lifting only appends the variable t to
+  // every atom, which never clashes in the planner's constant-compatibility
+  // tests: M's schedule is M+'s, so M+ need not be planned again.
+  out.schedule = mapping.schedule;
   return out;
 }
 

@@ -110,7 +110,9 @@ struct Mapping {
 /// Lifts a non-temporal dependency to its concrete counterpart: every atom's
 /// relation is replaced by its registered twin (R -> R+) and the fresh
 /// temporal variable t is appended to every atom (body and head). Fails with
-/// NotFound if some relation has no twin.
+/// NotFound if some relation has no twin. LiftMapping carries the mapping's
+/// schedule over unchanged; its certificate is left for the caller to
+/// derive from M+.
 Result<Tgd> LiftTgd(const Tgd& tgd, const Schema& schema);
 Result<Egd> LiftEgd(const Egd& egd, const Schema& schema);
 Result<Mapping> LiftMapping(const Mapping& mapping, const Schema& schema);

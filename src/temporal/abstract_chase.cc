@@ -130,12 +130,10 @@ Result<AbstractChaseOutcome> AbstractChase(const AbstractInstance& source,
   // Plan once, up front: every piece chases the same mapping, and a
   // schedule-less mapping would make each per-piece chase re-derive the
   // schedule from scratch.
-  std::optional<Mapping> planned;
-  if (piece_options.scheduled && !mapping.schedule.has_value()) {
-    planned = mapping;
-    planned->schedule = PlanChase(mapping, source.schema());
+  Mapping piece_mapping = mapping;
+  if (piece_options.scheduled) {
+    piece_mapping.schedule = ScheduleFor(mapping, source.schema());
   }
-  const Mapping& piece_mapping = planned.has_value() ? *planned : mapping;
 
   const ChaseCheckpoint* resume = options.resume_from;
   std::size_t start = 0;

@@ -138,6 +138,14 @@ TEST(CheckpointRoundTripTest, ScheduleSkipCountersRoundTrip) {
   EXPECT_EQ(parsed->stats.skipped_normalize_passes, 9u);
 }
 
+// Re-signs `body` (everything before the end line) with a fresh checksum.
+std::string Resign(const std::string& body) {
+  char checksum[17];
+  std::snprintf(checksum, sizeof(checksum), "%016llx",
+                static_cast<unsigned long long>(FingerprintText(body)));
+  return body + "end " + checksum + "\n";
+}
+
 // Rewrites the checkpoint's stats line to its first `keep` fields and
 // re-signs the checksum, imitating a file written by an older build.
 std::string TruncateStatsLine(const std::string& text, int keep) {
@@ -152,33 +160,36 @@ std::string TruncateStatsLine(const std::string& text, int keep) {
   fields >> rebuilt;  // "stats"
   for (int i = 0; i < keep && (fields >> token); ++i) rebuilt += " " + token;
   body.replace(line_start, line_end - line_start, rebuilt);
-  char checksum[17];
-  std::snprintf(checksum, sizeof(checksum), "%016llx",
-                static_cast<unsigned long long>(FingerprintText(body)));
-  return body + "end " + checksum + "\n";
+  return Resign(body);
 }
 
-TEST(CheckpointRoundTripTest, LegacyFiveFieldStatsLineDecodes) {
-  // Checkpoints written before the chase planner carry a 5-field stats
-  // line; they must load with both skip counters at zero.
+TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
+  // Format v2 has one layout per line: the shorter stats lines of earlier
+  // revisions, and any v1 header, are parse errors, not crashes.
   auto program = ParseOrDie(kPaperProgram);
-  ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
-  ck.stats.skipped_egd_passes = 4;
-  ck.stats.skipped_normalize_passes = 9;
+  const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
   ASSERT_TRUE(text.ok()) << text.status();
 
-  auto parsed = ParseCheckpoint(TruncateStatsLine(*text, 5), &program->schema,
-                                &program->universe);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->stats.tgd_fires, ck.stats.tgd_fires);
-  EXPECT_EQ(parsed->stats.skipped_egd_passes, 0u);
-  EXPECT_EQ(parsed->stats.skipped_normalize_passes, 0u);
+  for (int fields : {5, 7}) {
+    auto parsed = ParseCheckpoint(TruncateStatsLine(*text, fields),
+                                  &program->schema, &program->universe);
+    ASSERT_FALSE(parsed.ok()) << fields << " fields";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    EXPECT_NE(parsed.status().message().find("stats"), std::string::npos);
+  }
+
+  ASSERT_EQ(text->rfind("tdxckpt v2\n", 0), 0u);
+  std::string v1 = "tdxckpt v1\n" + text->substr(text->find('\n') + 1);
+  v1 = Resign(v1.substr(0, v1.rfind("\nend ") + 1));
+  auto parsed = ParseCheckpoint(v1, &program->schema, &program->universe);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_NE(parsed.status().message().find("v1"), std::string::npos);
 }
 
 TEST(CheckpointRoundTripTest, SixFieldStatsLineIsMalformed) {
-  // Six fields is no version this code ever wrote: the skip counters come
-  // as a pair, so a line with only one of them is a torn write.
+  // A stats line short of its ten fields is a torn write.
   auto program = ParseOrDie(kPaperProgram);
   const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);

@@ -7,15 +7,23 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <string_view>
 
 #include "src/core/cchase.h"
 #include "src/core/normalize.h"
+#include "src/gen/workload.h"
 #include "src/parser/parser.h"
 #include "src/parser/printer.h"
 #include "src/relational/chase.h"
 #include "src/temporal/snapshot.h"
 #include "tests/test_util.h"
+
+#ifndef TDX_REPO_DIR
+#define TDX_REPO_DIR "."
+#endif
 
 namespace tdx {
 namespace {
@@ -199,6 +207,70 @@ TEST(PlannerTest, ParallelGroupMembersNeverFeedLaterMembers) {
         }
       }
     }
+  }
+}
+
+// The schedule minus its display strings: lifted rules are labeled
+// "<label>+" and lifted relations "R+", nothing else may differ.
+void ExpectSameSchedule(const ChaseSchedule& carried,
+                        const ChaseSchedule& replanned) {
+  EXPECT_EQ(carried.strata, replanned.strata);
+  EXPECT_EQ(carried.parallel_groups, replanned.parallel_groups);
+  EXPECT_EQ(carried.live_target_tgds, replanned.live_target_tgds);
+  EXPECT_EQ(carried.live_egds, replanned.live_egds);
+  ASSERT_EQ(carried.rules.size(), replanned.rules.size());
+  for (std::size_t i = 0; i < carried.rules.size(); ++i) {
+    const ScheduleRule& a = carried.rules[i];
+    const ScheduleRule& b = replanned.rules[i];
+    EXPECT_EQ(a.kind, b.kind) << "rule " << i;
+    EXPECT_EQ(a.index, b.index) << "rule " << i;
+    EXPECT_EQ(a.stratum, b.stratum) << "rule " << i;
+    EXPECT_EQ(a.live, b.live) << "rule " << i;
+    EXPECT_EQ(a.effect_free, b.effect_free) << "rule " << i;
+  }
+  ASSERT_EQ(carried.edges.size(), replanned.edges.size());
+  for (std::size_t i = 0; i < carried.edges.size(); ++i) {
+    EXPECT_EQ(carried.edges[i].from, replanned.edges[i].from) << "edge " << i;
+    EXPECT_EQ(carried.edges[i].to, replanned.edges[i].to) << "edge " << i;
+    EXPECT_EQ(carried.edges[i].reason, replanned.edges[i].reason)
+        << "edge " << i;
+  }
+}
+
+// LiftMapping carries M's schedule over to M+ so the engines never plan M+
+// again. That is sound only because planning M+ afresh derives the same
+// schedule; pinned over the shipped programs, the generators with target
+// tgds, and random mappings.
+TEST(PlannerTest, LiftingCarriesTheScheduleReplanningDerives) {
+  for (const char* name : {"paper", "flights", "medical", "strata"}) {
+    SCOPED_TRACE(name);
+    std::ifstream in(std::string(TDX_REPO_DIR) + "/examples/programs/" + name +
+                     ".tdx");
+    ASSERT_TRUE(in.good());
+    std::ostringstream text;
+    text << in.rdbuf();
+    auto program = ParseOrDie(text.str());
+    ASSERT_TRUE(program->lifted.schedule.has_value());
+    ExpectSameSchedule(*program->lifted.schedule,
+                       PlanChase(program->lifted, program->schema));
+  }
+  const auto expect_lift_keeps_schedule = [](Workload* w) {
+    ASSERT_TRUE(ValidateAndCertifyMapping(&w->mapping, w->schema).ok());
+    auto lifted = LiftMapping(w->mapping, w->schema);
+    ASSERT_TRUE(lifted.ok()) << lifted.status();
+    ASSERT_TRUE(lifted->schedule.has_value());
+    ExpectSameSchedule(*lifted->schedule, PlanChase(*lifted, w->schema));
+  };
+  SCOPED_TRACE("generators");
+  expect_lift_keeps_schedule(MakeFlightWorkload(FlightConfig{}).get());
+  expect_lift_keeps_schedule(MakeChainWorkload(ChainConfig{}).get());
+  expect_lift_keeps_schedule(MakeStratifiedWorkload(StratifiedConfig{}).get());
+  expect_lift_keeps_schedule(MakeCascadeWorkload(CascadeConfig{}).get());
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    SCOPED_TRACE("random mapping seed " + std::to_string(seed));
+    RandomMappingConfig cfg;
+    cfg.seed = seed;
+    expect_lift_keeps_schedule(MakeRandomMappingWorkload(cfg).get());
   }
 }
 

@@ -517,22 +517,14 @@ int RunSnapshots(tdx::ParsedProgram& program, const CliOptions& options,
   return EXIT_SUCCESS;
 }
 
-// Renders the chase planner's schedule for the program's mapping. The
-// parser attaches a schedule during certification; re-plan only if it is
-// absent (hand-built mappings).
+// Renders the chase planner's schedule for the program's mapping.
 int RunPlan(tdx::ParsedProgram& program, const CliOptions& options) {
-  std::optional<tdx::ChaseSchedule> derived;
-  const tdx::ChaseSchedule* schedule;
-  if (program.mapping.schedule.has_value()) {
-    schedule = &*program.mapping.schedule;
-  } else {
-    derived = tdx::PlanChase(program.mapping, program.schema);
-    schedule = &*derived;
-  }
+  const tdx::ChaseSchedule schedule =
+      tdx::ScheduleFor(program.mapping, program.schema);
   if (options.format == "json") {
-    std::cout << schedule->ToJson() << "\n";
+    std::cout << schedule.ToJson() << "\n";
   } else {
-    std::cout << schedule->ToText();
+    std::cout << schedule.ToText();
   }
   return EXIT_SUCCESS;
 }

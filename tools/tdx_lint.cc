@@ -62,11 +62,7 @@ tdx::AnalysisReport LintFile(const std::string& text,
     return report;
   }
   if (plan != nullptr) {
-    if ((*parsed)->mapping.schedule.has_value()) {
-      *plan = *(*parsed)->mapping.schedule;
-    } else {
-      *plan = tdx::PlanChase((*parsed)->mapping, (*parsed)->schema);
-    }
+    *plan = tdx::ScheduleFor((*parsed)->mapping, (*parsed)->schema);
   }
   return tdx::AnalyzeProgram(**parsed);
 }
