@@ -164,9 +164,9 @@ bool RunTgds(const Instance& collect_from, Instance* target,
     if (guard->tripped()) break;
     // Collect every member before firing any, concurrently when the plan
     // allows. This matches the flat plan's collect-then-fire per rule: the
-    // members cannot feed one another, so the facts earlier members fire
-    // match nothing in later members' bodies, and the trigger sets (and
-    // counts) come out identical.
+    // facts earlier members fire match nothing later members collect
+    // (group members cannot feed one another, and fires never land in a
+    // source), so the trigger sets (and counts) come out identical.
     std::vector<TriggerSet> sets(group.size());
     std::vector<ChaseStats> local(group.size());
     std::optional<HomomorphismFinder> own;
