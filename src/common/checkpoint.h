@@ -55,7 +55,7 @@ std::uint64_t FingerprintText(std::string_view text);
 struct ChaseCheckpoint {
   /// Bumped whenever the durable encoding changes shape; ParseCheckpoint
   /// refuses every other version, so each line has exactly one layout.
-  static constexpr std::uint32_t kFormatVersion = 2;
+  static constexpr std::uint32_t kFormatVersion = 3;
 
   enum class Engine : std::uint8_t {
     kSnapshot = 0,  ///< relational/chase.h ChaseSnapshot
@@ -102,13 +102,16 @@ struct ChaseCheckpoint {
   /// at the safe point — see core/normalize_incremental.h). `norm_marks`
   /// holds per-relation prefix sizes of the last normalized output,
   /// `norm_labels` its component labels flattened in relation order
-  /// (sum(norm_marks) entries). Absent (valid=false) in checkpoints taken
-  /// after an egd rewrite or under a non-incremental run; resume then
+  /// (sum(norm_marks) entries), `norm_dirty` the prefix rows an egd
+  /// rewrote in place since that output (ascending, each below its
+  /// relation's mark). Absent (valid=false) in checkpoints taken after a
+  /// position-moving egd merge or under a non-incremental run; resume then
   /// starts with a full pass, exactly like the uninterrupted run.
   bool norm_state_valid = false;
   std::vector<std::uint32_t> norm_marks;
   std::vector<std::uint32_t> norm_labels;
   std::uint32_t norm_components = 0;
+  std::vector<FactRef> norm_dirty;
 
   /// The partial target (snapshot and c-chase; absent for "init").
   std::optional<Instance> target;

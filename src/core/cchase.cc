@@ -152,13 +152,14 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       if (target_now != nullptr) {
         ck.target = *target_now;
         // Export succeeds only while the watermark proves the old prefix
-        // (bound to this instance, generation unchanged) — checkpoints
-        // taken after an egd rewrite simply carry no watermark.
+        // (bound to this instance, generation current); after a light egd
+        // rewrite it carries the rewritten rows as dirty rows.
         if (auto wm = norm_state.Export(target_now)) {
           ck.norm_state_valid = true;
           ck.norm_marks = std::move(wm->marks);
           ck.norm_labels = std::move(wm->labels);
           ck.norm_components = wm->num_components;
+          ck.norm_dirty = std::move(wm->dirty);
         }
       }
       return ck;
@@ -235,8 +236,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
           NaiveNormalize(concrete_target, &outcome.target_norm_stats, &guard);
     } else if (use_incremental) {
       // The state installs the output in place and re-records its
-      // watermark; egd rewrites invalidate it via the generation contract,
-      // so the next pass after a merge is automatically a full one.
+      // watermark; the egd fixpoint below reports its rewrites to it.
       norm_state.Normalize(&concrete_target, target_phis,
                            &outcome.target_norm_stats, &guard);
     } else {
@@ -268,6 +268,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       wm.marks = resume->norm_marks;
       wm.labels = resume->norm_labels;
       wm.num_components = resume->norm_components;
+      wm.dirty = resume->norm_dirty;
       TDX_RETURN_IF_ERROR(norm_state.Restore(wm, concrete_target));
     }
   } else {
@@ -346,9 +347,16 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
         return aborted_with_target();
       }
       TDX_TRACE_SPAN("cchase.egd_fixpoint");
-      outcome.kind =
-          EgdFixpoint(&concrete_target.mutable_facts(), run.egds,
-                      &outcome.stats, &outcome.failure_reason, &guard);
+      const std::uint64_t generation = concrete_target.facts().generation();
+      EgdRewrites rewrites;
+      outcome.kind = EgdFixpoint(&concrete_target.mutable_facts(), run.egds,
+                                 &outcome.stats, &outcome.failure_reason,
+                                 &guard, use_incremental ? &rewrites : nullptr);
+      // Rows rewritten in place stay in the watermark as dirty rows, so the
+      // next pass is incremental; moved positions force a full one.
+      if (use_incremental) {
+        norm_state.NoteRewrite(concrete_target.facts(), generation, rewrites);
+      }
     }
     if (outcome.kind == ChaseResultKind::kFailure) break;
     if (outcome.kind == ChaseResultKind::kAborted) return aborted_with_target();

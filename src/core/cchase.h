@@ -45,7 +45,8 @@ struct CChaseOptions {
   /// Reuse normalization work across target passes (see
   /// core/normalize_incremental.h): after the first full pass, each
   /// normalize_target seeds its homomorphism sweep from the facts appended
-  /// since the previous pass and re-fragments only the touched components.
+  /// and the rows egd merges rewrote in place since the previous pass, and
+  /// re-fragments only the touched components.
   /// Never changes the result (output is bit-identical to full passes at
   /// any --jobs), so the checkpoint config fingerprint ignores it and
   /// checkpoints interchange between incremental and full runs. Ignored

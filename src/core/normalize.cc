@@ -11,6 +11,7 @@ namespace tdx {
 using normalize_detail::EmitCopy;
 using normalize_detail::EmitFragments;
 using normalize_detail::IntersectIntervals;
+using normalize_detail::NullClusters;
 using normalize_detail::UnionFind;
 
 Conjunction RenameTemporalApart(const Conjunction& phi) {
@@ -82,7 +83,9 @@ ConcreteInstance Normalize(const ConcreteInstance& instance,
   // Build S (Algorithm 1, line 3): for each phi* in N(Phi+), every
   // homomorphic image whose fact intervals intersect forms a group; then
   // merge groups sharing a fact (lines 4-10) — i.e., take connected
-  // components of the overlap graph, implemented with union-find.
+  // components of the overlap graph, implemented with union-find. The
+  // null clusters below add one more kind of group that Algorithm 1 as
+  // published lacks.
   UnionFind uf(total);
   std::vector<bool> grouped(total, false);
   std::size_t hom_count = 0;
@@ -107,6 +110,16 @@ ConcreteInstance Normalize(const ConcreteInstance& instance,
                      }
                      return true;
                    });
+  }
+  // Facts sharing an annotated null over overlapping time are cut together.
+  NullClusters clusters;
+  clusters.Build(facts, base);
+  for (std::size_t c = 0; c < clusters.size(); ++c) {
+    const std::size_t first = *clusters.begin(c);
+    for (const std::size_t* m = clusters.begin(c); m != clusters.end(c); ++m) {
+      grouped[*m] = true;
+      uf.Union(first, *m);
+    }
   }
 
   // Distinct start/end points per component (TP_Delta, lines 11-13).

@@ -48,8 +48,9 @@ struct NormalizeStats {
   /// Connected components of overlapping fact groups (the merged S of
   /// Algorithm 1). Always 0 for the naive normalizer.
   std::size_t groups = 0;
-  /// Facts treated as new since the last pass. Full passes (and the naive
-  /// normalizer) count every input fact here.
+  /// Facts treated as new since the last pass: appended, or rewritten in
+  /// place by an egd. Full passes (and the naive normalizer) count every
+  /// input fact here.
   std::size_t delta_facts = 0;
   /// Components re-fragmented this pass. A full pass dirties every group.
   std::size_t dirty_components = 0;

@@ -7,6 +7,7 @@
 #include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/relational/chase.h"
 
 namespace tdx {
 
@@ -19,6 +20,25 @@ void NormalizeState::Invalidate() {
   marks_.clear();
   comp_of_.clear();
   num_components_ = 0;
+  dirty_.clear();
+}
+
+void NormalizeState::NoteRewrite(const Instance& facts,
+                                 std::uint64_t generation_before,
+                                 const EgdRewrites& rewrites) {
+  if (!valid_ || bound_ != &facts || generation_ != generation_before ||
+      rewrites.positions_moved) {
+    Invalidate();
+    return;
+  }
+  // Rows at or past a mark are appended facts, already in the next pass's
+  // delta.
+  for (const FactRef& row : rewrites.rows) {
+    if (row.pos < MarkOf(row.rel)) dirty_.push_back(row);
+  }
+  std::sort(dirty_.begin(), dirty_.end());
+  dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
+  generation_ = facts.generation();
 }
 
 bool NormalizeState::MatchesWatermark(const ConcreteInstance& instance) const {
@@ -46,6 +66,7 @@ std::optional<NormalizeState::Watermark> NormalizeState::Export(
     wm.labels.insert(wm.labels.end(), rel_labels.begin(), rel_labels.end());
   }
   wm.num_components = num_components_;
+  wm.dirty = dirty_;
   return wm;
 }
 
@@ -75,7 +96,19 @@ Status NormalizeState::Restore(const Watermark& wm,
           "normalize watermark label out of component range");
     }
   }
+  for (std::size_t k = 0; k < wm.dirty.size(); ++k) {
+    const FactRef& row = wm.dirty[k];
+    if (row.rel >= wm.marks.size() || row.pos >= wm.marks[row.rel]) {
+      return Status::InvalidArgument(
+          "normalize watermark dirty row lies beyond its relation's mark");
+    }
+    if (k > 0 && wm.dirty[k - 1] >= row) {
+      return Status::InvalidArgument(
+          "normalize watermark dirty rows are not strictly ascending");
+    }
+  }
   marks_ = wm.marks;
+  dirty_ = wm.dirty;
   comp_of_.clear();
   comp_of_.reserve(marks_.size());
   std::size_t off = 0;
@@ -106,6 +139,7 @@ void NormalizeState::Record(const ConcreteInstance& instance,
   }
   assert(off == flat.size() && "labels must be parallel to the output");
   num_components_ = num_components;
+  dirty_.clear();
   bound_ = &instance.facts();
   generation_ = facts.generation();
   valid_ = true;
@@ -123,6 +157,28 @@ void NormalizeState::FullPass(ConcreteInstance* instance,
     return;
   }
   Record(*instance, labels.comp_of, labels.num_components);
+}
+
+void NormalizeState::IndexPreviousComponents() {
+  prev_begin_.assign(num_components_ + 1, 0);
+  for (const std::vector<std::uint32_t>& labels : comp_of_) {
+    for (const std::uint32_t label : labels) {
+      if (label != NormalizeLabels::kUngrouped) ++prev_begin_[label + 1];
+    }
+  }
+  for (std::size_t c = 0; c < num_components_; ++c) {
+    prev_begin_[c + 1] += prev_begin_[c];
+  }
+  prev_members_.resize(prev_begin_.back());
+  std::vector<std::size_t> fill(prev_begin_.begin(), prev_begin_.end() - 1);
+  for (RelationId r = 0; r < comp_of_.size(); ++r) {
+    for (std::uint32_t pos = 0; pos < comp_of_[r].size(); ++pos) {
+      const std::uint32_t label = comp_of_[r][pos];
+      if (label != NormalizeLabels::kUngrouped) {
+        prev_members_[fill[label]++] = base_[r] + pos;
+      }
+    }
+  }
 }
 
 namespace {
@@ -193,7 +249,7 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
     total += n;
     delta += n - MarkOf(r);
   }
-  if (delta == 0) {
+  if (delta == 0 && dirty_.empty()) {
     // Untouched since the last pass: the instance IS the previous output,
     // already normalized. Leave it (and the watermark) alone.
     if (stats != nullptr) {
@@ -209,30 +265,60 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
     return;
   }
 
-  const auto dense_id = [&](FactView f) { return base_[f.relation()] + f.pos(); };
   const auto fact_at = [&](std::size_t id) {
     const auto it = std::upper_bound(base_.begin(), base_.end(), id);
     const RelationId r = static_cast<RelationId>(it - base_.begin() - 1);
     return facts.facts(r)[static_cast<std::uint32_t>(id - base_[r])];
   };
-  const auto is_old = [&](FactView f) { return f.pos() < MarkOf(f.relation()); };
+  // A fact is "fresh" when appended (at or past its mark) or rewritten
+  // (dirty); every other fact is old, verbatim from the previous output.
+  fresh_.assign(total, 0);
+  for (RelationId r = 0; r < num_rels; ++r) {
+    const std::size_t end = base_[r] + facts.facts(r).size();
+    for (std::size_t id = base_[r] + MarkOf(r); id < end; ++id) fresh_[id] = 1;
+  }
+  for (const FactRef& row : dirty_) fresh_[base_[row.rel] + row.pos] = 1;
 
   if (finder_bound_ != &facts) {
     finder_.emplace(facts);
     finder_bound_ = &facts;
   }
 
-  // Delta-seeded sweep + transitive expansion. Seeding every atom of every
-  // phi* over its relation's delta suffix finds exactly the homs touching a
-  // new fact; each OLD fact pulled into a group is then expanded (all homs
-  // through it, single-fact seeds), so every component containing a delta
-  // fact is discovered in full. Homs found more than once only repeat a
-  // union — harmless. All-old homs never reached this way belong to clean
-  // components, which provably carry one shared interval (see header).
+  // Seeded sweep + transitive expansion. Seeding every atom of every phi*
+  // over its relation's appended suffix, and at every dirty row, finds
+  // exactly the homs touching a fresh fact; each OLD fact pulled into a
+  // group is then expanded (all homs through it, single-fact seeds, and
+  // the null clusters it belongs to), so every component containing a
+  // fresh fact is discovered in full. Homs found more than once only
+  // repeat a union — harmless. All-old homs never reached this way belong
+  // to clean components, which provably carry one shared interval (see
+  // header).
   uf_.Reset(total);
   grouped_.assign(total, 0);
   enqueued_.assign(total, 0);
   queue_.clear();
+  // Previous components this pass reaches: kReached once a member joins a
+  // group, kRederived once one of its rows was rewritten (below).
+  constexpr char kReached = 1;
+  constexpr char kRederived = 2;
+  prev_touched_.assign(num_components_, 0);
+  const auto push = [&](std::size_t id) {
+    if (enqueued_[id] != 0) return;
+    enqueued_[id] = 1;
+    queue_.push_back(id);
+  };
+  // Groups `id` with `first`; an old fact is queued for expansion.
+  const auto join = [&](std::size_t first, std::size_t id) {
+    grouped_[id] = 1;
+    uf_.Union(first, id);
+    if (fresh_[id] != 0) return;
+    push(id);
+    const FactView f = fact_at(id);
+    const std::uint32_t prev = comp_of_[f.relation()][f.pos()];
+    if (prev != NormalizeLabels::kUngrouped && prev_touched_[prev] == 0) {
+      prev_touched_[prev] = kReached;
+    }
+  };
   std::size_t hom_count = 0;
   bool deadline_ok = true;
   const auto on_hom = [&](const Binding&, const AtomImage& image) {
@@ -242,18 +328,24 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
     }
     ++hom_count;
     if (!IntersectIntervals(image).has_value()) return true;
-    const std::size_t first = dense_id(image.front());
-    for (FactView f : image) {
-      const std::size_t idx = dense_id(f);
-      grouped_[idx] = 1;
-      uf_.Union(first, idx);
-      if (is_old(f) && enqueued_[idx] == 0) {
-        enqueued_[idx] = 1;
-        queue_.push_back(idx);
-      }
-    }
+    const FactView front = image.front();
+    const std::size_t first = base_[front.relation()] + front.pos();
+    for (FactView f : image) join(first, base_[f.relation()] + f.pos());
     return true;
   };
+  clusters_.Build(facts, base_);
+  cluster_done_.assign(clusters_.size(), 0);
+  const auto touch_clusters = [&](std::size_t id) {
+    clusters_.ForEachClusterOf(id, [&](std::uint32_t c) {
+      if (cluster_done_[c] != 0) return;
+      cluster_done_[c] = 1;
+      for (const std::size_t* m = clusters_.begin(c); m != clusters_.end(c);
+           ++m) {
+        join(id, *m);
+      }
+    });
+  };
+
   std::vector<Conjunction> stars;
   stars.reserve(phis.size());
   for (const Conjunction& phi : phis) stars.push_back(RenameTemporalApart(phi));
@@ -269,6 +361,27 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
                              on_hom);
     }
   }
+  if (clusters_.size() > 0) {
+    for (std::size_t id = 0; id < total; ++id) {
+      if (fresh_[id] != 0) touch_clusters(id);
+    }
+  }
+  // A rewritten row may have left its previous component and split it, so
+  // that component is re-derived whole: every member is expanded, and one
+  // that no group claims now comes out ungrouped, as in a full pass.
+  if (!dirty_.empty()) IndexPreviousComponents();
+  for (const FactRef& row : dirty_) {
+    push(base_[row.rel] + row.pos);
+    const std::uint32_t prev = comp_of_[row.rel][row.pos];
+    if (prev == NormalizeLabels::kUngrouped ||
+        prev_touched_[prev] == kRederived) {
+      continue;
+    }
+    prev_touched_[prev] = kRederived;
+    for (std::size_t k = prev_begin_[prev]; k < prev_begin_[prev + 1]; ++k) {
+      if (fresh_[prev_members_[k]] == 0) push(prev_members_[k]);
+    }
+  }
   for (std::size_t head = 0; head < queue_.size() && deadline_ok; ++head) {
     const std::size_t id = queue_[head];
     const FactView f = fact_at(id);
@@ -282,6 +395,7 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
                                on_hom);
       }
     }
+    touch_clusters(id);
   }
   if (!deadline_ok || (guard != nullptr && guard->tripped())) {
     if (stats != nullptr) stats->partial = true;
@@ -322,25 +436,20 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
                     &frag_slots_[k]);
   });
 
-  // Deterministic sequential merge. Dirty components take labels [0, d);
-  // pass-through facts keep their previous component identity, remapped
-  // densely above d. reused = previous components no dirty fact touches.
+  // Deterministic sequential merge. Labels are dense in first-emission
+  // order, as in a full pass: a dirty component is keyed by its root, a
+  // pass-through fact by its previous label. Members of a re-derived
+  // previous component that no group claimed are ungrouped now.
   const std::uint32_t num_dirty =
       static_cast<std::uint32_t>(component_points.size());
-  std::vector<char> prev_touched(num_components_, 0);
-  for (const std::size_t id : grouped_ids_) {
-    const FactView f = fact_at(id);
-    if (!is_old(f)) continue;
-    const std::uint32_t prev = comp_of_[f.relation()][f.pos()];
-    if (prev != NormalizeLabels::kUngrouped) prev_touched[prev] = 1;
-  }
   std::uint32_t touched_count = 0;
-  for (const char t : prev_touched) touched_count += t;
+  for (const char t : prev_touched_) touched_count += t != 0 ? 1 : 0;
 
   Instance out(&instance->schema());
   flat_labels_.clear();
   std::map<std::size_t, std::uint32_t> dirty_seq;
   std::map<std::uint32_t, std::uint32_t> prev_remap;
+  std::uint32_t next_label = 0;
   std::size_t next_grouped = 0;
   bool tripped = false;
   for (std::size_t i = 0; i < total && !tripped; ++i) {
@@ -355,8 +464,8 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
         AppendFragments(fact.interval(), *cuts_of_[k], &subs);
       }
       const std::uint32_t label =
-          dirty_seq.emplace(uf_.Find(i), static_cast<std::uint32_t>(dirty_seq.size()))
-              .first->second;
+          dirty_seq.emplace(uf_.Find(i), next_label).first->second;
+      if (label == next_label) ++next_label;
       for (const Interval& sub : subs) {
         if (guard != nullptr && !guard->ChargeFragment()) {
           tripped = true;
@@ -366,14 +475,12 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
       }
     } else {
       std::uint32_t label = NormalizeLabels::kUngrouped;
-      if (is_old(fact)) {
+      if (fresh_[i] == 0) {
         const std::uint32_t prev = comp_of_[fact.relation()][fact.pos()];
-        if (prev != NormalizeLabels::kUngrouped) {
-          label = prev_remap
-                      .emplace(prev,
-                               num_dirty + static_cast<std::uint32_t>(
-                                               prev_remap.size()))
-                      .first->second;
+        if (prev != NormalizeLabels::kUngrouped &&
+            prev_touched_[prev] != kRederived) {
+          label = prev_remap.emplace(prev, next_label).first->second;
+          if (label == next_label) ++next_label;
         }
       }
       if (!EmitCopy(fact, &out, guard, label, &flat_labels_)) tripped = true;
@@ -381,26 +488,23 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
   }
 
   const std::size_t out_size = out.size();
-  // Reused = previous components with no member pulled into a dirty group
-  // (computed against the PREVIOUS component count, before Record replaces
-  // the watermark).
-  const std::uint32_t reused = num_components_ >= touched_count
-                                   ? num_components_ - touched_count
-                                   : 0;
+  // Reused = previous components no fresh fact reached (computed against
+  // the PREVIOUS component count, before Record replaces the watermark).
+  const std::uint32_t reused = num_components_ - touched_count;
   instance->mutable_facts() = std::move(out);
   if (tripped || (guard != nullptr && guard->tripped())) {
     if (stats != nullptr) stats->partial = true;
     Invalidate();
     return;
   }
-  Record(*instance, flat_labels_,
-         num_dirty + static_cast<std::uint32_t>(prev_remap.size()));
+  const std::size_t dirty_rows = dirty_.size();
+  Record(*instance, flat_labels_, next_label);
   if (stats != nullptr) {
     stats->input_facts = total;
     stats->output_facts = out_size;
     stats->homomorphisms = hom_count;
     stats->groups = num_dirty;
-    stats->delta_facts = delta;
+    stats->delta_facts = delta + dirty_rows;
     stats->dirty_components = num_dirty;
     stats->reused_components = reused;
     stats->partial = false;

@@ -177,8 +177,9 @@ struct CascadeConfig {
 ///   egd  eB: B(k, j, s) & B(k, j2, s2) -> s = s2
 /// Each hop needs an egd merge to proceed: t1 mints Hop(n_i, N) with a
 /// fresh null, t2 cannot fire until e1 merges N := "tok", so the chase runs
-/// `stages` outer iterations, each with a post-rewrite full normalization
-/// pass and a post-rounds pass over a ~2-fact delta. The B relation is
+/// `stages` outer iterations, each with a post-rewrite normalization pass
+/// (full, or incremental with the rewritten Hop row as its one dirty row)
+/// and a post-rounds pass over a ~2-fact delta. The B relation is
 /// ballast: eB is provably effect-free (s4 pins the tag column to "w"), so
 /// it never fires — but its lhs stays in the normalizer's conjunction set,
 /// and eB's key-only join makes every full pass sweep ballast_dup^2

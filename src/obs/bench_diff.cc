@@ -251,7 +251,15 @@ Result<GateReport> CheckBenchGates(const Json& fresh, const Json* baseline,
                            ConfigString(gate, "benchmark"));
       TDX_ASSIGN_OR_RETURN(const std::string counter,
                            ConfigString(gate, "counter"));
-      TDX_ASSIGN_OR_RETURN(const double min, ConfigNumber(gate, "min"));
+      const Json* min = gate.Find("min");
+      const Json* max = gate.Find("max");
+      const bool has_min = min != nullptr && min->is_number();
+      const bool has_max = max != nullptr && max->is_number();
+      if (!has_min && !has_max) {
+        return Status::InvalidArgument("counter gate '" + name +
+                                       "' has neither numeric \"min\" nor "
+                                       "\"max\"");
+      }
       auto it = fresh_by_name.find(benchmark);
       if (it == fresh_by_name.end()) {
         return Status::NotFound("counter gate '" + name + "': benchmark '" +
@@ -262,16 +270,24 @@ Result<GateReport> CheckBenchGates(const Json& fresh, const Json* baseline,
         return Status::NotFound("counter gate '" + name + "': counter '" +
                                 counter + "' missing from " + benchmark);
       }
-      GateCheck check;
-      check.gate = name;
-      check.kind = "counter";
-      check.actual = value->as_number();
-      check.limit = min;
-      check.pass = check.actual >= min;
-      check.detail = name + ": " + benchmark + "." + counter + " = " +
-                     FormatDouble(check.actual) + " (min " +
-                     FormatDouble(min) + ")";
-      add(std::move(check));
+      const auto bound = [&](const char* which, double limit, bool pass) {
+        GateCheck check;
+        check.gate = name;
+        check.kind = "counter";
+        check.actual = value->as_number();
+        check.limit = limit;
+        check.pass = pass;
+        check.detail = name + ": " + benchmark + "." + counter + " = " +
+                       FormatDouble(check.actual) + " (" + which + " " +
+                       FormatDouble(limit) + ")";
+        add(std::move(check));
+      };
+      if (has_min) {
+        bound("min", min->as_number(), value->as_number() >= min->as_number());
+      }
+      if (has_max) {
+        bound("max", max->as_number(), value->as_number() <= max->as_number());
+      }
     }
   }
 

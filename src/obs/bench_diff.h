@@ -21,9 +21,9 @@
 //        with a min and/or max bound, and optionally a drift bound against
 //        the same ratio computed from the baseline (ratios transfer across
 //        hardware where absolute times do not).
-//      - counter gates: a user counter on one benchmark must be >= min —
-//        guards that an optimization is actually exercising its fast path,
-//        not just fast.
+//      - counter gates: a user counter on one benchmark must be >= min
+//        and/or <= max — guards that an optimization is actually exercising
+//        its fast path, not just fast.
 //
 // The gates config is itself JSON (see bench/bench_gates.json for the CI
 // instance and docs/INTERNALS.md for the schema).

@@ -521,6 +521,10 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
     for (const std::uint32_t l : checkpoint.norm_labels) {
       out += " " + std::to_string(l);
     }
+    out += "\nnorm-dirty " + std::to_string(checkpoint.norm_dirty.size());
+    for (const FactRef& row : checkpoint.norm_dirty) {
+      out += " " + std::to_string(row.rel) + " " + std::to_string(row.pos);
+    }
     out += "\n";
   }
   if (checkpoint.target.has_value()) {
@@ -723,6 +727,20 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
         }
         ck.norm_labels.push_back(static_cast<std::uint32_t>(l));
       }
+    } else if (c.Eat("norm-dirty ")) {
+      if (!c.Uint(&n)) return Malformed("malformed norm-dirty line");
+      ck.norm_dirty.reserve(static_cast<std::size_t>(n));
+      for (std::uint64_t k = 0; k < n; ++k) {
+        std::uint64_t rel = 0;
+        std::uint64_t pos = 0;
+        if (!c.Uint(&rel) || !c.Uint(&pos) ||
+            rel > std::numeric_limits<RelationId>::max() ||
+            pos > std::numeric_limits<std::uint32_t>::max()) {
+          return Malformed("malformed norm-dirty line");
+        }
+        ck.norm_dirty.push_back(FactRef{static_cast<RelationId>(rel),
+                                        static_cast<std::uint32_t>(pos)});
+      }
     } else if (c.Eat("piece ")) {
       TDX_ASSIGN_OR_RETURN(Interval span, ParseIntervalToken(&c));
       if (!c.Uint(&n)) return Malformed("malformed piece header");
@@ -732,6 +750,14 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
       ck.pieces.push_back(AbstractPiece{span, std::move(inst)});
     } else {
       return Malformed("unexpected line in checkpoint body");
+    }
+  }
+  // A dirty row names a row of the previous normalized output, so it must
+  // lie below its relation's mark; anything else is a torn watermark.
+  for (const FactRef& row : ck.norm_dirty) {
+    if (row.rel >= ck.norm_marks.size() || row.pos >= ck.norm_marks[row.rel]) {
+      return Status::InvalidArgument(
+          "checkpoint norm-dirty row lies beyond its relation's norm mark");
     }
   }
   return ck;

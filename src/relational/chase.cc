@@ -206,7 +206,7 @@ bool RunTgds(const Instance& collect_from, Instance* target,
 
 ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
                             ChaseStats* stats, std::string* failure_reason,
-                            ResourceGuard* guard) {
+                            ResourceGuard* guard, EgdRewrites* rewrites) {
   // Batched passes: collect every violated equality, merge the equivalence
   // classes with union-find, substitute, repeat. This is equivalent to
   // applying egd steps one at a time (the egd chase is confluent up to null
@@ -221,6 +221,12 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
   // non-null representative always wins, and two non-nulls fail the chase).
   std::unordered_map<Value, std::vector<FactRef>, ValueHash> reverse;
   bool reverse_valid = false;
+  if (rewrites != nullptr) *rewrites = EgdRewrites();
+  const auto report_moved = [&]() {
+    if (rewrites == nullptr) return;
+    rewrites->positions_moved = true;
+    rewrites->rows.clear();
+  };
   while (true) {
     if (!guard->PokeFault("chase/egd-fixpoint") || !guard->CheckDeadline()) {
       return ChaseResultKind::kAborted;
@@ -331,14 +337,8 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
       if (it == reverse.end()) continue;
       affected.insert(affected.end(), it->second.begin(), it->second.end());
     }
-    std::sort(affected.begin(), affected.end(),
-              [](const FactRef& a, const FactRef& b) {
-                return a.rel != b.rel ? a.rel < b.rel : a.pos < b.pos;
-              });
-    affected.erase(std::unique(affected.begin(), affected.end(),
-                               [](const FactRef& a, const FactRef& b) {
-                                 return a.rel == b.rel && a.pos == b.pos;
-                               }),
+    std::sort(affected.begin(), affected.end());
+    affected.erase(std::unique(affected.begin(), affected.end()),
                    affected.end());
 
     if (affected.size() > target->size() / 2) {
@@ -360,6 +360,7 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
       });
       *target = std::move(next);
       reverse_valid = false;
+      report_moved();
     } else {
       // ---- light merge: rewrite only the affected facts in place ---------
       const RewriteResult result = target->RewriteFacts(affected, subst);
@@ -367,7 +368,15 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
       if (result.compacted) {
         // Positions shifted; the reverse index is stale beyond repair.
         reverse_valid = false;
+        report_moved();
       } else {
+        if (rewrites != nullptr && !rewrites->positions_moved) {
+          std::vector<FactRef>& rows = rewrites->rows;
+          const std::size_t mid = rows.size();
+          rows.insert(rows.end(), affected.begin(), affected.end());
+          std::inplace_merge(rows.begin(), rows.begin() + mid, rows.end());
+          rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
+        }
         // Maintain the index: the merged nulls are gone everywhere (every
         // occurrence was just rewritten), and each affected fact now holds
         // representative values at the rewritten slots.

@@ -160,6 +160,20 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
 using FreshNullFactory =
     std::function<Value(const Tgd& tgd, const Binding& trigger)>;
 
+/// What an egd fixpoint's merges did to fact positions, for callers that
+/// keep position-based state across it (the c-chase's incremental
+/// normalizer, core/normalize_incremental.h).
+struct EgdRewrites {
+  /// Facts rewritten in place by light merges, sorted by (relation,
+  /// position) and unique. The positions are those of the instance after
+  /// the fixpoint, and every other fact is untouched. Meaningless (and
+  /// left empty) once `positions_moved` is set.
+  std::vector<FactRef> rows;
+  /// A heavy merge rebuilt the instance or a light merge compacted it
+  /// away from a collision: fact positions shifted.
+  bool positions_moved = false;
+};
+
 /// Applies egd steps on `target` until fixpoint. Returns kFailure
 /// (and fills `failure_reason`) when an egd equates two distinct non-null
 /// values, kAborted when `guard` trips (budget, deadline, or the armed
@@ -170,10 +184,14 @@ using FreshNullFactory =
 /// that mention a merged value (found via a reverse value->fact index kept
 /// across passes), falling back to a full instance rebuild when a pass
 /// touches more than half the facts. Slots rewritten either way accrue to
-/// ChaseStats::values_rewritten.
+/// ChaseStats::values_rewritten. When `rewrites` is non-null it receives
+/// the rows the in-place path rewrote, or `positions_moved` when any pass
+/// took the rebuild or compacted; a fixpoint that merges nothing reports
+/// no rows and no move.
 ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
                             ChaseStats* stats, std::string* failure_reason,
-                            ResourceGuard* guard);
+                            ResourceGuard* guard,
+                            EgdRewrites* rewrites = nullptr);
 
 /// Per-relation delta frontier for semi-naive target-tgd rounds: facts of
 /// relation r at positions >= mark(r) form the frontier (inserted since the

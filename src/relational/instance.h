@@ -19,6 +19,7 @@
 #define TDX_RELATIONAL_INSTANCE_H_
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -37,6 +38,9 @@ namespace tdx {
 struct FactRef {
   RelationId rel = 0;
   std::uint32_t pos = 0;
+
+  /// Ordered by (relation, position).
+  friend auto operator<=>(const FactRef&, const FactRef&) = default;
 };
 
 /// Outcome of an in-place substitution pass (Instance::RewriteFacts).

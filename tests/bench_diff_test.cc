@@ -142,6 +142,30 @@ TEST(CheckBenchGates, CounterGateReadsUserCounters) {
   EXPECT_FALSE(CheckBenchGates(fresh, nullptr, missing).ok());
 }
 
+TEST(CheckBenchGates, CounterGateMaxBoundsFromAbove) {
+  const Json fresh = Report(kFast);
+  const Json gates = Parse(
+      R"({"counter_gates":[{"name":"few","benchmark":"BM_A/1",)"
+      R"("counter":"fires","max":7},{"name":"fewer","benchmark":"BM_A/1",)"
+      R"("counter":"fires","max":6},{"name":"band","benchmark":"BM_A/1",)"
+      R"("counter":"fires","min":1,"max":6}]})");
+  auto report = CheckBenchGates(fresh, nullptr, gates);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_FALSE(report->pass);
+  ASSERT_EQ(report->checks.size(), 4u);
+  EXPECT_TRUE(report->checks[0].pass);  // 7 <= 7
+  EXPECT_DOUBLE_EQ(report->checks[0].limit, 7.0);
+  EXPECT_FALSE(report->checks[1].pass);  // 7 > 6
+  EXPECT_NE(report->checks[1].detail.find("max 6"), std::string::npos);
+  EXPECT_TRUE(report->checks[2].pass);   // band: min holds
+  EXPECT_FALSE(report->checks[3].pass);  // band: max fails
+
+  const Json unbounded = Parse(
+      R"({"counter_gates":[{"name":"none","benchmark":"BM_A/1",)"
+      R"("counter":"fires"}]})");
+  EXPECT_FALSE(CheckBenchGates(fresh, nullptr, unbounded).ok());
+}
+
 TEST(CheckBenchGates, TimeUnitsAreNormalized) {
   // 0.4us vs 100ns: same 4x ratio once normalized.
   const Json fresh = Report(

@@ -22,6 +22,7 @@
 #include "src/gen/workload.h"
 #include "src/parser/parser.h"
 #include "src/parser/printer.h"
+#include "src/parser/serialize.h"
 #include "src/relational/chase.h"
 #include "src/temporal/abstract_chase.h"
 #include "src/temporal/abstract_instance.h"
@@ -339,6 +340,128 @@ TEST_F(AbstractChaosTest, ParallelDispatchDropResumesBitIdentical) {
   EXPECT_EQ(RenderAbstractInstance(resumed->target, w->universe),
             baseline.rendered);
   ExpectSameStats(resumed->stats, baseline.stats);
+}
+
+// ---------------------------------------------------------------------------
+// C-chase: a kill right after an egd rewrite. The loop-top checkpoint that
+// follows a light egd merge carries the rewritten rows as dirty rows of the
+// normalization watermark, so the resumed run takes the same incremental
+// pass as the uninterrupted one.
+// ---------------------------------------------------------------------------
+
+// Everything `tdx_cli chase --stats` prints after the table.
+std::string StatsLines(const CChaseOutcome& outcome) {
+  const ChaseStats& s = outcome.stats;
+  std::string out = "stats";
+  for (const std::size_t v :
+       {s.tgd_triggers, s.tgd_fires, s.egd_steps, s.fresh_nulls,
+        s.values_rewritten, s.schedule_strata, s.skipped_egd_passes,
+        s.skipped_normalize_passes, s.search.index_probes,
+        s.search.index_candidates, s.search.full_scans}) {
+    out += " " + std::to_string(v);
+  }
+  for (const NormalizeStats* n :
+       {&outcome.source_norm_stats, &outcome.target_norm_stats}) {
+    out += "\nnorm";
+    for (const std::size_t v :
+         {n->input_facts, n->output_facts, n->homomorphisms, n->groups,
+          n->delta_facts, n->dirty_components, n->reused_components}) {
+      out += " " + std::to_string(v);
+    }
+    out += n->partial ? " partial" : "";
+  }
+  return out;
+}
+
+// Kills at every loop top of the c-chase of make()'s program and resumes
+// from the newest checkpoint through the durable tdxckpt encoding; requires
+// `want_dirty_kills` of those checkpoints to carry dirty rows.
+template <typename Make>
+void ExpectDirtyRowKillsResumeIdentically(const Make& make,
+                                          std::size_t want_dirty_kills) {
+  auto base_w = make();
+  auto base = CChase(base_w->source, base_w->lifted, &base_w->universe);
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_EQ(base->kind, ChaseResultKind::kSuccess);
+  const std::string table =
+      RenderConcreteInstance(base->target, base_w->universe);
+  const std::string stats = StatsLines(*base);
+
+  std::size_t dirty_kills = 0;
+  for (std::size_t skip = 0; skip < kMaxSkip; ++skip) {
+    auto w = make();
+    Checkpointer checkpointer("", &w->schema, &w->universe);
+    checkpointer.set_cadence(1);
+    checkpointer.set_max_overhead(0);
+    CChaseOptions options;
+    options.checkpointer = &checkpointer;
+    {
+      // The fault fires at the loop top, right after the checkpoint that
+      // follows each egd fixpoint.
+      ScopedFault fault("cchase/normalize-target", Injected(), skip);
+      auto outcome = CChase(w->source, w->lifted, &w->universe, options);
+      ASSERT_TRUE(outcome.ok()) << outcome.status();
+      if (outcome->kind == ChaseResultKind::kSuccess) break;
+      ASSERT_EQ(outcome->kind, ChaseResultKind::kAborted);
+    }
+    ASSERT_TRUE(checkpointer.latest().has_value());
+    if (checkpointer.latest()->norm_dirty.empty()) continue;
+    ++dirty_kills;
+
+    auto text =
+        SerializeCheckpoint(*checkpointer.latest(), w->schema, w->universe);
+    ASSERT_TRUE(text.ok()) << text.status();
+    auto ck = ParseCheckpoint(*text, &w->schema, &w->universe);
+    ASSERT_TRUE(ck.ok()) << ck.status();
+    EXPECT_EQ(ck->norm_dirty, checkpointer.latest()->norm_dirty);
+    CChaseOptions resume_options;
+    resume_options.resume_from = &*ck;
+    auto resumed = CChase(w->source, w->lifted, &w->universe, resume_options);
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    ASSERT_EQ(resumed->kind, ChaseResultKind::kSuccess);
+    EXPECT_EQ(RenderConcreteInstance(resumed->target, w->universe), table)
+        << "divergence after kill at skip " << skip;
+    EXPECT_EQ(StatsLines(*resumed), stats) << "skip " << skip;
+  }
+  EXPECT_EQ(dirty_kills, want_dirty_kills);
+}
+
+TEST(CChaseDirtyRowResumeTest, CascadeKillAfterEgdRewriteResumesIdentically) {
+  // One loop top per stage follows a light egd rewrite.
+  const CascadeConfig cfg{
+      .stages = 4, .ballast_keys = 3, .ballast_dup = 2, .horizon = 4};
+  ExpectDirtyRowKillsResumeIdentically(
+      [&] { return MakeCascadeWorkload(cfg); }, cfg.stages);
+}
+
+TEST(CChaseDirtyRowResumeTest, RewriteThatRegroupsResumesIdentically) {
+  // e1 rewrites T("a", v) to T("a", "x"), which then joins N("x", "z1")
+  // over [3, 6): the pass after the rewrite must cut the rewritten row, or
+  // t1 never fires. A resumed run that lost the dirty rows would skip it.
+  ExpectDirtyRowKillsResumeIdentically(
+      [] {
+        return ParseOrDie(R"(
+          source A(k);
+          source B(k, w);
+          source M(v, z);
+          target T(k, v);
+          target K(k, w);
+          target N(v, z);
+          target R(k, z);
+          tgd s1: A(k) -> exists v: T(k, v);
+          tgd s2: B(k, w) -> K(k, w);
+          tgd s3: M(v, z) -> N(v, z);
+          ttgd t1: T(k, v) & N(v, z) -> R(k, z);
+          egd e1: T(k, v) & K(k, w) -> v = w;
+          fact A("a") @ [0, 10);
+          fact A("b") @ [0, 10);
+          fact B("a", "x") @ [0, 10);
+          fact B("b", "y") @ [0, 10);
+          fact M("x", "z1") @ [3, 6);
+          fact M("q", "z2") @ [0, 10);
+        )");
+      },
+      1);
 }
 
 // ---------------------------------------------------------------------------

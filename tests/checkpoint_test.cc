@@ -163,9 +163,47 @@ std::string TruncateStatsLine(const std::string& text, int keep) {
   return Resign(body);
 }
 
+TEST(CheckpointRoundTripTest, NormDirtyRowsRoundTripAndTornRowsAreRejected) {
+  auto program = ParseOrDie(kPaperProgram);
+  ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
+  ASSERT_TRUE(ck.target.has_value());
+  // A watermark over the whole target with its first and last rows dirty.
+  ck.norm_state_valid = true;
+  ck.norm_marks.clear();
+  ck.norm_dirty.clear();
+  for (RelationId r = 0; r < program->schema.relation_count(); ++r) {
+    const auto n = static_cast<std::uint32_t>(ck.target->facts(r).size());
+    ck.norm_marks.push_back(n);
+    if (n > 0 && ck.norm_dirty.empty()) {
+      ck.norm_dirty.push_back({r, 0});
+      if (n > 1) ck.norm_dirty.push_back({r, n - 1});
+    }
+  }
+  ASSERT_FALSE(ck.norm_dirty.empty());
+  ck.norm_labels.assign(ck.target->size(), NormalizeLabels::kUngrouped);
+  ck.norm_components = 0;
+
+  auto text = SerializeCheckpoint(ck, program->schema, program->universe);
+  ASSERT_TRUE(text.ok()) << text.status();
+  auto parsed = ParseCheckpoint(*text, &program->schema, &program->universe);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_TRUE(parsed->norm_state_valid);
+  EXPECT_EQ(parsed->norm_marks, ck.norm_marks);
+  EXPECT_EQ(parsed->norm_dirty, ck.norm_dirty);
+
+  // A dirty row at its relation's mark names no row of the previous output.
+  ck.norm_dirty.back().pos = ck.norm_marks[ck.norm_dirty.back().rel];
+  text = SerializeCheckpoint(ck, program->schema, program->universe);
+  ASSERT_TRUE(text.ok()) << text.status();
+  parsed = ParseCheckpoint(*text, &program->schema, &program->universe);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
-  // Format v2 has one layout per line: the shorter stats lines of earlier
-  // revisions, and any v1 header, are parse errors, not crashes.
+  // Each format version has one layout per line: the shorter stats lines
+  // of earlier revisions, and any v1 or v2 header, are parse errors, not
+  // crashes.
   auto program = ParseOrDie(kPaperProgram);
   const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
@@ -179,13 +217,16 @@ TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
     EXPECT_NE(parsed.status().message().find("stats"), std::string::npos);
   }
 
-  ASSERT_EQ(text->rfind("tdxckpt v2\n", 0), 0u);
-  std::string v1 = "tdxckpt v1\n" + text->substr(text->find('\n') + 1);
-  v1 = Resign(v1.substr(0, v1.rfind("\nend ") + 1));
-  auto parsed = ParseCheckpoint(v1, &program->schema, &program->universe);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
-  EXPECT_NE(parsed.status().message().find("v1"), std::string::npos);
+  ASSERT_EQ(text->rfind("tdxckpt v3\n", 0), 0u);
+  for (const std::string version : {"v1", "v2"}) {
+    std::string old =
+        "tdxckpt " + version + "\n" + text->substr(text->find('\n') + 1);
+    old = Resign(old.substr(0, old.rfind("\nend ") + 1));
+    auto parsed = ParseCheckpoint(old, &program->schema, &program->universe);
+    ASSERT_FALSE(parsed.ok()) << version;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    EXPECT_NE(parsed.status().message().find(version), std::string::npos);
+  }
 }
 
 TEST(CheckpointRoundTripTest, SixFieldStatsLineIsMalformed) {

@@ -364,6 +364,33 @@ TEST(ConfigurationDifferentialTest, TargetTgdWorkloadsAgree) {
   }
 }
 
+// Seed 22 lies outside the default sweep. Its c-chase target once held a
+// fragment T0(c1, N8^[13,14)) beside an uncut T0(N8^[11,14), N9^[11,14)), so
+// the egd rewriting N8^[11,13) reached only the fragment and [[Jc]] had no
+// homomorphism into Ja. Both normalizers must co-fragment the two facts.
+TEST(FuzzMappingRegressionTest, SharedNullsAreCoFragmentedAtSeed22) {
+  for (const bool incremental : {true, false}) {
+    SCOPED_TRACE(incremental ? "incremental" : "full");
+    RandomMappingConfig cfg;
+    cfg.seed = 22;
+    auto w = MakeRandomMappingWorkload(cfg);
+    CChaseOptions options;
+    options.incremental_normalize = incremental;
+    auto concrete = CChase(w->source, w->lifted, &w->universe, options);
+    ASSERT_TRUE(concrete.ok()) << concrete.status();
+    ASSERT_EQ(concrete->kind, ChaseResultKind::kSuccess);
+    auto abstract_source = AbstractInstance::FromConcrete(w->source);
+    ASSERT_TRUE(abstract_source.ok());
+    auto abstract = AbstractChase(*abstract_source, w->mapping, &w->universe);
+    ASSERT_TRUE(abstract.ok()) << abstract.status();
+    ASSERT_EQ(abstract->kind, ChaseResultKind::kSuccess);
+    auto report = VerifyAlignment(concrete->target, abstract->target);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_TRUE(report->forward);
+    EXPECT_TRUE(report->backward);
+  }
+}
+
 // Seeds swept: [1, TDX_FUZZ_SEEDS) from the environment, default 21. PR CI
 // runs the default; the nightly fuzz job sets 201 for a 10x-deeper sweep.
 std::uint64_t FuzzSeedEnd() {

@@ -1,16 +1,18 @@
 // Incremental normalization (core/normalize_incremental.h): a persistent
 // NormalizeState must produce bit-identical output to a fresh full
-// Normalize after any sequence of appends, at any job count; it must
-// invalidate on every generation bump; its watermark must survive a
-// checkpoint export/restore round trip; and the c-chase must produce the
-// same solution with the incremental path on and off, on every workload
-// family including randomized mappings and a kill-and-recover sweep.
+// Normalize after any sequence of appends and in-place egd rewrites, at any
+// job count; it must invalidate on every other generation bump and on
+// rewrites that move positions; its watermark must survive a checkpoint
+// export/restore round trip; and the c-chase must produce the same
+// solution with the incremental path on and off, on every workload family
+// including randomized mappings and a kill-and-recover sweep.
 
 #include "src/core/normalize_incremental.h"
 
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,7 +24,10 @@
 #include "src/core/cchase.h"
 #include "src/core/normalize.h"
 #include "src/gen/workload.h"
+#include "src/obs/metrics.h"
 #include "src/parser/printer.h"
+#include "src/relational/chase.h"
+#include "tests/test_util.h"
 
 namespace tdx {
 namespace {
@@ -262,6 +267,291 @@ TEST_F(NormalizeStateTest, FaultSiteTripsTheGuardAndInvalidates) {
 }
 
 // ---------------------------------------------------------------------------
+// Dirty rows: in-place rewrites between passes.
+// ---------------------------------------------------------------------------
+
+// The st-tgd bodies are the conjunctions normalized against: T and K facts
+// group by shared key and by T's value equal to K's value. Components b and
+// c are co-valid, so normalization leaves them as they are; component a,
+// T("a", N1) @ [0, 4) beside K("a", "x") @ [2, 6), is cut at 2 and 4, and
+// its middle fragment T("a", N1^[2,4)) is what the rewrites below change.
+// Labels: a pass re-derives the previous component of every dirty row, and
+// the other components the checked passes reach stay whole, while every
+// component they leave alone is co-valid. So the state's labels must equal
+// a full pass's, not just its output. (A pass that leaves the cut
+// component a alone, or reaches only part of it through an append, keeps
+// its old label on the rest, which a full pass would not give; such passes
+// compare output only.)
+constexpr std::string_view kJoinProgram = R"(
+  source T(k, v);
+  source K(k, v);
+  target Out(k);
+  tgd by_key: T(k, v) & K(k, w) -> Out(k);
+  tgd by_value: T(k, v) & K(j, v) -> Out(k);
+  fact K("a", "x") @ [2, 6);
+  fact T("b", "y") @ [0, 4);
+  fact K("b", "m") @ [0, 4);
+  fact T("c", "p") @ [0, 6);
+  fact K("c", "p") @ [0, 6);
+)";
+
+class DirtyRowTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    p_ = ::tdx::testing::ParseOrDie(kJoinProgram);
+    t_ = *p_->schema.Find("T+");
+    k_ = *p_->schema.Find("K+");
+    n1_ = p_->universe.FreshAnnotatedNull(Interval(0, 4));
+    ASSERT_TRUE(p_->source.Add(t_, {C("a"), n1_}, Interval(0, 4)).ok());
+    phis_ = p_->lifted.TgdBodies();
+    inst_.emplace(p_->source);
+    NormalizeStats first;
+    state_.Normalize(&*inst_, phis_, &first);
+    ASSERT_EQ(first.groups, 3u);
+    ASSERT_EQ(first.output_facts, 8u);
+  }
+
+  Value C(const char* name) { return p_->universe.Constant(name); }
+
+  // The facts in storage order, one per line.
+  std::string InOrder(const ConcreteInstance& instance) const {
+    std::string out;
+    instance.facts().ForEach([&](FactView f) {
+      out += f.ToFact().ToString(p_->schema, p_->universe) + "\n";
+    });
+    return out;
+  }
+
+  // Rewrites every occurrence of `from` in place, as a light egd merge
+  // does, and reports the rewritten rows to the state.
+  void Rewrite(const Value& from, const Value& to) {
+    std::vector<FactRef> rows;
+    inst_->facts().ForEach([&](FactView f) {
+      for (const Value& v : f.args()) {
+        if (v == from) {
+          rows.push_back({f.relation(), f.pos()});
+          break;
+        }
+      }
+    });
+    ASSERT_FALSE(rows.empty());
+    const std::uint64_t generation = inst_->facts().generation();
+    const RewriteResult result =
+        inst_->mutable_facts().RewriteFacts(rows, {{from, to}});
+    ASSERT_FALSE(result.compacted);
+    state_.NoteRewrite(inst_->facts(), generation, EgdRewrites{rows, false});
+    ASSERT_TRUE(state_.MatchesWatermark(*inst_));
+  }
+
+  // Runs the state's pass and a full Normalize over the same input: the
+  // outputs must agree fact for fact in storage order, and so must the
+  // component labels.
+  NormalizeStats ExpectPassMatchesFull() {
+    const ConcreteInstance input = *inst_;
+    NormalizeLabels full_labels;
+    const ConcreteInstance full =
+        Normalize(input, phis_, nullptr, nullptr, &full_labels);
+    NormalizeStats stats;
+    state_.Normalize(&*inst_, phis_, &stats);
+    EXPECT_EQ(InOrder(*inst_), InOrder(full));
+    const auto wm = state_.Export(&inst_->facts());
+    EXPECT_TRUE(wm.has_value());
+    if (wm.has_value()) {
+      EXPECT_EQ(wm->labels, full_labels.comp_of);
+      EXPECT_EQ(wm->num_components, full_labels.num_components);
+      EXPECT_TRUE(wm->dirty.empty());
+    }
+    return stats;
+  }
+
+  // The middle fragment of N1, which the first pass cut out of [0, 4).
+  Value MiddleOfN1() const { return n1_.Reannotated(Interval(2, 4)); }
+
+  std::unique_ptr<ParsedProgram> p_;
+  RelationId t_ = 0;
+  RelationId k_ = 0;
+  Value n1_;
+  std::vector<Conjunction> phis_;
+  std::optional<ConcreteInstance> inst_;
+  NormalizeState state_;
+};
+
+TEST_F(DirtyRowTest, LightRewriteTakesIncrementalPath) {
+  Rewrite(MiddleOfN1(), C("x"));
+  const NormalizeStats stats = ExpectPassMatchesFull();
+  EXPECT_EQ(stats.delta_facts, 1u);
+  EXPECT_EQ(stats.dirty_components, 1u);
+  EXPECT_EQ(stats.reused_components, 2u);  // b and c copied through
+}
+
+TEST_F(DirtyRowTest, RewriteMergingTwoOldComponents) {
+  // T("a", "m") now shares its value with K("b", "m"): components a and b
+  // become one, and b's facts are cut at a's points.
+  Rewrite(MiddleOfN1(), C("m"));
+  const NormalizeStats stats = ExpectPassMatchesFull();
+  EXPECT_EQ(stats.dirty_components, 1u);
+  EXPECT_EQ(stats.reused_components, 1u);  // only c
+  EXPECT_GT(stats.output_facts, stats.input_facts);
+}
+
+TEST_F(DirtyRowTest, RewriteInTheSamePassAsAppends) {
+  Rewrite(MiddleOfN1(), C("x"));
+  ASSERT_TRUE(inst_->Add(t_, {C("d"), C("q")}, Interval(0, 3)).ok());
+  ASSERT_TRUE(inst_->Add(k_, {C("d"), C("q")}, Interval(1, 5)).ok());
+  const NormalizeStats stats = ExpectPassMatchesFull();
+  EXPECT_EQ(stats.delta_facts, 3u);
+  EXPECT_EQ(stats.dirty_components, 2u);
+  EXPECT_EQ(stats.reused_components, 2u);
+}
+
+TEST_F(DirtyRowTest, RewriteIntoASharedNullPullsInItsOtherFacts) {
+  // T("e", N2) @ [0, 6) is co-valid with K("e", "r") and untouched by the
+  // first pass. Rewriting N1's middle fragment to N2^[2,4) makes the two T
+  // facts share N2 over [2, 4), so component e must be re-cut at 2 and 4.
+  const Value n2 = p_->universe.FreshAnnotatedNull(Interval(0, 6));
+  ASSERT_TRUE(inst_->Add(t_, {C("e"), n2}, Interval(0, 6)).ok());
+  ASSERT_TRUE(inst_->Add(k_, {C("e"), C("r")}, Interval(0, 6)).ok());
+  state_.Normalize(&*inst_, phis_);
+  Rewrite(MiddleOfN1(), n2.Reannotated(Interval(2, 4)));
+  const NormalizeStats stats = ExpectPassMatchesFull();
+  EXPECT_EQ(stats.dirty_components, 1u);
+  EXPECT_EQ(stats.reused_components, 2u);  // b and c
+}
+
+TEST_F(DirtyRowTest, HeavyMergeFallsBackToAFullPass) {
+  // A heavy merge rebuilds the instance wholesale.
+  const std::uint64_t generation = inst_->facts().generation();
+  Instance rebuilt = inst_->facts();
+  inst_->mutable_facts() = std::move(rebuilt);
+  state_.NoteRewrite(inst_->facts(), generation,
+                     EgdRewrites{{}, /*positions_moved=*/true});
+  EXPECT_FALSE(state_.MatchesWatermark(*inst_));
+  const NormalizeStats stats = ExpectPassMatchesFull();
+  EXPECT_EQ(stats.delta_facts, stats.input_facts);
+  EXPECT_EQ(stats.reused_components, 0u);
+}
+
+TEST_F(DirtyRowTest, CompactingRewriteFallsBackToAFullPass) {
+  // With T("a", "x") @ [2, 4) present, rewriting N1's middle fragment to
+  // "x" collides with it, and the rewrite closes the hole.
+  ASSERT_TRUE(inst_->Add(t_, {C("a"), C("x")}, Interval(2, 4)).ok());
+  state_.Normalize(&*inst_, phis_);
+  std::vector<FactRef> rows;
+  inst_->facts().ForEach([&](FactView f) {
+    if (f.args()[1] == MiddleOfN1()) rows.push_back({f.relation(), f.pos()});
+  });
+  ASSERT_EQ(rows.size(), 1u);
+  const std::uint64_t generation = inst_->facts().generation();
+  ASSERT_TRUE(inst_->mutable_facts()
+                  .RewriteFacts(rows, {{MiddleOfN1(), C("x")}})
+                  .compacted);
+  state_.NoteRewrite(inst_->facts(), generation,
+                     EgdRewrites{{}, /*positions_moved=*/true});
+  EXPECT_FALSE(state_.MatchesWatermark(*inst_));
+  const NormalizeStats stats = ExpectPassMatchesFull();
+  EXPECT_EQ(stats.delta_facts, stats.input_facts);
+  EXPECT_EQ(stats.reused_components, 0u);
+}
+
+TEST_F(DirtyRowTest, RewriteFromAStaleGenerationInvalidates) {
+  Instance copy = inst_->facts();
+  inst_->mutable_facts() = std::move(copy);  // an unreported bump
+  state_.NoteRewrite(inst_->facts(), inst_->facts().generation(),
+                     EgdRewrites{});
+  EXPECT_FALSE(state_.MatchesWatermark(*inst_));
+}
+
+TEST_F(DirtyRowTest, DirtyRowsSurviveExportAndRestore) {
+  Rewrite(MiddleOfN1(), C("m"));
+  const auto wm = state_.Export(&inst_->facts());
+  ASSERT_TRUE(wm.has_value());
+  ASSERT_EQ(wm->dirty.size(), 1u);
+  EXPECT_EQ(wm->dirty[0].rel, t_);
+
+  NormalizeState restored;
+  ConcreteInstance copy = *inst_;
+  ASSERT_TRUE(restored.Restore(*wm, copy).ok());
+  ASSERT_TRUE(restored.MatchesWatermark(copy));
+  NormalizeStats got;
+  restored.Normalize(&copy, phis_, &got);
+  const NormalizeStats want = ExpectPassMatchesFull();
+  EXPECT_EQ(InOrder(copy), InOrder(*inst_));
+  EXPECT_EQ(got.delta_facts, want.delta_facts);
+  EXPECT_EQ(got.reused_components, want.reused_components);
+  EXPECT_EQ(got.homomorphisms, want.homomorphisms);
+
+  NormalizeState::Watermark torn = *wm;
+  torn.dirty[0].pos = torn.marks[torn.dirty[0].rel];  // past the mark
+  NormalizeState fresh;
+  EXPECT_EQ(fresh.Restore(torn, copy).code(), StatusCode::kInvalidArgument);
+  torn = *wm;
+  torn.dirty.push_back(torn.dirty[0]);  // not strictly ascending
+  EXPECT_EQ(fresh.Restore(torn, copy).code(), StatusCode::kInvalidArgument);
+}
+
+// EgdFixpoint's report, which the c-chase hands to NoteRewrite.
+TEST(EgdRewritesTest, ReportsLightRowsAndMovedPositions) {
+  auto p = ::tdx::testing::ParseOrDie(R"(
+    source S(k, v, g);
+    target R(k, v, g);
+    tgd copy: S(k, v, g) -> R(k, v, g);
+    egd same: R(k, v, g) & R(k, w, h) -> v = w;
+  )");
+  const RelationId r = *p->schema.Find("R");
+  const auto run = [&](Instance* target) {
+    ChaseStats stats;
+    std::string reason;
+    ResourceGuard guard;
+    EgdRewrites rewrites;
+    EXPECT_EQ(EgdFixpoint(target, p->mapping.egds, &stats, &reason, &guard,
+                          &rewrites),
+              ChaseResultKind::kSuccess);
+    return rewrites;
+  };
+  const Value n1 = p->universe.FreshNull();
+  const auto c = [&](const std::string& name) {
+    return p->universe.Constant(name);
+  };
+
+  // Light: one of five facts mentions the merged null.
+  Instance light(&p->schema);
+  light.Insert(r, {c("a"), n1, c("t1")});
+  light.Insert(r, {c("a"), c("1"), c("t2")});
+  for (const char* k : {"b", "d", "e"}) light.Insert(r, {c(k), c("2"), c("t")});
+  const EgdRewrites light_report = run(&light);
+  EXPECT_FALSE(light_report.positions_moved);
+  ASSERT_EQ(light_report.rows.size(), 1u);
+  EXPECT_EQ(light_report.rows[0], (FactRef{r, 0}));
+
+  // Compacting: the rewritten fact collides with its partner.
+  Instance compacting(&p->schema);
+  compacting.Insert(r, {c("a"), n1, c("t")});
+  compacting.Insert(r, {c("a"), c("1"), c("t")});
+  for (const char* k : {"b", "d", "e"}) {
+    compacting.Insert(r, {c(k), c("2"), c("t")});
+  }
+  const EgdRewrites compacting_report = run(&compacting);
+  EXPECT_TRUE(compacting_report.positions_moved);
+  EXPECT_TRUE(compacting_report.rows.empty());
+
+  // Heavy: the merge touches more than half the facts.
+  Instance heavy(&p->schema);
+  heavy.Insert(r, {c("a"), n1, c("t1")});
+  heavy.Insert(r, {c("b"), n1, c("t2")});
+  heavy.Insert(r, {c("a"), c("1"), c("t3")});
+  const EgdRewrites heavy_report = run(&heavy);
+  EXPECT_TRUE(heavy_report.positions_moved);
+  EXPECT_TRUE(heavy_report.rows.empty());
+
+  // Nothing to merge: no rows, no move.
+  Instance clean(&p->schema);
+  clean.Insert(r, {c("a"), c("1"), c("t")});
+  const EgdRewrites clean_report = run(&clean);
+  EXPECT_FALSE(clean_report.positions_moved);
+  EXPECT_TRUE(clean_report.rows.empty());
+}
+
+// ---------------------------------------------------------------------------
 // End to end: the c-chase with the incremental path on vs off.
 // ---------------------------------------------------------------------------
 
@@ -387,6 +677,28 @@ TEST(CascadeWorkloadTest, EachStageNeedsOneEgdMerge) {
   EXPECT_EQ(outcome->stats.egd_steps, cfg.stages);
   // The incremental normalizer reuses the ballast components every pass.
   EXPECT_GT(outcome->target_norm_stats.reused_components, 0u);
+}
+
+std::uint64_t FullNormalizePasses() {
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Instance().Snapshot();
+  const obs::MetricValue* full =
+      snapshot.Find("normalize.incremental.full_passes");
+  return full != nullptr ? full->value : 0;
+}
+
+TEST(CascadeWorkloadTest, OnlyTheFirstTargetPassIsFull) {
+  // Every stage's egd merge rewrites one Hop row in place; the rows stay in
+  // the watermark as dirty rows, so no later pass starts over.
+  const CascadeConfig cfg{
+      .stages = 8, .ballast_keys = 5, .ballast_dup = 3, .horizon = 8};
+  auto w = MakeCascadeWorkload(cfg);
+  const std::uint64_t before = FullNormalizePasses();
+  auto outcome = CChase(w->source, w->lifted, &w->universe);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_EQ(outcome->kind, ChaseResultKind::kSuccess);
+  ASSERT_EQ(outcome->stats.egd_steps, cfg.stages);
+  EXPECT_EQ(FullNormalizePasses() - before, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -234,5 +234,59 @@ TEST(NormalizeEdgeTest, SingleAtomConjunctionNeverFragments) {
   EXPECT_TRUE(HasEmptyIntersectionProperty(ic, {phi}));
 }
 
+TEST(NormalizeEdgeTest, FactsSharingAnAnnotatedNullAreCutTogether) {
+  // The seed-22 shape: a fragment T(c1, N^[13,14)) beside an uncut
+  // T(N^[11,14), M^[11,14)). No conjunction relates the two, but they share
+  // N over [13, 14), so the uncut fact must be cut at 13 as well; a third
+  // fact carrying N only outside [11, 14) stays whole.
+  Universe u;
+  Schema schema;
+  const RelationId t_plus =
+      *schema.AddRelationPair("T", {"a", "b"}, SchemaRole::kTarget);
+  const Value n = u.FreshAnnotatedNull(Interval(11, 14));
+  const Value m = u.FreshAnnotatedNull(Interval(11, 14));
+  ConcreteInstance ic(&schema);
+  ASSERT_TRUE(ic.Add(t_plus,
+                     {u.Constant("c1"), n.Reannotated(Interval(13, 14))},
+                     Interval(13, 14))
+                  .ok());
+  ASSERT_TRUE(ic.Add(t_plus, {n, m}, Interval(11, 14)).ok());
+  ASSERT_TRUE(ic.Add(t_plus,
+                     {u.Constant("c2"), n.Reannotated(Interval(20, 22))},
+                     Interval(20, 22))
+                  .ok());
+
+  for (const bool with_phi : {false, true}) {
+    SCOPED_TRACE(with_phi ? "single-atom conjunction" : "no conjunctions");
+    Conjunction phi;  // T+(x, y, t): singleton images group nothing.
+    Atom atom;
+    atom.rel = t_plus;
+    atom.terms = {Term::Var(0), Term::Var(1), Term::Var(2)};
+    phi.atoms = {atom};
+    phi.num_vars = 3;
+    std::vector<Conjunction> phis;
+    if (with_phi) phis.push_back(phi);
+
+    NormalizeLabels labels;
+    const ConcreteInstance out = Normalize(ic, phis, nullptr, nullptr, &labels);
+    EXPECT_EQ(out.size(), 4u);
+    ConcreteInstance cut(&schema);
+    for (const Interval iv : {Interval(11, 13), Interval(13, 14)}) {
+      ASSERT_TRUE(
+          cut.Add(t_plus, {n.Reannotated(iv), m.Reannotated(iv)}, iv).ok());
+    }
+    cut.facts().ForEach(
+        [&](FactView f) { EXPECT_TRUE(out.facts().Contains(f)); });
+    // One component holds the two N facts over [11, 14); the c2 fact is
+    // not in it (the single-atom conjunction makes it a component of its
+    // own, and without conjunctions it is ungrouped).
+    ASSERT_EQ(labels.comp_of.size(), 4u);
+    EXPECT_NE(labels.comp_of[0], NormalizeLabels::kUngrouped);
+    EXPECT_EQ(labels.comp_of[1], labels.comp_of[0]);
+    EXPECT_EQ(labels.comp_of[2], labels.comp_of[0]);
+    EXPECT_NE(labels.comp_of[3], labels.comp_of[0]);
+  }
+}
+
 }  // namespace
 }  // namespace tdx
