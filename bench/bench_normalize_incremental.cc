@@ -44,9 +44,10 @@ std::uint64_t FullPasses() {
   return full != nullptr ? full->value : 0;
 }
 
-/// `full_passes` is per chase: full incremental-normalizer passes over the
-/// timed loop divided by its iterations (0 when the incremental path is
-/// off, which runs Algorithm 1 directly).
+/// `full_passes` is per chase: normalizer passes from an empty watermark
+/// over the timed loop divided by its iterations. With the incremental
+/// path off the state is invalidated after every pass, so every pass is
+/// full.
 void ReportNorm(benchmark::State& state, const tdx::CChaseOutcome& outcome,
                 std::uint64_t full_passes) {
   state.counters["tgt_facts"] = static_cast<double>(outcome.target.size());

@@ -121,9 +121,9 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   ChaseRunScope run_metrics(ChaseCheckpoint::Engine::kCChase, &outcome.stats,
                             &rounds, &outcome.kind);
   DeltaFrontier frontier;
-  // Incremental target-normalization state (declared before the checkpoint
-  // lambda so its watermark can be captured at safe points). Stays invalid
-  // forever when the incremental path is off.
+  // Target-normalization state (declared before the checkpoint lambda so
+  // its watermark can be captured at safe points). Its watermark stays
+  // invalid at every safe point when the incremental path is off.
   const bool use_incremental =
       !options.use_naive_normalizer && options.incremental_normalize;
   NormalizeState norm_state(options.jobs);
@@ -134,18 +134,10 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
                                     const Instance* target_now) {
     if (options.checkpointer == nullptr) return;
     options.checkpointer->AtSafePoint(boundary, [&]() {
-      ChaseCheckpoint ck;
-      ck.engine = ChaseCheckpoint::Engine::kCChase;
-      ck.config = config;
-      ck.phase = phase;
-      ck.rounds = rounds;
-      ck.stats = outcome.stats;
+      ChaseCheckpoint ck =
+          run.Capture(phase, rounds, outcome.stats, *universe, frontier);
       ck.source_norm_stats = outcome.source_norm_stats;
       ck.target_norm_stats = outcome.target_norm_stats;
-      ck.consumed = guard.Consumed();
-      CaptureUniverseNulls(*universe, &ck);
-      ck.frontier_full = frontier.full();
-      ck.frontier_marks = frontier.marks();
       if (std::string_view(phase) != "init") {
         ck.normalized_source = outcome.normalized_source.facts();
       }
@@ -234,15 +226,15 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
     if (options.use_naive_normalizer) {
       concrete_target =
           NaiveNormalize(concrete_target, &outcome.target_norm_stats, &guard);
-    } else if (use_incremental) {
-      // The state installs the output in place and re-records its
-      // watermark; the egd fixpoint below reports its rewrites to it.
-      norm_state.Normalize(&concrete_target, target_phis,
-                           &outcome.target_norm_stats, &guard);
-    } else {
-      concrete_target = Normalize(concrete_target, target_phis,
-                                  &outcome.target_norm_stats, &guard);
+      return;
     }
+    // The state installs the output in place and re-records its watermark;
+    // the egd fixpoint below reports its rewrites to it. Off the incremental
+    // path the watermark is dropped after every pass, so every pass starts
+    // from an empty one and no safe point carries one.
+    norm_state.Normalize(&concrete_target, target_phis,
+                         &outcome.target_norm_stats, &guard);
+    if (!use_incremental) norm_state.Invalidate();
   };
   // Restore the loop cursor when resuming into it; otherwise mark the first
   // materialized-target boundary.

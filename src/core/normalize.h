@@ -10,26 +10,24 @@
 // facts are either pairwise-equal or have empty intersection. Intervals
 // then "behave as constants".
 //
-// Two normalizers, mirroring the paper's trade-off discussion:
+// Algorithm 1, norm(Ic, Phi+), fragments only the facts that co-occur in
+// the image of some phi* with overlapping intervals, merging overlapping
+// groups first. It is implemented once, as a NormalizeState pass
+// (normalize_incremental.h); Normalize below is that pass from an empty
+// watermark. Polynomial for fixed Phi+, and the output never has more
+// facts than NaiveNormalize's, which ignores Phi+ and fragments every fact
+// at every distinct endpoint of the whole instance: O(n log n) time, but
+// possibly many unnecessary fragments (Figure 5 vs Figure 6).
 //
-//  * NaiveNormalize — ignores Phi+: fragments every fact at every distinct
-//    endpoint of the whole instance. O(n log n) time, but possibly many
-//    unnecessary fragments (Figure 6).
-//
-//  * Normalize (Algorithm 1, norm(Ic, Phi+)) — fragments only the facts
-//    that co-occur in the image of some phi* with overlapping intervals,
-//    merging overlapping groups first (implemented with union-find).
-//    Polynomial for fixed Phi+, and the output never has more facts than
-//    the naive normalizer's (Figure 5 vs Figure 6).
-//
-// Both preserve the [[.]] semantics: fragments carry the original data
-// values, and annotated nulls are re-annotated to each fragment's interval
-// (fragments of one null still project onto the same null sequence).
+// Both normalizers preserve the [[.]] semantics: fragments carry the
+// original data values, and annotated nulls are re-annotated to each
+// fragment's interval (fragments of one null still project onto the same
+// null sequence).
 
 #ifndef TDX_CORE_NORMALIZE_H_
 #define TDX_CORE_NORMALIZE_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "src/common/resource.h"
@@ -42,8 +40,9 @@ struct NormalizeStats {
   std::size_t input_facts = 0;
   std::size_t output_facts = 0;
   /// Homomorphisms from renamed-apart conjunctions found while building S.
-  /// The incremental normalizer sweeps only delta-seeded homs, so this
-  /// counts fewer enumerations than a full pass over the same instance.
+  /// A full pass counts each once; a watermarked pass sweeps only
+  /// delta-seeded homs, so it counts fewer enumerations than a full pass
+  /// over the same instance.
   std::size_t homomorphisms = 0;
   /// Connected components of overlapping fact groups (the merged S of
   /// Algorithm 1). Always 0 for the naive normalizer.
@@ -62,18 +61,6 @@ struct NormalizeStats {
   bool partial = false;
 };
 
-/// Component labels of a normalized output, parallel to its emission order:
-/// `comp_of[i]` is the component of the i-th emitted fact (relation-major,
-/// ascending position), or kUngrouped for pass-through facts. Component ids
-/// are dense in [0, num_components). Produced on demand by Normalize so the
-/// incremental normalizer can tell which prior components a later delta
-/// touches; purely bookkeeping — no effect on the normalized instance.
-struct NormalizeLabels {
-  static constexpr std::uint32_t kUngrouped = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> comp_of;
-  std::uint32_t num_components = 0;
-};
-
 /// N(phi): renames the temporal position of every atom to a fresh variable,
 /// yielding phi*. Precondition: every atom's relation is temporal (the
 /// conjunction is a lifted lhs). The data variables keep their ids.
@@ -87,21 +74,21 @@ Conjunction RenameTemporalApart(const Conjunction& phi);
 /// returns a PARTIALLY normalized instance — callers must check
 /// guard->tripped() (mirrored in NormalizeStats::partial) and treat the
 /// result as garbage. The fragment budget is per pass: the counter is reset
-/// on entry. Fault sites: "normalize/naive" and "normalize/algorithm1"
-/// (plus "normalize/incremental" in normalize_incremental.h).
+/// on entry. Fault sites: "normalize/naive" here, "normalize/algorithm1"
+/// and "normalize/incremental" in normalize_incremental.h.
 ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
                                 NormalizeStats* stats = nullptr,
                                 ResourceGuard* guard = nullptr);
 
 /// Algorithm 1, norm(Ic, Phi+). `phis` are temporal conjunctions — in the
 /// chase they are the lifted lhs of the s-t tgds or of the egds. See
-/// NaiveNormalize for the `guard` contract. When `labels` is non-null it
-/// receives the output's component labels (meaningless if the guard trips).
+/// NaiveNormalize for the `guard` contract; a trip before the fragments
+/// are emitted returns an empty instance. Component labels are kept only
+/// by a NormalizeState (its Export).
 ConcreteInstance Normalize(const ConcreteInstance& instance,
                            const std::vector<Conjunction>& phis,
                            NormalizeStats* stats = nullptr,
-                           ResourceGuard* guard = nullptr,
-                           NormalizeLabels* labels = nullptr);
+                           ResourceGuard* guard = nullptr);
 
 /// Definition 10: checks the empty intersection property of `instance`
 /// w.r.t. `phis` — by Theorem 11, equivalent to being normalized.

@@ -1,10 +1,5 @@
-// Internals shared by the full (Algorithm 1) and incremental normalizers.
-//
-// These helpers define the exact emission behavior both paths must agree on
-// for the incremental output to stay bit-identical to a full pass: the
-// charge-then-insert order against the resource guard, the duplicate
-// handling of the backing Instance (Insert dedups), and the label
-// bookkeeping that only records successfully inserted rows.
+// Internals of the normalizers: interval intersection of a hom image, the
+// union-find over dense fact ids, and the shared-null clusters.
 
 #ifndef TDX_CORE_NORMALIZE_DETAIL_H_
 #define TDX_CORE_NORMALIZE_DETAIL_H_
@@ -17,7 +12,6 @@
 #include <vector>
 
 #include "src/common/interval.h"
-#include "src/common/resource.h"
 #include "src/relational/homomorphism.h"
 #include "src/relational/instance.h"
 
@@ -33,8 +27,8 @@ inline std::optional<Interval> IntersectIntervals(const AtomImage& image) {
   return acc;
 }
 
-/// Union-find over dense fact indices, resettable so the incremental
-/// normalizer can reuse its allocation across passes.
+/// Union-find over dense fact indices, resettable so NormalizeState can
+/// reuse its allocation across passes.
 class UnionFind {
  public:
   UnionFind() = default;
@@ -65,7 +59,7 @@ class UnionFind {
 /// from the abstract chase (Corollary 20). So, per null id, the facts
 /// carrying it are swept in start order and split into runs of
 /// transitively overlapping intervals; every run of two or more facts is a
-/// cluster, and both normalizers union each cluster into one component.
+/// cluster, and Algorithm 1 unions each cluster into one component.
 /// Facts are named by dense id (base[relation] + position).
 class NullClusters {
  public:
@@ -149,43 +143,6 @@ class NullClusters {
   std::vector<std::size_t> begin_ = {0};
   std::vector<std::pair<std::size_t, std::uint32_t>> of_fact_;
 };
-
-/// Fragments `fact` at the interior cuts in `cuts` (sorted ascending,
-/// duplicates tolerated) and inserts the fragments into `out`, charging
-/// `guard` one unit per fragment before inserting it. Returns false when the
-/// guard tripped (the fact may be partially fragmented). When `labels` is
-/// non-null, pushes `label` once per fragment the Instance actually kept
-/// (Insert dedups, and labels must stay parallel to the stored rows).
-inline bool EmitFragments(FactView fact, const std::vector<TimePoint>& cuts,
-                          Instance* out, ResourceGuard* guard,
-                          std::uint32_t label = 0,
-                          std::vector<std::uint32_t>* labels = nullptr) {
-  const Interval iv = fact.interval();
-  TimePoint cur = iv.start();
-  for (auto it = std::upper_bound(cuts.begin(), cuts.end(), cur);
-       it != cuts.end() && *it < iv.end(); ++it) {
-    if (*it <= cur) continue;
-    if (guard != nullptr && !guard->ChargeFragment()) return false;
-    const bool inserted = out->Insert(fact.WithInterval(Interval(cur, *it)));
-    if (labels != nullptr && inserted) labels->push_back(label);
-    cur = *it;
-  }
-  if (guard != nullptr && !guard->ChargeFragment()) return false;
-  const bool inserted = out->Insert(fact.WithInterval(Interval(cur, iv.end())));
-  if (labels != nullptr && inserted) labels->push_back(label);
-  return true;
-}
-
-/// Pass-through emission: one guard charge, one insert, label only on a
-/// successful (non-duplicate) insert. Returns false when the guard tripped.
-inline bool EmitCopy(FactView fact, Instance* out, ResourceGuard* guard,
-                     std::uint32_t label = 0,
-                     std::vector<std::uint32_t>* labels = nullptr) {
-  if (guard != nullptr && !guard->ChargeFragment()) return false;
-  const bool inserted = out->Insert(fact);
-  if (labels != nullptr && inserted) labels->push_back(label);
-  return true;
-}
 
 }  // namespace tdx::normalize_detail
 

@@ -11,7 +11,6 @@
 
 namespace tdx {
 
-using normalize_detail::EmitCopy;
 using normalize_detail::IntersectIntervals;
 
 void NormalizeState::Invalidate() {
@@ -91,7 +90,7 @@ Status NormalizeState::Restore(const Watermark& wm,
         "normalize watermark labels are not parallel to its marks");
   }
   for (const std::uint32_t label : wm.labels) {
-    if (label != NormalizeLabels::kUngrouped && label >= wm.num_components) {
+    if (label != kUngrouped && label >= wm.num_components) {
       return Status::InvalidArgument(
           "normalize watermark label out of component range");
     }
@@ -123,9 +122,7 @@ Status NormalizeState::Restore(const Watermark& wm,
   return Status::OK();
 }
 
-void NormalizeState::Record(const ConcreteInstance& instance,
-                            const std::vector<std::uint32_t>& flat,
-                            std::uint32_t num_components) {
+void NormalizeState::Record(const ConcreteInstance& instance) {
   const Instance& facts = instance.facts();
   const std::size_t num_rels = instance.schema().relation_count();
   marks_.resize(num_rels);
@@ -134,36 +131,23 @@ void NormalizeState::Record(const ConcreteInstance& instance,
   for (std::size_t r = 0; r < num_rels; ++r) {
     const std::size_t n = facts.facts(static_cast<RelationId>(r)).size();
     marks_[r] = static_cast<std::uint32_t>(n);
-    comp_of_[r].assign(flat.begin() + off, flat.begin() + off + n);
+    comp_of_[r].assign(flat_labels_.begin() + off,
+                       flat_labels_.begin() + off + n);
     off += n;
   }
-  assert(off == flat.size() && "labels must be parallel to the output");
-  num_components_ = num_components;
+  assert(off == flat_labels_.size() && "labels must be parallel to the output");
+  num_components_ = num_labels_;
   dirty_.clear();
   bound_ = &instance.facts();
   generation_ = facts.generation();
   valid_ = true;
 }
 
-void NormalizeState::FullPass(ConcreteInstance* instance,
-                              const std::vector<Conjunction>& phis,
-                              NormalizeStats* stats, ResourceGuard* guard) {
-  NormalizeLabels labels;
-  ConcreteInstance out =
-      tdx::Normalize(*instance, phis, stats, guard, &labels);
-  instance->mutable_facts() = std::move(out.mutable_facts());
-  if (guard != nullptr && guard->tripped()) {
-    Invalidate();
-    return;
-  }
-  Record(*instance, labels.comp_of, labels.num_components);
-}
-
 void NormalizeState::IndexPreviousComponents() {
   prev_begin_.assign(num_components_ + 1, 0);
   for (const std::vector<std::uint32_t>& labels : comp_of_) {
     for (const std::uint32_t label : labels) {
-      if (label != NormalizeLabels::kUngrouped) ++prev_begin_[label + 1];
+      if (label != kUngrouped) ++prev_begin_[label + 1];
     }
   }
   for (std::size_t c = 0; c < num_components_; ++c) {
@@ -174,7 +158,7 @@ void NormalizeState::IndexPreviousComponents() {
   for (RelationId r = 0; r < comp_of_.size(); ++r) {
     for (std::uint32_t pos = 0; pos < comp_of_[r].size(); ++pos) {
       const std::uint32_t label = comp_of_[r][pos];
-      if (label != NormalizeLabels::kUngrouped) {
+      if (label != kUngrouped) {
         prev_members_[fill[label]++] = base_[r] + pos;
       }
     }
@@ -211,9 +195,12 @@ void NormalizeState::Normalize(ConcreteInstance* instance,
   metrics.passes.Inc();
   if (!MatchesWatermark(*instance)) {
     metrics.full_passes.Inc();
-    FullPass(instance, phis, pass_stats, guard);
-  } else {
-    IncrementalPass(instance, phis, pass_stats, guard);
+    Invalidate();
+  }
+  Instance out(&instance->schema());
+  if (Pass(instance->facts(), phis, &out, pass_stats, guard)) {
+    instance->mutable_facts() = std::move(out);
+    if (!pass_stats->partial) Record(*instance);
   }
   // A partial (guard-tripped) pass leaves the stat fields untouched from
   // the caller's previous pass; publishing them would double count.
@@ -225,21 +212,24 @@ void NormalizeState::Normalize(ConcreteInstance* instance,
   }
 }
 
-void NormalizeState::IncrementalPass(ConcreteInstance* instance,
-                                     const std::vector<Conjunction>& phis,
-                                     NormalizeStats* stats,
-                                     ResourceGuard* guard) {
+bool NormalizeState::Pass(const Instance& facts,
+                          const std::vector<Conjunction>& phis, Instance* out,
+                          NormalizeStats* stats, ResourceGuard* guard) {
+  const bool watermarked = valid_;
+  const auto trip = [&]() {
+    if (stats != nullptr) stats->partial = true;
+    Invalidate();
+  };
   if (guard != nullptr) {
     guard->ResetFragmentCount();
-    guard->PokeFault("normalize/incremental");
+    guard->PokeFault(watermarked ? "normalize/incremental"
+                                 : "normalize/algorithm1");
     if (guard->tripped()) {
-      if (stats != nullptr) stats->partial = true;
-      Invalidate();
-      return;
+      trip();
+      return false;
     }
   }
-  const Instance& facts = instance->facts();
-  const std::size_t num_rels = instance->schema().relation_count();
+  const std::size_t num_rels = facts.schema().relation_count();
   base_.assign(num_rels, 0);
   std::size_t total = 0;
   std::size_t delta = 0;
@@ -249,7 +239,7 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
     total += n;
     delta += n - MarkOf(r);
   }
-  if (delta == 0 && dirty_.empty()) {
+  if (watermarked && delta == 0 && dirty_.empty()) {
     // Untouched since the last pass: the instance IS the previous output,
     // already normalized. Leave it (and the watermark) alone.
     if (stats != nullptr) {
@@ -262,7 +252,7 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
       stats->reused_components = num_components_;
       stats->partial = false;
     }
-    return;
+    return false;
   }
 
   const auto fact_at = [&](std::size_t id) {
@@ -292,7 +282,7 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
   // fresh fact is discovered in full. Homs found more than once only
   // repeat a union — harmless. All-old homs never reached this way belong
   // to clean components, which provably carry one shared interval (see
-  // header).
+  // header). Without a watermark nothing is old and nothing is expanded.
   uf_.Reset(total);
   grouped_.assign(total, 0);
   enqueued_.assign(total, 0);
@@ -315,13 +305,15 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
     push(id);
     const FactView f = fact_at(id);
     const std::uint32_t prev = comp_of_[f.relation()][f.pos()];
-    if (prev != NormalizeLabels::kUngrouped && prev_touched_[prev] == 0) {
+    if (prev != kUngrouped && prev_touched_[prev] == 0) {
       prev_touched_[prev] = kReached;
     }
   };
   std::size_t hom_count = 0;
   bool deadline_ok = true;
   const auto on_hom = [&](const Binding&, const AtomImage& image) {
+    // The hom sweep dominates Algorithm 1's worst case (Theorem 13), so
+    // the deadline is polled here too.
     if (guard != nullptr && !guard->CheckDeadline()) {
       deadline_ok = false;
       return false;
@@ -351,6 +343,12 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
   for (const Conjunction& phi : phis) stars.push_back(RenameTemporalApart(phi));
   for (const Conjunction& star : stars) {
     if (!deadline_ok) break;
+    if (!watermarked) {
+      // Every fact is fresh: one unseeded sweep finds each hom once, where
+      // seeding every atom would count a k-atom hom k times.
+      finder_->ForEach(star, Binding(star.num_vars), on_hom);
+      continue;
+    }
     for (std::size_t a = 0; a < star.atoms.size() && deadline_ok; ++a) {
       const RelationId rel = star.atoms[a].rel;
       const std::uint32_t begin = MarkOf(rel);
@@ -361,7 +359,15 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
                              on_hom);
     }
   }
-  if (clusters_.size() > 0) {
+  if (!watermarked) {
+    for (std::size_t c = 0; c < clusters_.size(); ++c) {
+      const std::size_t first = *clusters_.begin(c);
+      for (const std::size_t* m = clusters_.begin(c); m != clusters_.end(c);
+           ++m) {
+        join(first, *m);
+      }
+    }
+  } else if (clusters_.size() > 0) {
     for (std::size_t id = 0; id < total; ++id) {
       if (fresh_[id] != 0) touch_clusters(id);
     }
@@ -373,10 +379,7 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
   for (const FactRef& row : dirty_) {
     push(base_[row.rel] + row.pos);
     const std::uint32_t prev = comp_of_[row.rel][row.pos];
-    if (prev == NormalizeLabels::kUngrouped ||
-        prev_touched_[prev] == kRederived) {
-      continue;
-    }
+    if (prev == kUngrouped || prev_touched_[prev] == kRederived) continue;
     prev_touched_[prev] = kRederived;
     for (std::size_t k = prev_begin_[prev]; k < prev_begin_[prev + 1]; ++k) {
       if (fresh_[prev_members_[k]] == 0) push(prev_members_[k]);
@@ -398,117 +401,124 @@ void NormalizeState::IncrementalPass(ConcreteInstance* instance,
     touch_clusters(id);
   }
   if (!deadline_ok || (guard != nullptr && guard->tripped())) {
-    if (stats != nullptr) stats->partial = true;
-    Invalidate();
-    return;
+    trip();
+    return false;
   }
 
-  // Cut points per dirty component, then per-fact cut vectors — resolved
-  // sequentially because Find path-compresses (the workers below must not
-  // mutate the union-find).
-  std::map<std::size_t, std::vector<TimePoint>> component_points;
+  // Distinct start/end points per dirty component (TP_Delta, lines 11-13),
+  // resolved sequentially because Find path-compresses (the workers below
+  // must not mutate the union-find).
+  std::uint32_t num_dirty = 0;
+  root_comp_.assign(total, kUngrouped);
   grouped_ids_.clear();
+  grouped_comp_.clear();
   for (std::size_t i = 0; i < total; ++i) {
     if (grouped_[i] == 0) continue;
+    std::uint32_t& comp = root_comp_[uf_.Find(i)];
+    if (comp == kUngrouped) {
+      comp = num_dirty++;
+      if (comp_points_.size() < num_dirty) comp_points_.emplace_back();
+      comp_points_[comp].clear();
+    }
     grouped_ids_.push_back(i);
-    std::vector<TimePoint>& pts = component_points[uf_.Find(i)];
+    grouped_comp_.push_back(comp);
+    std::vector<TimePoint>& pts = comp_points_[comp];
     const Interval iv = fact_at(i).interval();
     pts.push_back(iv.start());
     if (!iv.unbounded()) pts.push_back(iv.end());
   }
-  for (auto& [root, pts] : component_points) {
+  for (std::uint32_t c = 0; c < num_dirty; ++c) {
+    std::vector<TimePoint>& pts = comp_points_[c];
     std::sort(pts.begin(), pts.end());
     pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
   }
-  cuts_of_.assign(grouped_ids_.size(), nullptr);
-  frag_slots_.resize(std::max(frag_slots_.size(), grouped_ids_.size()));
-  for (std::size_t k = 0; k < grouped_ids_.size(); ++k) {
-    cuts_of_[k] = &component_points.at(uf_.Find(grouped_ids_[k]));
-    frag_slots_[k].clear();
+
+  // Parallel fragmentation (lines 14-18): pure per-fact work into private
+  // slots; no guard, no labels, no shared mutation. The sequential merge
+  // below charges the guard in dense-id order, so the charge/insert
+  // sequence — and therefore the output, even under a budget trip — is
+  // identical at any job count. One job fragments inline in the merge.
+  const bool staged = jobs_ > 1;
+  if (staged) {
+    frag_slots_.resize(std::max(frag_slots_.size(), grouped_ids_.size()));
+    for (std::size_t k = 0; k < grouped_ids_.size(); ++k) frag_slots_[k].clear();
+    ParallelFor(jobs_, grouped_ids_.size(), [&](std::size_t k) {
+      AppendFragments(fact_at(grouped_ids_[k]).interval(),
+                      comp_points_[grouped_comp_[k]], &frag_slots_[k]);
+    });
   }
 
-  // Parallel fragmentation: pure per-fact work into private slots; no guard,
-  // no labels, no shared mutation. The sequential merge below charges the
-  // guard in dense-id order, so the charge/insert sequence — and therefore
-  // the output, even under a budget trip — is identical at any job count.
-  ParallelFor(jobs_, grouped_ids_.size(), [&](std::size_t k) {
-    AppendFragments(fact_at(grouped_ids_[k]).interval(), *cuts_of_[k],
-                    &frag_slots_[k]);
-  });
-
   // Deterministic sequential merge. Labels are dense in first-emission
-  // order, as in a full pass: a dirty component is keyed by its root, a
+  // order: a dirty component is keyed by its first-seen index, a
   // pass-through fact by its previous label. Members of a re-derived
   // previous component that no group claimed are ungrouped now.
-  const std::uint32_t num_dirty =
-      static_cast<std::uint32_t>(component_points.size());
   std::uint32_t touched_count = 0;
   for (const char t : prev_touched_) touched_count += t != 0 ? 1 : 0;
-
-  Instance out(&instance->schema());
+  dirty_label_.assign(num_dirty, kUngrouped);
+  prev_label_.assign(num_components_, kUngrouped);
+  const auto label_of = [&](std::uint32_t* slot) {
+    if (*slot == kUngrouped) *slot = num_labels_++;
+    return *slot;
+  };
   flat_labels_.clear();
-  std::map<std::size_t, std::uint32_t> dirty_seq;
-  std::map<std::uint32_t, std::uint32_t> prev_remap;
-  std::uint32_t next_label = 0;
+  num_labels_ = 0;
   std::size_t next_grouped = 0;
   bool tripped = false;
   for (std::size_t i = 0; i < total && !tripped; ++i) {
     const FactView fact = fact_at(i);
     if (next_grouped < grouped_ids_.size() && grouped_ids_[next_grouped] == i) {
       const std::size_t k = next_grouped++;
-      std::vector<Interval>& subs = frag_slots_[k];
+      std::vector<Interval>& subs = staged ? frag_slots_[k] : frag_buf_;
+      if (!staged) subs.clear();
       if (subs.empty()) {
-        // The pool dropped this slot's task (thread-pool/dispatch fault).
-        // The fill is a pure function of immutable inputs, so redoing it
-        // inline is sound and keeps the run deterministic.
-        AppendFragments(fact.interval(), *cuts_of_[k], &subs);
+        // Inline fragmentation, or the pool dropped this slot's task
+        // (thread-pool/dispatch fault). The fill is a pure function of
+        // immutable inputs, so redoing it here is sound and keeps the run
+        // deterministic.
+        AppendFragments(fact.interval(), comp_points_[grouped_comp_[k]],
+                        &subs);
       }
-      const std::uint32_t label =
-          dirty_seq.emplace(uf_.Find(i), next_label).first->second;
-      if (label == next_label) ++next_label;
+      const std::uint32_t label = label_of(&dirty_label_[grouped_comp_[k]]);
       for (const Interval& sub : subs) {
         if (guard != nullptr && !guard->ChargeFragment()) {
           tripped = true;
           break;
         }
-        if (out.Insert(fact.WithInterval(sub))) flat_labels_.push_back(label);
+        if (out->Insert(fact.WithInterval(sub))) flat_labels_.push_back(label);
       }
     } else {
-      std::uint32_t label = NormalizeLabels::kUngrouped;
+      std::uint32_t label = kUngrouped;
       if (fresh_[i] == 0) {
         const std::uint32_t prev = comp_of_[fact.relation()][fact.pos()];
-        if (prev != NormalizeLabels::kUngrouped &&
-            prev_touched_[prev] != kRederived) {
-          label = prev_remap.emplace(prev, next_label).first->second;
-          if (label == next_label) ++next_label;
+        if (prev != kUngrouped && prev_touched_[prev] != kRederived) {
+          label = label_of(&prev_label_[prev]);
         }
       }
-      if (!EmitCopy(fact, &out, guard, label, &flat_labels_)) tripped = true;
+      if (guard != nullptr && !guard->ChargeFragment()) {
+        tripped = true;
+      } else if (out->Insert(fact)) {
+        flat_labels_.push_back(label);
+      }
     }
   }
 
-  const std::size_t out_size = out.size();
-  // Reused = previous components no fresh fact reached (computed against
-  // the PREVIOUS component count, before Record replaces the watermark).
-  const std::uint32_t reused = num_components_ - touched_count;
-  instance->mutable_facts() = std::move(out);
   if (tripped || (guard != nullptr && guard->tripped())) {
-    if (stats != nullptr) stats->partial = true;
-    Invalidate();
-    return;
+    trip();
+    return true;
   }
-  const std::size_t dirty_rows = dirty_.size();
-  Record(*instance, flat_labels_, next_label);
   if (stats != nullptr) {
     stats->input_facts = total;
-    stats->output_facts = out_size;
+    stats->output_facts = out->size();
     stats->homomorphisms = hom_count;
     stats->groups = num_dirty;
-    stats->delta_facts = delta + dirty_rows;
+    stats->delta_facts = delta + dirty_.size();
     stats->dirty_components = num_dirty;
-    stats->reused_components = reused;
+    // Reused = previous components no fresh fact reached (against the
+    // PREVIOUS component count, before Record replaces the watermark).
+    stats->reused_components = num_components_ - touched_count;
     stats->partial = false;
   }
+  return true;
 }
 
 }  // namespace tdx

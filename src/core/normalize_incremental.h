@@ -1,10 +1,20 @@
-// Incremental delta-driven normalization (the fast path of Section 4.2's
-// Algorithm 1 across c-chase rounds).
+// Algorithm 1, norm(Ic, Phi+) (Section 4.2), as one persistent pass that
+// is incremental across c-chase rounds.
 //
-// After the first full pass, every later normalize_target call sees an
-// instance that is the previous normalized output, changed in two ways
-// only: tgd rounds appended facts, and egd merges rewrote some rows in
-// place. NormalizeState exploits that shape:
+// A pass builds S (Algorithm 1, line 3): for each phi* in N(Phi+), every
+// homomorphic image whose fact intervals intersect forms a group; groups
+// sharing a fact merge (lines 4-10), i.e. the pass takes connected
+// components of the overlap graph with union-find. Facts sharing an
+// annotated null over overlapping time join one component too
+// (NullClusters in normalize_detail.h), a kind of group Algorithm 1 as
+// published lacks. Each component's facts are then fragmented at the
+// component's distinct endpoints (TP_Delta, lines 11-18); ungrouped facts
+// pass through unchanged.
+//
+// After a pass, every later normalize_target call sees an instance that is
+// the previous normalized output, changed in two ways only: tgd rounds
+// appended facts, and egd merges rewrote some rows in place. NormalizeState
+// exploits that shape:
 //
 //  * A *watermark* remembers, per relation, how many facts the previous
 //    output had (its prefix sizes), the Instance generation it was recorded
@@ -17,18 +27,22 @@
 //    and the watermark follows the new generation. Anything else that
 //    bumps the generation (a heavy egd merge that rebuilds the instance, a
 //    compacting rewrite, an erase, an assignment) invalidates the
-//    watermark, and the next pass runs the full Algorithm 1.
+//    watermark.
 //
-//  * The homomorphism sweep is seeded from the appended suffix
-//    (ForEachSeeded per atom over [mark, size)) and from each dirty row,
-//    finding exactly the homs that touch at least one new or rewritten
+//  * Without a valid watermark every fact is fresh: each phi* is swept
+//    once, unseeded, so every homomorphism is counted once, and each null
+//    cluster joins whole. This is the full Algorithm 1, and the free
+//    Normalize (normalize.h) is exactly this pass over a const input.
+//
+//  * With a watermark, the homomorphism sweep is seeded from the appended
+//    suffix (ForEachSeeded per atom over [mark, size)) and from each dirty
+//    row, finding exactly the homs that touch at least one new or rewritten
 //    fact. Old facts pulled into a group are expanded transitively (all
 //    homs through them, again via single-fact seeds), and so are facts
-//    sharing an annotated null with a grouped fact (NullClusters in
-//    normalize_detail.h), so every component containing a new or dirty
-//    fact is discovered in full. The previous component of a dirty row is
-//    re-derived whole: its other members are expanded too, since the
-//    rewrite may have split it.
+//    sharing an annotated null with a grouped fact, so every component
+//    containing a new or dirty fact is discovered in full. The previous
+//    component of a dirty row is re-derived whole: its other members are
+//    expanded too, since the rewrite may have split it.
 //
 //  * Components without any new or dirty fact are provably already
 //    normalized: any hom (or shared-null pair) whose image holds no such
@@ -40,18 +54,18 @@
 //    components are re-fragmented — in parallel across the thread pool
 //    when jobs > 1, with cut vectors resolved sequentially first and a
 //    deterministic sequential merge, so the output is bit-identical to a
-//    full Normalize at any job count.
+//    pass from an empty watermark at any job count.
 //
 // The output is installed in place (move-assigned into the instance's fact
 // store) and the watermark re-recorded with an empty dirty set, keeping ONE
-// persistent state alive across the whole chase loop. Fault site:
-// "normalize/incremental".
+// persistent state alive across the whole chase loop. Fault sites:
+// "normalize/algorithm1" (a pass from an empty watermark) and
+// "normalize/incremental" (a watermarked pass).
 
 #ifndef TDX_CORE_NORMALIZE_INCREMENTAL_H_
 #define TDX_CORE_NORMALIZE_INCREMENTAL_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -71,22 +85,26 @@ struct EgdRewrites;  // relational/chase.h
 /// the parallelism is internal (fragmentation fan-out).
 class NormalizeState {
  public:
+  /// Component label of a pass-through (ungrouped) fact.
+  static constexpr std::uint32_t kUngrouped = 0xFFFFFFFFu;
+
   /// `jobs` is the fragmentation fan-out width (1 = fully sequential; the
   /// output does not depend on it).
   explicit NormalizeState(unsigned jobs = 1) : jobs_(jobs) {}
 
   /// Normalizes `*instance` w.r.t. `phis`, replacing its fact store with
-  /// the normalized output. Runs the incremental pass when the watermark
-  /// matches `*instance`, a full Algorithm 1 pass otherwise. Guard contract
-  /// as in normalize.h: on a trip the instance holds a partially normalized
-  /// result (garbage), stats->partial is set, and the state invalidates
-  /// itself.
+  /// the normalized output. The pass starts from the watermark when it
+  /// matches `*instance`, from an empty one otherwise. Guard contract as in
+  /// normalize.h: on a trip stats->partial is set and the state invalidates
+  /// itself; a trip before the merge leaves the instance as it was, one
+  /// during the merge installs the partial output (garbage either way).
   void Normalize(ConcreteInstance* instance,
                  const std::vector<Conjunction>& phis,
                  NormalizeStats* stats = nullptr,
                  ResourceGuard* guard = nullptr);
 
-  /// Drops the watermark; the next pass is a full one. Idempotent.
+  /// Drops the watermark; the next pass starts from an empty one.
+  /// Idempotent.
   void Invalidate();
 
   /// Adopts an egd fixpoint's in-place rewrite of `facts` (EgdFixpoint's
@@ -103,7 +121,8 @@ class NormalizeState {
   bool MatchesWatermark(const ConcreteInstance& instance) const;
 
   /// Serializable image of the watermark for checkpointing. `labels` is the
-  /// per-relation component labels flattened in relation order; sum(marks)
+  /// per-relation component labels flattened in relation order (dense in
+  /// first-emission order, kUngrouped for pass-through facts); sum(marks)
   /// == labels.size(). `dirty` lists the prefix rows rewritten since the
   /// last pass, sorted by (relation, position), each below its mark.
   struct Watermark {
@@ -127,17 +146,24 @@ class NormalizeState {
   Status Restore(const Watermark& wm, const ConcreteInstance& instance);
 
  private:
-  void FullPass(ConcreteInstance* instance,
-                const std::vector<Conjunction>& phis, NormalizeStats* stats,
-                ResourceGuard* guard);
-  void IncrementalPass(ConcreteInstance* instance,
-                       const std::vector<Conjunction>& phis,
-                       NormalizeStats* stats, ResourceGuard* guard);
-  /// Records `*instance` (just installed) as the new watermark. `flat`
-  /// holds the output's labels in emission order.
-  void Record(const ConcreteInstance& instance,
-              const std::vector<std::uint32_t>& flat,
-              std::uint32_t num_components);
+  friend ConcreteInstance Normalize(const ConcreteInstance& instance,
+                                    const std::vector<Conjunction>& phis,
+                                    NormalizeStats* stats,
+                                    ResourceGuard* guard);
+
+  /// One pass of Algorithm 1 over `facts` into the empty `*out`, from the
+  /// watermark when it is valid (the caller proved it matches `facts`),
+  /// from an empty one otherwise. Returns true when `*out` holds the
+  /// output, possibly partial (stats->partial), and false when there is
+  /// nothing to install: the watermark proves `facts` already normalized,
+  /// or the guard tripped before the merge. Leaves the output's labels in
+  /// flat_labels_ and their count in num_labels_, and invalidates on a
+  /// trip.
+  bool Pass(const Instance& facts, const std::vector<Conjunction>& phis,
+            Instance* out, NormalizeStats* stats, ResourceGuard* guard);
+  /// Records `*instance` (just installed) as the new watermark, labeled by
+  /// flat_labels_ in emission order.
+  void Record(const ConcreteInstance& instance);
   /// Buckets the previous output's dense ids by component label into
   /// prev_begin_/prev_members_ (base_ must describe the current pass).
   void IndexPreviousComponents();
@@ -152,7 +178,7 @@ class NormalizeState {
   std::uint64_t generation_ = 0;
   std::vector<std::uint32_t> marks_;
   /// Per-relation component labels of the previous output (positions
-  /// [0, marks_[r])); NormalizeLabels::kUngrouped for pass-through facts.
+  /// [0, marks_[r])); kUngrouped for pass-through facts.
   std::vector<std::vector<std::uint32_t>> comp_of_;
   std::uint32_t num_components_ = 0;
   /// Prefix rows rewritten in place since the last pass, ascending.
@@ -179,9 +205,22 @@ class NormalizeState {
   std::vector<std::size_t> queue_;
   std::vector<std::size_t> base_;
   std::vector<std::size_t> grouped_ids_;
-  std::vector<const std::vector<TimePoint>*> cuts_of_;
+  /// Dirty component of grouped_ids_[k], dense in first-seen order.
+  std::vector<std::uint32_t> grouped_comp_;
+  /// Dirty component of a union-find root (kUngrouped when unassigned).
+  std::vector<std::uint32_t> root_comp_;
+  /// Sorted distinct endpoints of each dirty component.
+  std::vector<std::vector<TimePoint>> comp_points_;
+  /// Output label of each dirty component, and of each previous component
+  /// copied through (kUngrouped until first emitted).
+  std::vector<std::uint32_t> dirty_label_;
+  std::vector<std::uint32_t> prev_label_;
+  /// Per grouped fact when fragmenting in parallel; one reused buffer when
+  /// fragmenting inline.
   std::vector<std::vector<Interval>> frag_slots_;
+  std::vector<Interval> frag_buf_;
   std::vector<std::uint32_t> flat_labels_;
+  std::uint32_t num_labels_ = 0;
 };
 
 }  // namespace tdx

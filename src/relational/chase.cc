@@ -448,16 +448,8 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
   const auto offer_checkpoint = [&](bool boundary, const char* phase) {
     if (options.checkpointer == nullptr) return;
     options.checkpointer->AtSafePoint(boundary, [&]() {
-      ChaseCheckpoint ck;
-      ck.engine = ChaseCheckpoint::Engine::kSnapshot;
-      ck.config = config;
-      ck.phase = phase;
-      ck.rounds = rounds;
-      ck.stats = outcome.stats;
-      ck.consumed = guard.Consumed();
-      CaptureUniverseNulls(*universe, &ck);
-      ck.frontier_full = frontier.full();
-      ck.frontier_marks = frontier.marks();
+      ChaseCheckpoint ck =
+          run.Capture(phase, rounds, outcome.stats, *universe, frontier);
       ck.target = outcome.target;
       return ck;
     });

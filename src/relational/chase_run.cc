@@ -17,6 +17,8 @@ Status ChaseRun::Begin(const Mapping& mapping, const Schema& schema,
                        const std::string& config, bool scheduled,
                        unsigned jobs, ChaseStats* stats, Universe* universe) {
   const bool cchase = engine == ChaseCheckpoint::Engine::kCChase;
+  engine_ = engine;
+  config_ = config;
   if (resume_ != nullptr) {
     if (resume_->engine != engine) {
       return Status::InvalidArgument(
@@ -69,6 +71,23 @@ Status ChaseRun::Begin(const Mapping& mapping, const Schema& schema,
     egds = mapping.egds;
   }
   return Status::OK();
+}
+
+ChaseCheckpoint ChaseRun::Capture(const char* phase, std::size_t rounds,
+                                  const ChaseStats& stats,
+                                  const Universe& universe,
+                                  const DeltaFrontier& frontier) const {
+  ChaseCheckpoint ck;
+  ck.engine = engine_;
+  ck.config = config_;
+  ck.phase = phase;
+  ck.rounds = rounds;
+  ck.stats = stats;
+  ck.consumed = guard.Consumed();
+  CaptureUniverseNulls(universe, &ck);
+  ck.frontier_full = frontier.full();
+  ck.frontier_marks = frontier.marks();
+  return ck;
 }
 
 struct ChaseRunScope::Metrics {

@@ -51,6 +51,14 @@ class ChaseRun {
     return schedule.has_value() && !schedule->egd_fixpoint_live();
   }
 
+  /// The checkpoint fields every engine fills at a safe point: engine and
+  /// config (as given to Begin), `phase`, `rounds`, `stats`, the budget
+  /// consumed so far, the null namespace and the frontier. The engine adds
+  /// its own fields.
+  ChaseCheckpoint Capture(const char* phase, std::size_t rounds,
+                          const ChaseStats& stats, const Universe& universe,
+                          const DeltaFrontier& frontier) const;
+
   ResourceGuard guard;
   /// The schedule the run consults; empty when the run is unscheduled.
   std::optional<ChaseSchedule> schedule;
@@ -61,6 +69,8 @@ class ChaseRun {
 
  private:
   const ChaseCheckpoint* resume_;
+  ChaseCheckpoint::Engine engine_ = ChaseCheckpoint::Engine::kSnapshot;
+  std::string config_;
 };
 
 /// Publishes a run's work to the process metrics, as bulk deltas of the

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/cchase.h"
+#include "src/core/normalize_incremental.h"
 #include "src/parser/parser.h"
 #include "src/parser/serialize.h"
 #include "tests/test_util.h"
@@ -180,7 +181,7 @@ TEST(CheckpointRoundTripTest, NormDirtyRowsRoundTripAndTornRowsAreRejected) {
     }
   }
   ASSERT_FALSE(ck.norm_dirty.empty());
-  ck.norm_labels.assign(ck.target->size(), NormalizeLabels::kUngrouped);
+  ck.norm_labels.assign(ck.target->size(), NormalizeState::kUngrouped);
   ck.norm_components = 0;
 
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);

@@ -266,6 +266,23 @@ TEST_F(NormalizeStateTest, FaultSiteTripsTheGuardAndInvalidates) {
             Render(full_w_->source, full_w_->universe));
 }
 
+TEST_F(NormalizeStateTest, Algorithm1TripLeavesTheInstanceAndInvalidates) {
+  // Without a watermark the pass pokes the Algorithm 1 site, before the
+  // merge: the instance keeps its unnormalized facts.
+  NormalizeState state;
+  ResourceGuard guard;
+  ScopedFault fault("normalize/algorithm1", Status::Internal("injected"));
+  NormalizeStats stats;
+  state.Normalize(&inc_w_->source, phis_inc_, &stats, &guard);
+  EXPECT_TRUE(guard.tripped());
+  EXPECT_EQ(guard.dimension(), ResourceDimension::kInjectedFault);
+  EXPECT_TRUE(stats.partial);
+  EXPECT_EQ(Render(inc_w_->source, inc_w_->universe),
+            Render(full_w_->source, full_w_->universe));
+  EXPECT_FALSE(state.MatchesWatermark(inc_w_->source));
+  EXPECT_FALSE(state.Export(&inc_w_->source.facts()).has_value());
+}
+
 // ---------------------------------------------------------------------------
 // Dirty rows: in-place rewrites between passes.
 // ---------------------------------------------------------------------------
@@ -344,21 +361,23 @@ class DirtyRowTest : public ::testing::Test {
   }
 
   // Runs the state's pass and a full Normalize over the same input: the
-  // outputs must agree fact for fact in storage order, and so must the
-  // component labels.
+  // outputs must agree fact for fact in storage order, and the component
+  // labels must equal those of a fresh state's pass (empty watermark).
   NormalizeStats ExpectPassMatchesFull() {
-    const ConcreteInstance input = *inst_;
-    NormalizeLabels full_labels;
-    const ConcreteInstance full =
-        Normalize(input, phis_, nullptr, nullptr, &full_labels);
+    ConcreteInstance full = *inst_;
+    NormalizeState fresh;
+    fresh.Normalize(&full, phis_);
+    EXPECT_EQ(InOrder(full), InOrder(Normalize(*inst_, phis_)));
     NormalizeStats stats;
     state_.Normalize(&*inst_, phis_, &stats);
     EXPECT_EQ(InOrder(*inst_), InOrder(full));
     const auto wm = state_.Export(&inst_->facts());
+    const auto full_wm = fresh.Export(&full.facts());
     EXPECT_TRUE(wm.has_value());
-    if (wm.has_value()) {
-      EXPECT_EQ(wm->labels, full_labels.comp_of);
-      EXPECT_EQ(wm->num_components, full_labels.num_components);
+    EXPECT_TRUE(full_wm.has_value());
+    if (wm.has_value() && full_wm.has_value()) {
+      EXPECT_EQ(wm->labels, full_wm->labels);
+      EXPECT_EQ(wm->num_components, full_wm->num_components);
       EXPECT_TRUE(wm->dirty.empty());
     }
     return stats;
@@ -699,6 +718,34 @@ TEST(CascadeWorkloadTest, OnlyTheFirstTargetPassIsFull) {
   ASSERT_EQ(outcome->kind, ChaseResultKind::kSuccess);
   ASSERT_EQ(outcome->stats.egd_steps, cfg.stages);
   EXPECT_EQ(FullNormalizePasses() - before, 1u);
+}
+
+TEST(CChaseIncrementalTest, NonIncrementalCheckpointsCarryNoWatermark) {
+  // Persist every safe point; the last one sits at the final loop top,
+  // where an incremental run holds a valid watermark.
+  const auto last_checkpoint = [](bool incremental) {
+    auto w = MakeCascadeWorkload(CascadeConfig{
+        .stages = 3, .ballast_keys = 4, .ballast_dup = 2, .horizon = 8});
+    Checkpointer checkpointer("", &w->schema, &w->universe);
+    checkpointer.set_cadence(1);
+    checkpointer.set_max_overhead(0);
+    CChaseOptions options;
+    options.incremental_normalize = incremental;
+    options.checkpointer = &checkpointer;
+    auto outcome = CChase(w->source, w->lifted, &w->universe, options);
+    EXPECT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_TRUE(checkpointer.latest().has_value());
+    return checkpointer.latest().value_or(ChaseCheckpoint{});
+  };
+  const ChaseCheckpoint incremental = last_checkpoint(true);
+  const ChaseCheckpoint full = last_checkpoint(false);
+  ASSERT_EQ(incremental.phase, "loop-top");
+  ASSERT_EQ(full.phase, "loop-top");
+  EXPECT_TRUE(incremental.norm_state_valid);
+  EXPECT_FALSE(full.norm_state_valid);
+  EXPECT_TRUE(full.norm_marks.empty());
+  EXPECT_TRUE(full.norm_labels.empty());
+  EXPECT_TRUE(full.norm_dirty.empty());
 }
 
 // ---------------------------------------------------------------------------

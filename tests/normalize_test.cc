@@ -1,6 +1,11 @@
 #include "src/core/normalize.h"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "src/core/normalize_incremental.h"
 
 #include "src/gen/workload.h"
 #include "src/temporal/snapshot.h"
@@ -142,6 +147,23 @@ TEST_F(PaperNormalizeTest, NormalizeIsIdempotent) {
   EXPECT_EQ(once.facts(), twice.facts());
 }
 
+// A full Algorithm 1 pass sweeps each phi* once, unseeded, so it counts
+// every homomorphism once: sigma1's body E+(n, c, t) maps onto the three E
+// facts, and sigma2's E+(n, c, t1) & S+(n, s, t2) onto the three same-name
+// (E, S) pairs. Seeding each of sigma2's two atoms over the whole instance
+// would count those three twice (9 in all).
+TEST_F(PaperNormalizeTest, FullPassCountsEachHomomorphismOnce) {
+  NormalizeStats stats;
+  (void)Normalize(program_->source, program_->lifted.TgdBodies(), &stats);
+  EXPECT_EQ(stats.homomorphisms, 6u);
+
+  ConcreteInstance source = program_->source;
+  NormalizeState state;
+  NormalizeStats state_stats;
+  state.Normalize(&source, program_->lifted.TgdBodies(), &state_stats);
+  EXPECT_EQ(state_stats.homomorphisms, 6u);
+}
+
 // Example 14 / Figures 7-8: three relations, two conjunctions; the two
 // groups {f1, f2, f3} (merged via shared f2) and {f4, f5}.
 TEST(NormalizeExample14Test, ReproducesFigure8) {
@@ -267,8 +289,10 @@ TEST(NormalizeEdgeTest, FactsSharingAnAnnotatedNullAreCutTogether) {
     std::vector<Conjunction> phis;
     if (with_phi) phis.push_back(phi);
 
-    NormalizeLabels labels;
-    const ConcreteInstance out = Normalize(ic, phis, nullptr, nullptr, &labels);
+    ConcreteInstance out = ic;
+    NormalizeState state;
+    state.Normalize(&out, phis);
+    EXPECT_EQ(out.facts(), Normalize(ic, phis).facts());
     EXPECT_EQ(out.size(), 4u);
     ConcreteInstance cut(&schema);
     for (const Interval iv : {Interval(11, 13), Interval(13, 14)}) {
@@ -280,11 +304,14 @@ TEST(NormalizeEdgeTest, FactsSharingAnAnnotatedNullAreCutTogether) {
     // One component holds the two N facts over [11, 14); the c2 fact is
     // not in it (the single-atom conjunction makes it a component of its
     // own, and without conjunctions it is ungrouped).
-    ASSERT_EQ(labels.comp_of.size(), 4u);
-    EXPECT_NE(labels.comp_of[0], NormalizeLabels::kUngrouped);
-    EXPECT_EQ(labels.comp_of[1], labels.comp_of[0]);
-    EXPECT_EQ(labels.comp_of[2], labels.comp_of[0]);
-    EXPECT_NE(labels.comp_of[3], labels.comp_of[0]);
+    const auto wm = state.Export(&out.facts());
+    ASSERT_TRUE(wm.has_value());
+    const std::vector<std::uint32_t>& labels = wm->labels;
+    ASSERT_EQ(labels.size(), 4u);
+    EXPECT_NE(labels[0], NormalizeState::kUngrouped);
+    EXPECT_EQ(labels[1], labels[0]);
+    EXPECT_EQ(labels[2], labels[0]);
+    EXPECT_NE(labels[3], labels[0]);
   }
 }
 

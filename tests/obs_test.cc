@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <latch>
 #include <new>
 #include <sstream>
 #include <string>
@@ -151,14 +152,20 @@ TEST(MetricsRegistry, ParallelWritersMergeDeterministically) {
 
 TEST(MetricsRegistry, ShardsAreRecycledAcrossPools) {
   Counter counter("obs_test.recycle");
-  for (int round = 0; round < 4; ++round) {
-    ParallelFor(4, 16, [&](std::size_t) { counter.Inc(); });
-  }
+  // A pool thread that runs no task leases no shard, so every round makes
+  // all four workers lease one at once: each of the four tasks waits at the
+  // latch until the others have started, which no worker can do for two.
+  const auto round = [&] {
+    std::latch all_running(4);
+    ParallelFor(4, 4, [&](std::size_t) {
+      counter.Inc();
+      all_running.arrive_and_wait();
+    });
+  };
+  for (int i = 0; i < 4; ++i) round();
   const std::size_t after_first_rounds =
       MetricsRegistry::Instance().shard_count();
-  for (int round = 0; round < 4; ++round) {
-    ParallelFor(4, 16, [&](std::size_t) { counter.Inc(); });
-  }
+  for (int i = 0; i < 4; ++i) round();
   // Exited pool threads return their shards to the free list, so repeated
   // pools reuse them instead of growing the shard set without bound.
   EXPECT_EQ(MetricsRegistry::Instance().shard_count(), after_first_rounds);
