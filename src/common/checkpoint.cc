@@ -21,16 +21,6 @@ std::uint64_t FingerprintText(std::string_view text) {
   return h;
 }
 
-void CaptureUniverseNulls(const Universe& universe,
-                          ChaseCheckpoint* checkpoint) {
-  checkpoint->next_null = universe.null_count();
-  checkpoint->null_names.clear();
-  checkpoint->null_names.reserve(checkpoint->next_null);
-  for (NullId id = 0; id < checkpoint->next_null; ++id) {
-    checkpoint->null_names.emplace_back(universe.NullName(id));
-  }
-}
-
 namespace {
 
 struct CheckpointMetrics {

@@ -1,6 +1,7 @@
-// Checkpoint/resume for the chase engines.
+// Checkpoint/resume for the c-chase (core/cchase.h), the engine tdx runs on
+// concrete instances and the only one that checkpoints.
 //
-// Every engine run is deterministic: tgds fire in declaration order with
+// The c-chase is deterministic: tgds fire in declaration order with
 // triggers in canonical order, normalization and egd fixpoints are
 // deterministic functions of the instance, and fresh nulls are minted from a
 // counter. A checkpoint taken at a *safe point* — a phase boundary or the
@@ -8,10 +9,11 @@
 // to continue the run to a bit-identical result: the target instance
 // (including interval-annotated nulls, which the `fact` statement format
 // deliberately rejects — the checkpoint has its own durable encoding in
-// src/parser/serialize.h), the semi-naive DeltaFrontier, per-engine
-// round/phase cursors, ChaseStats, the Universe's labeled-null namespace,
-// and the consumed ResourceGuard budget so a resumed run charges against
-// the remaining allowance instead of a reset one.
+// src/parser/serialize.h), the normalized source, the semi-naive
+// DeltaFrontier, the phase and round cursors, ChaseStats, the incremental
+// normalizer's watermark, the Universe's labeled-null namespace, and the
+// consumed ResourceGuard budget so a resumed run charges against the
+// remaining allowance instead of a reset one.
 //
 // What is NOT captured: derived state. HomomorphismFinder indexes are pure
 // caches rebuilt on resume; the termination certificate is recomputed from
@@ -41,7 +43,6 @@
 #include "src/common/value.h"
 #include "src/core/normalize.h"
 #include "src/relational/chase.h"
-#include "src/temporal/abstract_instance.h"
 
 namespace tdx {
 
@@ -49,43 +50,32 @@ namespace tdx {
 /// program text it was taken under.
 std::uint64_t FingerprintText(std::string_view text);
 
-/// A resumable snapshot of one engine run at a safe point. Built by the
-/// engines (ChaseOptions::checkpointer), persisted by Checkpointer, loaded
-/// with LoadChaseCheckpoint, and fed back via ChaseOptions::resume_from.
+/// A resumable snapshot of one c-chase run at a safe point. Built by the
+/// c-chase (CChaseOptions::checkpointer), persisted by Checkpointer, loaded
+/// with LoadChaseCheckpoint, and fed back via CChaseOptions::resume_from.
 struct ChaseCheckpoint {
   /// Bumped whenever the durable encoding changes shape; ParseCheckpoint
   /// refuses every other version, so each line has exactly one layout.
-  static constexpr std::uint32_t kFormatVersion = 3;
+  static constexpr std::uint32_t kFormatVersion = 4;
 
-  enum class Engine : std::uint8_t {
-    kSnapshot = 0,  ///< relational/chase.h ChaseSnapshot
-    kCChase = 1,    ///< core/cchase.h CChase
-    kAbstract = 2,  ///< temporal/abstract_chase.h AbstractChase
-  };
-
-  Engine engine = Engine::kSnapshot;
   /// FNV-1a fingerprint of the program text the run was parsed from.
   /// Stamped by the Checkpointer; LoadChaseCheckpoint validates it.
   std::uint64_t program_fingerprint = 0;
-  /// Engine-specific execution-options fingerprint ("engine=cchase
-  /// semi-naive=1 ..."). Resume refuses a mismatch: different options walk
-  /// a different (equally correct) trajectory, breaking bit-identity.
-  /// Resource limits are deliberately NOT part of it.
+  /// Execution-options fingerprint ("engine=cchase semi-naive=1 ...").
+  /// Resume refuses a mismatch: different options walk a different (equally
+  /// correct) trajectory, breaking bit-identity. Resource limits are
+  /// deliberately NOT part of it.
   std::string config;
 
-  /// Where in the engine the safe point sits. Values per engine:
-  ///   snapshot: "init", "loop-top", "rounds"
-  ///   cchase:   "init", "st-tgd", "loop-top", "rounds"
-  ///   abstract: "pieces"
+  /// Where in the c-chase the safe point sits: "init", "st-tgd", "loop-top"
+  /// or "rounds" (see CChaseOptions::checkpointer).
   std::string phase;
-  /// Target-tgd rounds completed so far (snapshot and c-chase).
+  /// Target-tgd rounds completed so far.
   std::size_t rounds = 0;
-  /// Pieces fully chased and merged so far (abstract engine).
-  std::size_t piece_cursor = 0;
 
   ChaseStats stats;  ///< certificate is not serialized; recomputed on resume
-  NormalizeStats source_norm_stats;  ///< c-chase only
-  NormalizeStats target_norm_stats;  ///< c-chase only
+  NormalizeStats source_norm_stats;
+  NormalizeStats target_norm_stats;
   /// Budget consumed up to the safe point; seeds the resumed run's guard.
   ResourceLedger consumed;
 
@@ -94,11 +84,11 @@ struct ChaseCheckpoint {
   NullId next_null = 0;
   std::vector<std::string> null_names;
 
-  /// Semi-naive frontier state (snapshot and c-chase "rounds"/"loop-top").
+  /// Semi-naive frontier state (meaningful at "loop-top" and "rounds").
   bool frontier_full = true;
   std::vector<std::uint32_t> frontier_marks;
 
-  /// Incremental-normalization watermark (c-chase, when the state was valid
+  /// Incremental-normalization watermark (when the state was valid
   /// at the safe point — see core/normalize_incremental.h). `norm_marks`
   /// holds per-relation prefix sizes of the last normalized output,
   /// `norm_labels` its component labels flattened in relation order
@@ -113,23 +103,17 @@ struct ChaseCheckpoint {
   std::uint32_t norm_components = 0;
   std::vector<FactRef> norm_dirty;
 
-  /// The partial target (snapshot and c-chase; absent for "init").
+  /// The partial target (from "loop-top" on).
   std::optional<Instance> target;
-  /// The normalized source (c-chase, once past "init").
+  /// The normalized source (once past "init").
   std::optional<Instance> normalized_source;
-  /// The merged result prefix (abstract engine): pieces [0, piece_cursor).
-  std::vector<AbstractPiece> pieces;
 };
 
-/// Fills `checkpoint`'s null-namespace fields (next_null, null_names) from
-/// `universe`. Engines call this while building a checkpoint.
-void CaptureUniverseNulls(const Universe& universe,
-                          ChaseCheckpoint* checkpoint);
-
 /// Decides which safe points to persist and writes them durably. One
-/// Checkpointer serves one engine run; engines call AtSafePoint at every
-/// safe point and the checkpointer applies the cadence: phase boundaries
-/// always write, round-level points write every `every_rounds`-th offer.
+/// Checkpointer serves one c-chase run; the c-chase calls AtSafePoint at
+/// every safe point and the checkpointer applies the cadence: phase
+/// boundaries always write, round-level points write every
+/// `every_rounds`-th offer.
 ///
 /// Writes are atomic (temp file + rename) and best-effort: a write failure
 /// is recorded in last_error() and the chase continues — losing a
@@ -176,7 +160,7 @@ class Checkpointer {
 
   using BuildFn = std::function<ChaseCheckpoint()>;
 
-  /// Called by engines at every safe point. `build` is only invoked when
+  /// Called by the c-chase at every safe point. `build` is only invoked when
   /// the cadence says this point persists (building a checkpoint copies the
   /// target instance — the cadence exists to amortize that). Returns true
   /// if a checkpoint was persisted.
@@ -218,8 +202,9 @@ Status SaveChaseCheckpoint(const ChaseCheckpoint& checkpoint,
 /// fingerprint must match `program_text` (the caller re-parses the same
 /// program to rebuild the symbol table; `schema` and `universe` are the
 /// re-parsed program's). Constants in the checkpoint are re-interned into
-/// `universe`. The caller still passes the result to an engine via
-/// resume_from, which restores the null namespace and validates the config.
+/// `universe`. The caller still passes the result to the c-chase via
+/// CChaseOptions::resume_from, which restores the null namespace and
+/// validates the config.
 Result<ChaseCheckpoint> LoadChaseCheckpoint(const std::string& path,
                                             std::string_view program_text,
                                             const Schema* schema,

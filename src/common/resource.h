@@ -32,6 +32,7 @@
 #ifndef TDX_COMMON_RESOURCE_H_
 #define TDX_COMMON_RESOURCE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <chrono>
@@ -144,8 +145,9 @@ class FaultRegistry {
 
 /// Every named fault site compiled into the engines, for harnesses that
 /// sweep the whole surface (tests/chaos_resume_test.cc and the CI
-/// chaos-resume job). Keep in sync when adding a TDX_FAULT_POINT,
-/// PokeFault, or FaultRegistry::Fire call site.
+/// chaos-resume job, which extracts the quoted names below). Keep in sync
+/// when adding a TDX_FAULT_POINT, PokeFault, or FaultRegistry::Fire call
+/// site, one quoted name per line.
 inline constexpr std::string_view kRegisteredFaultSites[] = {
     "parser/statement",
     "chase/tgd-phase",
@@ -159,7 +161,6 @@ inline constexpr std::string_view kRegisteredFaultSites[] = {
     "normalize/incremental",
     "naive-eval/normalize",
     "thread-pool/dispatch",
-    "abstract-chase/merge",
 };
 
 /// RAII arm/disarm for tests: the fault is disarmed when the scope exits.
@@ -220,11 +221,15 @@ class ResourceGuard {
   /// exactly once per run.
   ~ResourceGuard();
 
+  /// Deadline arithmetic saturates: a negative prior consumption counts as
+  /// none, and a deadline beyond what the steady clock can represent from
+  /// now lands on its last representable instant instead of overflowing.
   ResourceGuard(const ChaseLimits& limits, const ResourceLedger& consumed)
       : limits_(limits),
         unlimited_(limits.Unlimited()),
         start_(std::chrono::steady_clock::now()),
-        prior_elapsed_(consumed.elapsed),
+        prior_elapsed_(
+            std::max(consumed.elapsed, std::chrono::milliseconds::zero())),
         seed_(consumed),
         tgd_fires_(consumed.tgd_fires),
         egd_steps_(consumed.egd_steps),
@@ -238,7 +243,12 @@ class ResourceGuard {
                  std::to_string(limits_.deadline->count()) +
                  "ms already consumed before resume");
       } else {
-        deadline_ = start_ + (*limits_.deadline - prior_elapsed_);
+        // Both operands are non-negative here, so the difference cannot
+        // overflow; the clamp keeps the conversion to clock ticks in range.
+        const auto headroom = std::chrono::floor<std::chrono::milliseconds>(
+            std::chrono::steady_clock::time_point::max() - start_);
+        deadline_ = start_ + std::min(*limits_.deadline - prior_elapsed_,
+                                      headroom);
       }
     }
   }
@@ -258,9 +268,11 @@ class ResourceGuard {
     ledger.fresh_nulls = fresh_nulls_;
     ledger.facts = facts_;
     ledger.fragments = fragments_;
-    ledger.elapsed =
-        prior_elapsed_ + std::chrono::duration_cast<std::chrono::milliseconds>(
-                             now - start_);
+    const auto run =
+        std::chrono::duration_cast<std::chrono::milliseconds>(now - start_);
+    ledger.elapsed = prior_elapsed_ > std::chrono::milliseconds::max() - run
+                         ? std::chrono::milliseconds::max()
+                         : prior_elapsed_ + run;
     return ledger;
   }
 

@@ -76,16 +76,14 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   config += options.coalesce_result ? '1' : '0';
   CChaseOutcome outcome(ConcreteInstance(&source.schema()),
                         ConcreteInstance(&source.schema()));
-  // One guard governs all four phases; any trip unwinds to here and is
-  // reported as kAborted with whatever stats accrued.
-  ChaseRun run(options.limits, resume);
-  TDX_RETURN_IF_ERROR(run.Begin(lifted, source.schema(),
-                                ChaseCheckpoint::Engine::kCChase, config,
-                                options.scheduled, options.jobs,
-                                &outcome.stats, universe));
   const std::string start_phase =
       resume != nullptr ? resume->phase : std::string("init");
   if (resume != nullptr) {
+    if (resume->config != config) {
+      return Status::InvalidArgument(
+          "checkpoint was written under different execution options (\"" +
+          resume->config + "\" vs \"" + config + "\")");
+    }
     if (start_phase != "init" && start_phase != "st-tgd" &&
         start_phase != "loop-top" && start_phase != "rounds") {
       return Status::InvalidArgument("unknown c-chase checkpoint phase '" +
@@ -100,9 +98,18 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       return Status::InvalidArgument(
           "c-chase checkpoint is missing its target instance");
     }
+    outcome.stats = resume->stats;
     outcome.source_norm_stats = resume->source_norm_stats;
     outcome.target_norm_stats = resume->target_norm_stats;
+    universe->RestoreNullState(resume->next_null, resume->null_names);
   }
+  // One guard governs all four phases; any trip unwinds to here and is
+  // reported as kAborted with whatever stats accrued. A resumed run's guard
+  // starts charged with the interrupted run's consumption.
+  ChaseRun run(ChaseEngine::kCChase, options.limits,
+               resume != nullptr ? resume->consumed : ResourceLedger{});
+  TDX_RETURN_IF_ERROR(run.Begin(lifted, source.schema(), options.scheduled,
+                                options.jobs, &outcome.stats));
   ResourceGuard& guard = run.guard;
   const auto aborted = [&]() {
     outcome.kind = ChaseResultKind::kAborted;
@@ -118,8 +125,8 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   std::size_t rounds = resume != nullptr ? resume->rounds : 0;
   // The stats above reflect the resume restore, so the scope's exit-time
   // deltas cover only this run's own work.
-  ChaseRunScope run_metrics(ChaseCheckpoint::Engine::kCChase, &outcome.stats,
-                            &rounds, &outcome.kind);
+  ChaseRunScope run_metrics(ChaseEngine::kCChase, &outcome.stats, &rounds,
+                            &outcome.kind);
   DeltaFrontier frontier;
   // Target-normalization state (declared before the checkpoint lambda so
   // its watermark can be captured at safe points). Its watermark stays
@@ -134,8 +141,19 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
                                     const Instance* target_now) {
     if (options.checkpointer == nullptr) return;
     options.checkpointer->AtSafePoint(boundary, [&]() {
-      ChaseCheckpoint ck =
-          run.Capture(phase, rounds, outcome.stats, *universe, frontier);
+      ChaseCheckpoint ck;
+      ck.config = config;
+      ck.phase = phase;
+      ck.rounds = rounds;
+      ck.stats = outcome.stats;
+      ck.consumed = guard.Consumed();
+      ck.next_null = universe->null_count();
+      ck.null_names.reserve(ck.next_null);
+      for (NullId id = 0; id < ck.next_null; ++id) {
+        ck.null_names.emplace_back(universe->NullName(id));
+      }
+      ck.frontier_full = frontier.full();
+      ck.frontier_marks = frontier.marks();
       ck.source_norm_stats = outcome.source_norm_stats;
       ck.target_norm_stats = outcome.target_norm_stats;
       if (std::string_view(phase) != "init") {

@@ -34,6 +34,11 @@
 
 namespace tdx {
 
+// Checkpoint/resume support (src/common/checkpoint.h); forward-declared so
+// the options can carry the hooks without an include cycle.
+class Checkpointer;
+struct ChaseCheckpoint;
+
 struct CChaseOptions {
   /// Coalesce the final target (canonical compact form). Off by default to
   /// match the paper's Figure 9 output shape.
@@ -61,13 +66,19 @@ struct CChaseOptions {
   /// frontier is re-seeded with the full instance after every normalization
   /// step, since fragmentation rewrites existing facts.
   bool semi_naive = true;
-  /// Checkpoint/resume hooks; see ChaseOptions for the contract. Safe
-  /// points: "init" (nothing run), "st-tgd" (source normalized), "loop-top"
-  /// (target materialized, next step normalizes it), "rounds" (between two
-  /// fired target-tgd rounds). Normalization passes and egd fixpoints are
-  /// atomic between safe points — a kill inside one redoes the whole phase
-  /// identically on resume.
+  /// When set, the c-chase offers a checkpoint at every safe point and the
+  /// checkpointer decides which to persist. Safe points: "init" (nothing
+  /// run), "st-tgd" (source normalized), "loop-top" (target materialized,
+  /// next step normalizes it), "rounds" (between two fired target-tgd
+  /// rounds). Normalization passes and egd fixpoints are atomic between
+  /// safe points — a kill inside one redoes the whole phase identically on
+  /// resume. Not owned; may be null.
   Checkpointer* checkpointer = nullptr;
+  /// When set, the c-chase restores the checkpointed state and continues
+  /// from its safe point instead of starting fresh. The checkpoint must have
+  /// been written under the same execution options (validated); limits may
+  /// differ — raising the budget is the intended recovery path. Not owned;
+  /// must outlive the call. May be null.
   const ChaseCheckpoint* resume_from = nullptr;
   /// Consult the chase planner's schedule (see ChaseOptions::scheduled):
   /// skip dead rules, provably no-op egd fixpoints and provably no-op

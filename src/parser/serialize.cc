@@ -196,26 +196,6 @@ Result<std::string> SerializeProgram(const ParsedProgram& program) {
 
 namespace {
 
-std::string_view EngineName(ChaseCheckpoint::Engine engine) {
-  switch (engine) {
-    case ChaseCheckpoint::Engine::kSnapshot:
-      return "snapshot";
-    case ChaseCheckpoint::Engine::kCChase:
-      return "cchase";
-    case ChaseCheckpoint::Engine::kAbstract:
-      return "abstract";
-  }
-  return "?";
-}
-
-bool EngineFromName(std::string_view name, ChaseCheckpoint::Engine* out) {
-  if (name == "snapshot") *out = ChaseCheckpoint::Engine::kSnapshot;
-  else if (name == "cchase") *out = ChaseCheckpoint::Engine::kCChase;
-  else if (name == "abstract") *out = ChaseCheckpoint::Engine::kAbstract;
-  else return false;
-  return true;
-}
-
 std::string EscapeCheckpointString(std::string_view s) {
   std::string out;
   out.reserve(s.size());
@@ -299,6 +279,12 @@ struct TokenCursor {
     if (ec != std::errc() || ptr == s.data()) return false;
     s.remove_prefix(static_cast<std::size_t>(ptr - s.data()));
     return true;
+  }
+  /// A count of entries that follow on this line, each at least
+  /// `entry_bytes` long. A count the rest of the line cannot hold is
+  /// refused here, before anything is sized from it.
+  bool Count(std::uint64_t* out, std::size_t entry_bytes) {
+    return Uint(out) && *out <= s.size() / entry_bytes;
   }
   bool Hex(std::uint64_t* out) {
     SkipSpaces();
@@ -460,14 +446,10 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
   }
   std::string out = "tdxckpt v" +
                     std::to_string(ChaseCheckpoint::kFormatVersion) + "\n";
-  out += "engine ";
-  out += EngineName(checkpoint.engine);
-  out += "\n";
   out += "fingerprint " + Hex16(checkpoint.program_fingerprint) + "\n";
   out += "config " + checkpoint.config + "\n";
   out += "phase " + checkpoint.phase + "\n";
   out += "rounds " + std::to_string(checkpoint.rounds) + "\n";
-  out += "piece-cursor " + std::to_string(checkpoint.piece_cursor) + "\n";
   out += "stats " + std::to_string(checkpoint.stats.tgd_triggers) + " " +
          std::to_string(checkpoint.stats.tgd_fires) + " " +
          std::to_string(checkpoint.stats.egd_steps) + " " +
@@ -537,11 +519,6 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
            std::to_string(checkpoint.normalized_source->size()) + "\n";
     AppendFactLines(&out, *checkpoint.normalized_source, u);
   }
-  for (const AbstractPiece& piece : checkpoint.pieces) {
-    out += "piece " + IntervalToken(piece.span) + " " +
-           std::to_string(piece.snapshot.size()) + "\n";
-    AppendFactLines(&out, piece.snapshot, u);
-  }
   out += "end " + Hex16(FingerprintText(out)) + "\n";
   return out;
 }
@@ -577,10 +554,6 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
                      std::to_string(version));
   }
   c = TokenCursor{reader.Next()};
-  if (!c.Eat("engine ") || !EngineFromName(c.Word(), &ck.engine)) {
-    return Malformed("malformed engine line");
-  }
-  c = TokenCursor{reader.Next()};
   if (!c.Eat("fingerprint ") || !c.Hex(&ck.program_fingerprint)) {
     return Malformed("malformed fingerprint line");
   }
@@ -594,11 +567,6 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
   c = TokenCursor{reader.Next()};
   if (!c.Eat("rounds ") || !c.Uint(&n)) return Malformed("malformed rounds");
   ck.rounds = static_cast<std::size_t>(n);
-  c = TokenCursor{reader.Next()};
-  if (!c.Eat("piece-cursor ") || !c.Uint(&n)) {
-    return Malformed("malformed piece-cursor");
-  }
-  ck.piece_cursor = static_cast<std::size_t>(n);
   // A counter line: its head, then exactly `count` unsigned fields.
   const auto parse_counts = [&reader](const char* head, std::uint64_t* v,
                                       std::size_t count) -> Status {
@@ -649,11 +617,20 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
     ck.consumed.fresh_nulls = static_cast<std::size_t>(v[2]);
     ck.consumed.facts = static_cast<std::size_t>(v[3]);
     ck.consumed.fragments = static_cast<std::size_t>(v[4]);
+    if (v[5] > static_cast<std::uint64_t>(
+                   std::chrono::milliseconds::max().count())) {
+      return Malformed("consumed elapsed time out of range");
+    }
     ck.consumed.elapsed =
         std::chrono::milliseconds(static_cast<std::int64_t>(v[5]));
   }
+  // The null table follows on lines of at least `null N ""\n`.
+  constexpr std::size_t kMinNullLine = 10;
   c = TokenCursor{reader.Next()};
-  if (!c.Eat("nulls ") || !c.Uint(&n)) return Malformed("malformed nulls");
+  if (!c.Eat("nulls ") || !c.Uint(&n) ||
+      n > reader.body.size() / kMinNullLine) {
+    return Malformed("malformed nulls");
+  }
   ck.next_null = n;
   ck.null_names.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t id = 0; id < n; ++id) {
@@ -673,7 +650,7 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
   } else if (c.Eat("marks")) {
     ck.frontier_full = false;
     std::uint64_t count = 0;
-    if (!c.Uint(&count)) return Malformed("malformed frontier marks");
+    if (!c.Count(&count, 2)) return Malformed("malformed frontier marks");
     ck.frontier_marks.reserve(static_cast<std::size_t>(count));
     for (std::uint64_t k = 0; k < count; ++k) {
       std::uint64_t m = 0;
@@ -708,7 +685,7 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
       ck.norm_state_valid = true;
       ck.norm_components = static_cast<std::uint32_t>(n);
     } else if (c.Eat("norm-marks ")) {
-      if (!c.Uint(&n)) return Malformed("malformed norm-marks line");
+      if (!c.Count(&n, 2)) return Malformed("malformed norm-marks line");
       ck.norm_marks.reserve(static_cast<std::size_t>(n));
       for (std::uint64_t k = 0; k < n; ++k) {
         std::uint64_t m = 0;
@@ -718,7 +695,7 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
         ck.norm_marks.push_back(static_cast<std::uint32_t>(m));
       }
     } else if (c.Eat("norm-labels ")) {
-      if (!c.Uint(&n)) return Malformed("malformed norm-labels line");
+      if (!c.Count(&n, 2)) return Malformed("malformed norm-labels line");
       ck.norm_labels.reserve(static_cast<std::size_t>(n));
       for (std::uint64_t k = 0; k < n; ++k) {
         std::uint64_t l = 0;
@@ -728,7 +705,7 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
         ck.norm_labels.push_back(static_cast<std::uint32_t>(l));
       }
     } else if (c.Eat("norm-dirty ")) {
-      if (!c.Uint(&n)) return Malformed("malformed norm-dirty line");
+      if (!c.Count(&n, 4)) return Malformed("malformed norm-dirty line");
       ck.norm_dirty.reserve(static_cast<std::size_t>(n));
       for (std::uint64_t k = 0; k < n; ++k) {
         std::uint64_t rel = 0;
@@ -741,13 +718,6 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
         ck.norm_dirty.push_back(FactRef{static_cast<RelationId>(rel),
                                         static_cast<std::uint32_t>(pos)});
       }
-    } else if (c.Eat("piece ")) {
-      TDX_ASSIGN_OR_RETURN(Interval span, ParseIntervalToken(&c));
-      if (!c.Uint(&n)) return Malformed("malformed piece header");
-      TDX_ASSIGN_OR_RETURN(
-          Instance inst,
-          ParseFactBlock(&reader, n, schema, universe, ck.next_null));
-      ck.pieces.push_back(AbstractPiece{span, std::move(inst)});
     } else {
       return Malformed("unexpected line in checkpoint body");
     }

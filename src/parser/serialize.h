@@ -47,8 +47,8 @@ Result<std::string> SerializeProgram(const ParsedProgram& program);
 // ---------------------------------------------------------------------------
 //
 // The `fact` statement format above deliberately rejects nulls (sources are
-// complete); a chase checkpoint is exactly a partial target full of labeled
-// and interval-annotated nulls, so it gets its own line-based durable
+// complete); a c-chase checkpoint is exactly a partial target full of
+// interval-annotated nulls, so it gets its own line-based durable
 // encoding: a version header, the cursor/stats/ledger scalars, the null
 // namespace, then instances as `fact <relation> <value>...` lines with a
 // typed value syntax (c"..." constant, n<id> labeled null,
@@ -64,8 +64,10 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
 
 /// Decodes a checkpoint: validates the version, checksum, relation names,
 /// and arities against `schema`, and re-interns constants into `universe`.
-/// Does NOT touch the universe's null namespace — the engine restores it
-/// when the checkpoint is passed via resume_from.
+/// Every count is checked against the text left to hold its entries before
+/// anything is sized from it. Does NOT touch the universe's null namespace —
+/// the c-chase restores it when the checkpoint is passed via
+/// CChaseOptions::resume_from.
 Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
                                         const Schema* schema,
                                         Universe* universe);

@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/checkpoint.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/trace.h"
 #include "src/relational/chase_run.h"
@@ -397,29 +396,14 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
   }
 }
 
-namespace {
-
-Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
-                                       const Mapping& mapping,
-                                       Universe* universe,
-                                       const ChaseOptions& options) {
+Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
+                                   const Mapping& mapping, Universe* universe,
+                                   const ChaseOptions& options) {
   TDX_TRACE_SPAN("snapshot.run");
-  const ChaseCheckpoint* resume = options.resume_from;
-  const std::string config = std::string("engine=snapshot semi-naive=") +
-                             (options.semi_naive ? "1" : "0");
   ChaseOutcome outcome(Instance(&source.schema()));
-  ChaseRun run(options.limits, resume);
-  TDX_RETURN_IF_ERROR(run.Begin(mapping, source.schema(),
-                                ChaseCheckpoint::Engine::kSnapshot, config,
-                                options.scheduled, options.jobs,
-                                &outcome.stats, universe));
-  if (resume != nullptr) {
-    if (!resume->target.has_value()) {
-      return Status::InvalidArgument(
-          "snapshot checkpoint is missing its target instance");
-    }
-    outcome.target = *resume->target;
-  }
+  ChaseRun run(ChaseEngine::kSnapshot, options.limits);
+  TDX_RETURN_IF_ERROR(run.Begin(mapping, source.schema(), options.scheduled,
+                                options.jobs, &outcome.stats));
   ResourceGuard& guard = run.guard;
   const auto aborted = [&]() {
     outcome.kind = ChaseResultKind::kAborted;
@@ -432,58 +416,21 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
   };
 
   DeltaFrontier frontier;
-  // Init-phase checkpoints carry rounds == 0, so seeding from the resume
-  // point is correct for every phase; the loop-top dispatch below re-assigns
-  // the same value.
-  std::size_t rounds = resume != nullptr ? resume->rounds : 0;
-  bool mid_rounds = false;
-  // From here on the stats reflect only this run's work (the resume restore
-  // above already happened), so the scope's exit-time deltas attribute
-  // resumed work to the run that actually did it.
-  ChaseRunScope run_metrics(ChaseCheckpoint::Engine::kSnapshot, &outcome.stats,
-                            &rounds, &outcome.kind);
-  // Offers a safe point to the checkpointer. Everything captured is the
-  // state a fresh run would hold at the same point, so resuming from the
-  // checkpoint and re-executing produces bit-identical results.
-  const auto offer_checkpoint = [&](bool boundary, const char* phase) {
-    if (options.checkpointer == nullptr) return;
-    options.checkpointer->AtSafePoint(boundary, [&]() {
-      ChaseCheckpoint ck =
-          run.Capture(phase, rounds, outcome.stats, *universe, frontier);
-      ck.target = outcome.target;
-      return ck;
-    });
-  };
+  std::size_t rounds = 0;
+  ChaseRunScope run_metrics(ChaseEngine::kSnapshot, &outcome.stats, &rounds,
+                            &outcome.kind);
 
   if (guard.tripped()) return aborted();
-  const std::string start_phase = resume != nullptr ? resume->phase : "init";
-  if (start_phase == "init") {
-    if (resume == nullptr) offer_checkpoint(true, "init");
-    if (!guard.PokeFault("chase/tgd-phase")) return aborted();
-    {
-      TDX_TRACE_SPAN("snapshot.st_tgd");
-      HomomorphismFinder source_finder(source, &outcome.stats.search);
-      HomomorphismFinder target_finder(outcome.target, &outcome.stats.search);
-      DeltaFrontier full;
-      RunTgds(source, &outcome.target, run.st_plan, &full, fresh,
-              &outcome.stats, &guard, &source_finder, &target_finder);
-    }
-    if (guard.tripped()) return aborted();
-    offer_checkpoint(true, "loop-top");
-  } else if (start_phase == "loop-top" || start_phase == "rounds") {
-    rounds = resume->rounds;
-    if (resume->frontier_full) {
-      frontier.Reset();
-    } else {
-      frontier.AdvanceTo(resume->frontier_marks);
-    }
-    // A "rounds" checkpoint sits between two fired rounds: the resumed
-    // iteration continues the inner loop with the fired flag already set.
-    mid_rounds = start_phase == "rounds";
-  } else {
-    return Status::InvalidArgument("unknown snapshot checkpoint phase '" +
-                                   start_phase + "'");
+  if (!guard.PokeFault("chase/tgd-phase")) return aborted();
+  {
+    TDX_TRACE_SPAN("snapshot.st_tgd");
+    HomomorphismFinder source_finder(source, &outcome.stats.search);
+    HomomorphismFinder target_finder(outcome.target, &outcome.stats.search);
+    DeltaFrontier full;
+    RunTgds(source, &outcome.target, run.st_plan, &full, fresh,
+            &outcome.stats, &guard, &source_finder, &target_finder);
   }
+  if (guard.tripped()) return aborted();
 
   // Interleave target-tgd rounds and egd steps to a joint fixpoint. Weak
   // acyclicity (ValidateMapping) bounds the number of fresh nulls, so this
@@ -494,8 +441,7 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
   // (generation check). The frontier resets whenever the egd fixpoint
   // rewrote anything, since rewritten facts can seed triggers the frontier
   // would otherwise never revisit. Naive rounds reset it every time and
-  // index afresh (RunTgds). The finder is derived state: on resume it is
-  // rebuilt fresh over the restored target.
+  // index afresh (RunTgds).
   HomomorphismFinder finder(outcome.target, &outcome.stats.search);
   HomomorphismFinder* round_finder = options.semi_naive ? &finder : nullptr;
   const auto run_round = [&]() {
@@ -506,8 +452,7 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
                    round_finder);
   };
   while (true) {
-    bool fired = mid_rounds;
-    mid_rounds = false;
+    bool fired = false;
     while (run_round()) {
       fired = true;
       if (guard.tripped()) return aborted();
@@ -516,7 +461,6 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
             "target-tgd chase exceeded its iteration budget; are the "
             "target tgds weakly acyclic?");
       }
-      offer_checkpoint(false, "rounds");
     }
     if (guard.tripped()) return aborted();
     const std::size_t egd_before = outcome.stats.egd_steps;
@@ -540,17 +484,8 @@ Result<ChaseOutcome> ChaseSnapshotImpl(const Instance& source,
           "chase exceeded its iteration budget; are the target tgds weakly "
           "acyclic?");
     }
-    offer_checkpoint(true, "loop-top");
   }
   return outcome;
-}
-
-}  // namespace
-
-Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
-                                   const Mapping& mapping, Universe* universe,
-                                   const ChaseOptions& options) {
-  return ChaseSnapshotImpl(source, mapping, universe, options);
 }
 
 Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
@@ -558,7 +493,7 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
                                    const ChaseLimits& limits) {
   ChaseOptions options;
   options.limits = limits;
-  return ChaseSnapshotImpl(source, mapping, universe, options);
+  return ChaseSnapshot(source, mapping, universe, options);
 }
 
 }  // namespace tdx

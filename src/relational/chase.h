@@ -34,11 +34,6 @@
 
 namespace tdx {
 
-// Checkpoint/resume support (src/common/checkpoint.h); forward-declared so
-// the options structs can carry the hooks without an include cycle.
-class Checkpointer;
-struct ChaseCheckpoint;
-
 enum class ChaseResultKind {
   kSuccess,  ///< target is a universal solution
   kFailure,  ///< an egd equated two distinct non-null values: no solution
@@ -101,16 +96,6 @@ struct ChaseOptions {
   /// sequential in declaration order regardless, so results are
   /// deterministic and jobs-independent.
   unsigned jobs = 1;
-  /// When set, the engine offers a checkpoint at every safe point (phase
-  /// boundaries and fired target-tgd rounds); the checkpointer decides which
-  /// to persist. Not owned; may be null.
-  Checkpointer* checkpointer = nullptr;
-  /// When set, the engine restores the checkpointed state and continues from
-  /// its safe point instead of starting fresh. The checkpoint must have been
-  /// written by this engine under the same execution options (validated);
-  /// limits may differ — raising the budget is the intended recovery path.
-  /// Not owned; must outlive the call. May be null.
-  const ChaseCheckpoint* resume_from = nullptr;
 };
 
 struct ChaseOutcome {

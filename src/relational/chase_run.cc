@@ -1,6 +1,7 @@
 #include "src/relational/chase_run.h"
 
 #include <numeric>
+#include <string>
 #include <utility>
 
 #include "src/analysis/planner.h"
@@ -8,42 +9,18 @@
 
 namespace tdx {
 
-ChaseRun::ChaseRun(const ChaseLimits& limits, const ChaseCheckpoint* resume)
-    : guard(limits, resume != nullptr ? resume->consumed : ResourceLedger{}),
-      resume_(resume) {}
-
 Status ChaseRun::Begin(const Mapping& mapping, const Schema& schema,
-                       ChaseCheckpoint::Engine engine,
-                       const std::string& config, bool scheduled,
-                       unsigned jobs, ChaseStats* stats, Universe* universe) {
-  const bool cchase = engine == ChaseCheckpoint::Engine::kCChase;
-  engine_ = engine;
-  config_ = config;
-  if (resume_ != nullptr) {
-    if (resume_->engine != engine) {
-      return Status::InvalidArgument(
-          std::string("checkpoint was not written by the ") +
-          (cchase ? "c-chase" : "snapshot chase") + " engine");
-    }
-    if (resume_->config != config) {
-      return Status::InvalidArgument(
-          "checkpoint was written under different execution options (\"" +
-          resume_->config + "\" vs \"" + config + "\")");
-    }
-  }
+                       bool scheduled, unsigned jobs, ChaseStats* stats) {
   TerminationCertificate certificate =
       mapping.certificate.has_value()
           ? *mapping.certificate
           : CertifyTermination(mapping.target_tgds, schema);
   if (!certificate.guarantees_termination()) {
     return Status::InvalidArgument(
-        std::string("refusing to ") + (cchase ? "c-chase" : "chase") +
+        std::string("refusing to ") +
+        (engine_ == ChaseEngine::kCChase ? "c-chase" : "chase") +
         ": target tgds are not weakly acyclic (cycle " + certificate.witness +
         "); the chase might not terminate");
-  }
-  if (resume_ != nullptr) {
-    *stats = resume_->stats;
-    universe->RestoreNullState(resume_->next_null, resume_->null_names);
   }
   stats->certificate = std::move(certificate);
 
@@ -71,23 +48,6 @@ Status ChaseRun::Begin(const Mapping& mapping, const Schema& schema,
     egds = mapping.egds;
   }
   return Status::OK();
-}
-
-ChaseCheckpoint ChaseRun::Capture(const char* phase, std::size_t rounds,
-                                  const ChaseStats& stats,
-                                  const Universe& universe,
-                                  const DeltaFrontier& frontier) const {
-  ChaseCheckpoint ck;
-  ck.engine = engine_;
-  ck.config = config_;
-  ck.phase = phase;
-  ck.rounds = rounds;
-  ck.stats = stats;
-  ck.consumed = guard.Consumed();
-  CaptureUniverseNulls(universe, &ck);
-  ck.frontier_full = frontier.full();
-  ck.frontier_marks = frontier.marks();
-  return ck;
 }
 
 struct ChaseRunScope::Metrics {
@@ -122,14 +82,13 @@ struct ChaseRunScope::Metrics {
   obs::Histogram run_us;
 };
 
-ChaseRunScope::Metrics* ChaseRunScope::MetricsFor(
-    ChaseCheckpoint::Engine engine) {
+ChaseRunScope::Metrics* ChaseRunScope::MetricsFor(ChaseEngine engine) {
   static auto* snapshot = new Metrics("snapshot", false);
   static auto* cchase = new Metrics("cchase", true);
-  return engine == ChaseCheckpoint::Engine::kCChase ? cchase : snapshot;
+  return engine == ChaseEngine::kCChase ? cchase : snapshot;
 }
 
-ChaseRunScope::ChaseRunScope(ChaseCheckpoint::Engine engine,
+ChaseRunScope::ChaseRunScope(ChaseEngine engine,
                              const ChaseStats* stats, const std::size_t* rounds,
                              const ChaseResultKind* kind)
     : metrics_(MetricsFor(engine)),

@@ -1,18 +1,17 @@
 // Run plumbing shared by the two chase engines, the snapshot chase
 // (relational/chase.h) and the c-chase (core/cchase.h): the preamble each
 // performs before its first step, and the scope that publishes a run's
-// metrics however the run ends.
+// metrics however the run ends. Checkpoint/resume is the c-chase's own.
 
 #ifndef TDX_RELATIONAL_CHASE_RUN_H_
 #define TDX_RELATIONAL_CHASE_RUN_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/analysis/schedule.h"
-#include "src/common/checkpoint.h"
 #include "src/common/resource.h"
 #include "src/common/status.h"
 #include "src/obs/metrics.h"
@@ -20,44 +19,36 @@
 
 namespace tdx {
 
+/// The engines that share this plumbing; names their refusals and metrics.
+enum class ChaseEngine : std::uint8_t { kSnapshot, kCChase };
+
 /// The state a chase run starts from, and the preamble that establishes it.
 class ChaseRun {
  public:
-  /// A fresh guard over `limits`, or on resume one already charged with the
-  /// interrupted run's consumption.
-  ChaseRun(const ChaseLimits& limits, const ChaseCheckpoint* resume);
+  /// A guard over `limits`, already charged with `consumed` (a resumed
+  /// c-chase passes the interrupted run's consumption; a fresh run nothing).
+  ChaseRun(ChaseEngine engine, const ChaseLimits& limits,
+           const ResourceLedger& consumed = {})
+      : guard(limits, consumed), engine_(engine) {}
 
   /// The rest of the preamble, in order:
-  ///   * a resume checkpoint must have been written by `engine` under
-  ///     `config`;
   ///   * the mapping's termination certificate (derived when absent) must
   ///     guarantee termination: an uncertified set of target tgds may chase
   ///     forever, so the run is refused before doing any work;
-  ///   * on resume, `stats` and the null namespace are restored from the
-  ///     safe point;
   ///   * under `scheduled` the schedule is resolved (ScheduleFor) and the
   ///     live egds selected; the target-tgd plan follows the schedule, and
   ///     is flat without one. The st plan is one group either way.
   /// The certificate and schedule_strata in `stats` are derived state:
-  /// recomputed on every run, never taken from a checkpoint.
-  Status Begin(const Mapping& mapping, const Schema& schema,
-               ChaseCheckpoint::Engine engine, const std::string& config,
-               bool scheduled, unsigned jobs, ChaseStats* stats,
-               Universe* universe);
+  /// recomputed on every run, never taken from a checkpoint, so a resumed
+  /// run restores `stats` before calling this.
+  Status Begin(const Mapping& mapping, const Schema& schema, bool scheduled,
+               unsigned jobs, ChaseStats* stats);
 
   /// True when the schedule proves every egd-fixpoint pass a no-op (every
   /// egd is dead or effect-free).
   bool SkipsEgdFixpoint() const {
     return schedule.has_value() && !schedule->egd_fixpoint_live();
   }
-
-  /// The checkpoint fields every engine fills at a safe point: engine and
-  /// config (as given to Begin), `phase`, `rounds`, `stats`, the budget
-  /// consumed so far, the null namespace and the frontier. The engine adds
-  /// its own fields.
-  ChaseCheckpoint Capture(const char* phase, std::size_t rounds,
-                          const ChaseStats& stats, const Universe& universe,
-                          const DeltaFrontier& frontier) const;
 
   ResourceGuard guard;
   /// The schedule the run consults; empty when the run is unscheduled.
@@ -68,23 +59,22 @@ class ChaseRun {
   std::vector<Egd> egds;
 
  private:
-  const ChaseCheckpoint* resume_;
-  ChaseCheckpoint::Engine engine_ = ChaseCheckpoint::Engine::kSnapshot;
-  std::string config_;
+  ChaseEngine engine_;
 };
 
 /// Publishes a run's work to the process metrics, as bulk deltas of the
 /// ChaseStats the engine maintains anyway, so the chase interior pays
 /// nothing per trigger. Publishes when the engine returns by any path —
-/// success, chase failure, abort, or Status error. Construct it after the
-/// resume restore: the deltas then cover only this run's own work.
+/// success, chase failure, abort, or Status error. A resumed c-chase
+/// constructs it after the resume restore: the deltas then cover only this
+/// run's own work.
 ///
 /// Names are prefixed "snapshot." or "cchase." by engine; only the c-chase
 /// publishes skipped_normalize_passes. See docs/INTERNALS.md
 /// ("Observability") for the name registry.
 class ChaseRunScope {
  public:
-  ChaseRunScope(ChaseCheckpoint::Engine engine, const ChaseStats* stats,
+  ChaseRunScope(ChaseEngine engine, const ChaseStats* stats,
                 const std::size_t* rounds, const ChaseResultKind* kind);
   ~ChaseRunScope();
   ChaseRunScope(const ChaseRunScope&) = delete;
@@ -92,7 +82,7 @@ class ChaseRunScope {
 
  private:
   struct Metrics;
-  static Metrics* MetricsFor(ChaseCheckpoint::Engine engine);
+  static Metrics* MetricsFor(ChaseEngine engine);
 
   Metrics* metrics_;
   const ChaseStats* stats_;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/analysis/planner.h"
-#include "src/common/checkpoint.h"
 #include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -116,95 +115,18 @@ Result<AbstractChaseOutcome> AbstractChase(const AbstractInstance& source,
   const std::vector<AbstractPiece>& pieces = source.pieces();
   const bool parallel = options.jobs > 1 && pieces.size() > 1;
   if (parallel) parallel_runs_metric.Inc();
-  const std::string config =
-      std::string("engine=abstract semi-naive=") +
-      (options.chase.semi_naive ? "1" : "0") + " parallel=" +
-      (parallel ? "1" : "0");
-
-  // Per-piece chases never checkpoint themselves: the abstract engine's
-  // safe points sit between merged pieces, and a piece's chase is atomic.
-  ChaseOptions piece_options = options.chase;
-  piece_options.checkpointer = nullptr;
-  piece_options.resume_from = nullptr;
 
   // Plan once, up front: every piece chases the same mapping, and a
   // schedule-less mapping would make each per-piece chase re-derive the
   // schedule from scratch.
   Mapping piece_mapping = mapping;
-  if (piece_options.scheduled) {
+  if (options.chase.scheduled) {
     piece_mapping.schedule = ScheduleFor(mapping, source.schema());
   }
 
-  const ChaseCheckpoint* resume = options.resume_from;
-  std::size_t start = 0;
-  if (resume != nullptr) {
-    if (resume->engine != ChaseCheckpoint::Engine::kAbstract) {
-      return Status::InvalidArgument(
-          "checkpoint was written by a different engine");
-    }
-    if (resume->config != config) {
-      return Status::InvalidArgument(
-          "checkpoint execution options mismatch: expected \"" + config +
-          "\", checkpoint has \"" + resume->config + "\"");
-    }
-    if (resume->phase != "pieces" || resume->piece_cursor > pieces.size() ||
-        resume->pieces.size() != resume->piece_cursor) {
-      return Status::InvalidArgument(
-          "checkpoint does not match this source instance");
-    }
-    outcome.stats = resume->stats;
-    universe->RestoreNullState(resume->next_null, resume->null_names);
-    for (const AbstractPiece& merged : resume->pieces) {
-      outcome.target.AddPiece(merged.span, Instance(merged.snapshot));
-    }
-    start = resume->piece_cursor;
-  }
-
-  // The armed-fault gate for the merge seam, shared by both execution
-  // paths. When the abstract-chase/merge site fires, the run aborts before
-  // piece i is merged — exactly the state the "pieces" checkpoint after
-  // piece i-1 captured.
-  const auto merge_fault = [&](std::size_t i) -> bool {
-#ifndef TDX_DISABLE_FAULT_POINTS
-    if (FaultRegistry::AnyArmed()) {
-      Status fault = FaultRegistry::Fire("abstract-chase/merge");
-      if (!fault.ok()) {
-        outcome.kind = ChaseResultKind::kAborted;
-        outcome.failure_span = pieces[i].span;
-        outcome.abort_dimension = ResourceDimension::kInjectedFault;
-        outcome.abort_reason = fault.ToString();
-        return false;
-      }
-    }
-#else
-    (void)i;
-#endif
-    return true;
-  };
-
-  const auto offer_checkpoint = [&](std::size_t merged_count) {
-    if (options.checkpointer == nullptr) return;
-    options.checkpointer->AtSafePoint(false, [&] {
-      ChaseCheckpoint ck;
-      ck.engine = ChaseCheckpoint::Engine::kAbstract;
-      ck.config = config;
-      ck.phase = "pieces";
-      ck.piece_cursor = merged_count;
-      ck.stats = outcome.stats;
-      CaptureUniverseNulls(*universe, &ck);
-      ck.pieces.reserve(merged_count);
-      for (const AbstractPiece& merged : outcome.target.pieces()) {
-        ck.pieces.push_back(AbstractPiece{merged.span,
-                                          Instance(merged.snapshot)});
-      }
-      return ck;
-    });
-  };
-
   if (!parallel) {
     // Sequential engine: pieces chase against the shared universe in order.
-    for (std::size_t i = start; i < pieces.size(); ++i) {
-      const AbstractPiece& piece = pieces[i];
+    for (const AbstractPiece& piece : pieces) {
       if (!PieceIsComplete(piece)) {
         return Status::InvalidArgument(
             "abstract chase requires a complete source instance");
@@ -214,12 +136,10 @@ Result<AbstractChaseOutcome> AbstractChase(const AbstractInstance& source,
       TDX_ASSIGN_OR_RETURN(
           ChaseOutcome piece_outcome,
           ChaseSnapshot(piece.snapshot, piece_mapping, universe,
-                        piece_options));
-      if (!merge_fault(i)) return outcome;
+                        options.chase));
       if (!MergePiece(piece, std::move(piece_outcome), universe, &outcome)) {
         return outcome;
       }
-      offer_checkpoint(i + 1);
     }
     return outcome;
   }
@@ -233,8 +153,7 @@ Result<AbstractChaseOutcome> AbstractChase(const AbstractInstance& source,
   // in piece order, making the outcome independent of thread scheduling.
   std::vector<std::optional<Result<ChaseOutcome>>> results(pieces.size());
   std::vector<char> incomplete(pieces.size(), 0);
-  ParallelFor(options.jobs, pieces.size() - start, [&](std::size_t k) {
-    const std::size_t i = start + k;
+  ParallelFor(options.jobs, pieces.size(), [&](std::size_t i) {
     if (!PieceIsComplete(pieces[i])) {
       incomplete[i] = 1;
       return;
@@ -243,10 +162,10 @@ Result<AbstractChaseOutcome> AbstractChase(const AbstractInstance& source,
     pieces_metric.Inc();
     Universe scratch;
     results[i] = ChaseSnapshot(pieces[i].snapshot, piece_mapping, &scratch,
-                               piece_options);
+                               options.chase);
   });
   TDX_TRACE_SPAN("abstract.merge");
-  for (std::size_t i = start; i < pieces.size(); ++i) {
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
     if (incomplete[i] != 0) {
       return Status::InvalidArgument(
           "abstract chase requires a complete source instance");
@@ -254,8 +173,7 @@ Result<AbstractChaseOutcome> AbstractChase(const AbstractInstance& source,
     if (!results[i].has_value()) {
       // The pool dropped this piece's task (only the thread-pool/dispatch
       // fault site does that — a stand-in for a killed worker). Surface a
-      // clean abort with the stats of the pieces already merged; the last
-      // checkpoint resumes from exactly here.
+      // clean abort with the stats of the pieces already merged.
       outcome.kind = ChaseResultKind::kAborted;
       outcome.failure_span = pieces[i].span;
       outcome.abort_dimension = ResourceDimension::kInjectedFault;
@@ -263,11 +181,9 @@ Result<AbstractChaseOutcome> AbstractChase(const AbstractInstance& source,
       return outcome;
     }
     TDX_ASSIGN_OR_RETURN(ChaseOutcome piece_outcome, std::move(*results[i]));
-    if (!merge_fault(i)) return outcome;
     if (!MergePiece(pieces[i], std::move(piece_outcome), universe, &outcome)) {
       return outcome;
     }
-    offer_checkpoint(i + 1);
   }
   return outcome;
 }

@@ -41,14 +41,6 @@ struct AbstractChaseOptions {
   /// labeled nulls consumed mid-chase (the final target's annotated nulls
   /// are assigned in the same piece order either way).
   unsigned jobs = 1;
-  /// Checkpoint/resume hooks; see ChaseOptions for the contract. The single
-  /// safe point is "pieces": after each piece is merged (even under
-  /// parallel execution the merge is sequential in piece order, so per-piece
-  /// checkpoints are deterministic). The hooks on `chase` are ignored —
-  /// per-piece chases always run with them cleared; resuming restores the
-  /// merged prefix and re-chases only the remaining pieces.
-  Checkpointer* checkpointer = nullptr;
-  const ChaseCheckpoint* resume_from = nullptr;
 };
 
 struct AbstractChaseOutcome {

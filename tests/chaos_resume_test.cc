@@ -1,18 +1,27 @@
-// Kill-and-recover chaos harness: arm a fault site, let the engine die at
-// it, resume from the newest checkpoint, and require the final instance and
-// statistics to be bit-identical to an uninterrupted run. Every engine is
-// deterministic, so a checkpoint at a safe point plus re-execution of the
-// work lost after it must reproduce the exact same trajectory — any
-// divergence is a checkpoint bug, not noise.
+// Kill-and-recover chaos harness for the c-chase, the engine that
+// checkpoints: arm a fault site, let the chase die at it, resume from the
+// newest checkpoint, and require the final instance and statistics to be
+// bit-identical to an uninterrupted run. The c-chase is deterministic, so a
+// checkpoint at a safe point plus re-execution of the work lost after it
+// must reproduce the exact same trajectory — any divergence is a checkpoint
+// bug, not noise.
 //
 // The harness sweeps each site over increasing skip counts (the fault moves
 // later into the run each time) until the run completes without hitting the
 // site, so every dynamic occurrence of every site is exercised. The
 // in-memory checkpointer runs at cadence 1: every safe point is retained,
 // making the recovery window as tight as the engine allows.
+//
+// The last section turns the same checkpoints into hostile input: every
+// line of a real checkpoint is mutated and re-sealed, and the decoder plus
+// a resumed c-chase must answer each with a Status or an outcome.
 
+#include <chrono>
 #include <cstddef>
+#include <cstdio>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,8 +33,6 @@
 #include "src/parser/printer.h"
 #include "src/parser/serialize.h"
 #include "src/relational/chase.h"
-#include "src/temporal/abstract_chase.h"
-#include "src/temporal/abstract_instance.h"
 #include "tests/test_util.h"
 
 namespace tdx {
@@ -141,208 +148,6 @@ INSTANTIATE_TEST_SUITE_P(AllSites, CChaseChaosTest,
                          SiteTestName);
 
 // ---------------------------------------------------------------------------
-// Snapshot engine: same harness over the relational chase.
-// ---------------------------------------------------------------------------
-
-class SnapshotChaosTest : public ::testing::TestWithParam<const char*> {
- protected:
-  void TearDown() override { FaultRegistry::DisarmAll(); }
-
-  static EmploymentConfig Config() {
-    EmploymentConfig cfg;
-    cfg.num_people = 10;
-    cfg.num_companies = 3;
-    cfg.seed = 7;
-    return cfg;
-  }
-};
-
-TEST_P(SnapshotChaosTest, KillResumeIsBitIdentical) {
-  const char* site = GetParam();
-
-  // Baseline: chase the first piece's snapshot uninterrupted.
-  auto base_w = MakeEmploymentWorkload(Config());
-  auto base_ia = AbstractInstance::FromConcrete(base_w->source);
-  ASSERT_TRUE(base_ia.ok()) << base_ia.status();
-  ASSERT_FALSE(base_ia->pieces().empty());
-  auto base_outcome = ChaseSnapshot(base_ia->pieces()[0].snapshot,
-                                    base_w->mapping, &base_w->universe);
-  ASSERT_TRUE(base_outcome.ok()) << base_outcome.status();
-  ASSERT_EQ(base_outcome->kind, ChaseResultKind::kSuccess);
-  const std::string baseline =
-      RenderInstanceTables(base_outcome->target, base_w->universe);
-
-  std::size_t kills = 0;
-  for (std::size_t skip = 0; skip < kMaxSkip; ++skip) {
-    auto w = MakeEmploymentWorkload(Config());
-    auto ia = AbstractInstance::FromConcrete(w->source);
-    ASSERT_TRUE(ia.ok()) << ia.status();
-    Checkpointer checkpointer("", &w->schema, &w->universe);
-    checkpointer.set_cadence(1);
-    checkpointer.set_max_overhead(0);
-    ChaseOptions options;
-    options.checkpointer = &checkpointer;
-
-    bool killed = false;
-    {
-      ScopedFault fault(site, Injected(), skip);
-      auto outcome = ChaseSnapshot(ia->pieces()[0].snapshot, w->mapping,
-                                   &w->universe, options);
-      ASSERT_TRUE(outcome.ok()) << outcome.status();
-      if (outcome->kind == ChaseResultKind::kSuccess) {
-        EXPECT_EQ(RenderInstanceTables(outcome->target, w->universe),
-                  baseline);
-        break;
-      }
-      ASSERT_EQ(outcome->kind, ChaseResultKind::kAborted);
-      EXPECT_EQ(outcome->abort_dimension, ResourceDimension::kInjectedFault);
-      killed = true;
-    }
-    if (!killed) break;
-    ++kills;
-
-    ChaseOptions resume_options;
-    resume_options.resume_from = checkpointer.latest().has_value()
-                                     ? &*checkpointer.latest()
-                                     : nullptr;
-    auto resumed = ChaseSnapshot(ia->pieces()[0].snapshot, w->mapping,
-                                 &w->universe, resume_options);
-    ASSERT_TRUE(resumed.ok()) << resumed.status();
-    ASSERT_EQ(resumed->kind, ChaseResultKind::kSuccess);
-    EXPECT_EQ(RenderInstanceTables(resumed->target, w->universe), baseline)
-        << "divergence after kill at " << site << "@" << skip;
-  }
-  EXPECT_GT(kills, 0u) << "site " << site << " was never reached";
-}
-
-INSTANTIATE_TEST_SUITE_P(AllSites, SnapshotChaosTest,
-                         ::testing::Values("chase/tgd-phase",
-                                           "chase/egd-fixpoint"),
-                         SiteTestName);
-
-// ---------------------------------------------------------------------------
-// Abstract engine: per-piece checkpoints, sequential and parallel.
-// ---------------------------------------------------------------------------
-
-class AbstractChaosTest : public ::testing::Test {
- protected:
-  void TearDown() override { FaultRegistry::DisarmAll(); }
-
-  static EmploymentConfig Config() {
-    EmploymentConfig cfg;
-    cfg.num_people = 8;
-    cfg.num_companies = 3;
-    cfg.seed = 11;
-    return cfg;
-  }
-
-  struct Baseline {
-    std::string rendered;
-    ChaseStats stats;
-  };
-
-  static Baseline RunBaseline(unsigned jobs) {
-    auto w = MakeEmploymentWorkload(Config());
-    auto ia = AbstractInstance::FromConcrete(w->source);
-    EXPECT_TRUE(ia.ok()) << ia.status();
-    AbstractChaseOptions options;
-    options.jobs = jobs;
-    auto outcome = AbstractChase(*ia, w->mapping, &w->universe, options);
-    EXPECT_TRUE(outcome.ok()) << outcome.status();
-    EXPECT_EQ(outcome->kind, ChaseResultKind::kSuccess);
-    return {RenderAbstractInstance(outcome->target, w->universe),
-            outcome->stats};
-  }
-};
-
-TEST_F(AbstractChaosTest, SequentialMergeKillResumeIsBitIdentical) {
-  const Baseline baseline = RunBaseline(1);
-
-  std::size_t kills = 0;
-  for (std::size_t skip = 0; skip < kMaxSkip; ++skip) {
-    auto w = MakeEmploymentWorkload(Config());
-    auto ia = AbstractInstance::FromConcrete(w->source);
-    ASSERT_TRUE(ia.ok()) << ia.status();
-    Checkpointer checkpointer("", &w->schema, &w->universe);
-    checkpointer.set_cadence(1);
-    checkpointer.set_max_overhead(0);
-    AbstractChaseOptions options;
-    options.checkpointer = &checkpointer;
-
-    bool killed = false;
-    {
-      ScopedFault fault("abstract-chase/merge", Injected(), skip);
-      auto outcome = AbstractChase(*ia, w->mapping, &w->universe, options);
-      ASSERT_TRUE(outcome.ok()) << outcome.status();
-      if (outcome->kind == ChaseResultKind::kSuccess) {
-        EXPECT_EQ(RenderAbstractInstance(outcome->target, w->universe),
-                  baseline.rendered);
-        break;
-      }
-      ASSERT_EQ(outcome->kind, ChaseResultKind::kAborted);
-      EXPECT_EQ(outcome->abort_dimension, ResourceDimension::kInjectedFault);
-      EXPECT_TRUE(outcome->failure_span.has_value());
-      killed = true;
-    }
-    if (!killed) break;
-    ++kills;
-
-    AbstractChaseOptions resume_options;
-    resume_options.resume_from = checkpointer.latest().has_value()
-                                     ? &*checkpointer.latest()
-                                     : nullptr;
-    auto resumed =
-        AbstractChase(*ia, w->mapping, &w->universe, resume_options);
-    ASSERT_TRUE(resumed.ok()) << resumed.status();
-    ASSERT_EQ(resumed->kind, ChaseResultKind::kSuccess);
-    EXPECT_EQ(RenderAbstractInstance(resumed->target, w->universe),
-              baseline.rendered)
-        << "divergence after kill at abstract-chase/merge@" << skip;
-    ExpectSameStats(resumed->stats, baseline.stats);
-  }
-  EXPECT_GT(kills, 0u);
-}
-
-TEST_F(AbstractChaosTest, ParallelDispatchDropResumesBitIdentical) {
-  const Baseline baseline = RunBaseline(4);
-
-  auto w = MakeEmploymentWorkload(Config());
-  auto ia = AbstractInstance::FromConcrete(w->source);
-  ASSERT_TRUE(ia.ok()) << ia.status();
-  ASSERT_GT(ia->pieces().size(), 1u);
-  Checkpointer checkpointer("", &w->schema, &w->universe);
-  checkpointer.set_cadence(1);
-  checkpointer.set_max_overhead(0);
-  AbstractChaseOptions options;
-  options.jobs = 4;
-  options.checkpointer = &checkpointer;
-
-  {
-    // Drop one pool task mid-fan-out: the engine must surface a clean abort
-    // with the stats of the pieces merged before the hole, never touch the
-    // unfilled slot, and leak nothing (ASan/TSan-checked in CI).
-    ScopedFault fault("thread-pool/dispatch", Injected());
-    auto outcome = AbstractChase(*ia, w->mapping, &w->universe, options);
-    ASSERT_TRUE(outcome.ok()) << outcome.status();
-    ASSERT_EQ(outcome->kind, ChaseResultKind::kAborted);
-    EXPECT_EQ(outcome->abort_dimension, ResourceDimension::kInjectedFault);
-    EXPECT_TRUE(outcome->failure_span.has_value());
-  }
-
-  AbstractChaseOptions resume_options;
-  resume_options.jobs = 4;
-  resume_options.resume_from = checkpointer.latest().has_value()
-                                   ? &*checkpointer.latest()
-                                   : nullptr;
-  auto resumed = AbstractChase(*ia, w->mapping, &w->universe, resume_options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  ASSERT_EQ(resumed->kind, ChaseResultKind::kSuccess);
-  EXPECT_EQ(RenderAbstractInstance(resumed->target, w->universe),
-            baseline.rendered);
-  ExpectSameStats(resumed->stats, baseline.stats);
-}
-
-// ---------------------------------------------------------------------------
 // C-chase: a kill right after an egd rewrite. The loop-top checkpoint that
 // follows a light egd merge carries the rewritten rows as dirty rows of the
 // normalization watermark, so the resumed run takes the same incremental
@@ -426,12 +231,15 @@ void ExpectDirtyRowKillsResumeIdentically(const Make& make,
   EXPECT_EQ(dirty_kills, want_dirty_kills);
 }
 
+// A cascade small enough to sweep, with one light egd rewrite per stage.
+constexpr CascadeConfig kDirtyRowCascade{
+    .stages = 4, .ballast_keys = 3, .ballast_dup = 2, .horizon = 4};
+
 TEST(CChaseDirtyRowResumeTest, CascadeKillAfterEgdRewriteResumesIdentically) {
   // One loop top per stage follows a light egd rewrite.
-  const CascadeConfig cfg{
-      .stages = 4, .ballast_keys = 3, .ballast_dup = 2, .horizon = 4};
   ExpectDirtyRowKillsResumeIdentically(
-      [&] { return MakeCascadeWorkload(cfg); }, cfg.stages);
+      [] { return MakeCascadeWorkload(kDirtyRowCascade); },
+      kDirtyRowCascade.stages);
 }
 
 TEST(CChaseDirtyRowResumeTest, RewriteThatRegroupsResumesIdentically) {
@@ -516,6 +324,127 @@ TEST(BudgetResumeTest, ResumedRunChargesRemainingBudget) {
   EXPECT_EQ(RenderConcreteInstance(recovered->target, program->universe),
             RenderConcreteInstance(full->target, unrestricted->universe));
   EXPECT_EQ(recovered->stats.tgd_fires, full->stats.tgd_fires);
+}
+
+// ---------------------------------------------------------------------------
+// Decoder robustness: a mutation sweep over a real checkpoint. Every line of
+// a c-chase checkpoint that carries a frontier, a watermark and dirty rows
+// is dropped, duplicated, truncated at each token, and has each numeral
+// replaced by a boundary value; the checksum is re-sealed after each edit,
+// since FNV-1a guards against torn files, not against a hostile writer.
+// Every mutant must parse to a Status, or parse and resume the c-chase to a
+// Status or an outcome — never a crash, an unchecked allocation, or UB.
+// ---------------------------------------------------------------------------
+
+// The newest checkpoint of a cascade run killed at the first loop top whose
+// checkpoint carries dirty rows, serialized.
+std::string DirtyRowCheckpointText() {
+  for (std::size_t skip = 0; skip < kMaxSkip; ++skip) {
+    auto w = MakeCascadeWorkload(kDirtyRowCascade);
+    Checkpointer checkpointer("", &w->schema, &w->universe);
+    checkpointer.set_cadence(1);
+    checkpointer.set_max_overhead(0);
+    CChaseOptions options;
+    options.checkpointer = &checkpointer;
+    {
+      ScopedFault fault("cchase/normalize-target", Injected(), skip);
+      auto outcome = CChase(w->source, w->lifted, &w->universe, options);
+      EXPECT_TRUE(outcome.ok()) << outcome.status();
+      if (!outcome.ok() || outcome->kind == ChaseResultKind::kSuccess) break;
+    }
+    if (!checkpointer.latest().has_value() ||
+        checkpointer.latest()->norm_dirty.empty()) {
+      continue;
+    }
+    auto text =
+        SerializeCheckpoint(*checkpointer.latest(), w->schema, w->universe);
+    EXPECT_TRUE(text.ok()) << text.status();
+    return text.ok() ? *text : std::string();
+  }
+  ADD_FAILURE() << "no checkpoint with dirty rows";
+  return std::string();
+}
+
+// `lines` joined into a checkpoint body and sealed with a fresh end line.
+std::string Reseal(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  char checksum[17];
+  std::snprintf(checksum, sizeof(checksum), "%016llx",
+                static_cast<unsigned long long>(FingerprintText(text)));
+  return text + "end " + checksum + "\n";
+}
+
+// The deterministic mutants of `text`, each re-sealed.
+std::vector<std::string> Mutants(std::string_view text) {
+  std::vector<std::string> lines;
+  while (!text.empty()) {
+    const std::size_t nl = text.find('\n');
+    lines.emplace_back(text.substr(0, nl));
+    text.remove_prefix(nl == std::string_view::npos ? text.size() : nl + 1);
+  }
+  lines.pop_back();  // the end line; Reseal writes a fresh one
+  // 0, 2^32, 2^63 (the first value past a signed 64-bit count), 2^64 - 1
+  // and 2^64 (past every unsigned field).
+  static constexpr const char* kNumerals[] = {
+      "0", "4294967296", "9223372036854775808", "18446744073709551615",
+      "18446744073709551616"};
+  std::vector<std::string> out;
+  const auto emit = [&](std::size_t i, const std::vector<std::string>& with) {
+    std::vector<std::string> mutated(lines.begin(), lines.begin() + i);
+    mutated.insert(mutated.end(), with.begin(), with.end());
+    mutated.insert(mutated.end(), lines.begin() + i + 1, lines.end());
+    out.push_back(Reseal(mutated));
+  };
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    emit(i, {});
+    emit(i, {line, line});
+    for (std::size_t pos = line.find(' '); pos != std::string::npos;
+         pos = line.find(' ', pos + 1)) {
+      emit(i, {line.substr(0, pos)});
+    }
+    for (std::size_t begin = 0; begin < line.size();) {
+      if (line[begin] < '0' || line[begin] > '9') {
+        ++begin;
+        continue;
+      }
+      std::size_t end = begin;
+      while (end < line.size() && line[end] >= '0' && line[end] <= '9') ++end;
+      for (const char* numeral : kNumerals) {
+        emit(i, {line.substr(0, begin) + numeral + line.substr(end)});
+      }
+      begin = end;
+    }
+  }
+  return out;
+}
+
+TEST(CheckpointMutationTest, EveryMutantYieldsAStatusOrAnOutcome) {
+  const std::string text = DirtyRowCheckpointText();
+  // Every line the sweep must reach: the counts the decoder sizes
+  // allocations from, and the consumed ledger the guard computes with.
+  for (const char* kind : {"\nnulls ", "\nfrontier marks ", "\nnorm-marks ",
+                           "\nnorm-labels ", "\nnorm-dirty ", "\nconsumed "}) {
+    ASSERT_NE(text.find(kind), std::string::npos) << kind;
+  }
+  std::size_t parsed = 0;
+  std::size_t resumed = 0;
+  for (const std::string& mutant : Mutants(text)) {
+    auto w = MakeCascadeWorkload(kDirtyRowCascade);
+    auto ck = ParseCheckpoint(mutant, &w->schema, &w->universe);
+    if (!ck.ok()) continue;
+    ++parsed;
+    // A deadline makes the guard do its arithmetic on the consumed ledger.
+    CChaseOptions options;
+    options.resume_from = &*ck;
+    options.limits.deadline = std::chrono::minutes(10);
+    auto outcome = CChase(w->source, w->lifted, &w->universe, options);
+    if (outcome.ok()) ++resumed;
+  }
+  // Some mutants get past the decoder, and some of those resume.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(resumed, 0u);
 }
 
 }  // namespace

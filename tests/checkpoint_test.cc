@@ -1,9 +1,9 @@
 // Checkpoint/resume mechanics: the durable encoding round-trips every field
 // (interval-annotated nulls included), the loader rejects anything it cannot
-// trust (wrong program, wrong version, torn or tampered file), the cadence
-// gates round-level safe points, and the engines refuse checkpoints written
-// under different execution options. The end-to-end kill/resume guarantees
-// live in tests/chaos_resume_test.cc.
+// trust (wrong program, wrong version, torn or tampered file, counts the
+// text cannot hold), the cadence gates round-level safe points, and the
+// c-chase refuses checkpoints written under different execution options.
+// The end-to-end kill/resume guarantees live in tests/chaos_resume_test.cc.
 
 #include "src/common/checkpoint.h"
 
@@ -76,7 +76,6 @@ TEST(CheckpointRoundTripTest, SerializeParseIsIdentity) {
   auto parsed = ParseCheckpoint(*text, &program->schema, &program->universe);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
 
-  EXPECT_EQ(parsed->engine, original.engine);
   EXPECT_EQ(parsed->program_fingerprint, original.program_fingerprint);
   EXPECT_EQ(parsed->config, original.config);
   EXPECT_EQ(parsed->phase, original.phase);
@@ -164,11 +163,11 @@ std::string TruncateStatsLine(const std::string& text, int keep) {
   return Resign(body);
 }
 
-TEST(CheckpointRoundTripTest, NormDirtyRowsRoundTripAndTornRowsAreRejected) {
-  auto program = ParseOrDie(kPaperProgram);
-  ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
-  ASSERT_TRUE(ck.target.has_value());
-  // A watermark over the whole target with its first and last rows dirty.
+// The paper run's newest checkpoint with a watermark over the whole target,
+// its first and last rows dirty.
+ChaseCheckpoint CaptureWithDirtyRows(ParsedProgram* program) {
+  ChaseCheckpoint ck = CaptureFromPaperRun(program);
+  EXPECT_TRUE(ck.target.has_value());
   ck.norm_state_valid = true;
   ck.norm_marks.clear();
   ck.norm_dirty.clear();
@@ -180,9 +179,15 @@ TEST(CheckpointRoundTripTest, NormDirtyRowsRoundTripAndTornRowsAreRejected) {
       if (n > 1) ck.norm_dirty.push_back({r, n - 1});
     }
   }
-  ASSERT_FALSE(ck.norm_dirty.empty());
+  EXPECT_FALSE(ck.norm_dirty.empty());
   ck.norm_labels.assign(ck.target->size(), NormalizeState::kUngrouped);
   ck.norm_components = 0;
+  return ck;
+}
+
+TEST(CheckpointRoundTripTest, NormDirtyRowsRoundTripAndTornRowsAreRejected) {
+  auto program = ParseOrDie(kPaperProgram);
+  ChaseCheckpoint ck = CaptureWithDirtyRows(program.get());
 
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
   ASSERT_TRUE(text.ok()) << text.status();
@@ -203,8 +208,8 @@ TEST(CheckpointRoundTripTest, NormDirtyRowsRoundTripAndTornRowsAreRejected) {
 
 TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
   // Each format version has one layout per line: the shorter stats lines
-  // of earlier revisions, and any v1 or v2 header, are parse errors, not
-  // crashes.
+  // of earlier revisions, and any v1, v2 or v3 header, are parse errors,
+  // not crashes.
   auto program = ParseOrDie(kPaperProgram);
   const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
@@ -218,8 +223,8 @@ TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
     EXPECT_NE(parsed.status().message().find("stats"), std::string::npos);
   }
 
-  ASSERT_EQ(text->rfind("tdxckpt v3\n", 0), 0u);
-  for (const std::string version : {"v1", "v2"}) {
+  ASSERT_EQ(text->rfind("tdxckpt v4\n", 0), 0u);
+  for (const std::string version : {"v1", "v2", "v3"}) {
     std::string old =
         "tdxckpt " + version + "\n" + text->substr(text->find('\n') + 1);
     old = Resign(old.substr(0, old.rfind("\nend ") + 1));
@@ -241,6 +246,76 @@ TEST(CheckpointRoundTripTest, SixFieldStatsLineIsMalformed) {
                                 &program->universe);
   ASSERT_FALSE(parsed.ok());
   EXPECT_NE(parsed.status().message().find("stats"), std::string::npos);
+}
+
+// `text` with the field after `head` on its line replaced by `field`,
+// re-signed.
+std::string WithField(const std::string& text, const std::string& head,
+                      const std::string& field) {
+  std::string body = text.substr(0, text.rfind("\nend ") + 1);
+  const std::size_t start = body.find("\n" + head + " ");
+  EXPECT_NE(start, std::string::npos) << head;
+  const std::size_t begin = start + head.size() + 2;
+  const std::size_t end = body.find_first_of(" \n", begin);
+  body.replace(begin, end - begin, field);
+  return Resign(body);
+}
+
+// A count the rest of the checkpoint cannot hold is malformed: the decoder
+// must refuse it before sizing anything from it.
+class CheckpointCountTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(CheckpointCountTest, CountBeyondTheTextIsMalformed) {
+  auto program = ParseOrDie(kPaperProgram);
+  ChaseCheckpoint ck = CaptureWithDirtyRows(program.get());
+  ck.frontier_full = false;
+  ck.frontier_marks = {1, 2};
+  auto text = SerializeCheckpoint(ck, program->schema, program->universe);
+  ASSERT_TRUE(text.ok()) << text.status();
+  auto honest = ParseCheckpoint(*text, &program->schema, &program->universe);
+  ASSERT_TRUE(honest.ok()) << honest.status();
+
+  for (const char* count : {"1000000000000000000", "18446744073709551615"}) {
+    auto parsed = ParseCheckpoint(WithField(*text, GetParam(), count),
+                                  &program->schema, &program->universe);
+    ASSERT_FALSE(parsed.ok()) << count;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LineKinds, CheckpointCountTest,
+    ::testing::Values("nulls", "frontier marks", "norm-marks", "norm-labels",
+                      "norm-dirty"),
+    [](const ::testing::TestParamInfo<const char*>& param_info) {
+      std::string name = param_info.param;
+      for (char& c : name) {
+        if (c == ' ' || c == '-') c = '_';
+      }
+      return name;
+    });
+
+TEST(CheckpointRoundTripTest, ElapsedBeyondSignedMillisecondsIsMalformed) {
+  auto program = ParseOrDie(kPaperProgram);
+  ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
+  ck.consumed = ResourceLedger{};
+  auto text = SerializeCheckpoint(ck, program->schema, program->universe);
+  ASSERT_TRUE(text.ok()) << text.status();
+  // The elapsed time is the sixth field of the consumed line.
+  const auto with_elapsed = [&](const std::string& elapsed) {
+    return WithField(*text, "consumed 0 0 0 0 0", elapsed);
+  };
+  auto largest = ParseCheckpoint(with_elapsed("9223372036854775807"),
+                                 &program->schema, &program->universe);
+  ASSERT_TRUE(largest.ok()) << largest.status();
+  EXPECT_EQ(largest->consumed.elapsed, std::chrono::milliseconds::max());
+  for (const char* elapsed : {"9223372036854775808", "9223372036854775809",
+                              "18446744073709551615"}) {
+    auto parsed = ParseCheckpoint(with_elapsed(elapsed), &program->schema,
+                                  &program->universe);
+    ASSERT_FALSE(parsed.ok()) << elapsed;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  }
 }
 
 TEST(CheckpointFileTest, SaveLoadRoundTrips) {
@@ -329,11 +404,7 @@ TEST(CheckpointerTest, CadenceGatesRoundPointsNotBoundaries) {
   checkpointer.set_cadence(3);
   checkpointer.set_max_overhead(0);
 
-  auto build = [&] {
-    ChaseCheckpoint ck;
-    ck.engine = ChaseCheckpoint::Engine::kCChase;
-    return ck;
-  };
+  auto build = [] { return ChaseCheckpoint(); };
   // Boundaries always persist.
   EXPECT_TRUE(checkpointer.AtSafePoint(true, build));
   // Round points persist on every 3rd offer only.
@@ -362,18 +433,6 @@ TEST(CheckpointerTest, WriteFailureIsRecordedNotFatal) {
   EXPECT_EQ(checkpointer.writes(), 0u);
 }
 
-TEST(CheckpointResumeValidationTest, RejectsWrongEngine) {
-  auto program = ParseOrDie(kPaperProgram);
-  ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
-  ck.engine = ChaseCheckpoint::Engine::kSnapshot;
-  CChaseOptions options;
-  options.resume_from = &ck;
-  auto outcome =
-      CChase(program->source, program->lifted, &program->universe, options);
-  EXPECT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(CheckpointResumeValidationTest, RejectsDifferentExecutionOptions) {
   auto program = ParseOrDie(kPaperProgram);
   const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
@@ -389,7 +448,7 @@ TEST(CheckpointResumeValidationTest, RejectsDifferentExecutionOptions) {
 TEST(CheckpointResumeValidationTest, RejectsUnknownPhase) {
   auto program = ParseOrDie(kPaperProgram);
   ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
-  ck.phase = "pieces";  // an abstract-engine phase
+  ck.phase = "pieces";  // no c-chase safe point
   CChaseOptions options;
   options.resume_from = &ck;
   auto outcome =

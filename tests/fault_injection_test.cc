@@ -18,7 +18,6 @@
 #include "src/core/normalize.h"
 #include "src/core/query.h"
 #include "src/parser/parser.h"
-#include "src/temporal/abstract_chase.h"
 #include "src/temporal/abstract_instance.h"
 #include "src/temporal/snapshot.h"
 #include "tests/test_util.h"
@@ -249,36 +248,20 @@ TEST_F(FaultInjectionTest, DispatchSiteDropsExactlyOneTaskPooled) {
   EXPECT_EQ(executed, ran.size() - 1);
 }
 
-TEST_F(FaultInjectionTest, AbstractMergeSiteAbortsWithPieceSpan) {
-  auto program = ParseOrDie(kPaperProgram);
-  auto ia = AbstractInstance::FromConcrete(program->source);
-  ASSERT_TRUE(ia.ok()) << ia.status();
-
-  ScopedFault fault("abstract-chase/merge", Injected());
-  auto outcome =
-      AbstractChase(*ia, program->mapping, &program->universe);
-  ASSERT_TRUE(outcome.ok()) << outcome.status();
-  EXPECT_EQ(outcome->kind, ChaseResultKind::kAborted);
-  EXPECT_EQ(outcome->abort_dimension, ResourceDimension::kInjectedFault);
-  EXPECT_TRUE(outcome->failure_span.has_value());
-}
-
 TEST_F(FaultInjectionTest, RegisteredSiteListStaysReachable) {
   // Every site in kRegisteredFaultSites must still exist in the codebase;
   // the chaos harness (tests/chaos_resume_test.cc, CI chaos-resume) sweeps
   // this list. A site renamed without updating the registry would silently
   // drop out of the sweep — pin the count and spot-check membership.
   std::size_t n = 0;
-  bool has_dispatch = false, has_merge = false, has_incremental = false;
+  bool has_dispatch = false, has_incremental = false;
   for (const std::string_view site : kRegisteredFaultSites) {
     ++n;
     if (site == "thread-pool/dispatch") has_dispatch = true;
-    if (site == "abstract-chase/merge") has_merge = true;
     if (site == "normalize/incremental") has_incremental = true;
   }
-  EXPECT_EQ(n, 13u);
+  EXPECT_EQ(n, 12u);
   EXPECT_TRUE(has_dispatch);
-  EXPECT_TRUE(has_merge);
   EXPECT_TRUE(has_incremental);
 }
 

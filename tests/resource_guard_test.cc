@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <thread>
 
 #include "src/core/cchase.h"
 #include "src/core/certain.h"
@@ -425,6 +426,48 @@ TEST(ResourceLedgerTest, ConsumedCarriesPriorElapsedForward) {
   // Even an unlimited resumed guard reports cumulative elapsed time, so a
   // chain of checkpoints never under-reports the run's true cost.
   EXPECT_GE(guard.Consumed().elapsed, std::chrono::milliseconds(5000));
+}
+
+// Deadline arithmetic saturates instead of overflowing (UBSan-checked in
+// CI): a deadline far past the steady clock's range, a prior consumption at
+// either end of the signed range, and a ledger that cannot grow further.
+TEST(ResourceLedgerTest, DeadlineBeyondTheClockRangeNeverTrips) {
+  for (const std::chrono::milliseconds deadline :
+       {std::chrono::milliseconds(10000000000000),
+        std::chrono::milliseconds::max()}) {
+    ChaseLimits limits;
+    limits.deadline = deadline;
+    ResourceGuard guard(limits, ResourceLedger{});
+    EXPECT_FALSE(guard.tripped());
+    EXPECT_TRUE(guard.CheckDeadline());
+  }
+}
+
+TEST(ResourceLedgerTest, NegativePriorElapsedCountsAsNone) {
+  ChaseLimits limits;
+  limits.deadline = std::chrono::milliseconds(1000);
+  ResourceLedger consumed;
+  consumed.elapsed =
+      std::chrono::milliseconds::min() + std::chrono::milliseconds(1);
+  ResourceGuard guard(limits, consumed);
+  EXPECT_FALSE(guard.tripped());
+  EXPECT_TRUE(guard.CheckDeadline());
+  EXPECT_GE(guard.Consumed().elapsed, std::chrono::milliseconds(0));
+}
+
+TEST(ResourceLedgerTest, ElapsedSaturatesAtTheLargestCount) {
+  ResourceLedger consumed;
+  consumed.elapsed = std::chrono::milliseconds::max();
+  ResourceGuard unlimited(ChaseLimits{}, consumed);
+  // At least a millisecond of this guard's own time lands on top.
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_EQ(unlimited.Consumed().elapsed, std::chrono::milliseconds::max());
+
+  ChaseLimits limits;
+  limits.deadline = std::chrono::milliseconds(1000);
+  ResourceGuard exhausted(limits, consumed);
+  EXPECT_TRUE(exhausted.tripped());
+  EXPECT_EQ(exhausted.dimension(), ResourceDimension::kWallClock);
 }
 
 }  // namespace

@@ -27,7 +27,9 @@
 //
 // Execution flags: --jobs=N (0 = all cores), --stats, --naive-chase,
 // --no-schedule (ignore the chase planner's schedule: run every rule and
-// every egd/normalization pass, as if the planner did not exist), and
+// every egd/normalization pass, as if the planner did not exist),
+// --no-incremental-normalize (re-run every target normalization pass from
+// scratch), --no-lint (skip the static-analysis warnings), and
 // --format=text|json (plan command only)
 //
 // Checkpointing (chase/core/resume): --checkpoint=PATH writes a resumable
@@ -116,7 +118,9 @@ int Usage() {
          "  --max-tokens=N        reject programs with more than N tokens\n"
          "  --max-nesting-depth=N reject atoms nested deeper than N\n"
          "  --no-lint             skip the static-analysis warnings pass\n"
-         "  --jobs=N              snapshot-parallel commands use N threads\n"
+         "  --jobs=N              worker threads for snapshot-parallel\n"
+         "                        commands and, in the c-chase, trigger\n"
+         "                        collection and normalization fan-out\n"
          "                        (0 = all hardware threads; default 1)\n"
          "  --stats               print chase statistics after chase/core\n"
          "  --naive-chase         disable semi-naive target-tgd rounds\n"
@@ -247,6 +251,12 @@ bool ParseFlags(int argc, char** argv, CliOptions* options,
     } else if (name == "--max-fragments") {
       options->limits.max_normalize_fragments = n;
     } else if (name == "--deadline-ms") {
+      const auto max_ms = std::chrono::milliseconds::max().count();
+      if (n > static_cast<std::size_t>(max_ms)) {
+        std::cerr << "flag '--deadline-ms' expects at most " << max_ms
+                  << ", got '" << value << "'\n";
+        return false;
+      }
       options->limits.deadline = std::chrono::milliseconds(n);
     } else if (name == "--max-input-bytes") {
       options->parse_limits.max_input_bytes = n;
@@ -594,11 +604,6 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
         positional[2], *text, &program.schema, &program.universe);
     if (!checkpoint.ok()) {
       std::cerr << checkpoint.status() << "\n";
-      return kExitError;
-    }
-    if (checkpoint->engine != tdx::ChaseCheckpoint::Engine::kCChase) {
-      std::cerr << "resume supports c-chase checkpoints only (run with "
-                   "'chase --checkpoint=...')\n";
       return kExitError;
     }
     options.resume_from = &*checkpoint;
