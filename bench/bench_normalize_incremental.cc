@@ -82,14 +82,4 @@ void BM_CascadeNormalize(benchmark::State& state) {
 }
 BENCHMARK(BM_CascadeNormalize)->Arg(0)->Arg(1);
 
-/// Incremental with parallel component fragmentation (4 workers); the
-/// output stays identical, only the fragmentation fan-out widens.
-void BM_CascadeNormalizeParallel(benchmark::State& state) {
-  tdx::CChaseOptions options;
-  options.incremental_normalize = true;
-  options.jobs = static_cast<unsigned>(state.range(0));
-  RunCascade(state, options);
-}
-BENCHMARK(BM_CascadeNormalizeParallel)->Arg(2)->Arg(4);
-
 }  // namespace

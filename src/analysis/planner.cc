@@ -384,34 +384,12 @@ PlanDetails PlanChaseDetailed(const Mapping& mapping, const Schema& schema) {
     }
   }
 
-  // ---- live rule lists and parallel groups ------------------------------
+  // ---- live rule lists ---------------------------------------------------
   for (std::size_t id = view.st; id < view.st + view.tgd; ++id) {
     if (live[id]) schedule.live_target_tgds.push_back(id - view.st);
   }
   for (std::size_t id = view.st + view.tgd; id < n; ++id) {
     if (fires(id)) schedule.live_egds.push_back(id - view.st - view.tgd);
-  }
-  // Greedy maximal runs of consecutive live target tgds (consecutive in
-  // the live list: dead rules in between never fire, so they cannot break
-  // a run) where no earlier member may feed a later member's body. Within
-  // such a run, collecting every member's triggers over the round-start
-  // instance enumerates exactly what interleaved collect-fire would: an
-  // earlier member's inserts cannot match any later member's body atoms.
-  for (const std::size_t j : schedule.live_target_tgds) {
-    bool extend = !schedule.parallel_groups.empty();
-    if (extend) {
-      for (std::size_t i : schedule.parallel_groups.back()) {
-        if (MayActivate(mapping.target_tgds[i], mapping.target_tgds[j])) {
-          extend = false;
-          break;
-        }
-      }
-    }
-    if (extend) {
-      schedule.parallel_groups.back().push_back(j);
-    } else {
-      schedule.parallel_groups.push_back({j});
-    }
   }
 
   // ---- diagnostics raw material -----------------------------------------

@@ -102,23 +102,6 @@ std::string ChaseSchedule::ToText() const {
     out += "  " + RuleDisplay(rule) + ": " + rule.skip_reason + "\n";
   }
 
-  if (!parallel_groups.empty()) {
-    out += "parallel trigger-collection groups:\n";
-    for (const std::vector<std::size_t>& group : parallel_groups) {
-      if (group.size() < 2) continue;  // singleton groups are not parallel
-      out += " ";
-      for (std::size_t index : group) {
-        for (const ScheduleRule& rule : rules) {
-          if (rule.kind == ScheduleRuleKind::kTargetTgd &&
-              rule.index == index) {
-            out += " " + RuleDisplay(rule);
-          }
-        }
-      }
-      out += "\n";
-    }
-  }
-
   if (!edges.empty()) {
     out += "justification edges:\n";
     for (const ScheduleEdge& edge : edges) {
@@ -159,19 +142,6 @@ std::string ChaseSchedule::ToJson() const {
     for (std::size_t k = 0; k < strata[s].size(); ++k) {
       if (k > 0) out += ", ";
       out += std::to_string(strata[s][k]);
-    }
-    out += "]";
-  }
-  out += "], \"parallel_groups\": [";
-  bool first_group = true;
-  for (const std::vector<std::size_t>& group : parallel_groups) {
-    if (group.size() < 2) continue;
-    if (!first_group) out += ", ";
-    first_group = false;
-    out += "[";
-    for (std::size_t k = 0; k < group.size(); ++k) {
-      if (k > 0) out += ", ";
-      out += std::to_string(group[k]);
     }
     out += "]";
   }

@@ -10,15 +10,11 @@
 // topologically ordered, is the schedule's strata.
 //
 // A ChaseSchedule is consumed by all three engines. It never changes WHAT
-// the chase computes — only which provably-no-op work is skipped and which
-// trigger collections may run concurrently:
+// the chase computes — only which provably-no-op work is skipped:
 //
 //   * dead rules (some body atom can never be derived) are never visited;
 //   * egd-fixpoint passes are skipped outright when every egd is dead or
-//     effect-free, and otherwise run over the live egds only;
-//   * consecutive target tgds none of whose earlier members may feed a
-//     later member's body collect their triggers in parallel (firing stays
-//     sequential in declaration order, so fresh-null ids are untouched).
+//     effect-free, and otherwise run over the live egds only.
 //
 // Engines deliberately do NOT reorder rule firing by stratum: fresh-null
 // identities depend on the global fire order, and bit-identical output
@@ -82,8 +78,8 @@ struct ScheduleEdge {
   std::string relation;
 };
 
-/// The planner's output: strata, skip decisions, and parallel groups, with
-/// the graph that justifies them.
+/// The planner's output: strata and skip decisions, with the graph that
+/// justifies them.
 struct ChaseSchedule {
   /// Every rule of the mapping: st-tgds, then target tgds, then egds, each
   /// block in declaration order. Rule ids used by `edges` and `strata` are
@@ -93,11 +89,6 @@ struct ChaseSchedule {
   /// SCC condensation of the graph in topological order: every edge runs
   /// from a rule in an earlier-or-equal stratum to a later-or-equal one.
   std::vector<std::vector<std::size_t>> strata;
-  /// Maximal runs of consecutive live target tgds (declaration order,
-  /// Mapping indices) where no earlier member may feed a later member's
-  /// body: their trigger collections commute with each other's fires, so
-  /// they may run concurrently over the round-start instance.
-  std::vector<std::vector<std::size_t>> parallel_groups;
   /// Live target tgds / egds, in declaration order (Mapping indices).
   std::vector<std::size_t> live_target_tgds;
   std::vector<std::size_t> live_egds;
@@ -108,8 +99,8 @@ struct ChaseSchedule {
 
   std::size_t stratum_count() const { return strata.size(); }
 
-  /// Multi-line human-readable rendering (strata, skips, parallel groups,
-  /// justification edges); used by `tdx_cli plan`.
+  /// Multi-line human-readable rendering (strata, skips, justification
+  /// edges); used by `tdx_cli plan`.
   std::string ToText() const;
   /// The same as one JSON object; used by `tdx_cli plan --format=json` and
   /// `tdx_lint --explain-plan --format=json`.

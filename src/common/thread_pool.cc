@@ -83,7 +83,7 @@ unsigned ThreadPool::HardwareJobs() {
 void ParallelFor(unsigned jobs, std::size_t count,
                  const std::function<void(std::size_t)>& fn) {
   // One batch span and two bulk counter adds per call — never per task, so
-  // trigger-collection fan-outs pay nothing per item.
+  // per-snapshot fan-outs pay nothing per item.
   static obs::Counter batches_metric("thread_pool.batches");
   static obs::Counter tasks_metric("thread_pool.tasks");
   static obs::Gauge jobs_metric("thread_pool.jobs");

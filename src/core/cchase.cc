@@ -108,8 +108,8 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   // starts charged with the interrupted run's consumption.
   ChaseRun run(ChaseEngine::kCChase, options.limits,
                resume != nullptr ? resume->consumed : ResourceLedger{});
-  TDX_RETURN_IF_ERROR(run.Begin(lifted, source.schema(), options.scheduled,
-                                options.jobs, &outcome.stats));
+  TDX_RETURN_IF_ERROR(
+      run.Begin(lifted, source.schema(), options.scheduled, &outcome.stats));
   ResourceGuard& guard = run.guard;
   const auto aborted = [&]() {
     outcome.kind = ChaseResultKind::kAborted;
@@ -133,7 +133,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   // invalid at every safe point when the incremental path is off.
   const bool use_incremental =
       !options.use_naive_normalizer && options.incremental_normalize;
-  NormalizeState norm_state(options.jobs);
+  NormalizeState norm_state;
   // Offers a safe point to the checkpointer: everything captured is the
   // state a fresh run holds at the same point, so resume + re-execution is
   // bit-identical to the uninterrupted run.

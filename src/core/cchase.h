@@ -52,8 +52,8 @@ struct CChaseOptions {
   /// normalize_target seeds its homomorphism sweep from the facts appended
   /// and the rows egd merges rewrote in place since the previous pass, and
   /// re-fragments only the touched components.
-  /// Never changes the result (output is bit-identical to full passes at
-  /// any --jobs), so the checkpoint config fingerprint ignores it and
+  /// Never changes the result (output is bit-identical to full passes),
+  /// so the checkpoint config fingerprint ignores it and
   /// checkpoints interchange between incremental and full runs. Ignored
   /// under use_naive_normalizer. --no-incremental-normalize in the CLI.
   bool incremental_normalize = true;
@@ -82,12 +82,9 @@ struct CChaseOptions {
   const ChaseCheckpoint* resume_from = nullptr;
   /// Consult the chase planner's schedule (see ChaseOptions::scheduled):
   /// skip dead rules, provably no-op egd fixpoints and provably no-op
-  /// re-normalization passes, and collect triggers of non-interfering tgds
-  /// concurrently. Never changes the result; off = the flat engine.
+  /// re-normalization passes. Never changes the result; off = the flat
+  /// engine.
   bool scheduled = true;
-  /// Worker threads for parallel trigger collection (see
-  /// ChaseOptions::jobs). 1 = fully sequential.
-  unsigned jobs = 1;
 };
 
 struct CChaseOutcome {

@@ -78,6 +78,15 @@ Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
   std::vector<CertainAnswersResult> results;
   results.reserve(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!slots[i].has_value()) {
+      // The pool dropped this point's task (only the thread-pool/dispatch
+      // fault site does that — a stand-in for a killed worker). Its chase
+      // never ran, so the point reports an abort, never empty answers.
+      CertainAnswersResult dropped;
+      dropped.chase_kind = ChaseResultKind::kAborted;
+      results.push_back(std::move(dropped));
+      continue;
+    }
     TDX_ASSIGN_OR_RETURN(CertainAnswersResult result, std::move(*slots[i]));
     results.push_back(std::move(result));
   }

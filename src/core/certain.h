@@ -58,7 +58,8 @@ Result<CertainAnswersResult> CertainAnswersAt(const UnionQuery& query,
 /// Universe, whose nulls never reach the answers (naive evaluation drops
 /// tuples with nulls). results[i] corresponds to points[i] and is identical
 /// to CertainAnswersAt(query, source, mapping, points[i], ...) regardless
-/// of `jobs`.
+/// of `jobs`, except that a point whose pool task was dropped (the
+/// thread-pool/dispatch fault site) reports kAborted.
 Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
     const UnionQuery& query, const ConcreteInstance& source,
     const Mapping& mapping, const std::vector<TimePoint>& points,

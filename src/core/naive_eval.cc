@@ -54,9 +54,17 @@ std::vector<std::vector<Tuple>> NaiveEvaluateAbstractAtMany(
   snapshots.reserve(points.size());
   for (TimePoint l : points) snapshots.push_back(ja.At(l, universe));
   std::vector<std::vector<Tuple>> results(points.size());
-  ParallelFor(jobs, points.size(), [&](std::size_t i) {
+  std::vector<char> done(points.size(), 0);
+  const auto evaluate = [&](std::size_t i) {
     results[i] = DropTuplesWithNulls(Evaluate(query, snapshots[i]));
-  });
+    done[i] = 1;
+  };
+  ParallelFor(jobs, points.size(), evaluate);
+  // A task the pool dropped (the thread-pool/dispatch fault site) left its
+  // slot unfilled; evaluation is pure, so redo it here.
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (done[i] == 0) evaluate(i);
+  }
   return results;
 }
 

@@ -47,7 +47,8 @@ std::vector<Tuple> NaiveEvaluateAbstractAt(const UnionQuery& query,
 /// NaiveEvaluateAbstractAt for a batch of snapshots, with the evaluations
 /// fanned out over `jobs` threads. Snapshots materialize sequentially
 /// (At() memoizes null projections into `universe`, which is not
-/// thread-safe); evaluation is read-only and runs in parallel. results[i]
+/// thread-safe); evaluation is read-only and runs in parallel, and a point
+/// whose pool task was dropped is evaluated inline afterwards. results[i]
 /// corresponds to points[i] and is independent of `jobs`.
 std::vector<std::vector<Tuple>> NaiveEvaluateAbstractAtMany(
     const UnionQuery& query, const AbstractInstance& ja,

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/relational/chase.h"
@@ -405,13 +404,9 @@ bool NormalizeState::Pass(const Instance& facts,
     return false;
   }
 
-  // Distinct start/end points per dirty component (TP_Delta, lines 11-13),
-  // resolved sequentially because Find path-compresses (the workers below
-  // must not mutate the union-find).
+  // Distinct start/end points per dirty component (TP_Delta, lines 11-13).
   std::uint32_t num_dirty = 0;
   root_comp_.assign(total, kUngrouped);
-  grouped_ids_.clear();
-  grouped_comp_.clear();
   for (std::size_t i = 0; i < total; ++i) {
     if (grouped_[i] == 0) continue;
     std::uint32_t& comp = root_comp_[uf_.Find(i)];
@@ -420,8 +415,6 @@ bool NormalizeState::Pass(const Instance& facts,
       if (comp_points_.size() < num_dirty) comp_points_.emplace_back();
       comp_points_[comp].clear();
     }
-    grouped_ids_.push_back(i);
-    grouped_comp_.push_back(comp);
     std::vector<TimePoint>& pts = comp_points_[comp];
     const Interval iv = fact_at(i).interval();
     pts.push_back(iv.start());
@@ -433,25 +426,11 @@ bool NormalizeState::Pass(const Instance& facts,
     pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
   }
 
-  // Parallel fragmentation (lines 14-18): pure per-fact work into private
-  // slots; no guard, no labels, no shared mutation. The sequential merge
-  // below charges the guard in dense-id order, so the charge/insert
-  // sequence — and therefore the output, even under a budget trip — is
-  // identical at any job count. One job fragments inline in the merge.
-  const bool staged = jobs_ > 1;
-  if (staged) {
-    frag_slots_.resize(std::max(frag_slots_.size(), grouped_ids_.size()));
-    for (std::size_t k = 0; k < grouped_ids_.size(); ++k) frag_slots_[k].clear();
-    ParallelFor(jobs_, grouped_ids_.size(), [&](std::size_t k) {
-      AppendFragments(fact_at(grouped_ids_[k]).interval(),
-                      comp_points_[grouped_comp_[k]], &frag_slots_[k]);
-    });
-  }
-
-  // Deterministic sequential merge. Labels are dense in first-emission
-  // order: a dirty component is keyed by its first-seen index, a
-  // pass-through fact by its previous label. Members of a re-derived
-  // previous component that no group claimed are ungrouped now.
+  // Fragmentation and merge (lines 14-18), in dense-id order, charging the
+  // guard per emitted fact. Labels are dense in first-emission order: a
+  // dirty component is keyed by its first-seen index, a pass-through fact
+  // by its previous label. Members of a re-derived previous component that
+  // no group claimed are ungrouped now.
   std::uint32_t touched_count = 0;
   for (const char t : prev_touched_) touched_count += t != 0 ? 1 : 0;
   dirty_label_.assign(num_dirty, kUngrouped);
@@ -462,24 +441,15 @@ bool NormalizeState::Pass(const Instance& facts,
   };
   flat_labels_.clear();
   num_labels_ = 0;
-  std::size_t next_grouped = 0;
   bool tripped = false;
   for (std::size_t i = 0; i < total && !tripped; ++i) {
     const FactView fact = fact_at(i);
-    if (next_grouped < grouped_ids_.size() && grouped_ids_[next_grouped] == i) {
-      const std::size_t k = next_grouped++;
-      std::vector<Interval>& subs = staged ? frag_slots_[k] : frag_buf_;
-      if (!staged) subs.clear();
-      if (subs.empty()) {
-        // Inline fragmentation, or the pool dropped this slot's task
-        // (thread-pool/dispatch fault). The fill is a pure function of
-        // immutable inputs, so redoing it here is sound and keeps the run
-        // deterministic.
-        AppendFragments(fact.interval(), comp_points_[grouped_comp_[k]],
-                        &subs);
-      }
-      const std::uint32_t label = label_of(&dirty_label_[grouped_comp_[k]]);
-      for (const Interval& sub : subs) {
+    if (grouped_[i] != 0) {
+      const std::uint32_t comp = root_comp_[uf_.Find(i)];
+      frag_buf_.clear();
+      AppendFragments(fact.interval(), comp_points_[comp], &frag_buf_);
+      const std::uint32_t label = label_of(&dirty_label_[comp]);
+      for (const Interval& sub : frag_buf_) {
         if (guard != nullptr && !guard->ChargeFragment()) {
           tripped = true;
           break;

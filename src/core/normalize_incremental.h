@@ -51,10 +51,8 @@
 //    intersection has all-equal intervals, such components carry one
 //    shared interval, and fragmenting them is the identity. Their facts
 //    are copied straight through with their previous labels. Dirty
-//    components are re-fragmented — in parallel across the thread pool
-//    when jobs > 1, with cut vectors resolved sequentially first and a
-//    deterministic sequential merge, so the output is bit-identical to a
-//    pass from an empty watermark at any job count.
+//    components are re-fragmented in the same dense-id order a pass from
+//    an empty watermark emits, so the output is bit-identical to one.
 //
 // The output is installed in place (move-assigned into the instance's fact
 // store) and the watermark re-recorded with an empty dirty set, keeping ONE
@@ -81,16 +79,11 @@ namespace tdx {
 
 struct EgdRewrites;  // relational/chase.h
 
-/// Persistent normalization state for one chase target. Not thread-safe;
-/// the parallelism is internal (fragmentation fan-out).
+/// Persistent normalization state for one chase target. Not thread-safe.
 class NormalizeState {
  public:
   /// Component label of a pass-through (ungrouped) fact.
   static constexpr std::uint32_t kUngrouped = 0xFFFFFFFFu;
-
-  /// `jobs` is the fragmentation fan-out width (1 = fully sequential; the
-  /// output does not depend on it).
-  explicit NormalizeState(unsigned jobs = 1) : jobs_(jobs) {}
 
   /// Normalizes `*instance` w.r.t. `phis`, replacing its fact store with
   /// the normalized output. The pass starts from the watermark when it
@@ -185,7 +178,6 @@ class NormalizeState {
   std::vector<FactRef> dirty_;
 
   // ---- reusable machinery --------------------------------------------
-  unsigned jobs_;
   /// One finder kept across passes: it catches up on appends and rebuilds
   /// after the install's generation bump (homomorphism.h).
   std::optional<HomomorphismFinder> finder_;
@@ -204,10 +196,8 @@ class NormalizeState {
   std::vector<std::size_t> prev_members_;
   std::vector<std::size_t> queue_;
   std::vector<std::size_t> base_;
-  std::vector<std::size_t> grouped_ids_;
-  /// Dirty component of grouped_ids_[k], dense in first-seen order.
-  std::vector<std::uint32_t> grouped_comp_;
-  /// Dirty component of a union-find root (kUngrouped when unassigned).
+  /// Dirty component of a union-find root, dense in first-seen order
+  /// (kUngrouped when unassigned).
   std::vector<std::uint32_t> root_comp_;
   /// Sorted distinct endpoints of each dirty component.
   std::vector<std::vector<TimePoint>> comp_points_;
@@ -215,9 +205,7 @@ class NormalizeState {
   /// copied through (kUngrouped until first emitted).
   std::vector<std::uint32_t> dirty_label_;
   std::vector<std::uint32_t> prev_label_;
-  /// Per grouped fact when fragmenting in parallel; one reused buffer when
-  /// fragmenting inline.
-  std::vector<std::vector<Interval>> frag_slots_;
+  /// Fragments of the grouped fact being merged; reused across facts.
   std::vector<Interval> frag_buf_;
   std::vector<std::uint32_t> flat_labels_;
   std::uint32_t num_labels_ = 0;

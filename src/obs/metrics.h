@@ -11,8 +11,9 @@
 //     read.
 //  2. Reads must be deterministic. Snapshot() merges shards with
 //     commutative reductions only (sum for counters and histogram buckets,
-//     max for gauges), mirroring how IndexStats merges across --jobs: the
-//     merged value is independent of thread scheduling and shard order.
+//     max for gauges), mirroring how the parallel abstract chase sums its
+//     pieces' IndexStats: the merged value is independent of thread
+//     scheduling and shard order.
 //     Gauges are therefore *high-watermark* gauges — Set records the max of
 //     the observations, the only last-write-free semantics that stays
 //     deterministic under parallel writers.

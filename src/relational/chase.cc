@@ -4,13 +4,13 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/obs/trace.h"
 #include "src/relational/chase_run.h"
 
@@ -127,16 +127,16 @@ bool FireTriggers(Instance* target, const Tgd& tgd, TriggerSet& triggers,
 }  // namespace
 
 TgdRunPlan BuildTgdRunPlan(const std::vector<Tgd>& tgds,
-                           const ChaseSchedule* schedule, unsigned jobs) {
+                           const ChaseSchedule* schedule) {
   TgdRunPlan plan;
   plan.tgds = &tgds;
-  plan.jobs = jobs;
   plan.key_vars.reserve(tgds.size());
   for (const Tgd& tgd : tgds) plan.key_vars.push_back(HeadUniversalVars(tgd));
   if (schedule != nullptr) {
-    plan.groups = schedule->parallel_groups;
+    plan.live = schedule->live_target_tgds;
   } else {
-    for (std::size_t i = 0; i < tgds.size(); ++i) plan.groups.push_back({i});
+    plan.live.resize(tgds.size());
+    std::iota(plan.live.begin(), plan.live.end(), 0);
   }
   return plan;
 }
@@ -149,7 +149,7 @@ bool RunTgds(const Instance& collect_from, Instance* target,
   const std::vector<Tgd>& tgds = *plan.tgds;
   // Everything inserted from here on is the next round's frontier. Sizes
   // are captured before any firing; facts a tgd inserts this round are
-  // enumerated by later groups' collections (they are past the current
+  // enumerated by later rules' collections (they are past the current
   // marks) AND again next round — redundant but harmless, the witness check
   // skips re-fires.
   const std::size_t relation_count = collect_from.schema().relation_count();
@@ -159,15 +159,8 @@ bool RunTgds(const Instance& collect_from, Instance* target,
         static_cast<std::uint32_t>(collect_from.facts(rel).size());
   }
   bool inserted = false;
-  for (const std::vector<std::size_t>& group : plan.groups) {
+  for (const std::size_t i : plan.live) {
     if (guard->tripped()) break;
-    // Collect every member before firing any, concurrently when the plan
-    // allows. This matches the flat plan's collect-then-fire per rule: the
-    // facts earlier members fire match nothing later members collect
-    // (group members cannot feed one another, and fires never land in a
-    // source), so the trigger sets (and counts) come out identical.
-    std::vector<TriggerSet> sets(group.size());
-    std::vector<ChaseStats> local(group.size());
     std::optional<HomomorphismFinder> own;
     HomomorphismFinder* collect_with = collect_finder;
     HomomorphismFinder* fire_with = fire_finder;
@@ -175,28 +168,12 @@ bool RunTgds(const Instance& collect_from, Instance* target,
       own.emplace(*target, &stats->search);
       collect_with = fire_with = &*own;
     }
-    const auto collect = [&](HomomorphismFinder* finder, std::size_t k) {
-      CollectTriggers(finder, collect_from, tgds[group[k]],
-                      plan.key_vars[group[k]], *frontier, &local[k], &sets[k]);
-    };
-    if (plan.jobs > 1 && group.size() > 1) {
-      ParallelFor(plan.jobs, group.size(), [&](std::size_t k) {
-        HomomorphismFinder scratch(collect_from, &local[k].search);
-        collect(&scratch, k);
-      });
-    } else {
-      for (std::size_t k = 0; k < group.size(); ++k) collect(collect_with, k);
-    }
-    // Trigger counts accrue per member right before its firing, so stats
-    // sequences are the same for every grouping, even across guard trips.
-    for (std::size_t k = 0; k < group.size(); ++k) {
-      if (guard->tripped()) break;
-      stats->tgd_triggers += local[k].tgd_triggers;
-      stats->search += local[k].search;
-      if (FireTriggers(target, tgds[group[k]], sets[k], fresh, stats, guard,
-                       fire_with)) {
-        inserted = true;
-      }
+    TriggerSet triggers;
+    CollectTriggers(collect_with, collect_from, tgds[i], plan.key_vars[i],
+                    *frontier, stats, &triggers);
+    if (FireTriggers(target, tgds[i], triggers, fresh, stats, guard,
+                     fire_with)) {
+      inserted = true;
     }
   }
   frontier->AdvanceTo(std::move(start_sizes));
@@ -402,8 +379,8 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
   TDX_TRACE_SPAN("snapshot.run");
   ChaseOutcome outcome(Instance(&source.schema()));
   ChaseRun run(ChaseEngine::kSnapshot, options.limits);
-  TDX_RETURN_IF_ERROR(run.Begin(mapping, source.schema(), options.scheduled,
-                                options.jobs, &outcome.stats));
+  TDX_RETURN_IF_ERROR(
+      run.Begin(mapping, source.schema(), options.scheduled, &outcome.stats));
   ResourceGuard& guard = run.guard;
   const auto aborted = [&]() {
     outcome.kind = ChaseResultKind::kAborted;

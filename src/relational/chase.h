@@ -61,8 +61,7 @@ struct ChaseStats {
   std::size_t schedule_strata = 0;
   /// Homomorphism-engine index counters (probes answered by a mask index,
   /// candidates those probes returned, full relation scans). Deterministic
-  /// for a given program and engine configuration — independent of job
-  /// count, since parallel collection probes the same round-start state.
+  /// for a given program and engine configuration.
   IndexStats search;
   /// The termination certificate the run consulted: taken from
   /// Mapping::certificate when the parser filled it in, otherwise derived
@@ -83,19 +82,11 @@ struct ChaseOptions {
   /// correctness oracle (tests/seminaive_chase_test.cc pins the equivalence).
   bool semi_naive = true;
   /// Consume the mapping's ChaseSchedule (deriving one when absent): skip
-  /// dead rules, skip provably no-op egd-fixpoint passes, and enable
-  /// parallel trigger collection under `jobs`. Scheduled and unscheduled
-  /// runs produce bit-identical outcomes — the schedule only removes work
-  /// the graph proves is a no-op; rule firing order never changes. Off =
-  /// a flat plan (every rule live, each in its own group), kept as the
-  /// oracle.
+  /// dead rules and provably no-op egd-fixpoint passes. Scheduled and
+  /// unscheduled runs produce bit-identical outcomes — the schedule only
+  /// removes work the graph proves is a no-op; rule firing order never
+  /// changes. Off = a flat plan (every rule live), kept as the oracle.
   bool scheduled = true;
-  /// Worker threads for trigger collection within a group: the s-t tgd
-  /// phase, or a provably non-interfering parallel group of target tgds
-  /// (ChaseSchedule::parallel_groups); 1 = fully sequential. Firing stays
-  /// sequential in declaration order regardless, so results are
-  /// deterministic and jobs-independent.
-  unsigned jobs = 1;
 };
 
 struct ChaseOutcome {
@@ -223,36 +214,28 @@ class DeltaFrontier {
 };
 
 /// The runtime form of one tgd vector's execution: which rules run, in
-/// which groups, on how many threads. A group's members collect their
-/// triggers before any of them fires, so where collection reads the
-/// instance being fired into, a group may only hold rules none of whose
-/// heads feed a later member's body. Firing is ALWAYS sequential in
-/// declaration order — parallel collection over the immutable group-start
-/// state is the only concurrency, which keeps fresh-null identities and
-/// therefore the whole outcome bit-identical at any plan and job count.
+/// declaration order. Each rule collects its triggers and then fires them
+/// before the next rule collects — the restricted chase step, one rule at
+/// a time, which keeps fresh-null identities and therefore the whole
+/// outcome bit-identical for every plan.
 struct TgdRunPlan {
   /// The rules; not owned, must outlive the plan.
   const std::vector<Tgd>* tgds = nullptr;
-  /// Indices into *tgds: live rules in declaration order, partitioned into
-  /// groups.
-  std::vector<std::vector<std::size_t>> groups;
+  /// Indices into *tgds: the live rules, in declaration order.
+  std::vector<std::size_t> live;
   /// Per tgd (all indices, dead included): its head-visible universal
   /// variables, precomputed once per run instead of once per round.
   std::vector<std::vector<VarId>> key_vars;
-  /// Worker threads for multi-member group collection; <= 1 disables
-  /// concurrency.
-  unsigned jobs = 1;
 };
 
-/// Builds the plan for `tgds`. Without a schedule the plan is flat: every
-/// rule live, each in its own group. With one (analysis/planner.h), dead
-/// rules are dropped and ChaseSchedule::parallel_groups are the groups —
-/// so `schedule` must have been planned for the mapping `tgds` are the
-/// target tgds of.
+/// Builds the plan for `tgds`. Without a schedule every rule is live. With
+/// one (analysis/planner.h), the live rules are
+/// ChaseSchedule::live_target_tgds — so `schedule` must have been planned
+/// for the mapping `tgds` are the target tgds of.
 TgdRunPlan BuildTgdRunPlan(const std::vector<Tgd>& tgds,
-                           const ChaseSchedule* schedule, unsigned jobs);
+                           const ChaseSchedule* schedule);
 
-/// Runs `plan` once: group by group, collects the members' triggers from
+/// Runs `plan` once: rule by rule, collects the rule's triggers from
 /// `collect_from` through `collect_finder` — only triggers whose body image
 /// touches `frontier`, unless it is full — then fires them into `target`
 /// through `fire_finder` (restricted chase: triggers whose head is already
@@ -262,15 +245,13 @@ TgdRunPlan BuildTgdRunPlan(const std::vector<Tgd>& tgds,
 /// A semi-naive target-tgd round collects from the target itself, through
 /// the same persistent finder it fires through (its indexes catch up with
 /// inserts incrementally instead of being rebuilt per round). A naive round
-/// passes a full frontier and null finders: each group then builds one
+/// passes a full frontier and null finders: each rule then builds one
 /// fresh finder over the target, so the oracle re-indexes as well as
 /// re-enumerates. The s-t tgd phase collects from the source with a full
 /// frontier.
 ///
-/// With plan.jobs > 1, multi-member groups collect concurrently, each task
-/// through a scratch finder over `collect_from`. Charges `guard` per
-/// fire/null/fact and stops early once it trips; the caller checks
-/// guard->tripped() to surface the abort.
+/// Charges `guard` per fire/null/fact and stops early once it trips; the
+/// caller checks guard->tripped() to surface the abort.
 bool RunTgds(const Instance& collect_from, Instance* target,
              const TgdRunPlan& plan, DeltaFrontier* frontier,
              const FreshNullFactory& fresh, ChaseStats* stats,

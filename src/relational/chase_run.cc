@@ -1,6 +1,5 @@
 #include "src/relational/chase_run.h"
 
-#include <numeric>
 #include <string>
 #include <utility>
 
@@ -10,7 +9,7 @@
 namespace tdx {
 
 Status ChaseRun::Begin(const Mapping& mapping, const Schema& schema,
-                       bool scheduled, unsigned jobs, ChaseStats* stats) {
+                       bool scheduled, ChaseStats* stats) {
   TerminationCertificate certificate =
       mapping.certificate.has_value()
           ? *mapping.certificate
@@ -24,21 +23,16 @@ Status ChaseRun::Begin(const Mapping& mapping, const Schema& schema,
   }
   stats->certificate = std::move(certificate);
 
-  // The schedule steers only provably-no-op skips and parallel trigger
-  // collection; the fire order (and with it every fresh-null id) is the
-  // flat one, so config fingerprints carry no scheduling fields and
-  // checkpoints interchange between scheduled and flat runs.
+  // The schedule steers only provably-no-op skips; the fire order (and
+  // with it every fresh-null id) is the flat one, so config fingerprints
+  // carry no scheduling fields and checkpoints interchange between
+  // scheduled and flat runs.
   if (scheduled) schedule = ScheduleFor(mapping, schema);
   stats->schedule_strata = schedule.has_value() ? schedule->stratum_count() : 0;
   const ChaseSchedule* plan_schedule = schedule.has_value() ? &*schedule
                                                             : nullptr;
-  target_plan = BuildTgdRunPlan(mapping.target_tgds, plan_schedule, jobs);
-  // The st phase collects from the immutable source, where no fire can
-  // create a trigger: every st tgd shares one group, which collects
-  // concurrently under `jobs`.
-  st_plan = BuildTgdRunPlan(mapping.st_tgds, nullptr, jobs);
-  st_plan.groups.assign(1, std::vector<std::size_t>(mapping.st_tgds.size()));
-  std::iota(st_plan.groups[0].begin(), st_plan.groups[0].end(), 0);
+  target_plan = BuildTgdRunPlan(mapping.target_tgds, plan_schedule);
+  st_plan = BuildTgdRunPlan(mapping.st_tgds, nullptr);
   if (schedule.has_value()) {
     egds.reserve(schedule->live_egds.size());
     for (std::size_t index : schedule->live_egds) {

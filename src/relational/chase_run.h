@@ -37,12 +37,12 @@ class ChaseRun {
   ///     forever, so the run is refused before doing any work;
   ///   * under `scheduled` the schedule is resolved (ScheduleFor) and the
   ///     live egds selected; the target-tgd plan follows the schedule, and
-  ///     is flat without one. The st plan is one group either way.
+  ///     is flat without one. The st plan is flat either way.
   /// The certificate and schedule_strata in `stats` are derived state:
   /// recomputed on every run, never taken from a checkpoint, so a resumed
   /// run restores `stats` before calling this.
   Status Begin(const Mapping& mapping, const Schema& schema, bool scheduled,
-               unsigned jobs, ChaseStats* stats);
+               ChaseStats* stats);
 
   /// True when the schedule proves every egd-fixpoint pass a no-op (every
   /// egd is dead or effect-free).

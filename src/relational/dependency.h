@@ -91,9 +91,9 @@ struct Mapping {
   /// on hand-built mappings, in which case engines derive it on entry.
   std::optional<TerminationCertificate> certificate;
   /// Chase schedule from the planner (analysis/planner.h): strata, dead
-  /// rules, skippable egd passes, and parallel trigger-collection groups.
-  /// Filled alongside the certificate by ValidateAndCertifyMapping; the
-  /// engines derive it on entry when absent (unless scheduling is off).
+  /// rules, and skippable egd passes. Filled alongside the certificate by
+  /// ValidateAndCertifyMapping; the engines derive it on entry when absent
+  /// (unless scheduling is off).
   std::optional<ChaseSchedule> schedule;
 
   /// Left-hand sides of all s-t tgds (the Phi+ that the source instance is

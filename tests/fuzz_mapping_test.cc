@@ -155,20 +155,11 @@ TEST_P(FuzzMappingSweep, PlannerScheduleIsSoundOnRandomMappings) {
         << "seed=" << GetParam() << "\n"
         << schedule.ToText();
   }
-  // Parallel groups hold live target tgds in declaration order.
-  for (const auto& group : schedule.parallel_groups) {
-    for (std::size_t k = 0; k < group.size(); ++k) {
-      if (k > 0) {
-        EXPECT_LT(group[k - 1], group[k]) << "seed=" << GetParam();
-      }
-      EXPECT_LT(group[k], w->mapping.target_tgds.size());
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
-// Configuration differential. The engine options semi_naive, scheduled,
-// incremental_normalize and jobs only choose HOW the chase is executed, never
+// Configuration differential. The engine options semi_naive, scheduled and
+// incremental_normalize only choose HOW the chase is executed, never
 // WHAT it computes: every combination must render the same target with the
 // same outcome kinds and the same fire/egd/null/rewrite counts. Trigger
 // counts agree only among runs that share semi_naive, since naive rounds
@@ -178,26 +169,22 @@ struct EngineConfig {
   bool semi_naive = true;
   bool scheduled = true;
   bool incremental_normalize = true;  // c-chase only
-  unsigned jobs = 1;
 
   std::string Name() const {
     return std::string(semi_naive ? "semi-naive" : "naive") +
            (scheduled ? "/scheduled" : "/flat") +
-           (incremental_normalize ? "/incremental" : "/full") +
-           "/jobs=" + std::to_string(jobs);
+           (incremental_normalize ? "/incremental" : "/full");
   }
 };
 
-/// {naive, semi-naive} x {flat, scheduled} x [{full, incremental}] x {1, 4}.
+/// {naive, semi-naive} x {flat, scheduled} x [{full, incremental}].
 std::vector<EngineConfig> EngineConfigs(bool vary_normalizer) {
   std::vector<EngineConfig> configs;
   for (bool semi_naive : {false, true}) {
     for (bool scheduled : {false, true}) {
       for (bool incremental : {true, false}) {
         if (!incremental && !vary_normalizer) continue;
-        for (unsigned jobs : {1u, 4u}) {
-          configs.push_back({semi_naive, scheduled, incremental, jobs});
-        }
+        configs.push_back({semi_naive, scheduled, incremental});
       }
     }
   }
@@ -234,7 +221,6 @@ ChaseDigest CChaseDigest(const WorkloadFactory& make,
   options.semi_naive = config.semi_naive;
   options.scheduled = config.scheduled;
   options.incremental_normalize = config.incremental_normalize;
-  options.jobs = config.jobs;
   ChaseDigest digest;
   auto outcome = CChase(w->source, w->lifted, &w->universe, options);
   if (!outcome.ok()) {
@@ -255,7 +241,6 @@ ChaseDigest SnapshotChaseDigest(const WorkloadFactory& make,
   ChaseOptions options;
   options.semi_naive = config.semi_naive;
   options.scheduled = config.scheduled;
-  options.jobs = config.jobs;
   std::vector<TimePoint> points = w->source.Endpoints();
   points.push_back(w->source.StabilizationPoint() + 2);
   points.push_back(0);
@@ -320,7 +305,7 @@ TEST_P(FuzzMappingSweep, ScheduledSnapshotChaseMatchesUnscheduled) {
 
 // Random mappings carry no target tgds, so the same sweep also runs over
 // the generators whose target tgds drive many rounds, egd-gated loops, dead
-// rules, effect-free egds and multi-member parallel groups.
+// rules, effect-free egds and independent target tgds.
 TEST(ConfigurationDifferentialTest, TargetTgdWorkloadsAgree) {
   const std::vector<std::pair<std::string, WorkloadFactory>> workloads = {
       {"flight",

@@ -159,36 +159,6 @@ TEST_F(NormalizeStateTest, InvalidateDropsTheWatermark) {
   EXPECT_FALSE(state.Export(&inc_w_->source.facts()).has_value());
 }
 
-TEST_F(NormalizeStateTest, ParallelFragmentationMatchesSequential) {
-  NormalizeState seq(1);
-  NormalizeState par(4);
-  auto par_w = MakeWorstCaseNormalizationWorkload(kSeedFacts);
-  const std::vector<Conjunction> phis_par = par_w->lifted.TgdBodies();
-
-  seq.Normalize(&inc_w_->source, phis_inc_);
-  par.Normalize(&par_w->source, phis_par);
-  for (int round = 0; round < 3; ++round) {
-    const std::string name = "p" + std::to_string(round);
-    const Interval iv(static_cast<TimePoint>(2 + round),
-                      static_cast<TimePoint>(2 * kSeedFacts + round));
-    ASSERT_TRUE(inc_w_->source
-                    .Add(r_plus_, {inc_w_->universe.Constant(name)}, iv)
-                    .ok());
-    ASSERT_TRUE(par_w->source
-                    .Add(*par_w->schema.Find("R+"),
-                         {par_w->universe.Constant(name)}, iv)
-                    .ok());
-    NormalizeStats seq_stats, par_stats;
-    seq.Normalize(&inc_w_->source, phis_inc_, &seq_stats);
-    par.Normalize(&par_w->source, phis_par, &par_stats);
-    EXPECT_EQ(Render(inc_w_->source, inc_w_->universe),
-              Render(par_w->source, par_w->universe));
-    EXPECT_EQ(seq_stats.output_facts, par_stats.output_facts);
-    EXPECT_EQ(seq_stats.dirty_components, par_stats.dirty_components);
-    EXPECT_EQ(seq_stats.reused_components, par_stats.reused_components);
-  }
-}
-
 TEST_F(NormalizeStateTest, ExportRestoreRoundTrip) {
   NormalizeState state;
   state.Normalize(&inc_w_->source, phis_inc_);
@@ -576,14 +546,11 @@ TEST(EgdRewritesTest, ReportsLightRowsAndMovedPositions) {
 
 using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
 
-void ExpectIncrementalMatchesFull(const WorkloadFactory& make,
-                                  unsigned jobs = 1) {
+void ExpectIncrementalMatchesFull(const WorkloadFactory& make) {
   auto w_inc = make();
   auto w_full = make();
   CChaseOptions inc, full;
-  inc.jobs = jobs;
   full.incremental_normalize = false;
-  full.jobs = jobs;
   auto a = CChase(w_inc->source, w_inc->lifted, &w_inc->universe, inc);
   auto b = CChase(w_full->source, w_full->lifted, &w_full->universe, full);
   ASSERT_TRUE(a.ok()) << a.status();
@@ -636,15 +603,6 @@ TEST(CChaseIncrementalTest, CascadeMatchesFull) {
     return MakeCascadeWorkload(CascadeConfig{
         .stages = 5, .ballast_keys = 8, .ballast_dup = 3, .horizon = 8});
   });
-}
-
-TEST(CChaseIncrementalTest, CascadeMatchesFullParallel) {
-  ExpectIncrementalMatchesFull(
-      [] {
-        return MakeCascadeWorkload(CascadeConfig{
-            .stages = 5, .ballast_keys = 8, .ballast_dup = 3, .horizon = 8});
-      },
-      /*jobs=*/4);
 }
 
 TEST(CChaseIncrementalTest, RandomMappingFuzzMatchesFull) {

@@ -7,12 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
-#include "src/core/cchase.h"
 #include "src/core/certain.h"
 #include "src/core/naive_eval.h"
 #include "src/gen/workload.h"
-#include "src/parser/printer.h"
 #include "src/temporal/abstract_chase.h"
 #include "src/temporal/abstract_hom.h"
 
@@ -24,6 +23,27 @@ std::vector<TimePoint> ProbePoints(const ConcreteInstance& ic) {
   pts.push_back(ic.StabilizationPoint() + 2);
   pts.push_back(0);
   return pts;
+}
+
+/// The identity UCQ over the schema's first target relation (generated
+/// workloads carry no queries of their own).
+UnionQuery FirstTargetIdentityQuery(const Schema& schema) {
+  UnionQuery query;
+  for (RelationId r = 0; r < schema.relation_count(); ++r) {
+    if (schema.relation(r).role != SchemaRole::kTarget) continue;
+    const std::size_t arity = schema.relation(r).arity();
+    ConjunctiveQuery cq;
+    Atom atom{r, {}};
+    for (std::size_t i = 0; i < arity; ++i) {
+      atom.terms.push_back(Term::Var(static_cast<VarId>(i)));
+      cq.head.push_back(static_cast<VarId>(i));
+    }
+    cq.body.atoms.push_back(atom);
+    cq.body.num_vars = arity;
+    query.disjuncts.push_back(cq);
+    break;
+  }
+  return query;
 }
 
 class ParallelSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -90,28 +110,8 @@ TEST_P(ParallelSweep, CertainAnswersAtManyMatchesPerPoint) {
   RandomMappingConfig cfg;
   cfg.seed = GetParam();
   auto w = MakeRandomMappingWorkload(cfg);
-  // A query with answers: reuse a target relation's identity projection via
-  // the employment workload instead — random mappings carry no queries, so
-  // probe with the identity UCQ over the first target relation.
-  UnionQuery query;
-  ConjunctiveQuery cq;
-  std::optional<RelationId> target_rel;
-  for (RelationId r = 0; r < w->schema.relation_count(); ++r) {
-    if (w->schema.relation(r).role == SchemaRole::kTarget) {
-      target_rel = r;
-      break;
-    }
-  }
-  ASSERT_TRUE(target_rel.has_value());
-  const std::size_t arity = w->schema.relation(*target_rel).arity();
-  Atom atom{*target_rel, {}};
-  for (std::size_t i = 0; i < arity; ++i) {
-    atom.terms.push_back(Term::Var(static_cast<VarId>(i)));
-    cq.head.push_back(static_cast<VarId>(i));
-  }
-  cq.body.atoms.push_back(atom);
-  cq.body.num_vars = arity;
-  query.disjuncts.push_back(cq);
+  const UnionQuery query = FirstTargetIdentityQuery(w->schema);
+  ASSERT_FALSE(query.disjuncts.empty());
 
   const std::vector<TimePoint> points = ProbePoints(w->source);
   auto batched = CertainAnswersAtMany(query, w->source, w->mapping, points,
@@ -138,26 +138,8 @@ TEST_P(ParallelSweep, NaiveEvalAtManyMatchesPerPoint) {
   auto chased = AbstractChase(*ia, w->mapping, &w->universe);
   ASSERT_TRUE(chased.ok());
   ASSERT_EQ(chased->kind, ChaseResultKind::kSuccess);
-
-  UnionQuery query;
-  ConjunctiveQuery cq;
-  std::optional<RelationId> emp;
-  for (RelationId r = 0; r < w->schema.relation_count(); ++r) {
-    if (w->schema.relation(r).role == SchemaRole::kTarget) {
-      emp = r;
-      break;
-    }
-  }
-  ASSERT_TRUE(emp.has_value());
-  const std::size_t arity = w->schema.relation(*emp).arity();
-  Atom atom{*emp, {}};
-  for (std::size_t i = 0; i < arity; ++i) {
-    atom.terms.push_back(Term::Var(static_cast<VarId>(i)));
-    cq.head.push_back(static_cast<VarId>(i));
-  }
-  cq.body.atoms.push_back(atom);
-  cq.body.num_vars = arity;
-  query.disjuncts.push_back(cq);
+  const UnionQuery query = FirstTargetIdentityQuery(w->schema);
+  ASSERT_FALSE(query.disjuncts.empty());
 
   const std::vector<TimePoint> points = ProbePoints(w->source);
   const auto batched = NaiveEvaluateAbstractAtMany(query, chased->target,
@@ -168,32 +150,6 @@ TEST_P(ParallelSweep, NaiveEvalAtManyMatchesPerPoint) {
                                                   points[i], &w->universe))
         << "l=" << points[i];
   }
-}
-
-TEST_P(ParallelSweep, ScheduledTriggerCollectionIsJobsInvariant) {
-  // The chase planner's parallel groups collect triggers concurrently but
-  // fire sequentially in declaration order, so any jobs count must yield
-  // the EXACT same target (same null ids) and the exact same statistics.
-  // This test runs under TSan in CI.
-  RandomMappingConfig cfg;
-  cfg.seed = GetParam();
-  auto w1 = MakeRandomMappingWorkload(cfg);
-  auto w8 = MakeRandomMappingWorkload(cfg);
-  CChaseOptions one, eight;
-  one.jobs = 1;
-  eight.jobs = 8;
-  auto a = CChase(w1->source, w1->lifted, &w1->universe, one);
-  auto b = CChase(w8->source, w8->lifted, &w8->universe, eight);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  ASSERT_EQ(a->kind, b->kind) << "seed=" << GetParam();
-  EXPECT_EQ(RenderConcreteInstance(a->target, w1->universe),
-            RenderConcreteInstance(b->target, w8->universe))
-      << "seed=" << GetParam();
-  EXPECT_EQ(a->stats.tgd_triggers, b->stats.tgd_triggers);
-  EXPECT_EQ(a->stats.tgd_fires, b->stats.tgd_fires);
-  EXPECT_EQ(a->stats.egd_steps, b->stats.egd_steps);
-  EXPECT_EQ(a->stats.fresh_nulls, b->stats.fresh_nulls);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelSweep,
@@ -237,6 +193,86 @@ TEST(ParallelFaultTest, DroppedDispatchAbortsCleanlyWithPartialStats) {
   EXPECT_LT(killed->target.pieces().size(), ia_kill->pieces().size());
   EXPECT_LE(killed->stats.tgd_fires, full->stats.tgd_fires);
   EXPECT_LE(killed->stats.fresh_nulls, full->stats.fresh_nulls);
+}
+
+// A dropped CertainAnswersAtMany task must surface as that point's
+// kAborted result: never a read of the unfilled slot, never an empty answer
+// set passed off as certain. ParallelFor's inline path consults the
+// dispatch site too, so one job is as exposed as four.
+TEST(ParallelFaultTest, DroppedCertainAnswersPointReportsAborted) {
+  for (const unsigned jobs : {1u, 4u}) {
+    EmploymentConfig cfg;
+    cfg.num_people = 6;
+    cfg.seed = 5;
+    auto w = MakeEmploymentWorkload(cfg);
+    const UnionQuery query = FirstTargetIdentityQuery(w->schema);
+    ASSERT_FALSE(query.disjuncts.empty());
+    const std::vector<TimePoint> points = ProbePoints(w->source);
+    ASSERT_GT(points.size(), 1u);
+
+    FaultRegistry::Arm("thread-pool/dispatch",
+                       Status::Internal("injected fault"));
+    auto batched = CertainAnswersAtMany(query, w->source, w->mapping, points,
+                                        &w->universe, jobs);
+    FaultRegistry::DisarmAll();
+    ASSERT_TRUE(batched.ok()) << batched.status();
+    ASSERT_EQ(batched->size(), points.size());
+    std::size_t aborted = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const CertainAnswersResult& got = (*batched)[i];
+      if (got.chase_kind == ChaseResultKind::kAborted) {
+        ++aborted;
+        EXPECT_TRUE(got.answers.empty());
+        continue;
+      }
+      auto single = CertainAnswersAt(query, w->source, w->mapping, points[i],
+                                     &w->universe);
+      ASSERT_TRUE(single.ok());
+      EXPECT_EQ(got.chase_kind, single->chase_kind) << "l=" << points[i];
+      EXPECT_EQ(got.answers, single->answers) << "l=" << points[i];
+    }
+    EXPECT_EQ(aborted, 1u) << "jobs=" << jobs;
+  }
+}
+
+// Naive evaluation is pure, so a dropped NaiveEvaluateAbstractAtMany task
+// is recomputed: every point still gets its real answers, at any job count.
+TEST(ParallelFaultTest, DroppedNaiveEvalPointIsRecomputed) {
+  for (const unsigned jobs : {1u, 4u}) {
+    EmploymentConfig cfg;
+    cfg.num_people = 8;
+    cfg.seed = 2;
+    auto w = MakeEmploymentWorkload(cfg);
+    auto ia = AbstractInstance::FromConcrete(w->source);
+    ASSERT_TRUE(ia.ok());
+    auto chased = AbstractChase(*ia, w->mapping, &w->universe);
+    ASSERT_TRUE(chased.ok());
+    ASSERT_EQ(chased->kind, ChaseResultKind::kSuccess);
+    const UnionQuery query = FirstTargetIdentityQuery(w->schema);
+    ASSERT_FALSE(query.disjuncts.empty());
+
+    // Only points with answers, so an unfilled slot cannot pass for a
+    // correct empty one.
+    std::vector<TimePoint> points;
+    std::vector<std::vector<Tuple>> expected;
+    for (const TimePoint l : ProbePoints(w->source)) {
+      std::vector<Tuple> answers =
+          NaiveEvaluateAbstractAt(query, chased->target, l, &w->universe);
+      if (answers.empty()) continue;
+      points.push_back(l);
+      expected.push_back(std::move(answers));
+    }
+    ASSERT_GT(points.size(), 1u);
+
+    FaultRegistry::Arm("thread-pool/dispatch",
+                       Status::Internal("injected fault"));
+    const auto batched = NaiveEvaluateAbstractAtMany(query, chased->target,
+                                                     points, &w->universe,
+                                                     jobs);
+    EXPECT_GE(FaultRegistry::HitCount("thread-pool/dispatch"), 1u);
+    FaultRegistry::DisarmAll();
+    EXPECT_EQ(batched, expected) << "jobs=" << jobs;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the chase planner (src/analysis/planner.h): liveness and
-// effect-freeness proofs, stratification invariants, parallel-group safety,
-// and the engines' contract that a schedule never changes chase results —
-// scheduled and unscheduled runs are bit-identical, for any jobs count.
+// effect-freeness proofs, stratification invariants, and the engines'
+// contract that a schedule never changes chase results — scheduled and
+// unscheduled runs are bit-identical.
 
 #include "src/analysis/planner.h"
 
@@ -139,73 +139,13 @@ TEST(PlannerTest, DeadRuleIsExcludedFromLiveSetsAndGroups) {
   const ChaseSchedule schedule = PlanOf(*program);
   ASSERT_EQ(schedule.live_target_tgds.size(), 1u);
   EXPECT_EQ(schedule.live_target_tgds[0], 0u);  // 'live' is target tgd #0
-  for (const auto& group : schedule.parallel_groups) {
-    for (std::size_t index : group) EXPECT_NE(index, 1u);
-  }
+  const TgdRunPlan plan =
+      BuildTgdRunPlan(program->mapping.target_tgds, &schedule);
+  EXPECT_EQ(plan.live, (std::vector<std::size_t>{0}));
   for (const ScheduleRule& rule : schedule.rules) {
     if (rule.kind == ScheduleRuleKind::kTargetTgd && rule.index == 1) {
       EXPECT_FALSE(rule.live);
       EXPECT_FALSE(rule.skip_reason.empty());
-    }
-  }
-}
-
-TEST(PlannerTest, IndependentTgdsShareAParallelGroup) {
-  auto program = ParseOrDie(R"(
-    source A(x);
-    target Base(x);
-    target Out1(x);
-    target Out2(x);
-    tgd s: A(x) -> Base(x);
-    ttgd p1: Base(x) -> Out1(x);
-    ttgd p2: Base(x) -> Out2(x);
-  )");
-  const ChaseSchedule schedule = PlanOf(*program);
-  // p1 cannot feed p2 (different head relations), so both collect their
-  // triggers concurrently.
-  ASSERT_EQ(schedule.parallel_groups.size(), 1u);
-  EXPECT_EQ(schedule.parallel_groups[0], (std::vector<std::size_t>{0, 1}));
-}
-
-TEST(PlannerTest, ChainedTgdsSplitIntoSingletonGroups) {
-  auto program = ParseOrDie(R"(
-    source A(x);
-    target Base(x);
-    target Mid(x);
-    target Out(x);
-    tgd s: A(x) -> Base(x);
-    ttgd p1: Base(x) -> Mid(x);
-    ttgd p2: Mid(x) -> Out(x);
-  )");
-  const ChaseSchedule schedule = PlanOf(*program);
-  // p1 feeds p2: collecting p2's triggers before p1's fires would miss the
-  // facts p1 inserts this round, so they may not share a group.
-  ASSERT_EQ(schedule.parallel_groups.size(), 2u);
-  EXPECT_EQ(schedule.parallel_groups[0], (std::vector<std::size_t>{0}));
-  EXPECT_EQ(schedule.parallel_groups[1], (std::vector<std::size_t>{1}));
-}
-
-TEST(PlannerTest, ParallelGroupMembersNeverFeedLaterMembers) {
-  auto program = ParseOrDie(kPipelineProgram);
-  const ChaseSchedule schedule = PlanOf(*program);
-  // Map target-tgd mapping index -> rule id.
-  std::vector<std::size_t> rule_id(program->mapping.target_tgds.size(), 0);
-  for (std::size_t id = 0; id < schedule.rules.size(); ++id) {
-    if (schedule.rules[id].kind == ScheduleRuleKind::kTargetTgd) {
-      rule_id[schedule.rules[id].index] = id;
-    }
-  }
-  for (const auto& group : schedule.parallel_groups) {
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      for (std::size_t j = i + 1; j < group.size(); ++j) {
-        EXPECT_LT(group[i], group[j]);  // declaration order
-        for (const ScheduleEdge& edge : schedule.edges) {
-          const bool forward_feed = edge.from == rule_id[group[i]] &&
-                                    edge.to == rule_id[group[j]] &&
-                                    edge.reason == ScheduleEdgeReason::kFeeds;
-          EXPECT_FALSE(forward_feed) << schedule.ToText();
-        }
-      }
     }
   }
 }
@@ -215,7 +155,6 @@ TEST(PlannerTest, ParallelGroupMembersNeverFeedLaterMembers) {
 void ExpectSameSchedule(const ChaseSchedule& carried,
                         const ChaseSchedule& replanned) {
   EXPECT_EQ(carried.strata, replanned.strata);
-  EXPECT_EQ(carried.parallel_groups, replanned.parallel_groups);
   EXPECT_EQ(carried.live_target_tgds, replanned.live_target_tgds);
   EXPECT_EQ(carried.live_egds, replanned.live_egds);
   ASSERT_EQ(carried.rules.size(), replanned.rules.size());
@@ -311,7 +250,6 @@ TEST(PlannerTest, ScheduledCChaseMatchesUnscheduledOnThePaperProgram) {
   CChaseOptions flat_options;
   flat_options.scheduled = false;
   CChaseOptions sched_options;
-  sched_options.jobs = 4;
   auto flat = CChase(flat_program->source, flat_program->lifted,
                      &flat_program->universe, flat_options);
   auto sched = CChase(sched_program->source, sched_program->lifted,
@@ -330,7 +268,6 @@ TEST(PlannerTest, ScheduledCChaseMatchesUnscheduledOnThePipeline) {
   CChaseOptions flat_options;
   flat_options.scheduled = false;
   CChaseOptions sched_options;
-  sched_options.jobs = 4;
   auto flat = CChase(flat_program->source, flat_program->lifted,
                      &flat_program->universe, flat_options);
   auto sched = CChase(sched_program->source, sched_program->lifted,
@@ -358,7 +295,6 @@ TEST(PlannerTest, ScheduledSnapshotChaseMatchesUnscheduled) {
   ChaseOptions flat_options;
   flat_options.scheduled = false;
   ChaseOptions sched_options;
-  sched_options.jobs = 4;
   auto flat = ChaseSnapshot(*flat_snap, flat_program->mapping,
                             &flat_program->universe, flat_options);
   auto sched = ChaseSnapshot(*sched_snap, sched_program->mapping,
@@ -371,23 +307,6 @@ TEST(PlannerTest, ScheduledSnapshotChaseMatchesUnscheduled) {
   EXPECT_EQ(flat->stats.tgd_fires, sched->stats.tgd_fires);
   EXPECT_EQ(flat->stats.egd_steps, sched->stats.egd_steps);
   EXPECT_EQ(flat->stats.fresh_nulls, sched->stats.fresh_nulls);
-}
-
-TEST(PlannerTest, JobsCountDoesNotChangeTheResult) {
-  auto one_program = ParseOrDie(kPipelineProgram);
-  auto eight_program = ParseOrDie(kPipelineProgram);
-  CChaseOptions one_options;
-  one_options.jobs = 1;
-  CChaseOptions eight_options;
-  eight_options.jobs = 8;
-  auto one = CChase(one_program->source, one_program->lifted,
-                    &one_program->universe, one_options);
-  auto eight = CChase(eight_program->source, eight_program->lifted,
-                      &eight_program->universe, eight_options);
-  ASSERT_TRUE(one.ok()) << one.status();
-  ASSERT_TRUE(eight.ok()) << eight.status();
-  ExpectSameOutcome(*one, *eight, one_program->universe,
-                    eight_program->universe);
 }
 
 TEST(PlannerTest, NormalizeIsIdempotent) {

@@ -17,7 +17,7 @@
 //                                  chasing the snapshots in parallel (--jobs)
 //   tdx_cli resume <file> <ckpt>   continue a checkpointed c-chase run
 //   tdx_cli plan <file>            print the chase schedule (strata, skipped
-//                                  rules, parallel groups, graph edges)
+//                                  rules, graph edges)
 //
 // Resource-governance flags (any command; default unlimited):
 //
@@ -25,9 +25,10 @@
 //   --max-fragments=N --deadline-ms=N
 //   --max-input-bytes=N --max-tokens=N --max-nesting-depth=N
 //
-// Execution flags: --jobs=N (0 = all cores), --stats, --naive-chase,
-// --no-schedule (ignore the chase planner's schedule: run every rule and
-// every egd/normalization pass, as if the planner did not exist),
+// Execution flags: --jobs=N (query-at's snapshot chases; 0 = all cores),
+// --stats, --naive-chase, --no-schedule (ignore the chase planner's
+// schedule: run every rule and every egd/normalization pass, as if the
+// planner did not exist),
 // --no-incremental-normalize (re-run every target normalization pass from
 // scratch), --no-lint (skip the static-analysis warnings), and
 // --format=text|json (plan command only)
@@ -106,7 +107,7 @@ int Usage() {
          "  resume     continue a checkpointed c-chase:\n"
          "             tdx_cli resume <file> <checkpoint-file>\n"
          "  plan       print the chase schedule: strata, skipped rules,\n"
-         "             parallel groups, and the dependency-graph edges\n"
+         "             and the dependency-graph edges\n"
          "flags (default unlimited):\n"
          "  --max-tgd-fires=N     abort the chase after N tgd firings\n"
          "  --max-egd-steps=N     abort after N egd applications\n"
@@ -118,10 +119,9 @@ int Usage() {
          "  --max-tokens=N        reject programs with more than N tokens\n"
          "  --max-nesting-depth=N reject atoms nested deeper than N\n"
          "  --no-lint             skip the static-analysis warnings pass\n"
-         "  --jobs=N              worker threads for snapshot-parallel\n"
-         "                        commands and, in the c-chase, trigger\n"
-         "                        collection and normalization fan-out\n"
-         "                        (0 = all hardware threads; default 1)\n"
+         "  --jobs=N              worker threads for query-at's per-snapshot\n"
+         "                        chases (0 = all hardware threads;\n"
+         "                        default 1)\n"
          "  --stats               print chase statistics after chase/core\n"
          "  --naive-chase         disable semi-naive target-tgd rounds\n"
          "  --no-schedule         ignore the chase planner's schedule: run\n"
@@ -302,7 +302,6 @@ tdx::Result<tdx::CChaseOutcome> RunCChase(tdx::ParsedProgram& program,
   chase_options.semi_naive = options.semi_naive;
   chase_options.scheduled = options.scheduled;
   chase_options.incremental_normalize = options.incremental_normalize;
-  chase_options.jobs = options.jobs;
   chase_options.checkpointer = options.checkpointer;
   chase_options.resume_from = options.resume_from;
   return tdx::CChase(program.source, program.lifted, &program.universe,
