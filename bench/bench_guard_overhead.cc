@@ -1,13 +1,14 @@
 // Resource-guard overhead: the governance layer must be invisible when no
 // limits are set. Three measurements:
 //
-//  * BM_CChaseUngoverned / BM_CChaseDefaultLimits — the c-chase hot path
-//    with default (unlimited) ChaseLimits; the pair quantifies the cost of
-//    the guard plumbing itself (acceptance bar: within 2%, i.e. noise).
+//  * BM_CChaseDefaultLimits — the c-chase hot path with default (unlimited)
+//    ChaseLimits.
 //  * BM_CChaseGenerousLimits — every budget set but far above the real
-//    cost, so the counting slow path runs without ever tripping.
-//  * BM_GuardChargeUnlimited / BM_GuardChargeCounting — the raw per-charge
-//    cost in isolation (one branch vs. branch + increment + compare).
+//    cost, so every admission compares against a finite limit without
+//    ever tripping. The guard runs the same compare either way, so the
+//    pair should agree within noise.
+//  * BM_GuardAdmit — the raw per-admission cost in isolation (one compare
+//    of a count the engine already keeps against the limit).
 //
 // Compare with: ./bench_guard_overhead --benchmark_filter=CChase
 
@@ -49,14 +50,6 @@ void RunChase(benchmark::State& state, const tdx::ChaseLimits& limits) {
   }
 }
 
-void BM_CChaseUngoverned(benchmark::State& state) {
-  // Identical to BM_CChaseDefaultLimits by construction; kept as a separate
-  // benchmark so a regression in the default-limits path shows up as a
-  // delta between adjacent rows.
-  RunChase(state, tdx::ChaseLimits{});
-}
-BENCHMARK(BM_CChaseUngoverned)->Arg(50)->Arg(200);
-
 void BM_CChaseDefaultLimits(benchmark::State& state) {
   RunChase(state, tdx::ChaseLimits{});
 }
@@ -73,24 +66,15 @@ void BM_CChaseGenerousLimits(benchmark::State& state) {
 }
 BENCHMARK(BM_CChaseGenerousLimits)->Arg(50)->Arg(200);
 
-void BM_GuardChargeUnlimited(benchmark::State& state) {
+void BM_GuardAdmit(benchmark::State& state) {
   tdx::ResourceGuard guard;
+  std::size_t count = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(guard.ChargeTgdFire());
-    benchmark::DoNotOptimize(guard.ChargeFact());
+    ++count;
+    benchmark::DoNotOptimize(guard.AdmitTgdFires(count));
+    benchmark::DoNotOptimize(guard.AdmitFacts(count));
   }
 }
-BENCHMARK(BM_GuardChargeUnlimited);
-
-void BM_GuardChargeCounting(benchmark::State& state) {
-  tdx::ChaseLimits limits;
-  limits.max_tgd_fires = tdx::kUnlimited - 1;  // counting path, never trips
-  tdx::ResourceGuard guard(limits);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(guard.ChargeTgdFire());
-    benchmark::DoNotOptimize(guard.ChargeFact());
-  }
-}
-BENCHMARK(BM_GuardChargeCounting);
+BENCHMARK(BM_GuardAdmit);
 
 }  // namespace

@@ -17,13 +17,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <cstdint>
 #include <optional>
 
 #include "src/core/cchase.h"
 #include "src/gen/workload.h"
-#include "src/obs/metrics.h"
 
 namespace {
 
@@ -36,20 +33,11 @@ tdx::CascadeConfig BenchConfig() {
   return cfg;
 }
 
-std::uint64_t FullPasses() {
-  const tdx::obs::MetricsSnapshot snapshot =
-      tdx::obs::MetricsRegistry::Instance().Snapshot();
-  const tdx::obs::MetricValue* full =
-      snapshot.Find("normalize.incremental.full_passes");
-  return full != nullptr ? full->value : 0;
-}
-
-/// `full_passes` is per chase: normalizer passes from an empty watermark
-/// over the timed loop divided by its iterations. With the incremental
-/// path off the state is invalidated after every pass, so every pass is
-/// full.
-void ReportNorm(benchmark::State& state, const tdx::CChaseOutcome& outcome,
-                std::uint64_t full_passes) {
+/// Counters of the last chase's cumulative target record. `full_passes`
+/// counts its normalizer passes from an empty watermark: with the
+/// incremental path off the state is invalidated after every pass, so
+/// every pass is full.
+void ReportNorm(benchmark::State& state, const tdx::CChaseOutcome& outcome) {
   state.counters["tgt_facts"] = static_cast<double>(outcome.target.size());
   state.counters["norm_homs"] =
       static_cast<double>(outcome.target_norm_stats.homomorphisms);
@@ -57,21 +45,18 @@ void ReportNorm(benchmark::State& state, const tdx::CChaseOutcome& outcome,
       static_cast<double>(outcome.target_norm_stats.reused_components);
   state.counters["egd_steps"] = static_cast<double>(outcome.stats.egd_steps);
   state.counters["full_passes"] =
-      static_cast<double>(full_passes) /
-      static_cast<double>(std::max<benchmark::IterationCount>(
-          state.iterations(), 1));
+      static_cast<double>(outcome.target_norm_stats.full_passes);
 }
 
 void RunCascade(benchmark::State& state, const tdx::CChaseOptions& options) {
   auto w = tdx::MakeCascadeWorkload(BenchConfig());
   std::optional<tdx::CChaseOutcome> last;
-  const std::uint64_t before = FullPasses();
   for (auto _ : state) {
     auto outcome = tdx::CChase(w->source, w->lifted, &w->universe, options);
     benchmark::DoNotOptimize(outcome);
     if (outcome.ok()) last = std::move(outcome).value();
   }
-  ReportNorm(state, *last, FullPasses() - before);
+  ReportNorm(state, *last);
 }
 
 /// range(0): 0 = full re-normalization every pass, 1 = incremental.

@@ -10,10 +10,11 @@
 // (including interval-annotated nulls, which the `fact` statement format
 // deliberately rejects — the checkpoint has its own durable encoding in
 // src/parser/serialize.h), the normalized source, the semi-naive
-// DeltaFrontier, the phase and round cursors, ChaseStats, the incremental
-// normalizer's watermark, the Universe's labeled-null namespace, and the
-// consumed ResourceGuard budget so a resumed run charges against the
-// remaining allowance instead of a reset one.
+// DeltaFrontier, the phase and round cursors, the run's work record
+// (ChaseStats and the normalization stats), the incremental normalizer's
+// watermark, the Universe's labeled-null namespace, and the elapsed wall
+// time. A resumed run admits further work against the restored record and
+// the remaining deadline, not against a reset budget.
 //
 // What is NOT captured: derived state. HomomorphismFinder indexes are pure
 // caches rebuilt on resume; the termination certificate is recomputed from
@@ -56,7 +57,7 @@ std::uint64_t FingerprintText(std::string_view text);
 struct ChaseCheckpoint {
   /// Bumped whenever the durable encoding changes shape; ParseCheckpoint
   /// refuses every other version, so each line has exactly one layout.
-  static constexpr std::uint32_t kFormatVersion = 4;
+  static constexpr std::uint32_t kFormatVersion = 5;
 
   /// FNV-1a fingerprint of the program text the run was parsed from.
   /// Stamped by the Checkpointer; LoadChaseCheckpoint validates it.
@@ -73,10 +74,13 @@ struct ChaseCheckpoint {
   /// Target-tgd rounds completed so far.
   std::size_t rounds = 0;
 
-  ChaseStats stats;  ///< certificate is not serialized; recomputed on resume
+  /// The run's work record up to the safe point. A resumed run restores it
+  /// and its guard admits further work against it, so count budgets carry
+  /// over. The certificate is not serialized; recomputed on resume.
+  ChaseStats stats;
   NormalizeStats source_norm_stats;
   NormalizeStats target_norm_stats;
-  /// Budget consumed up to the safe point; seeds the resumed run's guard.
+  /// Wall time spent up to the safe point; seeds the resumed run's guard.
   ResourceLedger consumed;
 
   /// The Universe's labeled-null namespace at the safe point: the next

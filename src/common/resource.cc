@@ -52,19 +52,6 @@ TripMetrics& GetTripMetrics() {
   return *metrics;
 }
 
-struct ConsumedMetrics {
-  obs::Counter tgd_fires{"guard.consumed.tgd_fires"};
-  obs::Counter egd_steps{"guard.consumed.egd_steps"};
-  obs::Counter fresh_nulls{"guard.consumed.fresh_nulls"};
-  obs::Counter facts{"guard.consumed.facts"};
-  obs::Counter fragments{"guard.consumed.fragments"};
-};
-
-ConsumedMetrics& GetConsumedMetrics() {
-  static auto* metrics = new ConsumedMetrics();
-  return *metrics;
-}
-
 }  // namespace
 
 void ResourceGuard::Trip(ResourceDimension dim, std::string reason) {
@@ -74,29 +61,6 @@ void ResourceGuard::Trip(ResourceDimension dim, std::string reason) {
   metrics.total.Inc();
   const auto index = static_cast<std::size_t>(dim);
   if (index < 8) metrics.by_dim[index].Inc();
-}
-
-ResourceGuard::~ResourceGuard() {
-  // Publishes this guard's own consumption — the seed a resumed guard
-  // started from was already published by the interrupted run's guard. The
-  // unlimited fast path skips the counters entirely, so an unlimited guard
-  // legitimately publishes zeros.
-  ConsumedMetrics& metrics = GetConsumedMetrics();
-  if (tgd_fires_ > seed_.tgd_fires) {
-    metrics.tgd_fires.Inc(tgd_fires_ - seed_.tgd_fires);
-  }
-  if (egd_steps_ > seed_.egd_steps) {
-    metrics.egd_steps.Inc(egd_steps_ - seed_.egd_steps);
-  }
-  if (fresh_nulls_ > seed_.fresh_nulls) {
-    metrics.fresh_nulls.Inc(fresh_nulls_ - seed_.fresh_nulls);
-  }
-  if (facts_ > seed_.facts) metrics.facts.Inc(facts_ - seed_.facts);
-  // Fragments reset per normalizer pass (ResetFragmentCount), so the final
-  // value is the last pass's count — published as-is, a lower bound.
-  if (fragments_ > seed_.fragments) {
-    metrics.fragments.Inc(fragments_ - seed_.fragments);
-  }
 }
 
 Status ResourceGuard::ToStatus() const {

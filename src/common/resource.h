@@ -13,12 +13,14 @@
 //
 //  * ChaseLimits + ResourceGuard — a budget (max tgd fires, egd steps, fresh
 //    nulls, facts, normalization fragments, wall-clock deadline) and the
-//    mutable guard that engines charge against. A guard "trips" on the first
-//    exceeded dimension and stays tripped; engines poll `ok()` at their loop
-//    heads and unwind, surfacing ChaseResultKind::kAborted with partial
-//    stats and the exhausted dimension. With no limits set, every charge is
-//    a single integer compare against the unlimited sentinel (measured <2%
-//    on the c-chase hot path, see bench_guard_overhead).
+//    guard that engines consult before each unit of work. The guard keeps
+//    no counts of its own: engines pass the count they already keep (their
+//    ChaseStats, or a normalizer pass's fragment count) and the guard
+//    compares it with the limit. A guard "trips" on the first exceeded
+//    dimension and stays tripped; engines poll `ok()` at their loop heads
+//    and unwind, surfacing ChaseResultKind::kAborted with partial stats and
+//    the exhausted dimension. An admission is one integer compare whether
+//    or not a limit is set (see bench_guard_overhead).
 //
 //  * TDX_FAULT_POINT / FaultRegistry — named sites in engine code that tests
 //    can arm to force budget exhaustion, simulated allocation failure, or a
@@ -56,18 +58,13 @@ struct ChaseLimits {
   std::size_t max_tgd_fires = kUnlimited;  ///< tgd firings (st + target)
   std::size_t max_egd_steps = kUnlimited;  ///< successful egd merge steps
   std::size_t max_fresh_nulls = kUnlimited;  ///< labeled/annotated nulls minted
-  std::size_t max_facts = kUnlimited;  ///< facts inserted into the target
-  /// Fragments emitted by a normalizer run (per normalization pass).
+  /// Facts tgd fires inserted (ChaseStats::facts_inserted); not a cap on the
+  /// target's size, which fragmentation and egd merges also change.
+  std::size_t max_facts = kUnlimited;
+  /// Fragments emitted by one normalization pass.
   std::size_t max_normalize_fragments = kUnlimited;
   /// Wall-clock deadline for the whole engine run; nullopt = none.
   std::optional<std::chrono::milliseconds> deadline;
-
-  /// True iff every dimension is unlimited (the guard fast path).
-  bool Unlimited() const {
-    return max_tgd_fires == kUnlimited && max_egd_steps == kUnlimited &&
-           max_fresh_nulls == kUnlimited && max_facts == kUnlimited &&
-           max_normalize_fragments == kUnlimited && !deadline.has_value();
-  }
 };
 
 /// The budget dimension that tripped a guard.
@@ -85,20 +82,13 @@ enum class ResourceDimension {
 /// Stable human-readable token for a dimension ("tgd-fires", ...).
 std::string_view ResourceDimensionToString(ResourceDimension dim);
 
-/// Everything a guard has charged so far, plus monotonic elapsed wall time.
-/// A checkpoint stores the ledger of the interrupted run; seeding a new
-/// guard with it makes the resumed run charge against the *remaining*
-/// allowance instead of a reset budget.
-///
-/// Caveat: under fully-unlimited limits the guard's fast path skips the
-/// count bookkeeping entirely, so the count fields stay zero — ChaseStats
-/// is the record of work done, the ledger is the record of budget spent.
+/// The budget a run spent that its work record cannot hold: monotonic
+/// elapsed wall time. A checkpoint stores the ledger of the interrupted
+/// run; seeding a new guard with it makes the resumed run's deadline the
+/// *remaining* allowance instead of a reset one. (The count budgets need no
+/// ledger: a resumed run restores its ChaseStats, and the guard admits
+/// against those.)
 struct ResourceLedger {
-  std::size_t tgd_fires = 0;
-  std::size_t egd_steps = 0;
-  std::size_t fresh_nulls = 0;
-  std::size_t facts = 0;
-  std::size_t fragments = 0;
   /// Wall time consumed, measured on std::chrono::steady_clock so system
   /// clock jumps can neither spuriously trip nor indefinitely extend a
   /// deadline.
@@ -198,44 +188,31 @@ class ScopedFault {
 // ResourceGuard
 // ---------------------------------------------------------------------------
 
-/// Mutable budget accountant threaded through one engine run. Not
-/// thread-safe (each engine run owns its guard). All charge methods return
-/// true while within budget; the first violation trips the guard, records
-/// the dimension, and every subsequent charge returns false, so engines can
-/// poll cheaply at loop heads and unwind without extra state.
+/// Budget check threaded through one engine run. Not thread-safe (each
+/// engine run owns its guard). Every admission returns true while within
+/// budget; the first violation trips the guard, records the dimension, and
+/// every later admission returns false, so engines can poll cheaply at loop
+/// heads and unwind without extra state.
 class ResourceGuard {
  public:
-  /// Unlimited guard; every charge succeeds.
+  /// Unlimited guard; every admission succeeds.
   ResourceGuard() : ResourceGuard(ChaseLimits{}) {}
 
   explicit ResourceGuard(const ChaseLimits& limits)
       : ResourceGuard(limits, ResourceLedger{}) {}
 
-  /// Resume constructor: the guard starts with `consumed` already charged,
-  /// so only the remaining allowance (counts and wall time) is available.
-  /// If the prior run already spent the whole deadline, the guard starts
-  /// tripped and the first poll aborts the engine.
-  /// Publishes the final consumed ledger to the process metrics
-  /// (guard.consumed.*); defined out of line. Guards are never copied —
-  /// every engine holds exactly one per run — so the ledger is published
-  /// exactly once per run.
-  ~ResourceGuard();
-
-  /// Deadline arithmetic saturates: a negative prior consumption counts as
-  /// none, and a deadline beyond what the steady clock can represent from
-  /// now lands on its last representable instant instead of overflowing.
+  /// Resume constructor: the guard starts with `consumed` already spent, so
+  /// only the remaining wall time is available. If the prior run already
+  /// spent the whole deadline, the guard starts tripped and the first poll
+  /// aborts the engine. Deadline arithmetic saturates: a negative prior
+  /// consumption counts as none, and a deadline beyond what the steady
+  /// clock can represent from now lands on its last representable instant
+  /// instead of overflowing.
   ResourceGuard(const ChaseLimits& limits, const ResourceLedger& consumed)
       : limits_(limits),
-        unlimited_(limits.Unlimited()),
         start_(std::chrono::steady_clock::now()),
         prior_elapsed_(
-            std::max(consumed.elapsed, std::chrono::milliseconds::zero())),
-        seed_(consumed),
-        tgd_fires_(consumed.tgd_fires),
-        egd_steps_(consumed.egd_steps),
-        fresh_nulls_(consumed.fresh_nulls),
-        facts_(consumed.facts),
-        fragments_(consumed.fragments) {
+            std::max(consumed.elapsed, std::chrono::milliseconds::zero())) {
     if (limits_.deadline.has_value()) {
       if (prior_elapsed_ >= *limits_.deadline) {
         Trip(ResourceDimension::kWallClock,
@@ -253,23 +230,16 @@ class ResourceGuard {
     }
   }
 
-  const ChaseLimits& limits() const { return limits_; }
-
-  /// Snapshot of everything charged so far, for checkpointing. Elapsed time
-  /// is prior consumption plus this guard's lifetime on the steady clock;
-  /// successive snapshots are monotonically non-decreasing (asserted —
-  /// steady_clock is monotonic by contract).
+  /// Wall time spent so far, for checkpointing: prior consumption plus this
+  /// guard's lifetime on the steady clock. Successive snapshots are
+  /// monotonically non-decreasing (asserted — steady_clock is monotonic by
+  /// contract).
   ResourceLedger Consumed() const {
     const auto now = std::chrono::steady_clock::now();
     assert(now >= start_ && "steady_clock went backwards");
-    ResourceLedger ledger;
-    ledger.tgd_fires = tgd_fires_;
-    ledger.egd_steps = egd_steps_;
-    ledger.fresh_nulls = fresh_nulls_;
-    ledger.facts = facts_;
-    ledger.fragments = fragments_;
     const auto run =
         std::chrono::duration_cast<std::chrono::milliseconds>(now - start_);
+    ResourceLedger ledger;
     ledger.elapsed = prior_elapsed_ > std::chrono::milliseconds::max() - run
                          ? std::chrono::milliseconds::max()
                          : prior_elapsed_ + run;
@@ -290,28 +260,30 @@ class ResourceGuard {
   /// Empty if not tripped.
   const std::string& reason() const { return reason_; }
 
-  // ---- charging ----------------------------------------------------------
-  // Engines call these as the corresponding work happens; counts mirror
-  // ChaseStats. A tripped guard rejects every further charge.
+  // ---- admission ---------------------------------------------------------
+  // Engines pass the run's count of the dimension *including* the work
+  // about to be done (or just done, for facts): ChaseStats::tgd_fires + 1
+  // before a fire, and so on. The guard admits it while it stays within
+  // the limit. A tripped guard admits nothing.
 
-  bool ChargeTgdFire() {
-    return Charge(&tgd_fires_, limits_.max_tgd_fires,
-                  ResourceDimension::kTgdFires);
+  bool AdmitTgdFires(std::size_t total) {
+    return Admit(total, limits_.max_tgd_fires, ResourceDimension::kTgdFires);
   }
-  bool ChargeEgdSteps(std::size_t n) {
-    return Charge(&egd_steps_, limits_.max_egd_steps,
-                  ResourceDimension::kEgdSteps, n);
+  bool AdmitEgdSteps(std::size_t total) {
+    return Admit(total, limits_.max_egd_steps, ResourceDimension::kEgdSteps);
   }
-  bool ChargeFreshNull() {
-    return Charge(&fresh_nulls_, limits_.max_fresh_nulls,
-                  ResourceDimension::kFreshNulls);
+  bool AdmitFreshNulls(std::size_t total) {
+    return Admit(total, limits_.max_fresh_nulls,
+                 ResourceDimension::kFreshNulls);
   }
-  bool ChargeFact() {
-    return Charge(&facts_, limits_.max_facts, ResourceDimension::kFacts);
+  bool AdmitFacts(std::size_t total) {
+    return Admit(total, limits_.max_facts, ResourceDimension::kFacts);
   }
-  bool ChargeFragment() {
-    return Charge(&fragments_, limits_.max_normalize_fragments,
-                  ResourceDimension::kNormalizeFragments);
+  /// `pass_total` counts the current normalization pass only: the fragment
+  /// budget is per pass.
+  bool AdmitFragments(std::size_t pass_total) {
+    return Admit(pass_total, limits_.max_normalize_fragments,
+                 ResourceDimension::kNormalizeFragments);
   }
 
   /// Polls the wall-clock deadline. The clock is read only once per
@@ -349,19 +321,12 @@ class ResourceGuard {
     return ok();
   }
 
-  /// Normalizer passes are budgeted individually (each pass re-fragments
-  /// the instance); callers reset the fragment counter between passes.
-  void ResetFragmentCount() { fragments_ = 0; }
-
  private:
   static constexpr std::size_t kDeadlineStride = 256;
 
-  bool Charge(std::size_t* counter, std::size_t limit, ResourceDimension dim,
-              std::size_t n = 1) {
+  bool Admit(std::size_t total, std::size_t limit, ResourceDimension dim) {
     if (tripped()) return false;
-    if (unlimited_) return true;
-    *counter += n;
-    if (*counter > limit) {
+    if (total > limit) {
       Trip(dim, std::string(ResourceDimensionToString(dim)) + " budget of " +
                     std::to_string(limit) + " exhausted");
       return false;
@@ -374,18 +339,10 @@ class ResourceGuard {
   void Trip(ResourceDimension dim, std::string reason);
 
   ChaseLimits limits_;
-  bool unlimited_;
   std::chrono::steady_clock::time_point start_;
   std::chrono::milliseconds prior_elapsed_{0};
-  ResourceLedger seed_;  ///< resume-time consumption, excluded from metrics
   std::optional<std::chrono::steady_clock::time_point> deadline_;
   std::size_t deadline_poll_ = 0;
-
-  std::size_t tgd_fires_ = 0;
-  std::size_t egd_steps_ = 0;
-  std::size_t fresh_nulls_ = 0;
-  std::size_t facts_ = 0;
-  std::size_t fragments_ = 0;
 
   ResourceDimension dimension_ = ResourceDimension::kNone;
   std::string reason_;

@@ -6,6 +6,7 @@
 
 #include "src/common/checkpoint.h"
 #include "src/core/normalize_incremental.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/relational/chase_run.h"
 
@@ -30,6 +31,46 @@ Result<VarId> InferTemporalVar(const Conjunction& conj) {
   }
   return *t;
 }
+
+namespace {
+
+/// Publishes normalize.incremental.* as the growth of a run's target
+/// normalization record, when the run returns by any path: the counterpart
+/// of ChaseRunScope's cchase.* (relational/chase_run.h). A resumed run
+/// constructs it after the restore, so it publishes only its own passes.
+class NormalizeRunMetrics {
+ public:
+  explicit NormalizeRunMetrics(const NormalizeStats* record)
+      : record_(record), entry_(*record) {}
+  ~NormalizeRunMetrics() {
+    static auto* metrics = new Metrics();
+    metrics->passes.Inc(record_->passes - entry_.passes);
+    metrics->full_passes.Inc(record_->full_passes - entry_.full_passes);
+    metrics->delta_facts.Inc(record_->delta_facts - entry_.delta_facts);
+    metrics->dirty_components.Inc(record_->dirty_components -
+                                  entry_.dirty_components);
+    metrics->reused_components.Inc(record_->reused_components -
+                                   entry_.reused_components);
+    metrics->homomorphisms.Inc(record_->homomorphisms - entry_.homomorphisms);
+  }
+  NormalizeRunMetrics(const NormalizeRunMetrics&) = delete;
+  NormalizeRunMetrics& operator=(const NormalizeRunMetrics&) = delete;
+
+ private:
+  struct Metrics {
+    obs::Counter passes{"normalize.incremental.passes"};
+    obs::Counter full_passes{"normalize.incremental.full_passes"};
+    obs::Counter delta_facts{"normalize.incremental.delta_facts"};
+    obs::Counter dirty_components{"normalize.incremental.dirty_components"};
+    obs::Counter reused_components{"normalize.incremental.reused_components"};
+    obs::Counter homomorphisms{"normalize.incremental.homomorphisms"};
+  };
+
+  const NormalizeStats* record_;
+  NormalizeStats entry_;
+};
+
+}  // namespace
 
 Result<CChaseOutcome> CChase(const ConcreteInstance& source,
                              const Mapping& lifted, Universe* universe,
@@ -104,8 +145,9 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
     universe->RestoreNullState(resume->next_null, resume->null_names);
   }
   // One guard governs all four phases; any trip unwinds to here and is
-  // reported as kAborted with whatever stats accrued. A resumed run's guard
-  // starts charged with the interrupted run's consumption.
+  // reported as kAborted with whatever stats accrued. It admits work
+  // against outcome.stats, so a resumed run spends the remaining budget;
+  // its deadline starts with the interrupted run's elapsed time.
   ChaseRun run(ChaseEngine::kCChase, options.limits,
                resume != nullptr ? resume->consumed : ResourceLedger{});
   TDX_RETURN_IF_ERROR(
@@ -127,6 +169,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   // deltas cover only this run's own work.
   ChaseRunScope run_metrics(ChaseEngine::kCChase, &outcome.stats, &rounds,
                             &outcome.kind);
+  NormalizeRunMetrics norm_metrics(&outcome.target_norm_stats);
   DeltaFrontier frontier;
   // Target-normalization state (declared before the checkpoint lambda so
   // its watermark can be captured at safe points). Its watermark stays
@@ -176,6 +219,16 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
     });
   };
 
+  // A budget lowered below what the interrupted run already spent is
+  // exhausted before any work, as it would have been in an uninterrupted
+  // run.
+  if (resume != nullptr) {
+    const ChaseStats& spent = outcome.stats;
+    (void)(guard.AdmitTgdFires(spent.tgd_fires) &&
+           guard.AdmitEgdSteps(spent.egd_steps) &&
+           guard.AdmitFreshNulls(spent.fresh_nulls) &&
+           guard.AdmitFacts(spent.facts_inserted));
+  }
   if (guard.tripped()) return aborted();
   if (start_phase == "init") {
     // A boundary checkpoint before any work, so even a kill inside source
@@ -241,18 +294,18 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   }
   const auto normalize_target = [&]() {
     TDX_TRACE_SPAN("cchase.normalize_pass");
+    NormalizeStats pass;
     if (options.use_naive_normalizer) {
-      concrete_target =
-          NaiveNormalize(concrete_target, &outcome.target_norm_stats, &guard);
-      return;
+      concrete_target = NaiveNormalize(concrete_target, &pass, &guard);
+    } else {
+      // The state installs the output in place and re-records its
+      // watermark; the egd fixpoint below reports its rewrites to it. Off
+      // the incremental path the watermark is dropped after every pass, so
+      // every pass starts from an empty one and no safe point carries one.
+      norm_state.Normalize(&concrete_target, target_phis, &pass, &guard);
+      if (!use_incremental) norm_state.Invalidate();
     }
-    // The state installs the output in place and re-records its watermark;
-    // the egd fixpoint below reports its rewrites to it. Off the incremental
-    // path the watermark is dropped after every pass, so every pass starts
-    // from an empty one and no safe point carries one.
-    norm_state.Normalize(&concrete_target, target_phis,
-                         &outcome.target_norm_stats, &guard);
-    if (!use_incremental) norm_state.Invalidate();
+    outcome.target_norm_stats.Accumulate(pass);
   };
   // Restore the loop cursor when resuming into it; otherwise mark the first
   // materialized-target boundary.

@@ -100,8 +100,13 @@ struct CChaseOutcome {
   /// holds whatever was materialized before the budget ran out — NEVER a
   /// solution.
   ConcreteInstance target;
+  /// The run's work, the one record of it: budgets are admitted against
+  /// these counts, checkpoints carry them, and the cchase.* and
+  /// normalize.incremental.* metrics are published from them.
   ChaseStats stats;
+  /// The source normalization pass (step 1).
   NormalizeStats source_norm_stats;
+  /// Every target normalization pass, added up (NormalizeStats::Accumulate).
   NormalizeStats target_norm_stats;
   std::string failure_reason;
   /// The exhausted budget dimension and its description when kAborted.

@@ -24,15 +24,27 @@ Conjunction RenameTemporalApart(const Conjunction& phi) {
   return out;
 }
 
+void NormalizeStats::Accumulate(const NormalizeStats& pass) {
+  passes += pass.passes;
+  full_passes += pass.full_passes;
+  partial = pass.partial;
+  if (pass.partial) return;
+  input_facts = pass.input_facts;
+  output_facts = pass.output_facts;
+  homomorphisms += pass.homomorphisms;
+  groups += pass.groups;
+  delta_facts += pass.delta_facts;
+  dirty_components += pass.dirty_components;
+  reused_components += pass.reused_components;
+}
+
 ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
                                 NormalizeStats* stats, ResourceGuard* guard) {
   const std::vector<TimePoint> cuts = instance.Endpoints();
   ConcreteInstance out(&instance.schema());
-  if (guard != nullptr) {
-    guard->ResetFragmentCount();
-    guard->PokeFault("normalize/naive");
-  }
-  // Each fragment is charged before it is inserted.
+  if (guard != nullptr) guard->PokeFault("normalize/naive");
+  // Each fragment is admitted before it is inserted.
+  std::size_t fragment_count = 0;
   std::vector<Interval> fragments;
   instance.facts().ForEach([&](FactView fact) {
     if (guard != nullptr && (guard->tripped() || !guard->CheckDeadline())) {
@@ -41,7 +53,9 @@ ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
     fragments.clear();
     AppendFragments(fact.interval(), cuts, &fragments);
     for (const Interval& sub : fragments) {
-      if (guard != nullptr && !guard->ChargeFragment()) return;
+      if (guard != nullptr && !guard->AdmitFragments(++fragment_count)) {
+        return;
+      }
       out.mutable_facts().Insert(fact.WithInterval(sub));
     }
   });
@@ -53,6 +67,8 @@ ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
     stats->delta_facts = instance.size();
     stats->dirty_components = 0;
     stats->reused_components = 0;
+    stats->passes = 1;
+    stats->full_passes = 1;
     stats->partial = guard != nullptr && guard->tripped();
   }
   return out;
@@ -62,8 +78,7 @@ ConcreteInstance Normalize(const ConcreteInstance& instance,
                            const std::vector<Conjunction>& phis,
                            NormalizeStats* stats, ResourceGuard* guard) {
   // A pass from an empty watermark over the const input: a scratch state
-  // that is never recorded, so no copy and no normalize.incremental.*
-  // metrics.
+  // that is never recorded, so no copy.
   ConcreteInstance out(&instance.schema());
   NormalizeState state;
   state.Pass(instance.facts(), phis, &out.mutable_facts(), stats, guard);

@@ -36,6 +36,9 @@
 
 namespace tdx {
 
+/// The work of one normalization pass, or of a run's passes added up with
+/// Accumulate (the c-chase's target record). The work counters and the pass
+/// counts are totals; the sizes are the last complete pass's.
 struct NormalizeStats {
   std::size_t input_facts = 0;
   std::size_t output_facts = 0;
@@ -51,14 +54,22 @@ struct NormalizeStats {
   /// place by an egd. Full passes (and the naive normalizer) count every
   /// input fact here.
   std::size_t delta_facts = 0;
-  /// Components re-fragmented this pass. A full pass dirties every group.
+  /// Components re-fragmented. A full pass dirties every group.
   std::size_t dirty_components = 0;
   /// Components of the previous pass copied through untouched. Always 0 for
   /// full passes.
   std::size_t reused_components = 0;
+  /// Passes started, and how many of them started from an empty watermark
+  /// (every naive pass is full).
+  std::size_t passes = 0;
+  std::size_t full_passes = 0;
   /// True when the guard tripped mid-pass and the output is partially
   /// normalized (garbage per the guard contract below).
   bool partial = false;
+
+  /// Adds one pass's record. A partial pass adds only its pass counts,
+  /// since its work counters were never filled in.
+  void Accumulate(const NormalizeStats& pass);
 };
 
 /// N(phi): renames the temporal position of every atom to a fresh variable,
@@ -69,13 +80,13 @@ Conjunction RenameTemporalApart(const Conjunction& phi);
 /// The naive endpoint normalizer (Section 4.2): fragments every fact at all
 /// distinct endpoints occurring in the instance.
 ///
-/// Both normalizers charge `guard` (when non-null) one unit per emitted
-/// fragment and poll its deadline; a run whose guard trips stops early and
-/// returns a PARTIALLY normalized instance — callers must check
-/// guard->tripped() (mirrored in NormalizeStats::partial) and treat the
-/// result as garbage. The fragment budget is per pass: the counter is reset
-/// on entry. Fault sites: "normalize/naive" here, "normalize/algorithm1"
-/// and "normalize/incremental" in normalize_incremental.h.
+/// Both normalizers admit each emitted fragment against `guard` (when
+/// non-null) by the pass's own fragment count, so the budget is per pass,
+/// and poll its deadline; a run whose guard trips stops early and returns
+/// a PARTIALLY normalized instance — callers must check guard->tripped()
+/// (mirrored in NormalizeStats::partial) and treat the result as garbage.
+/// Fault sites: "normalize/naive" here, "normalize/algorithm1" and
+/// "normalize/incremental" in normalize_incremental.h.
 ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
                                 NormalizeStats* stats = nullptr,
                                 ResourceGuard* guard = nullptr);

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/relational/chase.h"
 
@@ -164,50 +163,15 @@ void NormalizeState::IndexPreviousComponents() {
   }
 }
 
-namespace {
-
-struct IncrementalNormMetrics {
-  obs::Counter passes{"normalize.incremental.passes"};
-  obs::Counter full_passes{"normalize.incremental.full_passes"};
-  obs::Counter delta_facts{"normalize.incremental.delta_facts"};
-  obs::Counter dirty_components{"normalize.incremental.dirty_components"};
-  obs::Counter reused_components{"normalize.incremental.reused_components"};
-  obs::Counter homomorphisms{"normalize.incremental.homomorphisms"};
-};
-
-IncrementalNormMetrics& GetIncrementalNormMetrics() {
-  static auto* metrics = new IncrementalNormMetrics();
-  return *metrics;
-}
-
-}  // namespace
-
 void NormalizeState::Normalize(ConcreteInstance* instance,
                                const std::vector<Conjunction>& phis,
                                NormalizeStats* stats, ResourceGuard* guard) {
   TDX_TRACE_SPAN("normalize.incremental");
-  // Per-pass metrics need the pass's own stats even when the caller passed
-  // none; NormalizeStats is a flat value, so the scratch copy is cheap.
-  NormalizeStats scratch;
-  NormalizeStats* pass_stats = stats != nullptr ? stats : &scratch;
-  IncrementalNormMetrics& metrics = GetIncrementalNormMetrics();
-  metrics.passes.Inc();
-  if (!MatchesWatermark(*instance)) {
-    metrics.full_passes.Inc();
-    Invalidate();
-  }
+  if (!MatchesWatermark(*instance)) Invalidate();
   Instance out(&instance->schema());
-  if (Pass(instance->facts(), phis, &out, pass_stats, guard)) {
+  if (Pass(instance->facts(), phis, &out, stats, guard)) {
     instance->mutable_facts() = std::move(out);
-    if (!pass_stats->partial) Record(*instance);
-  }
-  // A partial (guard-tripped) pass leaves the stat fields untouched from
-  // the caller's previous pass; publishing them would double count.
-  if (!pass_stats->partial) {
-    metrics.delta_facts.Inc(pass_stats->delta_facts);
-    metrics.dirty_components.Inc(pass_stats->dirty_components);
-    metrics.reused_components.Inc(pass_stats->reused_components);
-    metrics.homomorphisms.Inc(pass_stats->homomorphisms);
+    if (guard == nullptr || !guard->tripped()) Record(*instance);
   }
 }
 
@@ -215,12 +179,15 @@ bool NormalizeState::Pass(const Instance& facts,
                           const std::vector<Conjunction>& phis, Instance* out,
                           NormalizeStats* stats, ResourceGuard* guard) {
   const bool watermarked = valid_;
+  if (stats != nullptr) {
+    stats->passes = 1;
+    stats->full_passes = watermarked ? 0 : 1;
+  }
   const auto trip = [&]() {
     if (stats != nullptr) stats->partial = true;
     Invalidate();
   };
   if (guard != nullptr) {
-    guard->ResetFragmentCount();
     guard->PokeFault(watermarked ? "normalize/incremental"
                                  : "normalize/algorithm1");
     if (guard->tripped()) {
@@ -426,11 +393,12 @@ bool NormalizeState::Pass(const Instance& facts,
     pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
   }
 
-  // Fragmentation and merge (lines 14-18), in dense-id order, charging the
-  // guard per emitted fact. Labels are dense in first-emission order: a
-  // dirty component is keyed by its first-seen index, a pass-through fact
-  // by its previous label. Members of a re-derived previous component that
-  // no group claimed are ungrouped now.
+  // Fragmentation and merge (lines 14-18), in dense-id order, admitting
+  // each emitted fact against the guard's per-pass fragment budget. Labels
+  // are dense in first-emission order: a dirty component is keyed by its
+  // first-seen index, a pass-through fact by its previous label. Members of
+  // a re-derived previous component that no group claimed are ungrouped
+  // now.
   std::uint32_t touched_count = 0;
   for (const char t : prev_touched_) touched_count += t != 0 ? 1 : 0;
   dirty_label_.assign(num_dirty, kUngrouped);
@@ -441,6 +409,10 @@ bool NormalizeState::Pass(const Instance& facts,
   };
   flat_labels_.clear();
   num_labels_ = 0;
+  std::size_t fragment_count = 0;
+  const auto admit_fragment = [&]() {
+    return guard == nullptr || guard->AdmitFragments(++fragment_count);
+  };
   bool tripped = false;
   for (std::size_t i = 0; i < total && !tripped; ++i) {
     const FactView fact = fact_at(i);
@@ -450,7 +422,7 @@ bool NormalizeState::Pass(const Instance& facts,
       AppendFragments(fact.interval(), comp_points_[comp], &frag_buf_);
       const std::uint32_t label = label_of(&dirty_label_[comp]);
       for (const Interval& sub : frag_buf_) {
-        if (guard != nullptr && !guard->ChargeFragment()) {
+        if (!admit_fragment()) {
           tripped = true;
           break;
         }
@@ -464,7 +436,7 @@ bool NormalizeState::Pass(const Instance& facts,
           label = label_of(&prev_label_[prev]);
         }
       }
-      if (guard != nullptr && !guard->ChargeFragment()) {
+      if (!admit_fragment()) {
         tripped = true;
       } else if (out->Insert(fact)) {
         flat_labels_.push_back(label);

@@ -1,13 +1,14 @@
 // Pretty-printers that render instances the way the paper displays them:
 // one aligned table per relation (Figures 4-9) and per-snapshot listings
 // for abstract views (Figures 1-3). Used by the examples and the
-// paper-figure regression tests.
+// paper-figure regression tests. Also the `--stats` lines of a c-chase run.
 
 #ifndef TDX_PARSER_PRINTER_H_
 #define TDX_PARSER_PRINTER_H_
 
 #include <string>
 
+#include "src/core/cchase.h"
 #include "src/core/query.h"
 #include "src/temporal/abstract_instance.h"
 #include "src/temporal/concrete_instance.h"
@@ -39,6 +40,12 @@ std::string RenderAnswers(const std::vector<Tuple>& answers,
 /// handing exchange results to downstream tools.
 std::string RenderRelationCsv(const Instance& instance, RelationId rel,
                               const Universe& u);
+
+/// A c-chase run's work record as `tdx_cli chase --stats` prints it: one
+/// "(stats: ...)" line for ChaseStats, then "(norm-source: ...)" and
+/// "(norm-target: ...)" for the two normalization records. Every field of
+/// the record is printed except the derived termination certificate.
+std::string RenderChaseStats(const CChaseOutcome& outcome);
 
 }  // namespace tdx
 

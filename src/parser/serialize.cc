@@ -454,6 +454,7 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
          std::to_string(checkpoint.stats.tgd_fires) + " " +
          std::to_string(checkpoint.stats.egd_steps) + " " +
          std::to_string(checkpoint.stats.fresh_nulls) + " " +
+         std::to_string(checkpoint.stats.facts_inserted) + " " +
          std::to_string(checkpoint.stats.values_rewritten) + " " +
          std::to_string(checkpoint.stats.skipped_egd_passes) + " " +
          std::to_string(checkpoint.stats.skipped_normalize_passes) + " " +
@@ -468,16 +469,14 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
            std::to_string(ns.delta_facts) + " " +
            std::to_string(ns.dirty_components) + " " +
            std::to_string(ns.reused_components) + " " +
+           std::to_string(ns.passes) + " " +
+           std::to_string(ns.full_passes) + " " +
            std::to_string(ns.partial ? 1 : 0) + "\n";
   };
   out += norm_line("norm-source", checkpoint.source_norm_stats);
   out += norm_line("norm-target", checkpoint.target_norm_stats);
-  out += "consumed " + std::to_string(checkpoint.consumed.tgd_fires) + " " +
-         std::to_string(checkpoint.consumed.egd_steps) + " " +
-         std::to_string(checkpoint.consumed.fresh_nulls) + " " +
-         std::to_string(checkpoint.consumed.facts) + " " +
-         std::to_string(checkpoint.consumed.fragments) + " " +
-         std::to_string(checkpoint.consumed.elapsed.count()) + "\n";
+  out += "consumed " + std::to_string(checkpoint.consumed.elapsed.count()) +
+         "\n";
   out += "nulls " + std::to_string(checkpoint.next_null) + "\n";
   for (NullId id = 0; id < checkpoint.next_null; ++id) {
     out += "null " + std::to_string(id) + " \"" +
@@ -580,23 +579,24 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
     return Status::OK();
   };
   {
-    std::uint64_t v[10];
-    TDX_RETURN_IF_ERROR(parse_counts("stats", v, 10));
+    std::uint64_t v[11];
+    TDX_RETURN_IF_ERROR(parse_counts("stats", v, 11));
     ck.stats.tgd_triggers = static_cast<std::size_t>(v[0]);
     ck.stats.tgd_fires = static_cast<std::size_t>(v[1]);
     ck.stats.egd_steps = static_cast<std::size_t>(v[2]);
     ck.stats.fresh_nulls = static_cast<std::size_t>(v[3]);
-    ck.stats.values_rewritten = static_cast<std::size_t>(v[4]);
-    ck.stats.skipped_egd_passes = static_cast<std::size_t>(v[5]);
-    ck.stats.skipped_normalize_passes = static_cast<std::size_t>(v[6]);
-    ck.stats.search.index_probes = v[7];
-    ck.stats.search.index_candidates = v[8];
-    ck.stats.search.full_scans = v[9];
+    ck.stats.facts_inserted = static_cast<std::size_t>(v[4]);
+    ck.stats.values_rewritten = static_cast<std::size_t>(v[5]);
+    ck.stats.skipped_egd_passes = static_cast<std::size_t>(v[6]);
+    ck.stats.skipped_normalize_passes = static_cast<std::size_t>(v[7]);
+    ck.stats.search.index_probes = v[8];
+    ck.stats.search.index_candidates = v[9];
+    ck.stats.search.full_scans = v[10];
   }
   const auto parse_norm = [&](const char* head, NormalizeStats* ns) -> Status {
-    std::uint64_t v[8];
-    TDX_RETURN_IF_ERROR(parse_counts(head, v, 8));
-    if (v[7] > 1) return Malformed(std::string("malformed ") + head + " line");
+    std::uint64_t v[10];
+    TDX_RETURN_IF_ERROR(parse_counts(head, v, 10));
+    if (v[9] > 1) return Malformed(std::string("malformed ") + head + " line");
     ns->input_facts = static_cast<std::size_t>(v[0]);
     ns->output_facts = static_cast<std::size_t>(v[1]);
     ns->homomorphisms = static_cast<std::size_t>(v[2]);
@@ -604,25 +604,22 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
     ns->delta_facts = static_cast<std::size_t>(v[4]);
     ns->dirty_components = static_cast<std::size_t>(v[5]);
     ns->reused_components = static_cast<std::size_t>(v[6]);
-    ns->partial = v[7] != 0;
+    ns->passes = static_cast<std::size_t>(v[7]);
+    ns->full_passes = static_cast<std::size_t>(v[8]);
+    ns->partial = v[9] != 0;
     return Status::OK();
   };
   TDX_RETURN_IF_ERROR(parse_norm("norm-source", &ck.source_norm_stats));
   TDX_RETURN_IF_ERROR(parse_norm("norm-target", &ck.target_norm_stats));
   {
-    std::uint64_t v[6];
-    TDX_RETURN_IF_ERROR(parse_counts("consumed", v, 6));
-    ck.consumed.tgd_fires = static_cast<std::size_t>(v[0]);
-    ck.consumed.egd_steps = static_cast<std::size_t>(v[1]);
-    ck.consumed.fresh_nulls = static_cast<std::size_t>(v[2]);
-    ck.consumed.facts = static_cast<std::size_t>(v[3]);
-    ck.consumed.fragments = static_cast<std::size_t>(v[4]);
-    if (v[5] > static_cast<std::uint64_t>(
-                   std::chrono::milliseconds::max().count())) {
+    std::uint64_t elapsed = 0;
+    TDX_RETURN_IF_ERROR(parse_counts("consumed", &elapsed, 1));
+    if (elapsed > static_cast<std::uint64_t>(
+                      std::chrono::milliseconds::max().count())) {
       return Malformed("consumed elapsed time out of range");
     }
     ck.consumed.elapsed =
-        std::chrono::milliseconds(static_cast<std::int64_t>(v[5]));
+        std::chrono::milliseconds(static_cast<std::int64_t>(elapsed));
   }
   // The null table follows on lines of at least `null N ""\n`.
   constexpr std::size_t kMinNullLine = 10;

@@ -95,15 +95,14 @@ bool FireTriggers(Instance* target, const Tgd& tgd, TriggerSet& triggers,
     // Budget checks come before the corresponding work, so an aborted
     // firing never half-materializes: no nulls are minted and no facts
     // inserted once the guard trips.
-    if (!guard->ChargeTgdFire()) break;
+    if (!guard->AdmitTgdFires(stats->tgd_fires + 1)) break;
     Binding extended = binding;
     for (VarId y : tgd.existential) {
-      if (!guard->ChargeFreshNull()) break;
+      if (!guard->AdmitFreshNulls(stats->fresh_nulls + 1)) break;
       extended.Bind(y, fresh(tgd, binding));
       ++stats->fresh_nulls;
     }
     if (guard->tripped()) break;
-    bool fact_budget_ok = true;
     for (const Atom& atom : tgd.head.atoms) {
       row.clear();
       for (const Term& t : atom.terms) {
@@ -112,14 +111,11 @@ bool FireTriggers(Instance* target, const Tgd& tgd, TriggerSet& triggers,
       if (target->InsertSpan(atom.rel, row.data(), row.size())) {
         inserted_any = true;
         // Duplicates are free: only facts that grew the instance count.
-        if (!guard->ChargeFact()) {
-          fact_budget_ok = false;
-          break;
-        }
+        if (!guard->AdmitFacts(++stats->facts_inserted)) break;
       }
     }
     ++stats->tgd_fires;
-    if (!fact_budget_ok) break;
+    if (guard->tripped()) break;
   }
   return inserted_any;
 }
@@ -285,12 +281,13 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
       if (rep != values[i]) subst.emplace(values[i], rep);
     }
 
-    // The pass's steps are charged before the substitution: a pass that
+    // The pass's steps are admitted before the substitution: a pass that
     // blows the egd budget aborts without paying for the rewrite.
-    if (!guard->ChargeEgdSteps(index.size() - representative.size())) {
+    const std::size_t steps = index.size() - representative.size();
+    if (!guard->AdmitEgdSteps(stats->egd_steps + steps)) {
       return ChaseResultKind::kAborted;
     }
-    stats->egd_steps += index.size() - representative.size();
+    stats->egd_steps += steps;
 
     // ---- find the affected facts through the reverse index ---------------
     if (!reverse_valid) {

@@ -45,6 +45,9 @@ struct ChaseStats {
   std::size_t tgd_fires = 0;     ///< triggers that actually fired
   std::size_t egd_steps = 0;     ///< successful egd applications
   std::size_t fresh_nulls = 0;   ///< labeled nulls created
+  /// Facts tgd fires inserted (duplicates of existing facts excluded); the
+  /// count ChaseLimits::max_facts budgets.
+  std::size_t facts_inserted = 0;
   /// Argument slots rewritten by egd merges ("replaced everywhere",
   /// Definition 16) — a measure of how much substitution work the egd
   /// fixpoint did beyond the merge decisions themselves.
@@ -250,8 +253,9 @@ TgdRunPlan BuildTgdRunPlan(const std::vector<Tgd>& tgds,
 /// re-enumerates. The s-t tgd phase collects from the source with a full
 /// frontier.
 ///
-/// Charges `guard` per fire/null/fact and stops early once it trips; the
-/// caller checks guard->tripped() to surface the abort.
+/// Admits each fire, null and fact against `guard` by its count in `stats`
+/// and stops early once it trips; the caller checks guard->tripped() to
+/// surface the abort.
 bool RunTgds(const Instance& collect_from, Instance* target,
              const TgdRunPlan& plan, DeltaFrontier* frontier,
              const FreshNullFactory& fresh, ChaseStats* stats,

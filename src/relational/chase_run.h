@@ -25,8 +25,9 @@ enum class ChaseEngine : std::uint8_t { kSnapshot, kCChase };
 /// The state a chase run starts from, and the preamble that establishes it.
 class ChaseRun {
  public:
-  /// A guard over `limits`, already charged with `consumed` (a resumed
-  /// c-chase passes the interrupted run's consumption; a fresh run nothing).
+  /// A guard over `limits` whose deadline has `consumed` already spent (a
+  /// resumed c-chase passes the interrupted run's elapsed time; a fresh run
+  /// nothing).
   ChaseRun(ChaseEngine engine, const ChaseLimits& limits,
            const ResourceLedger& consumed = {})
       : guard(limits, consumed), engine_(engine) {}

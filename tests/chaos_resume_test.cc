@@ -55,12 +55,10 @@ std::string SiteTestName(
 // Hard cap on the skip sweep; every run here hits each site far fewer times.
 constexpr std::size_t kMaxSkip = 64;
 
-void ExpectSameStats(const ChaseStats& got, const ChaseStats& want) {
-  EXPECT_EQ(got.tgd_triggers, want.tgd_triggers);
-  EXPECT_EQ(got.tgd_fires, want.tgd_fires);
-  EXPECT_EQ(got.egd_steps, want.egd_steps);
-  EXPECT_EQ(got.fresh_nulls, want.fresh_nulls);
-  EXPECT_EQ(got.values_rewritten, want.values_rewritten);
+// The whole work record of a run: ChaseStats and both normalization
+// records, as `tdx_cli chase --stats` prints them.
+void ExpectSameStats(const CChaseOutcome& got, const std::string& want) {
+  EXPECT_EQ(RenderChaseStats(got), want);
 }
 
 // ---------------------------------------------------------------------------
@@ -69,7 +67,7 @@ void ExpectSameStats(const ChaseStats& got, const ChaseStats& want) {
 
 struct CChaseBaseline {
   std::string rendered;
-  ChaseStats stats;
+  std::string stats;
 };
 
 CChaseBaseline RunCChaseBaseline() {
@@ -79,7 +77,7 @@ CChaseBaseline RunCChaseBaseline() {
   EXPECT_TRUE(outcome.ok()) << outcome.status();
   EXPECT_EQ(outcome->kind, ChaseResultKind::kSuccess);
   return {RenderConcreteInstance(outcome->target, program->universe),
-          outcome->stats};
+          RenderChaseStats(*outcome)};
 }
 
 class CChaseChaosTest : public ::testing::TestWithParam<const char*> {
@@ -134,7 +132,7 @@ TEST_P(CChaseChaosTest, KillResumeIsBitIdentical) {
     EXPECT_EQ(RenderConcreteInstance(resumed->target, program->universe),
               baseline.rendered)
         << "divergence after kill at " << site << "@" << skip;
-    ExpectSameStats(resumed->stats, baseline.stats);
+    ExpectSameStats(*resumed, baseline.stats);
   }
   EXPECT_GT(kills, 0u) << "site " << site << " was never reached";
 }
@@ -154,30 +152,6 @@ INSTANTIATE_TEST_SUITE_P(AllSites, CChaseChaosTest,
 // pass as the uninterrupted one.
 // ---------------------------------------------------------------------------
 
-// Everything `tdx_cli chase --stats` prints after the table.
-std::string StatsLines(const CChaseOutcome& outcome) {
-  const ChaseStats& s = outcome.stats;
-  std::string out = "stats";
-  for (const std::size_t v :
-       {s.tgd_triggers, s.tgd_fires, s.egd_steps, s.fresh_nulls,
-        s.values_rewritten, s.schedule_strata, s.skipped_egd_passes,
-        s.skipped_normalize_passes, s.search.index_probes,
-        s.search.index_candidates, s.search.full_scans}) {
-    out += " " + std::to_string(v);
-  }
-  for (const NormalizeStats* n :
-       {&outcome.source_norm_stats, &outcome.target_norm_stats}) {
-    out += "\nnorm";
-    for (const std::size_t v :
-         {n->input_facts, n->output_facts, n->homomorphisms, n->groups,
-          n->delta_facts, n->dirty_components, n->reused_components}) {
-      out += " " + std::to_string(v);
-    }
-    out += n->partial ? " partial" : "";
-  }
-  return out;
-}
-
 // Kills at every loop top of the c-chase of make()'s program and resumes
 // from the newest checkpoint through the durable tdxckpt encoding; requires
 // `want_dirty_kills` of those checkpoints to carry dirty rows.
@@ -190,7 +164,7 @@ void ExpectDirtyRowKillsResumeIdentically(const Make& make,
   ASSERT_EQ(base->kind, ChaseResultKind::kSuccess);
   const std::string table =
       RenderConcreteInstance(base->target, base_w->universe);
-  const std::string stats = StatsLines(*base);
+  const std::string stats = RenderChaseStats(*base);
 
   std::size_t dirty_kills = 0;
   for (std::size_t skip = 0; skip < kMaxSkip; ++skip) {
@@ -226,7 +200,7 @@ void ExpectDirtyRowKillsResumeIdentically(const Make& make,
     ASSERT_EQ(resumed->kind, ChaseResultKind::kSuccess);
     EXPECT_EQ(RenderConcreteInstance(resumed->target, w->universe), table)
         << "divergence after kill at skip " << skip;
-    EXPECT_EQ(StatsLines(*resumed), stats) << "skip " << skip;
+    EXPECT_EQ(RenderChaseStats(*resumed), stats) << "skip " << skip;
   }
   EXPECT_EQ(dirty_kills, want_dirty_kills);
 }
@@ -324,6 +298,69 @@ TEST(BudgetResumeTest, ResumedRunChargesRemainingBudget) {
   EXPECT_EQ(RenderConcreteInstance(recovered->target, program->universe),
             RenderConcreteInstance(full->target, unrestricted->universe));
   EXPECT_EQ(recovered->stats.tgd_fires, full->stats.tgd_fires);
+}
+
+TEST(BudgetResumeTest, UnlimitedCheckpointResumesAgainstItsSpentCounts) {
+  // The checkpoint of a run without limits carries the run's counts, so a
+  // resume under a budget spends what the interrupted run already spent:
+  // it aborts exactly when the uninterrupted run under that budget does.
+  auto base_w = MakeCascadeWorkload(kDirtyRowCascade);
+  auto base = CChase(base_w->source, base_w->lifted, &base_w->universe);
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_EQ(base->kind, ChaseResultKind::kSuccess);
+  const std::size_t total = base->stats.tgd_fires;
+
+  auto short_w = MakeCascadeWorkload(kDirtyRowCascade);
+  CChaseOptions short_budget;
+  short_budget.limits.max_tgd_fires = total - 1;
+  auto uninterrupted = CChase(short_w->source, short_w->lifted,
+                              &short_w->universe, short_budget);
+  ASSERT_TRUE(uninterrupted.ok()) << uninterrupted.status();
+  ASSERT_EQ(uninterrupted->kind, ChaseResultKind::kAborted);
+  ASSERT_EQ(uninterrupted->abort_dimension, ResourceDimension::kTgdFires);
+
+  // Kill an unlimited run at its second loop top, after the first egd
+  // rewrite, and resume through the durable encoding.
+  auto w = MakeCascadeWorkload(kDirtyRowCascade);
+  Checkpointer checkpointer("", &w->schema, &w->universe);
+  checkpointer.set_cadence(1);
+  checkpointer.set_max_overhead(0);
+  CChaseOptions options;
+  options.checkpointer = &checkpointer;
+  {
+    ScopedFault fault("cchase/normalize-target", Injected(), 1);
+    auto killed = CChase(w->source, w->lifted, &w->universe, options);
+    ASSERT_TRUE(killed.ok()) << killed.status();
+    ASSERT_EQ(killed->kind, ChaseResultKind::kAborted);
+  }
+  ASSERT_TRUE(checkpointer.latest().has_value());
+  auto text =
+      SerializeCheckpoint(*checkpointer.latest(), w->schema, w->universe);
+  ASSERT_TRUE(text.ok()) << text.status();
+  auto ck = ParseCheckpoint(*text, &w->schema, &w->universe);
+  ASSERT_TRUE(ck.ok()) << ck.status();
+  // Fires on both sides of the kill.
+  ASSERT_GT(ck->stats.tgd_fires, 0u);
+  ASSERT_LT(ck->stats.tgd_fires, total);
+
+  CChaseOptions resume_short;
+  resume_short.resume_from = &*ck;
+  resume_short.limits.max_tgd_fires = total - 1;
+  auto aborted = CChase(w->source, w->lifted, &w->universe, resume_short);
+  ASSERT_TRUE(aborted.ok()) << aborted.status();
+  EXPECT_EQ(aborted->kind, ChaseResultKind::kAborted);
+  EXPECT_EQ(aborted->abort_dimension, ResourceDimension::kTgdFires);
+  EXPECT_EQ(aborted->abort_reason, uninterrupted->abort_reason);
+
+  CChaseOptions resume_exact;
+  resume_exact.resume_from = &*ck;
+  resume_exact.limits.max_tgd_fires = total;
+  auto finished = CChase(w->source, w->lifted, &w->universe, resume_exact);
+  ASSERT_TRUE(finished.ok()) << finished.status();
+  ASSERT_EQ(finished->kind, ChaseResultKind::kSuccess);
+  EXPECT_EQ(RenderConcreteInstance(finished->target, w->universe),
+            RenderConcreteInstance(base->target, base_w->universe));
+  ExpectSameStats(*finished, RenderChaseStats(*base));
 }
 
 // ---------------------------------------------------------------------------
@@ -435,10 +472,12 @@ TEST(CheckpointMutationTest, EveryMutantYieldsAStatusOrAnOutcome) {
     auto ck = ParseCheckpoint(mutant, &w->schema, &w->universe);
     if (!ck.ok()) continue;
     ++parsed;
-    // A deadline makes the guard do its arithmetic on the consumed ledger.
+    // A deadline makes the guard do its arithmetic on the consumed ledger,
+    // and a count budget makes it admit against the restored counts.
     CChaseOptions options;
     options.resume_from = &*ck;
     options.limits.deadline = std::chrono::minutes(10);
+    options.limits.max_tgd_fires = 1000;
     auto outcome = CChase(w->source, w->lifted, &w->universe, options);
     if (outcome.ok()) ++resumed;
   }

@@ -105,23 +105,36 @@ TEST(CheckpointRoundTripTest, SerializeParseIsIdentity) {
 TEST(CheckpointRoundTripTest, ConsumedLedgerRoundTrips) {
   auto program = ParseOrDie(kPaperProgram);
   ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
-  ck.consumed.tgd_fires = 7;
-  ck.consumed.egd_steps = 3;
-  ck.consumed.fresh_nulls = 5;
-  ck.consumed.facts = 11;
-  ck.consumed.fragments = 2;
   ck.consumed.elapsed = std::chrono::milliseconds(1234);
+
+  auto text = SerializeCheckpoint(ck, program->schema, program->universe);
+  ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_NE(text->find("\nconsumed 1234\n"), std::string::npos);
+  auto parsed = ParseCheckpoint(*text, &program->schema, &program->universe);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->consumed.elapsed, std::chrono::milliseconds(1234));
+}
+
+TEST(CheckpointRoundTripTest, WorkRecordCountersRoundTrip) {
+  // The counters v5 added: the budgeted fact count and the normalization
+  // records' pass counts.
+  auto program = ParseOrDie(kPaperProgram);
+  ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
+  ck.stats.facts_inserted = 11;
+  ck.source_norm_stats.passes = 1;
+  ck.source_norm_stats.full_passes = 1;
+  ck.target_norm_stats.passes = 7;
+  ck.target_norm_stats.full_passes = 2;
 
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
   ASSERT_TRUE(text.ok()) << text.status();
   auto parsed = ParseCheckpoint(*text, &program->schema, &program->universe);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->consumed.tgd_fires, 7u);
-  EXPECT_EQ(parsed->consumed.egd_steps, 3u);
-  EXPECT_EQ(parsed->consumed.fresh_nulls, 5u);
-  EXPECT_EQ(parsed->consumed.facts, 11u);
-  EXPECT_EQ(parsed->consumed.fragments, 2u);
-  EXPECT_EQ(parsed->consumed.elapsed, std::chrono::milliseconds(1234));
+  EXPECT_EQ(parsed->stats.facts_inserted, 11u);
+  EXPECT_EQ(parsed->source_norm_stats.passes, 1u);
+  EXPECT_EQ(parsed->source_norm_stats.full_passes, 1u);
+  EXPECT_EQ(parsed->target_norm_stats.passes, 7u);
+  EXPECT_EQ(parsed->target_norm_stats.full_passes, 2u);
 }
 
 TEST(CheckpointRoundTripTest, ScheduleSkipCountersRoundTrip) {
@@ -208,14 +221,14 @@ TEST(CheckpointRoundTripTest, NormDirtyRowsRoundTripAndTornRowsAreRejected) {
 
 TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
   // Each format version has one layout per line: the shorter stats lines
-  // of earlier revisions, and any v1, v2 or v3 header, are parse errors,
-  // not crashes.
+  // of earlier revisions, and any v1 to v4 header, are parse errors, not
+  // crashes.
   auto program = ParseOrDie(kPaperProgram);
   const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
   ASSERT_TRUE(text.ok()) << text.status();
 
-  for (int fields : {5, 7}) {
+  for (int fields : {5, 7, 10}) {
     auto parsed = ParseCheckpoint(TruncateStatsLine(*text, fields),
                                   &program->schema, &program->universe);
     ASSERT_FALSE(parsed.ok()) << fields << " fields";
@@ -223,8 +236,8 @@ TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
     EXPECT_NE(parsed.status().message().find("stats"), std::string::npos);
   }
 
-  ASSERT_EQ(text->rfind("tdxckpt v4\n", 0), 0u);
-  for (const std::string version : {"v1", "v2", "v3"}) {
+  ASSERT_EQ(text->rfind("tdxckpt v5\n", 0), 0u);
+  for (const std::string version : {"v1", "v2", "v3", "v4"}) {
     std::string old =
         "tdxckpt " + version + "\n" + text->substr(text->find('\n') + 1);
     old = Resign(old.substr(0, old.rfind("\nend ") + 1));
@@ -236,7 +249,7 @@ TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
 }
 
 TEST(CheckpointRoundTripTest, SixFieldStatsLineIsMalformed) {
-  // A stats line short of its ten fields is a torn write.
+  // A stats line short of its eleven fields is a torn write.
   auto program = ParseOrDie(kPaperProgram);
   const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
@@ -301,9 +314,9 @@ TEST(CheckpointRoundTripTest, ElapsedBeyondSignedMillisecondsIsMalformed) {
   ck.consumed = ResourceLedger{};
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
   ASSERT_TRUE(text.ok()) << text.status();
-  // The elapsed time is the sixth field of the consumed line.
+  // The elapsed time is the consumed line's only field.
   const auto with_elapsed = [&](const std::string& elapsed) {
-    return WithField(*text, "consumed 0 0 0 0 0", elapsed);
+    return WithField(*text, "consumed", elapsed);
   };
   auto largest = ParseCheckpoint(with_elapsed("9223372036854775807"),
                                  &program->schema, &program->universe);

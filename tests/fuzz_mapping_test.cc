@@ -161,7 +161,7 @@ TEST_P(FuzzMappingSweep, PlannerScheduleIsSoundOnRandomMappings) {
 // Configuration differential. The engine options semi_naive, scheduled and
 // incremental_normalize only choose HOW the chase is executed, never
 // WHAT it computes: every combination must render the same target with the
-// same outcome kinds and the same fire/egd/null/rewrite counts. Trigger
+// same outcome kinds and the same fire/egd/null/fact/rewrite counts. Trigger
 // counts agree only among runs that share semi_naive, since naive rounds
 // re-enumerate every trigger by design.
 
@@ -198,6 +198,7 @@ struct ChaseDigest {
   std::size_t tgd_fires = 0;
   std::size_t egd_steps = 0;
   std::size_t fresh_nulls = 0;
+  std::size_t facts_inserted = 0;
   std::size_t values_rewritten = 0;
 
   void Add(ChaseResultKind kind, const std::string& target,
@@ -208,6 +209,7 @@ struct ChaseDigest {
     tgd_fires += stats.tgd_fires;
     egd_steps += stats.egd_steps;
     fresh_nulls += stats.fresh_nulls;
+    facts_inserted += stats.facts_inserted;
     values_rewritten += stats.values_rewritten;
   }
 };
@@ -281,6 +283,7 @@ void ExpectAllConfigurationsAgree(
     EXPECT_EQ(got.tgd_fires, ref.tgd_fires);
     EXPECT_EQ(got.egd_steps, ref.egd_steps);
     EXPECT_EQ(got.fresh_nulls, ref.fresh_nulls);
+    EXPECT_EQ(got.facts_inserted, ref.facts_inserted);
     EXPECT_EQ(got.values_rewritten, ref.values_rewritten);
     std::size_t same_mode = 0;
     while (configs[same_mode].semi_naive != configs[i].semi_naive) {

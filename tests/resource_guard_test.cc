@@ -32,12 +32,12 @@ using ::tdx::testing::ParseOrDie;
 
 TEST(ResourceGuardTest, UnlimitedGuardNeverTrips) {
   ResourceGuard guard;
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_TRUE(guard.ChargeTgdFire());
-    EXPECT_TRUE(guard.ChargeEgdSteps(100));
-    EXPECT_TRUE(guard.ChargeFreshNull());
-    EXPECT_TRUE(guard.ChargeFact());
-    EXPECT_TRUE(guard.ChargeFragment());
+  for (std::size_t total : {std::size_t{1}, std::size_t{1000}, kUnlimited}) {
+    EXPECT_TRUE(guard.AdmitTgdFires(total));
+    EXPECT_TRUE(guard.AdmitEgdSteps(total));
+    EXPECT_TRUE(guard.AdmitFreshNulls(total));
+    EXPECT_TRUE(guard.AdmitFacts(total));
+    EXPECT_TRUE(guard.AdmitFragments(total));
     EXPECT_TRUE(guard.CheckDeadline());
   }
   EXPECT_TRUE(guard.ok());
@@ -50,14 +50,16 @@ TEST(ResourceGuardTest, CountBudgetTripsAtLimit) {
   ChaseLimits limits;
   limits.max_tgd_fires = 3;
   ResourceGuard guard(limits);
-  EXPECT_TRUE(guard.ChargeTgdFire());
-  EXPECT_TRUE(guard.ChargeTgdFire());
-  EXPECT_TRUE(guard.ChargeTgdFire());
-  EXPECT_FALSE(guard.ChargeTgdFire());
+  EXPECT_TRUE(guard.AdmitTgdFires(1));
+  EXPECT_TRUE(guard.AdmitTgdFires(2));
+  EXPECT_TRUE(guard.AdmitTgdFires(3));
+  EXPECT_FALSE(guard.AdmitTgdFires(4));
   EXPECT_TRUE(guard.tripped());
   EXPECT_EQ(guard.dimension(), ResourceDimension::kTgdFires);
   EXPECT_EQ(guard.ToStatus().code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(guard.reason().find("tgd-fires"), std::string::npos);
+  EXPECT_EQ(guard.reason(), "tgd-fires budget of 3 exhausted");
+  // Tripped for good: even a count within the limit is refused now.
+  EXPECT_FALSE(guard.AdmitTgdFires(1));
 }
 
 TEST(ResourceGuardTest, TripsOnceAndKeepsFirstDimension) {
@@ -65,26 +67,36 @@ TEST(ResourceGuardTest, TripsOnceAndKeepsFirstDimension) {
   limits.max_egd_steps = 1;
   limits.max_facts = 1;
   ResourceGuard guard(limits);
-  EXPECT_FALSE(guard.ChargeEgdSteps(5));
+  EXPECT_FALSE(guard.AdmitEgdSteps(5));
   EXPECT_EQ(guard.dimension(), ResourceDimension::kEgdSteps);
-  // A later over-budget charge on a different dimension must not overwrite
-  // the original trip.
-  EXPECT_FALSE(guard.ChargeFact());
-  EXPECT_FALSE(guard.ChargeFact());
+  // A later over-budget admission on a different dimension must not
+  // overwrite the original trip.
+  EXPECT_FALSE(guard.AdmitFacts(2));
+  EXPECT_FALSE(guard.AdmitFacts(3));
   EXPECT_EQ(guard.dimension(), ResourceDimension::kEgdSteps);
 }
 
 TEST(ResourceGuardTest, FragmentBudgetIsPerPass) {
-  ChaseLimits limits;
-  limits.max_normalize_fragments = 2;
-  ResourceGuard guard(limits);
-  EXPECT_TRUE(guard.ChargeFragment());
-  EXPECT_TRUE(guard.ChargeFragment());
-  guard.ResetFragmentCount();
-  EXPECT_TRUE(guard.ChargeFragment());
-  EXPECT_TRUE(guard.ChargeFragment());
-  EXPECT_FALSE(guard.ChargeFragment());
-  EXPECT_EQ(guard.dimension(), ResourceDimension::kNormalizeFragments);
+  // Each normalization pass counts its own fragments: the smallest budget
+  // one pass fits in also fits two passes on the same guard.
+  const auto program = ParseOrDie(kPaperProgram);
+  const std::vector<Conjunction> phis = program->lifted.TgdBodies();
+  const auto run = [&](std::size_t budget, int passes) {
+    ChaseLimits limits;
+    limits.max_normalize_fragments = budget;
+    ResourceGuard guard(limits);
+    for (int i = 0; i < passes; ++i) {
+      Normalize(program->source, phis, nullptr, &guard);
+    }
+    return guard.dimension();
+  };
+  std::size_t budget = 1;
+  while (run(budget, 1) != ResourceDimension::kNone) {
+    ASSERT_EQ(run(budget, 1), ResourceDimension::kNormalizeFragments);
+    ++budget;
+  }
+  ASSERT_GT(budget, 1u);
+  EXPECT_EQ(run(budget, 2), ResourceDimension::kNone);
 }
 
 TEST(ResourceGuardTest, ExpiredDeadlineTripsOnFirstPoll) {
@@ -121,13 +133,13 @@ TEST(ResourceGuardTest, DimensionTokensAreStable) {
 }
 
 TEST(ChaseLimitsTest, DefaultIsUnlimited) {
-  EXPECT_TRUE(ChaseLimits{}.Unlimited());
-  ChaseLimits limits;
-  limits.max_facts = 10;
-  EXPECT_FALSE(limits.Unlimited());
-  ChaseLimits timed;
-  timed.deadline = std::chrono::milliseconds(5);
-  EXPECT_FALSE(timed.Unlimited());
+  const ChaseLimits limits;
+  EXPECT_EQ(limits.max_tgd_fires, kUnlimited);
+  EXPECT_EQ(limits.max_egd_steps, kUnlimited);
+  EXPECT_EQ(limits.max_fresh_nulls, kUnlimited);
+  EXPECT_EQ(limits.max_facts, kUnlimited);
+  EXPECT_EQ(limits.max_normalize_fragments, kUnlimited);
+  EXPECT_FALSE(limits.deadline.has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +379,7 @@ TEST(AbortSafetyTest, AbortedTargetIsSmallerThanSolution) {
 
 TEST(ResourceLedgerTest, ConsumedIsMonotonic) {
   ChaseLimits limits;
-  limits.max_tgd_fires = 1000;  // any finite limit enables count bookkeeping
+  limits.deadline = std::chrono::minutes(10);
   ResourceGuard guard(limits);
   // Deadlines and elapsed time ride std::chrono::steady_clock, which never
   // goes backwards — a wall-clock adjustment mid-run must not inflate or
@@ -375,29 +387,12 @@ TEST(ResourceLedgerTest, ConsumedIsMonotonic) {
   // the observable consequence across repeated samples.
   std::chrono::milliseconds last{-1};
   for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(guard.ChargeTgdFire());
+    EXPECT_TRUE(guard.CheckDeadline());
     const ResourceLedger ledger = guard.Consumed();
     EXPECT_GE(ledger.elapsed.count(), 0);
     EXPECT_GE(ledger.elapsed, last);
-    EXPECT_EQ(ledger.tgd_fires, static_cast<std::size_t>(i + 1));
     last = ledger.elapsed;
   }
-}
-
-TEST(ResourceLedgerTest, ResumedGuardChargesRemainingCounts) {
-  ChaseLimits limits;
-  limits.max_tgd_fires = 10;
-
-  ResourceLedger consumed;
-  consumed.tgd_fires = 7;
-  ResourceGuard guard(limits, consumed);
-  // Only 3 of the 10 fires remain.
-  EXPECT_TRUE(guard.ChargeTgdFire());
-  EXPECT_TRUE(guard.ChargeTgdFire());
-  EXPECT_TRUE(guard.ChargeTgdFire());
-  EXPECT_FALSE(guard.ChargeTgdFire());
-  EXPECT_TRUE(guard.tripped());
-  EXPECT_EQ(guard.dimension(), ResourceDimension::kTgdFires);
 }
 
 TEST(ResourceLedgerTest, ResumedGuardShrinksDeadline) {

@@ -112,7 +112,9 @@ int Usage() {
          "  --max-tgd-fires=N     abort the chase after N tgd firings\n"
          "  --max-egd-steps=N     abort after N egd applications\n"
          "  --max-fresh-nulls=N   abort after minting N labeled nulls\n"
-         "  --max-facts=N         abort once the target holds N facts\n"
+         "  --max-facts=N         abort after tgd fires insert N facts\n"
+         "                        (duplicates, fragments and egd merges\n"
+         "                        do not count)\n"
          "  --max-fragments=N     abort a normalization pass at N fragments\n"
          "  --deadline-ms=N       abort any engine after N milliseconds\n"
          "  --max-input-bytes=N   reject program files larger than N bytes\n"
@@ -308,30 +310,6 @@ tdx::Result<tdx::CChaseOutcome> RunCChase(tdx::ParsedProgram& program,
                      chase_options);
 }
 
-void PrintChaseStats(const tdx::ChaseStats& stats) {
-  std::cout << "(stats: triggers=" << stats.tgd_triggers
-            << " fires=" << stats.tgd_fires << " egd_steps=" << stats.egd_steps
-            << " fresh_nulls=" << stats.fresh_nulls
-            << " values_rewritten=" << stats.values_rewritten
-            << " schedule_strata=" << stats.schedule_strata
-            << " skipped_egd_passes=" << stats.skipped_egd_passes
-            << " skipped_normalize_passes=" << stats.skipped_normalize_passes
-            << " index_probes=" << stats.search.index_probes
-            << " index_candidates=" << stats.search.index_candidates
-            << " full_scans=" << stats.search.full_scans
-            << ")\n";
-}
-
-void PrintNormStats(const char* label, const tdx::NormalizeStats& stats) {
-  std::cout << "(" << label << ": input=" << stats.input_facts
-            << " output=" << stats.output_facts
-            << " homs=" << stats.homomorphisms << " groups=" << stats.groups
-            << " delta=" << stats.delta_facts
-            << " dirty=" << stats.dirty_components
-            << " reused=" << stats.reused_components
-            << " partial=" << (stats.partial ? 1 : 0) << ")\n";
-}
-
 int RunChase(tdx::ParsedProgram& program, const CliOptions& options,
              bool with_core) {
   auto chase = RunCChase(program, options);
@@ -356,11 +334,7 @@ int RunChase(tdx::ParsedProgram& program, const CliOptions& options,
   } else {
     std::cout << tdx::RenderConcreteInstance(chase->target, program.universe);
   }
-  if (options.stats) {
-    PrintChaseStats(chase->stats);
-    PrintNormStats("norm-source", chase->source_norm_stats);
-    PrintNormStats("norm-target", chase->target_norm_stats);
-  }
+  if (options.stats) std::cout << tdx::RenderChaseStats(*chase);
   return EXIT_SUCCESS;
 }
 
