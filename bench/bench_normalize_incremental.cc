@@ -14,6 +14,13 @@
 // bit-identical either way (asserted in normalize_incremental_test.cc);
 // only the time differs. CI gates full/incremental >= 3x and at most one
 // full pass per incremental run (bench-smoke, bench/bench_gates.json).
+//
+// BM_CascadeScaling runs the perfbench-size cascade (60x30 ballast,
+// horizon 32) at range(0) stages and reports the work per stage: rows the
+// target normalization passes visited, and rows every finder the c-chase
+// owns hashed into an index. A pass reads only its delta, so rows visited
+// per stage must not grow with the stage count (a deterministic gate on
+// 400 vs 100 stages); the time ratio of the two is gated too.
 
 #include <benchmark/benchmark.h>
 
@@ -66,5 +73,32 @@ void BM_CascadeNormalize(benchmark::State& state) {
   RunCascade(state, options);
 }
 BENCHMARK(BM_CascadeNormalize)->Arg(0)->Arg(1);
+
+void BM_CascadeScaling(benchmark::State& state) {
+  tdx::CascadeConfig cfg;
+  cfg.stages = static_cast<std::size_t>(state.range(0));
+  cfg.ballast_keys = 60;
+  cfg.ballast_dup = 30;
+  cfg.horizon = 32;
+  auto w = tdx::MakeCascadeWorkload(cfg);
+  std::optional<tdx::CChaseOutcome> last;
+  for (auto _ : state) {
+    auto outcome = tdx::CChase(w->source, w->lifted, &w->universe);
+    benchmark::DoNotOptimize(outcome);
+    if (outcome.ok()) last = std::move(outcome).value();
+  }
+  const double stages = static_cast<double>(cfg.stages);
+  state.counters["visited_per_stage"] =
+      static_cast<double>(last->target_norm_stats.rows_visited) / stages;
+  state.counters["indexed_per_stage"] =
+      static_cast<double>(last->stats.search.rows_indexed) / stages;
+  state.counters["full_passes"] =
+      static_cast<double>(last->target_norm_stats.full_passes);
+}
+BENCHMARK(BM_CascadeScaling)
+    ->Arg(100)
+    ->Arg(200)
+    ->Arg(400)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

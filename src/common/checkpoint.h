@@ -16,11 +16,13 @@
 // time. A resumed run admits further work against the restored record and
 // the remaining deadline, not against a reset budget.
 //
-// What is NOT captured: derived state. HomomorphismFinder indexes are pure
-// caches rebuilt on resume; the termination certificate is recomputed from
-// the mapping; the symbol table is reconstructed by re-parsing the same
-// program (the checkpoint stores an FNV-1a fingerprint of the program text
-// and refuses to load against a different program). The interior of an egd
+// What is NOT captured: derived state. HomomorphismFinder indexes are
+// caches rebuilt on resume (only which masks were built, and over how many
+// rows, is recorded, so the resumed run counts the same index work); the
+// termination certificate is recomputed from the mapping; the symbol table
+// is reconstructed by re-parsing the same program (the checkpoint stores an
+// FNV-1a fingerprint of the program text and refuses to load against a
+// different program). The interior of an egd
 // fixpoint or a normalization pass is never checkpointed — those phases are
 // atomic between safe points, and a kill inside one redoes the whole phase
 // identically on resume.
@@ -57,7 +59,7 @@ std::uint64_t FingerprintText(std::string_view text);
 struct ChaseCheckpoint {
   /// Bumped whenever the durable encoding changes shape; ParseCheckpoint
   /// refuses every other version, so each line has exactly one layout.
-  static constexpr std::uint32_t kFormatVersion = 5;
+  static constexpr std::uint32_t kFormatVersion = 6;
 
   /// FNV-1a fingerprint of the program text the run was parsed from.
   /// Stamped by the Checkpointer; LoadChaseCheckpoint validates it.
@@ -88,9 +90,16 @@ struct ChaseCheckpoint {
   NullId next_null = 0;
   std::vector<std::string> null_names;
 
-  /// Semi-naive frontier state (meaningful at "loop-top" and "rounds").
+  /// Semi-naive frontier state (meaningful at "loop-top" and "rounds"):
+  /// the marks, and the rows below them an egd rewrote since the last round
+  /// (ascending, each inside the target).
   bool frontier_full = true;
   std::vector<std::uint32_t> frontier_marks;
+  std::vector<FactRef> frontier_rows;
+  /// The egd frontier: marks past which facts were appended since the last
+  /// egd fixpoint (full before the first one, or after positions moved).
+  bool egd_frontier_full = true;
+  std::vector<std::uint32_t> egd_frontier_marks;
 
   /// Incremental-normalization watermark (when the state was valid
   /// at the safe point — see core/normalize_incremental.h). `norm_marks`
@@ -106,6 +115,13 @@ struct ChaseCheckpoint {
   std::vector<std::uint32_t> norm_labels;
   std::uint32_t norm_components = 0;
   std::vector<FactRef> norm_dirty;
+
+  /// How warm the round finder's and the normalizer's index caches were
+  /// over the target (IndexCache::Warmth). Caches are derived state, but a
+  /// resumed run rebuilds exactly these, uncounted, so the rows its later
+  /// probes hash — IndexStats::rows_indexed — match the uninterrupted run.
+  std::vector<IndexWarmth> round_warmth;
+  std::vector<IndexWarmth> norm_warmth;
 
   /// The partial target (from "loop-top" on).
   std::optional<Instance> target;

@@ -52,6 +52,7 @@ class NormalizeRunMetrics {
     metrics->reused_components.Inc(record_->reused_components -
                                    entry_.reused_components);
     metrics->homomorphisms.Inc(record_->homomorphisms - entry_.homomorphisms);
+    metrics->rows_visited.Inc(record_->rows_visited - entry_.rows_visited);
   }
   NormalizeRunMetrics(const NormalizeRunMetrics&) = delete;
   NormalizeRunMetrics& operator=(const NormalizeRunMetrics&) = delete;
@@ -64,6 +65,7 @@ class NormalizeRunMetrics {
     obs::Counter dirty_components{"normalize.incremental.dirty_components"};
     obs::Counter reused_components{"normalize.incremental.reused_components"};
     obs::Counter homomorphisms{"normalize.incremental.homomorphisms"};
+    obs::Counter rows_visited{"normalize.incremental.rows_visited"};
   };
 
   const NormalizeStats* record_;
@@ -171,12 +173,19 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
                             &outcome.kind);
   NormalizeRunMetrics norm_metrics(&outcome.target_norm_stats);
   DeltaFrontier frontier;
+  // The facts an egd could be violated over: those appended since the
+  // last egd fixpoint left every egd satisfied (every fact before the
+  // first). Reset, like the tgd frontier, when positions move.
+  DeltaFrontier egd_frontier;
   // Target-normalization state (declared before the checkpoint lambda so
   // its watermark can be captured at safe points). Its watermark stays
   // invalid at every safe point when the incremental path is off.
   const bool use_incremental =
       !options.use_naive_normalizer && options.incremental_normalize;
   NormalizeState norm_state;
+  // The semi-naive round finder, once the target exists (declared below,
+  // over the materialized target).
+  const HomomorphismFinder* round_finder_view = nullptr;
   // Offers a safe point to the checkpointer: everything captured is the
   // state a fresh run holds at the same point, so resume + re-execution is
   // bit-identical to the uninterrupted run.
@@ -197,6 +206,9 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       }
       ck.frontier_full = frontier.full();
       ck.frontier_marks = frontier.marks();
+      ck.frontier_rows = frontier.rows();
+      ck.egd_frontier_full = egd_frontier.full();
+      ck.egd_frontier_marks = egd_frontier.marks();
       ck.source_norm_stats = outcome.source_norm_stats;
       ck.target_norm_stats = outcome.target_norm_stats;
       if (std::string_view(phase) != "init") {
@@ -214,6 +226,12 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
           ck.norm_components = wm->num_components;
           ck.norm_dirty = std::move(wm->dirty);
         }
+        // Index caches are derived state, but how warm they are decides
+        // how many rows later probes hash (IndexStats::rows_indexed).
+        if (round_finder_view != nullptr) {
+          ck.round_warmth = round_finder_view->Warmth();
+        }
+        ck.norm_warmth = norm_state.FinderWarmth(target_now);
       }
       return ck;
     });
@@ -292,20 +310,32 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
     const std::vector<Conjunction> egd_phis = lifted.EgdBodies();
     target_phis.insert(target_phis.end(), egd_phis.begin(), egd_phis.end());
   }
+  // A pass that moved positions (it split a row) leaves the frontier
+  // naming the wrong facts, so the frontier restarts from the full
+  // instance; a pass that moved none changed no row, and the frontier and
+  // every finder's indexes carry over.
   const auto normalize_target = [&]() {
     TDX_TRACE_SPAN("cchase.normalize_pass");
     NormalizeStats pass;
+    const std::uint64_t generation = concrete_target.facts().generation();
     if (options.use_naive_normalizer) {
       concrete_target = NaiveNormalize(concrete_target, &pass, &guard);
     } else {
-      // The state installs the output in place and re-records its
-      // watermark; the egd fixpoint below reports its rewrites to it. Off
-      // the incremental path the watermark is dropped after every pass, so
+      // The state edits the target in place and re-records its watermark;
+      // the egd fixpoint below reports its rewrites to it. Off the
+      // incremental path the watermark is dropped after every pass, so
       // every pass starts from an empty one and no safe point carries one.
+      const std::uint64_t indexed = norm_state.search().rows_indexed;
       norm_state.Normalize(&concrete_target, target_phis, &pass, &guard);
+      outcome.stats.search.rows_indexed +=
+          norm_state.search().rows_indexed - indexed;
       if (!use_incremental) norm_state.Invalidate();
     }
     outcome.target_norm_stats.Accumulate(pass);
+    if (concrete_target.facts().generation() != generation) {
+      frontier.Reset();
+      egd_frontier.Reset();
+    }
   };
   // Restore the loop cursor when resuming into it; otherwise mark the first
   // materialized-target boundary.
@@ -316,6 +346,10 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       frontier.Reset();
     } else {
       frontier.AdvanceTo(resume->frontier_marks);
+      frontier.AddRows(resume->frontier_rows);
+    }
+    if (!resume->egd_frontier_full) {
+      egd_frontier.AdvanceTo(resume->egd_frontier_marks);
     }
     // A "rounds" checkpoint sits between two fired inner rounds: skip the
     // leading normalization (it ran before those rounds) and continue the
@@ -334,19 +368,28 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       wm.dirty = resume->norm_dirty;
       TDX_RETURN_IF_ERROR(norm_state.Restore(wm, concrete_target));
     }
+    if (!resume->norm_warmth.empty()) {
+      norm_state.RewarmFinder(concrete_target.facts(), resume->norm_warmth);
+    }
   } else {
     offer_checkpoint(true, "loop-top", &concrete_target.facts());
   }
 
   // Semi-naive state: one finder over the target's (address-stable) fact
-  // store for the whole loop — normalization move-assigns a fresh Instance
-  // into the same object, which bumps the generation and invalidates the
-  // finder's indexes. The frontier must re-seed with the full instance after
-  // every normalization, since fragmentation rewrites existing facts. Naive
-  // rounds reset it every time and index afresh (RunTgds). The finder is
-  // derived state: on resume it is rebuilt over the restored target.
+  // store for the whole loop. Its indexes absorb appends, and survive every
+  // normalization pass that moves no position; a pass that splits rows, or
+  // an egd rewrite, bumps the generation and they rebuild. The frontier
+  // carries over the same way (normalize_target above), and takes the egd
+  // fixpoint's rewritten rows as single-row seeds. Naive rounds reset it
+  // every time and index afresh (RunTgds). The finder is derived state: on
+  // resume it is rebuilt over the restored target, as warm as the
+  // checkpoint says it was.
   HomomorphismFinder finder(concrete_target.facts(), &outcome.stats.search);
   HomomorphismFinder* round_finder = options.semi_naive ? &finder : nullptr;
+  round_finder_view = round_finder;
+  if (resume != nullptr && !resume->round_warmth.empty()) {
+    finder.Rewarm(resume->round_warmth);
+  }
   const auto run_round = [&]() {
     TDX_TRACE_SPAN("cchase.tgd_round");
     if (!options.semi_naive) frontier.Reset();
@@ -357,17 +400,15 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   // Normalization is idempotent, so the loop-top pass is a provable no-op
   // whenever the target is untouched since the last pass: nothing fired and
   // no egd step rewrote a value. The scheduled engine skips exactly those
-  // passes (keeping the frontier reset the flat engine performs); the first
-  // pass over the freshly materialized target always runs, as does every
-  // pass on resume (the clean flag is not checkpointed — re-running the
-  // pass is the identity on a clean target, so resumed runs still produce
-  // bit-identical results).
+  // passes; the first pass over the freshly materialized target always
+  // runs, as does every pass on resume (the clean flag is not checkpointed
+  // — re-running the pass is the identity on a clean target, so resumed
+  // runs still produce bit-identical results).
   bool normalized_clean = false;
   while (true) {
     if (!mid_rounds) {
       if (run.schedule.has_value() && normalized_clean) {
         ++outcome.stats.skipped_normalize_passes;
-        frontier.Reset();
       } else {
         if (!guard.PokeFault("cchase/normalize-target") ||
             !guard.CheckDeadline()) {
@@ -375,7 +416,6 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
         }
         normalize_target();
         normalized_clean = true;
-        frontier.Reset();
         if (guard.tripped()) return aborted_with_target();
       }
     }
@@ -411,14 +451,26 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       }
       TDX_TRACE_SPAN("cchase.egd_fixpoint");
       const std::uint64_t generation = concrete_target.facts().generation();
+      // Semi-naive, the fixpoint matches only through the egd frontier, and
+      // through the round finder, whose indexes it shares.
       EgdRewrites rewrites;
-      outcome.kind = EgdFixpoint(&concrete_target.mutable_facts(), run.egds,
-                                 &outcome.stats, &outcome.failure_reason,
-                                 &guard, use_incremental ? &rewrites : nullptr);
+      outcome.kind = EgdFixpoint(
+          &concrete_target.mutable_facts(), run.egds, &outcome.stats,
+          &outcome.failure_reason, &guard, &rewrites,
+          options.semi_naive ? &egd_frontier : nullptr, round_finder);
       // Rows rewritten in place stay in the watermark as dirty rows, so the
-      // next pass is incremental; moved positions force a full one.
+      // next pass is incremental, and join the frontier, so the next round
+      // seeds them; moved positions force a full pass and a full frontier.
       if (use_incremental) {
         norm_state.NoteRewrite(concrete_target.facts(), generation, rewrites);
+      }
+      if (rewrites.positions_moved) {
+        frontier.Reset();
+      } else {
+        frontier.AddRows(rewrites.rows);
+      }
+      if (outcome.kind == ChaseResultKind::kSuccess) {
+        egd_frontier.AdvancePast(concrete_target.facts());
       }
     }
     if (outcome.kind == ChaseResultKind::kFailure) break;

@@ -36,6 +36,7 @@ void NormalizeStats::Accumulate(const NormalizeStats& pass) {
   delta_facts += pass.delta_facts;
   dirty_components += pass.dirty_components;
   reused_components += pass.reused_components;
+  rows_visited += pass.rows_visited;
 }
 
 ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
@@ -67,6 +68,7 @@ ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
     stats->delta_facts = instance.size();
     stats->dirty_components = 0;
     stats->reused_components = 0;
+    stats->rows_visited = instance.size() + out.size();
     stats->passes = 1;
     stats->full_passes = 1;
     stats->partial = guard != nullptr && guard->tripped();
@@ -77,11 +79,11 @@ ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
 ConcreteInstance Normalize(const ConcreteInstance& instance,
                            const std::vector<Conjunction>& phis,
                            NormalizeStats* stats, ResourceGuard* guard) {
-  // A pass from an empty watermark over the const input: a scratch state
-  // that is never recorded, so no copy.
-  ConcreteInstance out(&instance.schema());
+  // A pass from an empty watermark over a copy of the input, through a
+  // scratch state.
+  ConcreteInstance out = instance;
   NormalizeState state;
-  state.Pass(instance.facts(), phis, &out.mutable_facts(), stats, guard);
+  state.Pass(&out.mutable_facts(), phis, stats, guard);
   return out;
 }
 

@@ -59,6 +59,12 @@ struct NormalizeStats {
   /// Components of the previous pass copied through untouched. Always 0 for
   /// full passes.
   std::size_t reused_components = 0;
+  /// Rows the pass read or wrote: fresh (appended or rewritten) rows, old
+  /// rows expanded or re-read as members of a reached component or a null
+  /// cluster, grouped rows fragmented, and the rows of rewritten tails. A
+  /// pass over a small delta visits few rows however large the instance;
+  /// the naive normalizer visits every input and output row.
+  std::size_t rows_visited = 0;
   /// Passes started, and how many of them started from an empty watermark
   /// (every naive pass is full).
   std::size_t passes = 0;
@@ -93,9 +99,9 @@ ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
 
 /// Algorithm 1, norm(Ic, Phi+). `phis` are temporal conjunctions — in the
 /// chase they are the lifted lhs of the s-t tgds or of the egds. See
-/// NaiveNormalize for the `guard` contract; a trip before the fragments
-/// are emitted returns an empty instance. Component labels are kept only
-/// by a NormalizeState (its Export).
+/// NaiveNormalize for the `guard` contract; a trip returns the input
+/// unnormalized. Component labels are kept only by a NormalizeState (its
+/// Export).
 ConcreteInstance Normalize(const ConcreteInstance& instance,
                            const std::vector<Conjunction>& phis,
                            NormalizeStats* stats = nullptr,

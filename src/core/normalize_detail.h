@@ -1,13 +1,16 @@
 // Internals of the normalizers: interval intersection of a hom image, the
-// union-find over dense fact ids, and the shared-null clusters.
+// union-find over dense fact ids, and the null index behind the shared-null
+// clusters.
 
 #ifndef TDX_CORE_NORMALIZE_DETAIL_H_
 #define TDX_CORE_NORMALIZE_DETAIL_H_
 
 #include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <numeric>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,15 +30,17 @@ inline std::optional<Interval> IntersectIntervals(const AtomImage& image) {
   return acc;
 }
 
-/// Union-find over dense fact indices, resettable so NormalizeState can
-/// reuse its allocation across passes.
+/// Union-find over dense fact indices. At rest every node is its own
+/// root; a pass restores that by resetting only the nodes it united, so
+/// NormalizeState pays for the facts a pass touches, not for the instance.
 class UnionFind {
  public:
-  UnionFind() = default;
-  explicit UnionFind(std::size_t n) { Reset(n); }
-  void Reset(std::size_t n) {
+  /// Makes room for nodes [0, n); new nodes are their own roots.
+  void Grow(std::size_t n) {
+    const std::size_t old = parent_.size();
+    if (n <= old) return;
     parent_.resize(n);
-    std::iota(parent_.begin(), parent_.end(), 0);
+    std::iota(parent_.begin() + old, parent_.end(), old);
   }
   std::size_t Find(std::size_t x) {
     while (parent_[x] != x) {
@@ -45,103 +50,154 @@ class UnionFind {
     return x;
   }
   void Union(std::size_t a, std::size_t b) { parent_[Find(a)] = Find(b); }
+  /// Makes `x` its own root again.
+  void Reset(std::size_t x) { parent_[x] = x; }
 
  private:
   std::vector<std::size_t> parent_;
 };
 
-/// Groups of facts that must be fragmented together because they share an
-/// annotated null. Fragmentation re-annotates a null to each fragment's
-/// interval, and an egd rewrites one annotated value everywhere it occurs;
-/// if two time-overlapping facts carrying null N were cut at different
-/// points, a rewrite of one fragment of N would miss the other fact's
-/// coarser spelling of the same time points, and the c-chase would drift
-/// from the abstract chase (Corollary 20). So, per null id, the facts
-/// carrying it are swept in start order and split into runs of
-/// transitively overlapping intervals; every run of two or more facts is a
-/// cluster, and Algorithm 1 unions each cluster into one component.
-/// Facts are named by dense id (base[relation] + position).
-class NullClusters {
+/// True when `fact` carries annotated null `null` in some argument.
+inline bool CarriesNull(FactView fact, NullId null) {
+  for (const Value& v : fact.args()) {
+    if (v.is_annotated_null() && v.null_id() == null) return true;
+  }
+  return false;
+}
+
+/// The rows carrying each annotated null, the input of the shared-null
+/// clusters. Facts that share an annotated null must be fragmented
+/// together: fragmentation re-annotates a null to each fragment's interval,
+/// and an egd rewrites one annotated value everywhere it occurs; if two
+/// time-overlapping facts carrying null N were cut at different points, a
+/// rewrite of one fragment of N would miss the other fact's coarser
+/// spelling of the same time points, and the c-chase would drift from the
+/// abstract chase (Corollary 20). So, per null id, the facts carrying it are
+/// swept in start order and split into runs of transitively overlapping
+/// intervals; every run of two or more facts is a cluster, and Algorithm 1
+/// unions each cluster into one component.
+///
+/// Build indexes a whole instance as one sorted array. Later rows, appended
+/// or rewritten, go to a small hash map that is merged into the array once
+/// it outgrows a quarter of it, so absorbing a row costs amortized O(1).
+/// Entries may go stale (a rewrite replaced the null, or a rewritten tail
+/// moved the row); RowsOf validates them against the instance, so a stale
+/// entry costs a check, never a wrong cluster.
+class NullIndex {
  public:
-  void Build(const Instance& facts, const std::vector<std::size_t>& base) {
-    occ_.clear();
-    members_.clear();
-    begin_.assign(1, 0);
-    of_fact_.clear();
+  /// One (null, row) occurrence.
+  struct Entry {
+    NullId null;
+    FactRef row;
+    friend auto operator<=>(const Entry&, const Entry&) = default;
+  };
+
+  void Clear() {
+    sorted_.clear();
+    recent_.clear();
+    recent_entries_ = 0;
+    indexed_.clear();
+  }
+
+  /// Indexes every row of `facts`, dropping what the index held.
+  void Build(const Instance& facts) {
+    Clear();
     const std::size_t num_rels = facts.schema().relation_count();
+    indexed_.resize(num_rels, 0);
     for (RelationId r = 0; r < num_rels; ++r) {
       const FactColumn column = facts.facts(r);
       for (std::uint32_t pos = 0; pos < column.size(); ++pos) {
-        const FactView f = column[pos];
-        const Interval iv = f.interval();
-        for (const Value& v : f.args()) {
-          if (v.is_annotated_null()) {
-            occ_.push_back({v.null_id(), iv.start(), iv.end(), base[r] + pos});
-          }
+        for (const Value& v : column[pos].args()) {
+          if (v.is_annotated_null()) sorted_.push_back({v.null_id(), {r, pos}});
         }
       }
+      indexed_[r] = static_cast<std::uint32_t>(column.size());
     }
-    std::sort(occ_.begin(), occ_.end(), [](const Occ& a, const Occ& b) {
-      if (a.null != b.null) return a.null < b.null;
-      return a.start != b.start ? a.start < b.start : a.fact < b.fact;
-    });
-    // A fact carrying N twice sorts its occurrences adjacently; drop the
-    // repeats so cluster sizes count distinct facts.
-    occ_.erase(std::unique(occ_.begin(), occ_.end(),
-                           [](const Occ& a, const Occ& b) {
-                             return a.null == b.null && a.fact == b.fact;
-                           }),
-               occ_.end());
-    std::size_t i = 0;
-    while (i < occ_.size()) {
-      std::size_t j = i + 1;
-      TimePoint reach = occ_[i].end;
-      while (j < occ_.size() && occ_[j].null == occ_[i].null &&
-             occ_[j].start < reach) {
-        reach = std::max(reach, occ_[j].end);
-        ++j;
-      }
-      if (j - i >= 2) {
-        const auto cluster = static_cast<std::uint32_t>(begin_.size() - 1);
-        for (std::size_t k = i; k < j; ++k) {
-          members_.push_back(occ_[k].fact);
-          of_fact_.emplace_back(occ_[k].fact, cluster);
-        }
-        begin_.push_back(members_.size());
-      }
-      i = j;
-    }
-    std::sort(of_fact_.begin(), of_fact_.end());
+    std::sort(sorted_.begin(), sorted_.end());
+    sorted_.erase(std::unique(sorted_.begin(), sorted_.end()), sorted_.end());
   }
 
-  std::size_t size() const { return begin_.size() - 1; }
-  const std::size_t* begin(std::size_t c) const {
-    return members_.data() + begin_[c];
-  }
-  const std::size_t* end(std::size_t c) const {
-    return members_.data() + begin_[c + 1];
+  /// Records the annotated nulls of row (rel, pos).
+  void AddRow(const Instance& facts, RelationId rel, std::uint32_t pos) {
+    for (const Value& v : facts.facts(rel)[pos].args()) {
+      if (!v.is_annotated_null()) continue;
+      recent_[v.null_id()].push_back({rel, pos});
+      ++recent_entries_;
+    }
   }
 
-  /// Calls fn(cluster) for every cluster containing fact `id`.
-  template <typename Fn>
-  void ForEachClusterOf(std::size_t id, const Fn& fn) const {
-    auto it = std::lower_bound(
-        of_fact_.begin(), of_fact_.end(),
-        std::pair<std::size_t, std::uint32_t>(id, 0));
-    for (; it != of_fact_.end() && it->first == id; ++it) fn(it->second);
+  /// Absorbs every row appended since the last call (or since Rewind).
+  void AbsorbAppends(const Instance& facts) {
+    const std::size_t num_rels = facts.schema().relation_count();
+    indexed_.resize(num_rels, 0);
+    for (RelationId r = 0; r < num_rels; ++r) {
+      const auto n = static_cast<std::uint32_t>(facts.facts(r).size());
+      for (std::uint32_t pos = indexed_[r]; pos < n; ++pos) {
+        AddRow(facts, r, pos);
+      }
+      indexed_[r] = n;
+    }
+    if (recent_entries_ > sorted_.size() / 4 + 64) Merge(facts);
   }
+
+  /// Rows of `rel` at `pos` and beyond are re-read by the next
+  /// AbsorbAppends (they were rewritten).
+  void Rewind(RelationId rel, std::uint32_t pos) {
+    if (rel < indexed_.size()) indexed_[rel] = std::min(indexed_[rel], pos);
+  }
+
+  /// The rows that carry `null` now, ascending and unique, into `*out`.
+  void RowsOf(const Instance& facts, NullId null,
+              std::vector<FactRef>* out) const {
+    out->clear();
+    auto it = std::lower_bound(sorted_.begin(), sorted_.end(),
+                               Entry{null, FactRef{0, 0}});
+    for (; it != sorted_.end() && it->null == null; ++it) {
+      out->push_back(it->row);
+    }
+    const auto recent = recent_.find(null);
+    if (recent != recent_.end()) {
+      out->insert(out->end(), recent->second.begin(), recent->second.end());
+      std::sort(out->begin(), out->end());
+      out->erase(std::unique(out->begin(), out->end()), out->end());
+    }
+    out->erase(std::remove_if(out->begin(), out->end(),
+                              [&](const FactRef& row) {
+                                return !Carries(facts, row, null);
+                              }),
+               out->end());
+  }
+
+  /// The sorted array (Build): every null's rows, contiguous and
+  /// ascending. Complete only right after Build.
+  const std::vector<Entry>& built() const { return sorted_; }
 
  private:
-  struct Occ {
-    std::uint64_t null;
-    TimePoint start;
-    TimePoint end;
-    std::size_t fact;
-  };
-  std::vector<Occ> occ_;
-  std::vector<std::size_t> members_;
-  std::vector<std::size_t> begin_ = {0};
-  std::vector<std::pair<std::size_t, std::uint32_t>> of_fact_;
+  static bool Carries(const Instance& facts, FactRef row, NullId null) {
+    const FactColumn column = facts.facts(row.rel);
+    return row.pos < column.size() && CarriesNull(column[row.pos], null);
+  }
+
+  /// Folds the recent rows into the sorted array, dropping stale entries.
+  void Merge(const Instance& facts) {
+    for (const auto& [null, rows] : recent_) {
+      for (const FactRef& row : rows) sorted_.push_back({null, row});
+    }
+    recent_.clear();
+    recent_entries_ = 0;
+    std::sort(sorted_.begin(), sorted_.end());
+    sorted_.erase(std::unique(sorted_.begin(), sorted_.end()), sorted_.end());
+    sorted_.erase(std::remove_if(sorted_.begin(), sorted_.end(),
+                                 [&](const Entry& e) {
+                                   return !Carries(facts, e.row, e.null);
+                                 }),
+                  sorted_.end());
+  }
+
+  std::vector<Entry> sorted_;
+  std::unordered_map<NullId, std::vector<FactRef>> recent_;
+  std::size_t recent_entries_ = 0;
+  std::vector<std::uint32_t> indexed_;
 };
 
 }  // namespace tdx::normalize_detail

@@ -6,7 +6,7 @@
 // sharing a fact merge (lines 4-10), i.e. the pass takes connected
 // components of the overlap graph with union-find. Facts sharing an
 // annotated null over overlapping time join one component too
-// (NullClusters in normalize_detail.h), a kind of group Algorithm 1 as
+// (NullIndex in normalize_detail.h), a kind of group Algorithm 1 as
 // published lacks. Each component's facts are then fragmented at the
 // component's distinct endpoints (TP_Delta, lines 11-18); ungrouped facts
 // pass through unchanged.
@@ -32,7 +32,7 @@
 //  * Without a valid watermark every fact is fresh: each phi* is swept
 //    once, unseeded, so every homomorphism is counted once, and each null
 //    cluster joins whole. This is the full Algorithm 1, and the free
-//    Normalize (normalize.h) is exactly this pass over a const input.
+//    Normalize (normalize.h) is exactly this pass over a copy of its input.
 //
 //  * With a watermark, the homomorphism sweep is seeded from the appended
 //    suffix (ForEachSeeded per atom over [mark, size)) and from each dirty
@@ -50,12 +50,23 @@
 //    intersection property, so an all-old image with a nonempty
 //    intersection has all-equal intervals, such components carry one
 //    shared interval, and fragmenting them is the identity. Their facts
-//    are copied straight through with their previous labels. Dirty
-//    components are re-fragmented in the same dense-id order a pass from
-//    an empty watermark emits, so the output is bit-identical to one.
+//    keep their rows and their previous labels.
 //
-// The output is installed in place (move-assigned into the instance's fact
-// store) and the watermark re-recorded with an empty dirty set, keeping ONE
+// The pass edits the instance in place. A row that fragmentation leaves
+// whole stays where it is; a relation is rewritten only from its first
+// row that splits onward, in the order a pass into an empty instance emits
+// (per row, its fragments, deduplicated), so the output is bit-identical
+// to a fresh emission. Only that tail rewrite moves positions, so only it
+// bumps the generation: a pass that splits no row leaves the generation,
+// every finder's indexes and the chase's semi-naive frontier intact.
+//
+// Every structure a pass reads is kept per delta rather than rebuilt: the
+// scratch arrays are reset through the lists of ids the pass touched, the
+// null clusters come from a null->rows index that absorbs appended and
+// rewritten rows, and each previous component keeps its member list. So a
+// watermarked pass reads only appended, dirty and reached rows, and writes
+// only relabeled rows and rewritten tails (NormalizeStats::rows_visited).
+// The watermark is then re-recorded with an empty dirty set, keeping ONE
 // persistent state alive across the whole chase loop. Fault sites:
 // "normalize/algorithm1" (a pass from an empty watermark) and
 // "normalize/incremental" (a watermarked pass).
@@ -65,6 +76,8 @@
 
 #include <cstdint>
 #include <optional>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/resource.h"
@@ -85,12 +98,11 @@ class NormalizeState {
   /// Component label of a pass-through (ungrouped) fact.
   static constexpr std::uint32_t kUngrouped = 0xFFFFFFFFu;
 
-  /// Normalizes `*instance` w.r.t. `phis`, replacing its fact store with
-  /// the normalized output. The pass starts from the watermark when it
-  /// matches `*instance`, from an empty one otherwise. Guard contract as in
-  /// normalize.h: on a trip stats->partial is set and the state invalidates
-  /// itself; a trip before the merge leaves the instance as it was, one
-  /// during the merge installs the partial output (garbage either way).
+  /// Normalizes `*instance` w.r.t. `phis` in place. The pass starts from
+  /// the watermark when it matches `*instance`, from an empty one
+  /// otherwise. Guard contract as in normalize.h: on a trip stats->partial
+  /// is set, the state invalidates itself and the instance is left as it
+  /// was (unnormalized, so garbage to the caller).
   void Normalize(ConcreteInstance* instance,
                  const std::vector<Conjunction>& phis,
                  NormalizeStats* stats = nullptr,
@@ -114,10 +126,12 @@ class NormalizeState {
   bool MatchesWatermark(const ConcreteInstance& instance) const;
 
   /// Serializable image of the watermark for checkpointing. `labels` is the
-  /// per-relation component labels flattened in relation order (dense in
-  /// first-emission order, kUngrouped for pass-through facts); sum(marks)
-  /// == labels.size(). `dirty` lists the prefix rows rewritten since the
-  /// last pass, sorted by (relation, position), each below its mark.
+  /// per-relation component labels flattened in relation order, renumbered
+  /// densely in order of first appearance (kUngrouped for pass-through
+  /// facts); sum(marks) == labels.size(). `num_components` is the
+  /// component count the next pass's reused_components subtracts from.
+  /// `dirty` lists the prefix rows rewritten since the last pass, sorted by
+  /// (relation, position), each below its mark.
   struct Watermark {
     std::vector<std::uint32_t> marks;
     std::vector<std::uint32_t> labels;
@@ -134,9 +148,19 @@ class NormalizeState {
 
   /// Rebinds a checkpointed watermark to a freshly deserialized instance.
   /// Validates shape (marks within column sizes, labels parallel to marks,
-  /// label values dense, dirty rows ascending and below their marks);
-  /// InvalidArgument on a torn checkpoint.
+  /// label values below num_components, dirty rows ascending and below
+  /// their marks); InvalidArgument on a torn checkpoint.
   Status Restore(const Watermark& wm, const ConcreteInstance& instance);
+
+  /// Index work of the state's finder (IndexStats::rows_indexed), summed
+  /// over its life.
+  const IndexStats& search() const { return search_; }
+  /// The finder's warm indexes when it is bound to `facts` (index.h); the
+  /// checkpoint carries them so a resumed run indexes exactly as much.
+  std::vector<IndexWarmth> FinderWarmth(const Instance* facts) const;
+  /// Binds the finder to `facts` and rebuilds `warmth` without counting.
+  void RewarmFinder(const Instance& facts,
+                    const std::vector<IndexWarmth>& warmth);
 
  private:
   friend ConcreteInstance Normalize(const ConcreteInstance& instance,
@@ -144,22 +168,61 @@ class NormalizeState {
                                     NormalizeStats* stats,
                                     ResourceGuard* guard);
 
-  /// One pass of Algorithm 1 over `facts` into the empty `*out`, from the
-  /// watermark when it is valid (the caller proved it matches `facts`),
-  /// from an empty one otherwise. Returns true when `*out` holds the
-  /// output, possibly partial (stats->partial), and false when there is
-  /// nothing to install: the watermark proves `facts` already normalized,
-  /// or the guard tripped before the merge. Leaves the output's labels in
-  /// flat_labels_ and their count in num_labels_, and invalidates on a
-  /// trip.
-  bool Pass(const Instance& facts, const std::vector<Conjunction>& phis,
-            Instance* out, NormalizeStats* stats, ResourceGuard* guard);
-  /// Records `*instance` (just installed) as the new watermark, labeled by
-  /// flat_labels_ in emission order.
-  void Record(const ConcreteInstance& instance);
-  /// Buckets the previous output's dense ids by component label into
-  /// prev_begin_/prev_members_ (base_ must describe the current pass).
-  void IndexPreviousComponents();
+  /// Per null, this pass's clusters: runs of two or more transitively
+  /// overlapping facts carrying it (normalize_detail.h, NullIndex).
+  struct NullRuns {
+    /// Dense ids of the clustered facts, run after run.
+    std::vector<std::size_t> members;
+    /// Run k is members[begin[k], begin[k + 1]).
+    std::vector<std::uint32_t> begin;
+    /// (dense id, run) for each member, sorted by id.
+    std::vector<std::pair<std::size_t, std::uint32_t>> run_of;
+    std::vector<char> done;
+  };
+  /// One relation's rewritten tail: rows from `begin` on, read out to
+  /// tail_rows_ from `first_row` and to tail_values_ from `first_value`.
+  struct TailSpan {
+    RelationId rel;
+    std::uint32_t begin;
+    std::size_t first_row;
+    std::size_t first_value;
+    std::uint32_t arity;
+  };
+  /// One row of a rewritten tail, read before the tail is truncated.
+  struct TailRow {
+    std::uint32_t old_label;
+    std::uint32_t new_label;
+    /// Dirty component when grouped, kUngrouped otherwise.
+    std::uint32_t comp;
+  };
+
+  /// One pass of Algorithm 1 over `*facts`, in place, from the watermark
+  /// when it is valid (the caller proved it matches), from an empty one
+  /// otherwise. Leaves the watermark recorded for the output, or
+  /// invalidated on a trip.
+  void Pass(Instance* facts, const std::vector<Conjunction>& phis,
+            NormalizeStats* stats, ResourceGuard* guard);
+  /// This pass's runs of `null` (computed on first use).
+  NullRuns& RunsOf(const Instance& facts, NullId null);
+  /// The rows labeled `label` now, ascending (compacts its member list).
+  const std::vector<FactRef>& MembersOf(std::uint32_t label);
+  /// A label with no rows, for a new component.
+  std::uint32_t AllocateLabel();
+  /// Moves one row from label `from` to label `to` (either may be
+  /// kUngrouped) in the label counts and member lists.
+  void Relabel(std::uint32_t from, std::uint32_t to, FactRef row);
+  /// Rebuilds the label counts from comp_of_ (Restore); the member lists
+  /// and the null index follow on first use.
+  void RebuildDerived();
+  /// Sweeps one null's rows (ascending) into `*runs`: its runs of two or
+  /// more transitively overlapping facts.
+  void SweepRuns(const Instance& facts, const std::vector<FactRef>& rows,
+                 NullRuns* runs);
+  /// Returns the pass scratch to rest: every array the pass marked is
+  /// cleared through the id lists that recorded the marks.
+  void ResetScratch();
+  /// Dense id -> (relation, position) under base_.
+  FactRef RefAt(std::size_t id) const;
   /// Mark of relation `r` (0 when the schema grew past the watermark).
   std::uint32_t MarkOf(std::size_t r) const {
     return r < marks_.size() ? marks_[r] : 0;
@@ -173,42 +236,82 @@ class NormalizeState {
   /// Per-relation component labels of the previous output (positions
   /// [0, marks_[r])); kUngrouped for pass-through facts.
   std::vector<std::vector<std::uint32_t>> comp_of_;
+  /// The previous pass's component count, as the pass that made the
+  /// output counted it: every dirty component plus every previous one
+  /// still holding a pass-through fact.
   std::uint32_t num_components_ = 0;
   /// Prefix rows rewritten in place since the last pass, ascending.
   std::vector<FactRef> dirty_;
 
+  // ---- labels (ids are internal; Export renumbers them) ---------------
+  /// Rows carrying each label, and labels with at least one row.
+  std::vector<std::uint32_t> label_rows_;
+  std::size_t live_labels_ = 0;
+  /// Rows of each label, possibly with stale entries (MembersOf filters
+  /// them against comp_of_). Built on first use after a full pass or a
+  /// restore, then kept up to date (members_valid_).
+  std::vector<std::vector<FactRef>> label_members_;
+  bool members_valid_ = false;
+  /// Labels with no rows, reusable by AllocateLabel.
+  std::vector<std::uint32_t> free_labels_;
+  /// The null->rows index, rebuilt on first use when a pass rewrote too
+  /// much of the instance to absorb it row by row (nulls_valid_).
+  normalize_detail::NullIndex nulls_;
+  bool nulls_valid_ = false;
+
   // ---- reusable machinery --------------------------------------------
   /// One finder kept across passes: it catches up on appends and rebuilds
-  /// after the install's generation bump (homomorphism.h).
+  /// only when a pass or an egd rewrite moved the generation
+  /// (homomorphism.h).
   std::optional<HomomorphismFinder> finder_;
   const Instance* finder_bound_ = nullptr;
+  IndexStats search_;
+  // Scratch over dense ids (base_[relation] + position), all-zero at rest.
   normalize_detail::UnionFind uf_;
   std::vector<char> grouped_;
   std::vector<char> fresh_;
   std::vector<char> enqueued_;
-  normalize_detail::NullClusters clusters_;
-  std::vector<char> cluster_done_;
-  /// Per previous component (by label): whether this pass reached it.
-  std::vector<char> prev_touched_;
-  /// Members (dense ids) of previous component c are
-  /// prev_members_[prev_begin_[c], prev_begin_[c + 1]).
-  std::vector<std::size_t> prev_begin_;
-  std::vector<std::size_t> prev_members_;
-  std::vector<std::size_t> queue_;
-  std::vector<std::size_t> base_;
   /// Dirty component of a union-find root, dense in first-seen order
   /// (kUngrouped when unassigned).
   std::vector<std::uint32_t> root_comp_;
+  std::vector<std::size_t> fresh_ids_;
+  std::vector<std::size_t> grouped_ids_;
+  /// The grouped facts in dense-id order, once the pass has grouped them,
+  /// and the dirty component of each.
+  std::vector<FactRef> grouped_rows_;
+  std::vector<std::uint32_t> grouped_comp_;
+  std::vector<std::size_t> queue_;
+  // Scratch over labels, zero at rest.
+  /// Per previous component: whether this pass reached it (kReached) or
+  /// re-derives it because one of its rows was rewritten (kRederived).
+  std::vector<char> prev_touched_;
+  std::vector<std::uint32_t> touched_labels_;
+  std::vector<char> label_changed_;
+  std::vector<std::uint32_t> changed_labels_;
+  std::unordered_map<NullId, NullRuns> runs_;
+  std::vector<FactRef> null_rows_;
+  /// One null's occurrences being swept (SweepRuns).
+  struct Occ {
+    TimePoint start;
+    TimePoint end;
+    std::size_t id;
+  };
+  std::vector<Occ> occ_;
+  std::vector<std::size_t> base_;
   /// Sorted distinct endpoints of each dirty component.
   std::vector<std::vector<TimePoint>> comp_points_;
-  /// Output label of each dirty component, and of each previous component
-  /// copied through (kUngrouped until first emitted).
+  /// Output label of each dirty component.
   std::vector<std::uint32_t> dirty_label_;
-  std::vector<std::uint32_t> prev_label_;
-  /// Fragments of the grouped fact being merged; reused across facts.
+  /// First changed row per relation (its column size when none).
+  std::vector<std::uint32_t> tail_begin_;
+  std::vector<TailSpan> tail_spans_;
+  std::vector<Value> tail_values_;
+  std::vector<TailRow> tail_rows_;
+  /// Fragments of the grouped fact being emitted, and the arguments of
+  /// one of them; reused across facts.
   std::vector<Interval> frag_buf_;
-  std::vector<std::uint32_t> flat_labels_;
-  std::uint32_t num_labels_ = 0;
+  std::vector<Value> frag_args_;
+  std::size_t rows_visited_ = 0;
 };
 
 }  // namespace tdx

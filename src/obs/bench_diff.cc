@@ -270,24 +270,46 @@ Result<GateReport> CheckBenchGates(const Json& fresh, const Json* baseline,
         return Status::NotFound("counter gate '" + name + "': counter '" +
                                 counter + "' missing from " + benchmark);
       }
+      // With "relative_to", the gate bounds the counter's ratio to the same
+      // counter on another benchmark (how a per-unit count grows with size).
+      double actual = value->as_number();
+      std::string measured = benchmark + "." + counter;
+      if (const Json* rel = gate.Find("relative_to"); rel != nullptr) {
+        if (!rel->is_string()) {
+          return Status::InvalidArgument("counter gate '" + name +
+                                         "': \"relative_to\" must be a "
+                                         "benchmark name");
+        }
+        const std::string& den = rel->as_string();
+        auto den_it = fresh_by_name.find(den);
+        const Json* den_value = den_it == fresh_by_name.end()
+                                    ? nullptr
+                                    : den_it->second->Find(counter);
+        if (den_value == nullptr || !den_value->is_number()) {
+          return Status::NotFound("counter gate '" + name + "': counter '" +
+                                  counter + "' missing from " + den);
+        }
+        if (den_value->as_number() == 0) {
+          return Status::InvalidArgument("counter gate '" + name + "': " +
+                                         den + "." + counter + " is zero");
+        }
+        actual /= den_value->as_number();
+        measured += " / " + den + "." + counter;
+      }
       const auto bound = [&](const char* which, double limit, bool pass) {
         GateCheck check;
         check.gate = name;
         check.kind = "counter";
-        check.actual = value->as_number();
+        check.actual = actual;
         check.limit = limit;
         check.pass = pass;
-        check.detail = name + ": " + benchmark + "." + counter + " = " +
+        check.detail = name + ": " + measured + " = " +
                        FormatDouble(check.actual) + " (" + which + " " +
                        FormatDouble(limit) + ")";
         add(std::move(check));
       };
-      if (has_min) {
-        bound("min", min->as_number(), value->as_number() >= min->as_number());
-      }
-      if (has_max) {
-        bound("max", max->as_number(), value->as_number() <= max->as_number());
-      }
+      if (has_min) bound("min", min->as_number(), actual >= min->as_number());
+      if (has_max) bound("max", max->as_number(), actual <= max->as_number());
     }
   }
 

@@ -23,7 +23,9 @@
 //        hardware where absolute times do not).
 //      - counter gates: a user counter on one benchmark must be >= min
 //        and/or <= max — guards that an optimization is actually exercising
-//        its fast path, not just fast.
+//        its fast path, not just fast. With "relative_to" the bound applies
+//        to the counter's ratio to the same counter on another benchmark,
+//        e.g. how a per-stage count grows from a small size to a large one.
 //
 // The gates config is itself JSON (see bench/bench_gates.json for the CI
 // instance and docs/INTERNALS.md for the schema).

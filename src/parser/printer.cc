@@ -144,13 +144,15 @@ std::string RenderChaseStats(const CChaseOutcome& outcome) {
       << " skipped_normalize_passes=" << stats.skipped_normalize_passes
       << " index_probes=" << stats.search.index_probes
       << " index_candidates=" << stats.search.index_candidates
-      << " full_scans=" << stats.search.full_scans << ")\n";
+      << " full_scans=" << stats.search.full_scans
+      << " rows_indexed=" << stats.search.rows_indexed << ")\n";
   const auto norm_line = [&out](const char* label, const NormalizeStats& n) {
     out << "(" << label << ": input=" << n.input_facts
         << " output=" << n.output_facts << " homs=" << n.homomorphisms
         << " groups=" << n.groups << " delta=" << n.delta_facts
         << " dirty=" << n.dirty_components
-        << " reused=" << n.reused_components << " passes=" << n.passes
+        << " reused=" << n.reused_components
+        << " rows_visited=" << n.rows_visited << " passes=" << n.passes
         << " full_passes=" << n.full_passes
         << " partial=" << (n.partial ? 1 : 0) << ")\n";
   };

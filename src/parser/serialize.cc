@@ -430,6 +430,73 @@ Result<Instance> ParseFactBlock(LineReader* reader, std::uint64_t count,
   return instance;
 }
 
+/// A frontier line: `<head> full` or `<head> marks <n> <mark>...`.
+Status ParseMarks(std::string_view line, const char* head, bool* full,
+                  std::vector<std::uint32_t>* marks) {
+  TokenCursor c{line};
+  const std::string malformed = std::string("malformed ") + head + " line";
+  if (!c.Eat(head) || !c.Eat(" ")) return Malformed(malformed);
+  *full = c.Eat("full");
+  if (*full) return c.AtEnd() ? Status::OK() : Malformed(malformed);
+  std::uint64_t count = 0;
+  if (!c.Eat("marks") || !c.Count(&count, 2)) return Malformed(malformed);
+  marks->reserve(static_cast<std::size_t>(count));
+  for (std::uint64_t k = 0; k < count; ++k) {
+    std::uint64_t m = 0;
+    if (!c.Uint(&m) || m > std::numeric_limits<std::uint32_t>::max()) {
+      return Malformed(malformed);
+    }
+    marks->push_back(static_cast<std::uint32_t>(m));
+  }
+  return Status::OK();
+}
+
+/// The rest of a row-list line: a count, then that many `rel pos` pairs.
+Status ParseRows(TokenCursor* c, std::vector<FactRef>* rows,
+                 const char* head) {
+  std::uint64_t n = 0;
+  if (!c->Count(&n, 4)) return Malformed(std::string("malformed ") + head);
+  rows->reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t k = 0; k < n; ++k) {
+    std::uint64_t rel = 0;
+    std::uint64_t pos = 0;
+    if (!c->Uint(&rel) || !c->Uint(&pos) ||
+        rel > std::numeric_limits<RelationId>::max() ||
+        pos > std::numeric_limits<std::uint32_t>::max()) {
+      return Malformed(std::string("malformed ") + head);
+    }
+    rows->push_back(FactRef{static_cast<RelationId>(rel),
+                            static_cast<std::uint32_t>(pos)});
+  }
+  c->SkipSpaces();
+  if (!c->s.empty()) return Malformed(std::string("malformed ") + head);
+  return Status::OK();
+}
+
+/// The rest of an index-warmth line: a count, then that many
+/// `rel mask indexed` triples.
+Status ParseWarmth(TokenCursor* c, std::vector<IndexWarmth>* warmth,
+                   const char* head) {
+  std::uint64_t n = 0;
+  if (!c->Count(&n, 6)) return Malformed(std::string("malformed ") + head);
+  warmth->reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t k = 0; k < n; ++k) {
+    std::uint64_t rel = 0;
+    std::uint64_t mask = 0;
+    std::uint64_t indexed = 0;
+    if (!c->Uint(&rel) || !c->Uint(&mask) || !c->Uint(&indexed) ||
+        rel > std::numeric_limits<RelationId>::max() ||
+        indexed > std::numeric_limits<std::uint32_t>::max()) {
+      return Malformed(std::string("malformed ") + head);
+    }
+    warmth->push_back(IndexWarmth{static_cast<RelationId>(rel), mask,
+                                  static_cast<std::uint32_t>(indexed)});
+  }
+  c->SkipSpaces();
+  if (!c->s.empty()) return Malformed(std::string("malformed ") + head);
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
@@ -460,7 +527,8 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
          std::to_string(checkpoint.stats.skipped_normalize_passes) + " " +
          std::to_string(checkpoint.stats.search.index_probes) + " " +
          std::to_string(checkpoint.stats.search.index_candidates) + " " +
-         std::to_string(checkpoint.stats.search.full_scans) + "\n";
+         std::to_string(checkpoint.stats.search.full_scans) + " " +
+         std::to_string(checkpoint.stats.search.rows_indexed) + "\n";
   const auto norm_line = [](const char* head, const NormalizeStats& ns) {
     return std::string(head) + " " + std::to_string(ns.input_facts) + " " +
            std::to_string(ns.output_facts) + " " +
@@ -469,6 +537,7 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
            std::to_string(ns.delta_facts) + " " +
            std::to_string(ns.dirty_components) + " " +
            std::to_string(ns.reused_components) + " " +
+           std::to_string(ns.rows_visited) + " " +
            std::to_string(ns.passes) + " " +
            std::to_string(ns.full_passes) + " " +
            std::to_string(ns.partial ? 1 : 0) + "\n";
@@ -482,16 +551,36 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
     out += "null " + std::to_string(id) + " \"" +
            EscapeCheckpointString(checkpoint.null_names[id]) + "\"\n";
   }
-  if (checkpoint.frontier_full) {
-    out += "frontier full\n";
-  } else {
-    out += "frontier marks " +
-           std::to_string(checkpoint.frontier_marks.size());
-    for (const std::uint32_t m : checkpoint.frontier_marks) {
-      out += " " + std::to_string(m);
+  const auto marks_line = [&out](const char* head, bool full,
+                                 const std::vector<std::uint32_t>& marks) {
+    out += std::string(head) + (full ? " full\n" : " marks ");
+    if (full) return;
+    out += std::to_string(marks.size());
+    for (const std::uint32_t m : marks) out += " " + std::to_string(m);
+    out += "\n";
+  };
+  marks_line("frontier", checkpoint.frontier_full, checkpoint.frontier_marks);
+  if (!checkpoint.frontier_full) {
+    out += "frontier-rows " + std::to_string(checkpoint.frontier_rows.size());
+    for (const FactRef& row : checkpoint.frontier_rows) {
+      out += " " + std::to_string(row.rel) + " " + std::to_string(row.pos);
     }
     out += "\n";
   }
+  marks_line("egd-frontier", checkpoint.egd_frontier_full,
+             checkpoint.egd_frontier_marks);
+  const auto warmth_line = [&out](const char* head,
+                                  const std::vector<IndexWarmth>& warmth) {
+    if (warmth.empty()) return;
+    out += std::string(head) + " " + std::to_string(warmth.size());
+    for (const IndexWarmth& w : warmth) {
+      out += " " + std::to_string(w.rel) + " " + std::to_string(w.mask) +
+             " " + std::to_string(w.indexed);
+    }
+    out += "\n";
+  };
+  warmth_line("warmth-round", checkpoint.round_warmth);
+  warmth_line("warmth-norm", checkpoint.norm_warmth);
   if (checkpoint.norm_state_valid) {
     out += "norm-state " + std::to_string(checkpoint.norm_components) + "\n";
     out += "norm-marks " + std::to_string(checkpoint.norm_marks.size());
@@ -579,8 +668,8 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
     return Status::OK();
   };
   {
-    std::uint64_t v[11];
-    TDX_RETURN_IF_ERROR(parse_counts("stats", v, 11));
+    std::uint64_t v[12];
+    TDX_RETURN_IF_ERROR(parse_counts("stats", v, 12));
     ck.stats.tgd_triggers = static_cast<std::size_t>(v[0]);
     ck.stats.tgd_fires = static_cast<std::size_t>(v[1]);
     ck.stats.egd_steps = static_cast<std::size_t>(v[2]);
@@ -592,11 +681,12 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
     ck.stats.search.index_probes = v[8];
     ck.stats.search.index_candidates = v[9];
     ck.stats.search.full_scans = v[10];
+    ck.stats.search.rows_indexed = v[11];
   }
   const auto parse_norm = [&](const char* head, NormalizeStats* ns) -> Status {
-    std::uint64_t v[10];
-    TDX_RETURN_IF_ERROR(parse_counts(head, v, 10));
-    if (v[9] > 1) return Malformed(std::string("malformed ") + head + " line");
+    std::uint64_t v[11];
+    TDX_RETURN_IF_ERROR(parse_counts(head, v, 11));
+    if (v[10] > 1) return Malformed(std::string("malformed ") + head + " line");
     ns->input_facts = static_cast<std::size_t>(v[0]);
     ns->output_facts = static_cast<std::size_t>(v[1]);
     ns->homomorphisms = static_cast<std::size_t>(v[2]);
@@ -604,9 +694,10 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
     ns->delta_facts = static_cast<std::size_t>(v[4]);
     ns->dirty_components = static_cast<std::size_t>(v[5]);
     ns->reused_components = static_cast<std::size_t>(v[6]);
-    ns->passes = static_cast<std::size_t>(v[7]);
-    ns->full_passes = static_cast<std::size_t>(v[8]);
-    ns->partial = v[9] != 0;
+    ns->rows_visited = static_cast<std::size_t>(v[7]);
+    ns->passes = static_cast<std::size_t>(v[8]);
+    ns->full_passes = static_cast<std::size_t>(v[9]);
+    ns->partial = v[10] != 0;
     return Status::OK();
   };
   TDX_RETURN_IF_ERROR(parse_norm("norm-source", &ck.source_norm_stats));
@@ -640,25 +731,16 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
     }
     ck.null_names.push_back(std::move(name));
   }
-  c = TokenCursor{reader.Next()};
-  if (!c.Eat("frontier ")) return Malformed("malformed frontier line");
-  if (c.Eat("full")) {
-    ck.frontier_full = true;
-  } else if (c.Eat("marks")) {
-    ck.frontier_full = false;
-    std::uint64_t count = 0;
-    if (!c.Count(&count, 2)) return Malformed("malformed frontier marks");
-    ck.frontier_marks.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t k = 0; k < count; ++k) {
-      std::uint64_t m = 0;
-      if (!c.Uint(&m) || m > std::numeric_limits<std::uint32_t>::max()) {
-        return Malformed("malformed frontier marks");
-      }
-      ck.frontier_marks.push_back(static_cast<std::uint32_t>(m));
-    }
-  } else {
-    return Malformed("malformed frontier line");
+  TDX_RETURN_IF_ERROR(ParseMarks(reader.Next(), "frontier", &ck.frontier_full,
+                                 &ck.frontier_marks));
+  if (!ck.frontier_full) {
+    c = TokenCursor{reader.Next()};
+    if (!c.Eat("frontier-rows ")) return Malformed("malformed frontier-rows");
+    TDX_RETURN_IF_ERROR(ParseRows(&c, &ck.frontier_rows, "frontier-rows"));
   }
+  TDX_RETURN_IF_ERROR(ParseMarks(reader.Next(), "egd-frontier",
+                                 &ck.egd_frontier_full,
+                                 &ck.egd_frontier_marks));
 
   while (!reader.done()) {
     c = TokenCursor{reader.Next()};
@@ -702,19 +784,11 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
         ck.norm_labels.push_back(static_cast<std::uint32_t>(l));
       }
     } else if (c.Eat("norm-dirty ")) {
-      if (!c.Count(&n, 4)) return Malformed("malformed norm-dirty line");
-      ck.norm_dirty.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t k = 0; k < n; ++k) {
-        std::uint64_t rel = 0;
-        std::uint64_t pos = 0;
-        if (!c.Uint(&rel) || !c.Uint(&pos) ||
-            rel > std::numeric_limits<RelationId>::max() ||
-            pos > std::numeric_limits<std::uint32_t>::max()) {
-          return Malformed("malformed norm-dirty line");
-        }
-        ck.norm_dirty.push_back(FactRef{static_cast<RelationId>(rel),
-                                        static_cast<std::uint32_t>(pos)});
-      }
+      TDX_RETURN_IF_ERROR(ParseRows(&c, &ck.norm_dirty, "norm-dirty"));
+    } else if (c.Eat("warmth-round ")) {
+      TDX_RETURN_IF_ERROR(ParseWarmth(&c, &ck.round_warmth, "warmth-round"));
+    } else if (c.Eat("warmth-norm ")) {
+      TDX_RETURN_IF_ERROR(ParseWarmth(&c, &ck.norm_warmth, "warmth-norm"));
     } else {
       return Malformed("unexpected line in checkpoint body");
     }
@@ -725,6 +799,44 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
     if (row.rel >= ck.norm_marks.size() || row.pos >= ck.norm_marks[row.rel]) {
       return Status::InvalidArgument(
           "checkpoint norm-dirty row lies beyond its relation's norm mark");
+    }
+  }
+  // Frontier rows and index warmth name rows of the target: each must lie
+  // inside it, rows strictly ascending, warmth masks within the relation's
+  // arity and each (relation, mask) once.
+  const auto target_size = [&](RelationId rel) -> std::size_t {
+    return ck.target.has_value() && rel < schema->relation_count()
+               ? ck.target->facts(rel).size()
+               : 0;
+  };
+  for (std::size_t k = 0; k < ck.frontier_rows.size(); ++k) {
+    const FactRef& row = ck.frontier_rows[k];
+    if (row.pos >= target_size(row.rel)) {
+      return Status::InvalidArgument(
+          "checkpoint frontier row lies beyond its relation's size");
+    }
+    if (k > 0 && ck.frontier_rows[k - 1] >= row) {
+      return Status::InvalidArgument(
+          "checkpoint frontier rows are not strictly ascending");
+    }
+  }
+  for (const std::vector<IndexWarmth>* warmth :
+       {&ck.round_warmth, &ck.norm_warmth}) {
+    for (std::size_t k = 0; k < warmth->size(); ++k) {
+      const IndexWarmth& w = (*warmth)[k];
+      const bool in_schema = w.rel < schema->relation_count();
+      const std::size_t arity =
+          in_schema ? schema->relation(w.rel).arity() : 0;
+      if (!in_schema || w.mask == 0 ||
+          (arity < 64 && (w.mask >> arity) != 0) ||
+          w.indexed > target_size(w.rel)) {
+        return Status::InvalidArgument(
+            "checkpoint index warmth names no index of the target");
+      }
+      if (k > 0 && (*warmth)[k - 1] >= w) {
+        return Status::InvalidArgument(
+            "checkpoint index warmth is not strictly ascending");
+      }
     }
   }
   return ck;

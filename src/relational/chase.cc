@@ -45,11 +45,36 @@ std::vector<VarId> HeadUniversalVars(const Tgd& tgd) {
 /// instance may alias the insertion target.
 using TriggerSet = std::map<std::vector<Value>, Binding>;
 
-/// Collects the triggers of `tgd` over `inst`. A full frontier enumerates
-/// every body homomorphism; otherwise enumeration is seeded on each body
-/// atom's frontier range, so only triggers whose image touches at least one
-/// frontier fact are found. Triggers touching several frontier facts are
-/// enumerated once per touched atom; the key map absorbs the duplicates.
+/// Enumerates the homomorphisms from `conj` (over `num_vars` variables)
+/// into `inst` whose image touches `frontier`; all of them while it is
+/// full. Otherwise enumeration is seeded on each atom's frontier range and
+/// on each rewritten frontier row, so a homomorphism touching several
+/// frontier facts is found once per touched atom and seed.
+void ForEachTouching(HomomorphismFinder* finder, const Instance& inst,
+                     const Conjunction& conj, std::size_t num_vars,
+                     const DeltaFrontier& frontier, const HomCallback& cb) {
+  if (frontier.full()) {
+    finder->ForEach(conj, Binding(num_vars), cb);
+    return;
+  }
+  for (std::size_t i = 0; i < conj.atoms.size(); ++i) {
+    const RelationId rel = conj.atoms[i].rel;
+    const std::uint32_t begin = frontier.mark(rel);
+    const auto end = static_cast<std::uint32_t>(inst.facts(rel).size());
+    if (begin >= end) continue;
+    finder->ForEachSeeded(conj, i, begin, end, Binding(num_vars), cb);
+  }
+  for (const FactRef& row : frontier.rows()) {
+    for (std::size_t i = 0; i < conj.atoms.size(); ++i) {
+      if (conj.atoms[i].rel != row.rel) continue;
+      finder->ForEachSeeded(conj, i, row.pos, row.pos + 1, Binding(num_vars),
+                            cb);
+    }
+  }
+}
+
+/// Collects the triggers of `tgd` over `inst` whose body image touches
+/// `frontier` (ForEachTouching); the key map absorbs the duplicates.
 void CollectTriggers(HomomorphismFinder* finder, const Instance& inst,
                      const Tgd& tgd, const std::vector<VarId>& key_vars,
                      const DeltaFrontier& frontier, ChaseStats* stats,
@@ -62,18 +87,7 @@ void CollectTriggers(HomomorphismFinder* finder, const Instance& inst,
     triggers->emplace(std::move(key), binding);
     return true;
   };
-  if (frontier.full()) {
-    finder->ForEach(tgd.body, Binding(tgd.num_vars()), add);
-    return;
-  }
-  for (std::size_t i = 0; i < tgd.body.atoms.size(); ++i) {
-    const RelationId rel = tgd.body.atoms[i].rel;
-    const std::uint32_t begin = frontier.mark(rel);
-    const auto end = static_cast<std::uint32_t>(inst.facts(rel).size());
-    if (begin >= end) continue;
-    finder->ForEachSeeded(tgd.body, i, begin, end, Binding(tgd.num_vars()),
-                          add);
-  }
+  ForEachTouching(finder, inst, tgd.body, tgd.num_vars(), frontier, add);
 }
 
 /// Fires every collected trigger that lacks an extension witness in the
@@ -121,6 +135,24 @@ bool FireTriggers(Instance* target, const Tgd& tgd, TriggerSet& triggers,
 }
 
 }  // namespace
+
+void DeltaFrontier::AdvancePast(const Instance& facts) {
+  std::vector<std::uint32_t> sizes(facts.schema().relation_count());
+  for (RelationId rel = 0; rel < sizes.size(); ++rel) {
+    sizes[rel] = static_cast<std::uint32_t>(facts.facts(rel).size());
+  }
+  AdvanceTo(std::move(sizes));
+}
+
+void DeltaFrontier::AddRows(const std::vector<FactRef>& rows) {
+  if (full_) return;
+  const std::size_t mid = rows_.size();
+  for (const FactRef& row : rows) {
+    if (row.pos < mark(row.rel)) rows_.push_back(row);
+  }
+  std::inplace_merge(rows_.begin(), rows_.begin() + mid, rows_.end());
+  rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
+}
 
 TgdRunPlan BuildTgdRunPlan(const std::vector<Tgd>& tgds,
                            const ChaseSchedule* schedule) {
@@ -178,7 +210,9 @@ bool RunTgds(const Instance& collect_from, Instance* target,
 
 ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
                             ChaseStats* stats, std::string* failure_reason,
-                            ResourceGuard* guard, EgdRewrites* rewrites) {
+                            ResourceGuard* guard, EgdRewrites* rewrites,
+                            const DeltaFrontier* since,
+                            HomomorphismFinder* finder) {
   // Batched passes: collect every violated equality, merge the equivalence
   // classes with union-find, substitute, repeat. This is equivalent to
   // applying egd steps one at a time (the egd chase is confluent up to null
@@ -191,6 +225,16 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
   // afterwards; it is dropped (and lazily rebuilt) whenever fact positions
   // shift. Only nulls need indexing: a merge never replaces a constant (a
   // non-null representative always wins, and two non-nulls fail the chase).
+  //
+  // Each pass enumerates only the homomorphisms that touch `seeds`: every
+  // one on the first pass unless the caller vouches, through `since`, that
+  // every egd holds over the facts outside it; afterwards the rows the
+  // previous pass rewrote in place. A homomorphism outside them was
+  // satisfied before and its facts did not change, and one a pass found
+  // violated has a fact holding a merged-away value, which that pass
+  // rewrote. So each pass collects exactly the violations a full
+  // enumeration would. A pass that moved positions starts over in full.
+  DeltaFrontier seeds = since != nullptr ? *since : DeltaFrontier();
   std::unordered_map<Value, std::vector<FactRef>, ValueHash> reverse;
   bool reverse_valid = false;
   if (rewrites != nullptr) *rewrites = EgdRewrites();
@@ -207,20 +251,22 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
     std::vector<std::pair<Value, Value>> pairs;
     std::string violated_label;
     {
-      HomomorphismFinder finder(*target, &stats->search);
+      std::optional<HomomorphismFinder> own;
+      HomomorphismFinder* matcher =
+          finder != nullptr ? finder : &own.emplace(*target, &stats->search);
       for (const Egd& egd : egds) {
-        finder.ForEach(egd.body, Binding(egd.num_vars()),
-                       [&](const Binding& binding, const AtomImage&) {
-                         const Value& a = binding.Get(egd.x1);
-                         const Value& b = binding.Get(egd.x2);
-                         if (a != b) {
-                           pairs.emplace_back(a, b);
-                           if (violated_label.empty()) {
-                             violated_label = egd.label;
-                           }
-                         }
-                         return true;
-                       });
+        ForEachTouching(matcher, *target, egd.body, egd.num_vars(), seeds,
+                        [&](const Binding& binding, const AtomImage&) {
+                          const Value& a = binding.Get(egd.x1);
+                          const Value& b = binding.Get(egd.x2);
+                          if (a != b) {
+                            pairs.emplace_back(a, b);
+                            if (violated_label.empty()) {
+                              violated_label = egd.label;
+                            }
+                          }
+                          return true;
+                        });
       }
     }
     if (pairs.empty()) return ChaseResultKind::kSuccess;
@@ -334,6 +380,7 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
       *target = std::move(next);
       reverse_valid = false;
       report_moved();
+      seeds.Reset();
     } else {
       // ---- light merge: rewrite only the affected facts in place ---------
       const RewriteResult result = target->RewriteFacts(affected, subst);
@@ -342,7 +389,10 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
         // Positions shifted; the reverse index is stale beyond repair.
         reverse_valid = false;
         report_moved();
+        seeds.Reset();
       } else {
+        seeds.AdvancePast(*target);
+        seeds.AddRows(affected);
         if (rewrites != nullptr && !rewrites->positions_moved) {
           std::vector<FactRef>& rows = rewrites->rows;
           const std::size_t mid = rows.size();

@@ -139,6 +139,8 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
 using FreshNullFactory =
     std::function<Value(const Tgd& tgd, const Binding& trigger)>;
 
+class DeltaFrontier;
+
 /// What an egd fixpoint's merges did to fact positions, for callers that
 /// keep position-based state across it (the c-chase's incremental
 /// normalizer, core/normalize_incremental.h).
@@ -167,20 +169,32 @@ struct EgdRewrites {
 /// the rows the in-place path rewrote, or `positions_moved` when any pass
 /// took the rebuild or compacted; a fixpoint that merges nothing reports
 /// no rows and no move.
+///
+/// With `since` (not full), the caller vouches that every egd holds over
+/// the facts outside it — the c-chase passes the facts appended since its
+/// last fixpoint — and each pass enumerates only the egd matches touching
+/// its delta: `since` first, then the rows the previous pass rewrote. The
+/// merges, failures and counts other than the index counters are those of
+/// a full enumeration. `finder`, when given, is a persistent finder over
+/// `*target` to match through instead of a fresh one per pass.
 ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
                             ChaseStats* stats, std::string* failure_reason,
                             ResourceGuard* guard,
-                            EgdRewrites* rewrites = nullptr);
+                            EgdRewrites* rewrites = nullptr,
+                            const DeltaFrontier* since = nullptr,
+                            HomomorphismFinder* finder = nullptr);
 
 /// Per-relation delta frontier for semi-naive target-tgd rounds: facts of
 /// relation r at positions >= mark(r) form the frontier (inserted since the
-/// frontier last advanced). A fresh or Reset frontier covers every fact —
-/// round 0 seeds semi-naive evaluation with the full instance; callers also
-/// Reset after anything rewrites existing facts (egd merges, normalization),
-/// since rewritten facts can participate in triggers the frontier would
-/// otherwise skip. Naive rounds are the same rounds with the frontier Reset
-/// before each one: every trigger is re-enumerated every round, the oracle
-/// the semi-naive engine is tested (and benchmarked) against.
+/// frontier last advanced), and so do the rows below the marks that were
+/// rewritten in place since (AddRows: egd merges). A fresh or Reset
+/// frontier covers every fact — round 0 seeds semi-naive evaluation with
+/// the full instance; callers also Reset after anything moves fact
+/// positions (a compacting or rebuilding egd merge, a normalization pass
+/// that split rows), since the marks and rows then name the wrong facts.
+/// Naive rounds are the same rounds with the frontier Reset before each
+/// one: every trigger is re-enumerated every round, the oracle the
+/// semi-naive engine is tested (and benchmarked) against.
 class DeltaFrontier {
  public:
   DeltaFrontier() = default;
@@ -198,22 +212,38 @@ class DeltaFrontier {
   void Reset() {
     full_ = true;
     marks_.clear();
+    rows_.clear();
   }
 
   /// Raw per-relation marks, for checkpointing. Meaningful when !full().
   const std::vector<std::uint32_t>& marks() const { return marks_; }
 
+  /// Rows below their marks rewritten since the last advance, sorted by
+  /// (relation, position) and unique. Empty while full.
+  const std::vector<FactRef>& rows() const { return rows_; }
+
+  /// Adds rewritten rows (EgdRewrites::rows: sorted, unique). Rows at or
+  /// past their relation's mark are frontier already; a full frontier
+  /// covers every row.
+  void AddRows(const std::vector<FactRef>& rows);
+
   /// Advances the frontier: facts of `rel` below `sizes[rel]` stop being
-  /// frontier. Callers pass the per-relation sizes captured at round start,
-  /// so everything a round inserts is the next round's frontier.
+  /// frontier, and so do the rewritten rows. Callers pass the per-relation
+  /// sizes captured at round start, so everything a round inserts is the
+  /// next round's frontier.
   void AdvanceTo(std::vector<std::uint32_t> sizes) {
     full_ = false;
     marks_ = std::move(sizes);
+    rows_.clear();
   }
+
+  /// Advances past every fact `facts` holds now.
+  void AdvancePast(const Instance& facts);
 
  private:
   bool full_ = true;
   std::vector<std::uint32_t> marks_;
+  std::vector<FactRef> rows_;
 };
 
 /// The runtime form of one tgd vector's execution: which rules run, in
@@ -240,7 +270,8 @@ TgdRunPlan BuildTgdRunPlan(const std::vector<Tgd>& tgds,
 
 /// Runs `plan` once: rule by rule, collects the rule's triggers from
 /// `collect_from` through `collect_finder` — only triggers whose body image
-/// touches `frontier`, unless it is full — then fires them into `target`
+/// touches `frontier` (its suffixes, and each rewritten row seeded alone),
+/// unless it is full — then fires them into `target`
 /// through `fire_finder` (restricted chase: triggers whose head is already
 /// witnessed are skipped). Returns true if anything was inserted, and
 /// advances `frontier` past the facts `collect_from` held on entry.

@@ -55,6 +55,7 @@ struct ChaseRunScope::Metrics {
         fresh_nulls(prefix + ".fresh_nulls"),
         values_rewritten(prefix + ".values_rewritten"),
         skipped_egd_passes(prefix + ".skipped_egd_passes"),
+        rows_indexed(prefix + ".rows_indexed"),
         strata(prefix + ".schedule_strata"),
         run_us(prefix + ".run_us") {
     if (normalizes) {
@@ -71,6 +72,7 @@ struct ChaseRunScope::Metrics {
   obs::Counter fresh_nulls;
   obs::Counter values_rewritten;
   obs::Counter skipped_egd_passes;
+  obs::Counter rows_indexed;
   std::optional<obs::Counter> skipped_normalize_passes;
   obs::Gauge strata;
   obs::Histogram run_us;
@@ -105,6 +107,7 @@ ChaseRunScope::~ChaseRunScope() {
   m.values_rewritten.Inc(stats_->values_rewritten - entry_.values_rewritten);
   m.skipped_egd_passes.Inc(stats_->skipped_egd_passes -
                            entry_.skipped_egd_passes);
+  m.rows_indexed.Inc(stats_->search.rows_indexed - entry_.search.rows_indexed);
   if (m.skipped_normalize_passes.has_value()) {
     m.skipped_normalize_passes->Inc(stats_->skipped_normalize_passes -
                                     entry_.skipped_normalize_passes);

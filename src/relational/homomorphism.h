@@ -135,8 +135,14 @@ class HomomorphismFinder {
   explicit HomomorphismFinder(const Instance& instance,
                               IndexStats* stats = nullptr)
       : instance_(&instance),
-        cache_(&instance),
+        cache_(&instance, stats != nullptr ? stats : &own_stats_),
         stats_(stats != nullptr ? stats : &own_stats_) {}
+
+  /// The index cache's warm state, and its restore (index.h).
+  std::vector<IndexWarmth> Warmth() const { return cache_.Warmth(); }
+  void Rewarm(const std::vector<IndexWarmth>& warmth) {
+    cache_.Rewarm(warmth);
+  }
 
   /// Enumerates every homomorphism from `conj` to the instance extending
   /// `initial` (pass a fresh Binding(conj.num_vars) for no constraints).

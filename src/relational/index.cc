@@ -104,12 +104,56 @@ const IndexCache::Bucket* IndexCache::FindBucket(const MaskIndex& index,
   return nullptr;
 }
 
-void IndexCache::AppendNewFacts(RelationId rel, MaskIndex* index) {
-  const FactColumn facts = instance_->facts(rel);
-  for (std::uint32_t i = index->indexed_count; i < facts.size(); ++i) {
+void IndexCache::Reserve(MaskIndex* index, std::uint32_t rows) {
+  // A table that holds `rows` distinct keys under the 3/4 load bound, so
+  // building an index over a known column never doubles it; one run of
+  // initial capacity per row.
+  std::size_t size = 16;
+  while (size * 3 < std::size_t{rows} * 4 + 4) size <<= 1;
+  if (index->table.size() < size) {
+    std::vector<Bucket> old = std::move(index->table);
+    index->table.assign(size, Bucket{});
+    const std::size_t mask = size - 1;
+    for (const Bucket& b : old) {
+      if (b.cap == 0) continue;
+      std::size_t i = b.hash & mask;
+      while (index->table[i].cap != 0) i = (i + 1) & mask;
+      index->table[i] = b;
+    }
+  }
+  index->slots.reserve(std::size_t{rows} * 4);
+}
+
+void IndexCache::AppendNewFacts(const FactColumn& facts, std::uint32_t end,
+                                MaskIndex* index) {
+  for (std::uint32_t i = index->indexed_count; i < end; ++i) {
     Add(index, HashValuesAt(facts[i], index->positions), i);
   }
-  index->indexed_count = static_cast<std::uint32_t>(facts.size());
+  index->indexed_count = end;
+}
+
+std::vector<IndexWarmth> IndexCache::Warmth() const {
+  std::vector<IndexWarmth> out;
+  if (instance_->generation() != generation_) return out;
+  out.reserve(indexes_.size());
+  for (const auto& [key, index] : indexes_) {
+    out.push_back(IndexWarmth{key.rel, key.mask, index.indexed_count});
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void IndexCache::Rewarm(const std::vector<IndexWarmth>& warmth) {
+  indexes_.clear();
+  generation_ = instance_->generation();
+  for (const IndexWarmth& w : warmth) {
+    MaskIndex& index = indexes_[MaskKey{w.rel, w.mask}];
+    index.positions.clear();
+    for (std::uint32_t p = 0; p < 64; ++p) {
+      if ((w.mask >> p) & 1) index.positions.push_back(p);
+    }
+    AppendNewFacts(instance_->facts(w.rel), w.indexed, &index);
+  }
 }
 
 CandidateRange IndexCache::Probe(RelationId rel,
@@ -131,7 +175,11 @@ CandidateRange IndexCache::Probe(RelationId rel,
   auto [it, fresh] = indexes_.try_emplace(MaskKey{rel, mask});
   MaskIndex& index = it->second;
   if (fresh) index.positions.assign(positions, positions + n);
-  AppendNewFacts(rel, &index);
+  const FactColumn facts = instance_->facts(rel);
+  const auto end = static_cast<std::uint32_t>(facts.size());
+  if (stats_ != nullptr) stats_->rows_indexed += end - index.indexed_count;
+  if (index.indexed_count == 0) Reserve(&index, end);
+  AppendNewFacts(facts, end, &index);
   const Bucket* bucket = FindBucket(index, HashValues(values, n));
   if (bucket == nullptr) return CandidateRange{nullptr, 0, true};
   return CandidateRange{index.slots.data() + bucket->begin, bucket->len, true};

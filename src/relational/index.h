@@ -33,6 +33,7 @@
 #ifndef TDX_RELATIONAL_INDEX_H_
 #define TDX_RELATIONAL_INDEX_H_
 
+#include <compare>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -48,13 +49,29 @@ struct IndexStats {
   std::uint64_t index_candidates = 0;  ///< candidate facts those probes returned
   std::uint64_t full_scans = 0;        ///< relation scans (nothing bound, or
                                        ///< wide-relation mask fallback)
+  /// Facts hashed into a mask index: catch-up on appends plus every
+  /// rebuild after a generation change. The index work a run paid for.
+  std::uint64_t rows_indexed = 0;
 
   IndexStats& operator+=(const IndexStats& o) {
     index_probes += o.index_probes;
     index_candidates += o.index_candidates;
     full_scans += o.full_scans;
+    rows_indexed += o.rows_indexed;
     return *this;
   }
+};
+
+/// One live mask index of an IndexCache: the relation, the bound-position
+/// mask, and how many of the relation's facts it has hashed. A checkpoint
+/// carries these so a resumed run's caches start as warm as the
+/// interrupted run's were, and IndexStats::rows_indexed stays identical.
+struct IndexWarmth {
+  RelationId rel = 0;
+  std::uint64_t mask = 0;
+  std::uint32_t indexed = 0;
+
+  friend auto operator<=>(const IndexWarmth&, const IndexWarmth&) = default;
 };
 
 /// Result of IndexCache::Probe: a run of candidate fact positions (indexes
@@ -74,8 +91,11 @@ struct CandidateRange {
 
 class IndexCache {
  public:
-  explicit IndexCache(const Instance* instance)
-      : instance_(instance), generation_(instance->generation()) {}
+  /// `stats`, when given, accrues rows_indexed.
+  explicit IndexCache(const Instance* instance, IndexStats* stats = nullptr)
+      : instance_(instance),
+        generation_(instance->generation()),
+        stats_(stats) {}
 
   IndexCache(const IndexCache&) = delete;
   IndexCache& operator=(const IndexCache&) = delete;
@@ -93,6 +113,16 @@ class IndexCache {
     assert(positions.size() == values.size());
     return Probe(rel, positions.data(), values.data(), positions.size());
   }
+
+  /// The live mask indexes, sorted; empty when the instance's generation
+  /// moved since they were built (the next probe would drop them all).
+  std::vector<IndexWarmth> Warmth() const;
+
+  /// Builds each index of `warmth` over its first `indexed` facts without
+  /// counting rows_indexed, dropping whatever the cache held. Entries must
+  /// name a mask within the relation's arity and at most its fact count
+  /// (the checkpoint decoder validates both).
+  void Rewarm(const std::vector<IndexWarmth>& warmth);
 
  private:
   /// One bucket: the candidate run for one bound-value hash, stored at
@@ -137,14 +167,19 @@ class IndexCache {
   /// relocating the run as needed.
   static void Add(MaskIndex* index, std::size_t hash, std::uint32_t pos);
   static void GrowTable(MaskIndex* index);
+  /// Sizes an index about to hash `rows` facts so the build never grows.
+  static void Reserve(MaskIndex* index, std::uint32_t rows);
   static void CompactSlots(MaskIndex* index);
   static const Bucket* FindBucket(const MaskIndex& index, std::size_t hash);
 
-  /// Hashes the facts appended since `index` was last caught up.
-  void AppendNewFacts(RelationId rel, MaskIndex* index);
+  /// Hashes the facts of `rel` below `end` appended since `index` was last
+  /// caught up.
+  static void AppendNewFacts(const FactColumn& facts, std::uint32_t end,
+                             MaskIndex* index);
 
   const Instance* instance_;
   std::uint64_t generation_;
+  IndexStats* stats_;
   std::unordered_map<MaskKey, MaskIndex, MaskKeyHash> indexes_;
 };
 

@@ -141,7 +141,8 @@ class Instance {
   const Schema& schema() const { return *schema_; }
 
   /// Mutation generation. Bumped by every operation that can invalidate a
-  /// position-based view of the instance — Erase, RewriteFacts, assignment —
+  /// position-based view of the instance — Erase, Truncate, RewriteFacts,
+  /// assignment —
   /// but NOT by Insert, which only appends (positions of existing facts are
   /// stable, so an index can catch up incrementally instead of rebuilding).
   std::uint64_t generation() const { return generation_; }
@@ -177,6 +178,12 @@ class Instance {
   /// Removes a fact; returns true if it was present. Facts after it in the
   /// same relation shift down one position (generation bumps).
   bool Erase(const Fact& fact);
+
+  /// Removes every fact of relation r at position counts[r] or beyond,
+  /// for each r < counts.size(), keeping the positions below. Bumps the
+  /// generation when anything was removed (the freed positions will be
+  /// reused by later inserts).
+  void Truncate(const std::vector<std::uint32_t>& counts);
 
   /// Facts of one relation in insertion order, as a view into the arena.
   FactColumn facts(RelationId rel) const {

@@ -166,6 +166,35 @@ TEST(CheckBenchGates, CounterGateMaxBoundsFromAbove) {
   EXPECT_FALSE(CheckBenchGates(fresh, nullptr, unbounded).ok());
 }
 
+TEST(CheckBenchGates, RelativeCounterGateBoundsTheRatio) {
+  const Json fresh = Report(
+      R"({"name":"BM_S/400","real_time":4.0,"time_unit":"ms","per":30},)"
+      R"({"name":"BM_S/100","real_time":1.0,"time_unit":"ms","per":25},)"
+      R"({"name":"BM_S/0","real_time":1.0,"time_unit":"ms","per":0})");
+  const Json gates = Parse(
+      R"({"counter_gates":[{"name":"linear","benchmark":"BM_S/400",)"
+      R"("relative_to":"BM_S/100","counter":"per","max":1.25},)"
+      R"({"name":"tight","benchmark":"BM_S/400",)"
+      R"("relative_to":"BM_S/100","counter":"per","max":1.1}]})");
+  auto report = CheckBenchGates(fresh, nullptr, gates);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->checks.size(), 2u);
+  EXPECT_DOUBLE_EQ(report->checks[0].actual, 1.2);
+  EXPECT_TRUE(report->checks[0].pass);
+  EXPECT_FALSE(report->checks[1].pass);
+  EXPECT_NE(report->checks[1].detail.find("BM_S/400.per / BM_S/100.per"),
+            std::string::npos);
+
+  // A zero or missing denominator is a malformed gate, not a verdict.
+  for (const char* den : {"BM_S/0", "BM_S/7"}) {
+    const Json bad = Parse(
+        std::string(R"({"counter_gates":[{"name":"z","benchmark":"BM_S/400",)"
+                    R"("relative_to":")") +
+        den + R"(","counter":"per","max":2}]})");
+    EXPECT_FALSE(CheckBenchGates(fresh, nullptr, bad).ok()) << den;
+  }
+}
+
 TEST(CheckBenchGates, TimeUnitsAreNormalized) {
   // 0.4us vs 100ns: same 4x ratio once normalized.
   const Json fresh = Report(

@@ -216,6 +216,67 @@ TEST(CChaseDirtyRowResumeTest, CascadeKillAfterEgdRewriteResumesIdentically) {
       kDirtyRowCascade.stages);
 }
 
+TEST(CChaseDirtyRowResumeTest, LoopTopCheckpointCarriesTheFrontierRows) {
+  // The Hop row an egd merge rewrites joins the semi-naive frontier, and
+  // the next round seeds it alone: that is how t2 fires. The loop-top
+  // checkpoint after the merge carries the row, and the resumed run must
+  // seed it too, or t2 never fires and the chase stops a stage early.
+  auto base_w = MakeCascadeWorkload(kDirtyRowCascade);
+  auto base = CChase(base_w->source, base_w->lifted, &base_w->universe);
+  ASSERT_TRUE(base.ok()) << base.status();
+  ASSERT_EQ(base->kind, ChaseResultKind::kSuccess);
+  const std::string table =
+      RenderConcreteInstance(base->target, base_w->universe);
+  const std::string stats = RenderChaseStats(*base);
+
+  std::size_t kills_with_rows = 0;
+  for (std::size_t skip = 0; skip < kMaxSkip; ++skip) {
+    auto w = MakeCascadeWorkload(kDirtyRowCascade);
+    Checkpointer checkpointer("", &w->schema, &w->universe);
+    checkpointer.set_cadence(1);
+    checkpointer.set_max_overhead(0);
+    CChaseOptions options;
+    options.checkpointer = &checkpointer;
+    {
+      ScopedFault fault("cchase/normalize-target", Injected(), skip);
+      auto outcome = CChase(w->source, w->lifted, &w->universe, options);
+      ASSERT_TRUE(outcome.ok()) << outcome.status();
+      if (outcome->kind == ChaseResultKind::kSuccess) break;
+    }
+    ASSERT_TRUE(checkpointer.latest().has_value());
+    const ChaseCheckpoint& latest = *checkpointer.latest();
+    if (latest.frontier_rows.empty()) continue;
+    ++kills_with_rows;
+    EXPECT_EQ(latest.phase, "loop-top");
+    EXPECT_FALSE(latest.frontier_full);
+
+    auto text = SerializeCheckpoint(latest, w->schema, w->universe);
+    ASSERT_TRUE(text.ok()) << text.status();
+    auto ck = ParseCheckpoint(*text, &w->schema, &w->universe);
+    ASSERT_TRUE(ck.ok()) << ck.status();
+    EXPECT_EQ(ck->frontier_rows, latest.frontier_rows);
+    CChaseOptions resume_options;
+    resume_options.resume_from = &*ck;
+    auto resumed = CChase(w->source, w->lifted, &w->universe, resume_options);
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    ASSERT_EQ(resumed->kind, ChaseResultKind::kSuccess);
+    EXPECT_EQ(RenderConcreteInstance(resumed->target, w->universe), table)
+        << "divergence after kill at skip " << skip;
+    EXPECT_EQ(RenderChaseStats(*resumed), stats) << "skip " << skip;
+
+    // The same checkpoint without its rows resumes to a different run.
+    ChaseCheckpoint dropped = *ck;
+    dropped.frontier_rows.clear();
+    resume_options.resume_from = &dropped;
+    auto short_run =
+        CChase(w->source, w->lifted, &w->universe, resume_options);
+    ASSERT_TRUE(short_run.ok()) << short_run.status();
+    EXPECT_NE(RenderChaseStats(*short_run), stats) << "skip " << skip;
+  }
+  // One loop top per stage follows a light egd rewrite.
+  EXPECT_EQ(kills_with_rows, kDirtyRowCascade.stages);
+}
+
 TEST(CChaseDirtyRowResumeTest, RewriteThatRegroupsResumesIdentically) {
   // e1 rewrites T("a", v) to T("a", "x"), which then joins N("x", "z1")
   // over [3, 6): the pass after the rewrite must cut the rewritten row, or
@@ -373,9 +434,10 @@ TEST(BudgetResumeTest, UnlimitedCheckpointResumesAgainstItsSpentCounts) {
 // Status or an outcome — never a crash, an unchecked allocation, or UB.
 // ---------------------------------------------------------------------------
 
-// The newest checkpoint of a cascade run killed at the first loop top whose
-// checkpoint carries dirty rows, serialized.
-std::string DirtyRowCheckpointText() {
+// The newest checkpoint of a cascade run killed at the first hit of `site`
+// whose checkpoint satisfies `wanted`, serialized.
+template <typename Wanted>
+std::string CascadeCheckpointText(const char* site, const Wanted& wanted) {
   for (std::size_t skip = 0; skip < kMaxSkip; ++skip) {
     auto w = MakeCascadeWorkload(kDirtyRowCascade);
     Checkpointer checkpointer("", &w->schema, &w->universe);
@@ -384,13 +446,13 @@ std::string DirtyRowCheckpointText() {
     CChaseOptions options;
     options.checkpointer = &checkpointer;
     {
-      ScopedFault fault("cchase/normalize-target", Injected(), skip);
+      ScopedFault fault(site, Injected(), skip);
       auto outcome = CChase(w->source, w->lifted, &w->universe, options);
       EXPECT_TRUE(outcome.ok()) << outcome.status();
       if (!outcome.ok() || outcome->kind == ChaseResultKind::kSuccess) break;
     }
     if (!checkpointer.latest().has_value() ||
-        checkpointer.latest()->norm_dirty.empty()) {
+        !wanted(*checkpointer.latest())) {
       continue;
     }
     auto text =
@@ -398,7 +460,7 @@ std::string DirtyRowCheckpointText() {
     EXPECT_TRUE(text.ok()) << text.status();
     return text.ok() ? *text : std::string();
   }
-  ADD_FAILURE() << "no checkpoint with dirty rows";
+  ADD_FAILURE() << "no such checkpoint before " << site;
   return std::string();
 }
 
@@ -458,16 +520,34 @@ std::vector<std::string> Mutants(std::string_view text) {
 }
 
 TEST(CheckpointMutationTest, EveryMutantYieldsAStatusOrAnOutcome) {
-  const std::string text = DirtyRowCheckpointText();
+  // A loop-top checkpoint right after an egd rewrite carries dirty rows and
+  // the rewritten frontier rows; a checkpoint between two rounds carries
+  // the round finder's index warmth.
+  const std::string loop_top = CascadeCheckpointText(
+      "cchase/normalize-target", [](const ChaseCheckpoint& ck) {
+        return !ck.norm_dirty.empty() && !ck.frontier_rows.empty();
+      });
+  const std::string rounds = CascadeCheckpointText(
+      "cchase/egd-fixpoint", [](const ChaseCheckpoint& ck) {
+        return ck.phase == "rounds" && !ck.round_warmth.empty();
+      });
   // Every line the sweep must reach: the counts the decoder sizes
-  // allocations from, and the consumed ledger the guard computes with.
-  for (const char* kind : {"\nnulls ", "\nfrontier marks ", "\nnorm-marks ",
-                           "\nnorm-labels ", "\nnorm-dirty ", "\nconsumed "}) {
-    ASSERT_NE(text.find(kind), std::string::npos) << kind;
+  // allocations from, the rows it checks against the target, and the
+  // consumed ledger the guard computes with.
+  for (const char* kind :
+       {"\nnulls ", "\nfrontier marks ", "\nfrontier-rows 1 ",
+        "\negd-frontier marks ", "\nnorm-marks ", "\nnorm-labels ",
+        "\nnorm-dirty ", "\nconsumed "}) {
+    ASSERT_NE(loop_top.find(kind), std::string::npos) << kind;
+  }
+  ASSERT_NE(rounds.find("\nwarmth-round "), std::string::npos);
+  std::vector<std::string> mutants = Mutants(loop_top);
+  for (std::string& mutant : Mutants(rounds)) {
+    mutants.push_back(std::move(mutant));
   }
   std::size_t parsed = 0;
   std::size_t resumed = 0;
-  for (const std::string& mutant : Mutants(text)) {
+  for (const std::string& mutant : mutants) {
     auto w = MakeCascadeWorkload(kDirtyRowCascade);
     auto ck = ParseCheckpoint(mutant, &w->schema, &w->universe);
     if (!ck.ok()) continue;

@@ -117,10 +117,13 @@ TEST(CheckpointRoundTripTest, ConsumedLedgerRoundTrips) {
 
 TEST(CheckpointRoundTripTest, WorkRecordCountersRoundTrip) {
   // The counters v5 added: the budgeted fact count and the normalization
-  // records' pass counts.
+  // records' pass counts; and v6's: rows indexed and rows visited.
   auto program = ParseOrDie(kPaperProgram);
   ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
   ck.stats.facts_inserted = 11;
+  ck.stats.search.rows_indexed = 13;
+  ck.source_norm_stats.rows_visited = 17;
+  ck.target_norm_stats.rows_visited = 19;
   ck.source_norm_stats.passes = 1;
   ck.source_norm_stats.full_passes = 1;
   ck.target_norm_stats.passes = 7;
@@ -131,6 +134,9 @@ TEST(CheckpointRoundTripTest, WorkRecordCountersRoundTrip) {
   auto parsed = ParseCheckpoint(*text, &program->schema, &program->universe);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->stats.facts_inserted, 11u);
+  EXPECT_EQ(parsed->stats.search.rows_indexed, 13u);
+  EXPECT_EQ(parsed->source_norm_stats.rows_visited, 17u);
+  EXPECT_EQ(parsed->target_norm_stats.rows_visited, 19u);
   EXPECT_EQ(parsed->source_norm_stats.passes, 1u);
   EXPECT_EQ(parsed->source_norm_stats.full_passes, 1u);
   EXPECT_EQ(parsed->target_norm_stats.passes, 7u);
@@ -219,16 +225,56 @@ TEST(CheckpointRoundTripTest, NormDirtyRowsRoundTripAndTornRowsAreRejected) {
   EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(CheckpointRoundTripTest, FrontierRowsRoundTripAndTornRowsAreRejected) {
+  auto program = ParseOrDie(kPaperProgram);
+  ChaseCheckpoint ck = CaptureWithDirtyRows(program.get());
+  ck.frontier_full = false;
+  ck.frontier_marks = ck.norm_marks;
+  ck.frontier_rows = ck.norm_dirty;
+  ASSERT_GE(ck.frontier_rows.size(), 2u);
+  const RelationId rel = ck.frontier_rows.front().rel;
+  ck.round_warmth = {IndexWarmth{rel, 1, ck.norm_marks[rel]}};
+
+  auto text = SerializeCheckpoint(ck, program->schema, program->universe);
+  ASSERT_TRUE(text.ok()) << text.status();
+  auto parsed = ParseCheckpoint(*text, &program->schema, &program->universe);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->frontier_rows, ck.frontier_rows);
+  EXPECT_EQ(parsed->round_warmth, ck.round_warmth);
+
+  const auto rejects = [&](const ChaseCheckpoint& torn) {
+    auto torn_text =
+        SerializeCheckpoint(torn, program->schema, program->universe);
+    ASSERT_TRUE(torn_text.ok()) << torn_text.status();
+    auto got = ParseCheckpoint(*torn_text, &program->schema,
+                               &program->universe);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  };
+  ChaseCheckpoint torn = ck;
+  std::swap(torn.frontier_rows.front(), torn.frontier_rows.back());
+  rejects(torn);  // unsorted
+  torn = ck;
+  torn.frontier_rows.back().pos = ck.norm_marks[torn.frontier_rows.back().rel];
+  rejects(torn);  // past the relation's size
+  torn = ck;
+  torn.round_warmth.front().indexed += 1;
+  rejects(torn);  // indexes rows the target lacks
+  torn = ck;
+  torn.round_warmth.front().mask = std::uint64_t{1} << 40;
+  rejects(torn);  // a position past the relation's arity
+}
+
 TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
   // Each format version has one layout per line: the shorter stats lines
-  // of earlier revisions, and any v1 to v4 header, are parse errors, not
+  // of earlier revisions, and any v1 to v5 header, are parse errors, not
   // crashes.
   auto program = ParseOrDie(kPaperProgram);
   const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
   ASSERT_TRUE(text.ok()) << text.status();
 
-  for (int fields : {5, 7, 10}) {
+  for (int fields : {5, 7, 10, 11}) {
     auto parsed = ParseCheckpoint(TruncateStatsLine(*text, fields),
                                   &program->schema, &program->universe);
     ASSERT_FALSE(parsed.ok()) << fields << " fields";
@@ -236,8 +282,8 @@ TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
     EXPECT_NE(parsed.status().message().find("stats"), std::string::npos);
   }
 
-  ASSERT_EQ(text->rfind("tdxckpt v5\n", 0), 0u);
-  for (const std::string version : {"v1", "v2", "v3", "v4"}) {
+  ASSERT_EQ(text->rfind("tdxckpt v6\n", 0), 0u);
+  for (const std::string version : {"v1", "v2", "v3", "v4", "v5"}) {
     std::string old =
         "tdxckpt " + version + "\n" + text->substr(text->find('\n') + 1);
     old = Resign(old.substr(0, old.rfind("\nend ") + 1));
@@ -249,7 +295,7 @@ TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
 }
 
 TEST(CheckpointRoundTripTest, SixFieldStatsLineIsMalformed) {
-  // A stats line short of its eleven fields is a torn write.
+  // A stats line short of its twelve fields is a torn write.
   auto program = ParseOrDie(kPaperProgram);
   const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
@@ -283,6 +329,9 @@ TEST_P(CheckpointCountTest, CountBeyondTheTextIsMalformed) {
   ChaseCheckpoint ck = CaptureWithDirtyRows(program.get());
   ck.frontier_full = false;
   ck.frontier_marks = {1, 2};
+  ck.egd_frontier_full = false;
+  ck.egd_frontier_marks = {1, 2};
+  ck.round_warmth = {IndexWarmth{0, 1, 0}};
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
   ASSERT_TRUE(text.ok()) << text.status();
   auto honest = ParseCheckpoint(*text, &program->schema, &program->universe);
@@ -298,8 +347,9 @@ TEST_P(CheckpointCountTest, CountBeyondTheTextIsMalformed) {
 
 INSTANTIATE_TEST_SUITE_P(
     LineKinds, CheckpointCountTest,
-    ::testing::Values("nulls", "frontier marks", "norm-marks", "norm-labels",
-                      "norm-dirty"),
+    ::testing::Values("nulls", "frontier marks", "frontier-rows",
+                      "egd-frontier marks", "norm-marks", "norm-labels",
+                      "norm-dirty", "warmth-round"),
     [](const ::testing::TestParamInfo<const char*>& param_info) {
       std::string name = param_info.param;
       for (char& c : name) {

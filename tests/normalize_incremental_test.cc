@@ -9,8 +9,10 @@
 
 #include "src/core/normalize_incremental.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -24,6 +26,8 @@
 #include "src/core/cchase.h"
 #include "src/core/normalize.h"
 #include "src/gen/workload.h"
+#include "src/obs/json.h"
+#include "src/obs/trace.h"
 #include "src/parser/printer.h"
 #include "src/relational/chase.h"
 #include "tests/test_util.h"
@@ -537,6 +541,254 @@ TEST(EgdRewritesTest, ReportsLightRowsAndMovedPositions) {
   const EgdRewrites clean_report = run(&clean);
   EXPECT_FALSE(clean_report.positions_moved);
   EXPECT_TRUE(clean_report.rows.empty());
+}
+
+// ---------------------------------------------------------------------------
+// In place: a pass edits the instance where it stands, and must leave the
+// rows, in the order, that a fresh emission into an empty instance writes.
+// ---------------------------------------------------------------------------
+
+// Algorithm 1 emitted into an empty instance, by brute force: every phi*
+// image whose intervals intersect is one group, and so is every pair of
+// time-overlapping facts sharing an annotated null; each grouped fact is
+// emitted as its fragments at its component's endpoints, in (relation,
+// position) order, duplicates dropped.
+struct Emission {
+  Instance out;
+  std::size_t split_rows = 0;
+  std::size_t dropped = 0;
+};
+
+Emission EmitFresh(const ConcreteInstance& input,
+                   const std::vector<Conjunction>& phis) {
+  const Instance& facts = input.facts();
+  std::vector<FactView> rows;
+  facts.ForEach([&](FactView f) { rows.push_back(f); });
+  std::vector<std::size_t> parent(rows.size());
+  std::vector<char> grouped(rows.size(), 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) parent[i] = i;
+  const auto find = [&](std::size_t x) {
+    while (parent[x] != x) x = parent[x];
+    return x;
+  };
+  const auto unite = [&](std::size_t a, std::size_t b) {
+    grouped[a] = grouped[b] = 1;
+    parent[find(a)] = find(b);
+  };
+  const auto id_of = [&](FactView f) {
+    std::size_t id = 0;
+    for (RelationId r = 0; r < f.relation(); ++r) id += facts.facts(r).size();
+    return id + f.pos();
+  };
+  HomomorphismFinder finder(facts);
+  for (const Conjunction& phi : phis) {
+    const Conjunction star = RenameTemporalApart(phi);
+    finder.ForEach(star, Binding(star.num_vars),
+                   [&](const Binding&, const AtomImage& image) {
+                     std::optional<Interval> common = image[0].interval();
+                     for (FactView f : image) {
+                       if (common) common = common->Intersect(f.interval());
+                     }
+                     if (!common) return true;
+                     for (FactView f : image) unite(id_of(image[0]), id_of(f));
+                     return true;
+                   });
+  }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t j = i + 1; j < rows.size(); ++j) {
+      if (!rows[i].interval().Intersect(rows[j].interval())) continue;
+      for (const Value& a : rows[i].args()) {
+        for (const Value& b : rows[j].args()) {
+          if (a.is_annotated_null() && b.is_annotated_null() &&
+              a.null_id() == b.null_id()) {
+            unite(i, j);
+          }
+        }
+      }
+    }
+  }
+  std::map<std::size_t, std::vector<TimePoint>> points;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (grouped[i] == 0) continue;
+    std::vector<TimePoint>& pts = points[find(i)];
+    const Interval iv = rows[i].interval();
+    pts.push_back(iv.start());
+    if (!iv.unbounded()) pts.push_back(iv.end());
+  }
+  for (auto& [root, pts] : points) {
+    std::sort(pts.begin(), pts.end());
+    pts.erase(std::unique(pts.begin(), pts.end()), pts.end());
+  }
+  Emission emission{Instance(&facts.schema())};
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (grouped[i] == 0) {
+      emission.out.Insert(rows[i]);
+      continue;
+    }
+    std::vector<Interval> fragments;
+    AppendFragments(rows[i].interval(), points[find(i)], &fragments);
+    if (fragments.size() > 1) ++emission.split_rows;
+    for (const Interval& sub : fragments) {
+      if (!emission.out.Insert(rows[i].WithInterval(sub))) ++emission.dropped;
+    }
+  }
+  return emission;
+}
+
+// Row for row, in position order.
+void ExpectSameRows(const Instance& got, const Instance& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (RelationId r = 0; r < want.schema().relation_count(); ++r) {
+    const FactColumn a = got.facts(r);
+    const FactColumn b = want.facts(r);
+    ASSERT_EQ(a.size(), b.size()) << "relation " << r;
+    for (std::size_t pos = 0; pos < a.size(); ++pos) {
+      EXPECT_TRUE(a[pos] == b[pos]) << "relation " << r << " row " << pos;
+    }
+  }
+}
+
+// The in-place pass on `input` against the fresh emission; returns what
+// the emission split and dropped.
+Emission ExpectInPlaceMatchesFreshEmission(
+    const ConcreteInstance& input, const std::vector<Conjunction>& phis) {
+  Emission fresh = EmitFresh(input, phis);
+  ConcreteInstance in_place = input;
+  NormalizeState state;
+  state.Normalize(&in_place, phis);
+  ExpectSameRows(in_place.facts(), fresh.out);
+  ExpectSameRows(Normalize(input, phis).facts(), fresh.out);
+  return fresh;
+}
+
+TEST(InPlaceNormalizeTest, IdentityPassKeepsTheGenerationAndEveryRow) {
+  auto program = testing::ParseOrDie(testing::kPaperProgram);
+  const std::vector<Conjunction> phis = program->lifted.TgdBodies();
+  ConcreteInstance instance = Normalize(program->source, phis);
+  const auto snapshot = [](const ConcreteInstance& ci) {
+    std::vector<Fact> rows;
+    ci.facts().ForEach([&](FactView f) { rows.push_back(f.ToFact()); });
+    return rows;
+  };
+
+  // A pass from an empty watermark over a normalized instance changes no
+  // row, so nothing moves.
+  const std::uint64_t generation = instance.facts().generation();
+  const std::vector<Fact> before = snapshot(instance);
+  NormalizeState state;
+  NormalizeStats stats;
+  state.Normalize(&instance, phis, &stats);
+  EXPECT_EQ(stats.full_passes, 1u);
+  EXPECT_EQ(instance.facts().generation(), generation);
+  EXPECT_EQ(snapshot(instance), before);
+
+  // So does a watermarked pass over an append that groups with nothing.
+  const RelationId e_plus = *program->schema.Find("E+");
+  ASSERT_TRUE(instance
+                  .Add(e_plus,
+                       {program->universe.Constant("Zed"),
+                        program->universe.Constant("Nowhere")},
+                       Interval(100, 101))
+                  .ok());
+  const std::vector<Fact> appended = snapshot(instance);
+  state.Normalize(&instance, phis, &stats);
+  EXPECT_EQ(stats.full_passes, 0u);
+  EXPECT_EQ(stats.delta_facts, 1u);
+  EXPECT_EQ(instance.facts().generation(), generation);
+  EXPECT_EQ(snapshot(instance), appended);
+}
+
+TEST(InPlaceNormalizeTest, FixturesMatchAFreshEmissionRowForRow) {
+  auto paper = testing::ParseOrDie(testing::kPaperProgram);
+  ExpectInPlaceMatchesFreshEmission(paper->source, paper->lifted.TgdBodies());
+  for (const std::size_t n : {4u, 8u}) {
+    auto w = MakeWorstCaseNormalizationWorkload(n);
+    const Emission e =
+        ExpectInPlaceMatchesFreshEmission(w->source, w->lifted.TgdBodies());
+    EXPECT_GT(e.split_rows, 0u);
+  }
+  // Facts sharing an annotated null are cut together (normalize_test.cc).
+  Universe u;
+  Schema schema;
+  const RelationId t_plus =
+      *schema.AddRelationPair("T", {"a", "b"}, SchemaRole::kTarget);
+  const Value n = u.FreshAnnotatedNull(Interval(11, 14));
+  const Value m = u.FreshAnnotatedNull(Interval(11, 14));
+  ConcreteInstance shared(&schema);
+  const Interval late(13, 14);
+  ASSERT_TRUE(
+      shared.Add(t_plus, {u.Constant("c1"), n.Reannotated(late)}, late).ok());
+  ASSERT_TRUE(shared.Add(t_plus, {n, m}, Interval(11, 14)).ok());
+  const Interval after(20, 22);
+  ASSERT_TRUE(
+      shared.Add(t_plus, {u.Constant("c2"), n.Reannotated(after)}, after).ok());
+  const Emission e = ExpectInPlaceMatchesFreshEmission(shared, {});
+  EXPECT_EQ(e.split_rows, 1u);
+}
+
+TEST(InPlaceNormalizeTest, FuzzSeedsMatchAFreshEmissionRowForRow) {
+  // Random employment sources split rows, and co-valid facts of one key
+  // cut at the same points collapse into duplicate fragments.
+  std::size_t split_rows = 0;
+  std::size_t dropped = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    RandomConfig cfg;
+    cfg.num_facts = 60;
+    cfg.num_names = 6;
+    cfg.seed = seed;
+    auto w = MakeRandomWorkload(cfg);
+    const Emission e =
+        ExpectInPlaceMatchesFreshEmission(w->source, w->lifted.TgdBodies());
+    split_rows += e.split_rows;
+    dropped += e.dropped;
+  }
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE(seed);
+    RandomMappingConfig cfg;
+    cfg.seed = seed;
+    auto w = MakeRandomMappingWorkload(cfg);
+    const Emission e =
+        ExpectInPlaceMatchesFreshEmission(w->source, w->lifted.TgdBodies());
+    split_rows += e.split_rows;
+    dropped += e.dropped;
+  }
+  EXPECT_GT(split_rows, 0u);
+  EXPECT_GT(dropped, 0u);
+}
+
+TEST(InPlaceNormalizeTest, NoCascadeTargetPassAfterTheFirstMovesARow) {
+  // The perfbench cascade: a pass that rewrites a tail opens a
+  // normalize.rewrite_tail span (and bumps the target's generation, which
+  // drops every finder's indexes and the chase's frontier). Only the first
+  // target pass may do so.
+  auto w = MakeCascadeWorkload(CascadeConfig{
+      .stages = 100, .ballast_keys = 60, .ballast_dup = 30, .horizon = 32});
+  obs::Tracer tracer;
+  std::optional<CChaseOutcome> outcome;
+  {
+    obs::ScopedTracer installed(&tracer);
+    auto run = CChase(w->source, w->lifted, &w->universe);
+    ASSERT_TRUE(run.ok()) << run.status();
+    outcome = std::move(run).value();
+  }
+  ASSERT_EQ(outcome->kind, ChaseResultKind::kSuccess);
+  EXPECT_EQ(outcome->target_norm_stats.full_passes, 1u);
+  auto trace = obs::ParseJson(tracer.ToChromeTraceJson());
+  ASSERT_TRUE(trace.ok()) << trace.status();
+  const obs::Json* events = trace->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  // Events come in (ts, -dur) order, so a rewrite follows the pass that
+  // contains it.
+  std::size_t passes = 0;
+  std::size_t late_rewrites = 0;
+  for (const obs::Json& event : events->items()) {
+    const std::string& name = event.Find("name")->as_string();
+    if (name == "cchase.normalize_pass") ++passes;
+    if (name == "normalize.rewrite_tail" && passes > 1) ++late_rewrites;
+  }
+  EXPECT_EQ(passes, outcome->target_norm_stats.passes);
+  EXPECT_EQ(late_rewrites, 0u);
 }
 
 // ---------------------------------------------------------------------------

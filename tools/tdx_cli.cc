@@ -324,12 +324,13 @@ int RunChase(tdx::ParsedProgram& program, const CliOptions& options,
     std::cout << "NO SOLUTION: " << chase->failure_reason << "\n";
     return kExitNoSolution;
   }
-  if (with_core) {
-    tdx::CoreStats stats;
-    const tdx::ConcreteInstance core =
-        tdx::ComputeConcreteCore(chase->target, &stats);
-    std::cout << tdx::RenderConcreteInstance(core, program.universe);
-    std::cout << "(core: removed " << stats.facts_removed << " of "
+  std::optional<tdx::ConcreteInstance> core;
+  tdx::CoreStats core_stats;
+  if (with_core) core = tdx::ComputeConcreteCore(chase->target, &core_stats);
+  TDX_TRACE_SPAN("cli.print");
+  if (core.has_value()) {
+    std::cout << tdx::RenderConcreteInstance(*core, program.universe);
+    std::cout << "(core: removed " << core_stats.facts_removed << " of "
               << chase->target.size() << " facts)\n";
   } else {
     std::cout << tdx::RenderConcreteInstance(chase->target, program.universe);
@@ -351,14 +352,17 @@ int RunQueryAt(tdx::ParsedProgram& program, const CliOptions& options,
   for (std::size_t i = 3; i < positional.size(); ++i) {
     points.push_back(std::stoull(positional[i]));
   }
-  auto results = tdx::CertainAnswersAtMany(**query, program.source,
-                                           program.mapping, points,
-                                           &program.universe, options.jobs,
-                                           options.limits);
+  auto results = [&] {
+    TDX_TRACE_SPAN("cli.query");
+    return tdx::CertainAnswersAtMany(**query, program.source, program.mapping,
+                                     points, &program.universe, options.jobs,
+                                     options.limits);
+  }();
   if (!results.ok()) {
     std::cerr << results.status() << "\n";
     return EXIT_FAILURE;
   }
+  TDX_TRACE_SPAN("cli.print");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const tdx::CertainAnswersResult& result = (*results)[i];
     std::cout << "--- certain(" << positional[2] << ", db_" << points[i]
@@ -416,8 +420,11 @@ int RunQuery(tdx::ParsedProgram& program, const CliOptions& options,
     std::cerr << lifted.status() << "\n";
     return EXIT_FAILURE;
   }
-  auto result = tdx::CertainAnswers(*lifted, program.source, program.lifted,
-                                    &program.universe, options.limits);
+  auto result = [&] {
+    TDX_TRACE_SPAN("cli.query");
+    return tdx::CertainAnswers(*lifted, program.source, program.lifted,
+                               &program.universe, options.limits);
+  }();
   if (!result.ok()) {
     if (result.status().code() == tdx::StatusCode::kResourceExhausted ||
         result.status().code() == tdx::StatusCode::kDeadlineExceeded) {
@@ -435,6 +442,7 @@ int RunQuery(tdx::ParsedProgram& program, const CliOptions& options,
     std::cout << "NO SOLUTION\n";
     return kExitNoSolution;
   }
+  TDX_TRACE_SPAN("cli.print");
   std::cout << tdx::RenderAnswers(result->answers, program.universe);
   return EXIT_SUCCESS;
 }
@@ -537,12 +545,12 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
                             skip);
   }
 
-  auto text = ReadFile(positional[1]);
-  if (!text.ok()) {
-    std::cerr << text.status() << "\n";
-    return kExitError;
-  }
-  auto parsed = tdx::ParseProgram(*text, options.parse_limits);
+  std::string text;
+  auto parsed = [&]() -> tdx::Result<std::unique_ptr<tdx::ParsedProgram>> {
+    TDX_TRACE_SPAN("cli.parse");
+    TDX_ASSIGN_OR_RETURN(text, ReadFile(positional[1]));
+    return tdx::ParseProgram(text, options.parse_limits);
+  }();
   if (!parsed.ok()) {
     std::cerr << parsed.status() << "\n";
     return kExitError;
@@ -555,7 +563,7 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
   tdx::Checkpointer checkpointer(options.checkpoint_path, &program.schema,
                                  &program.universe);
   checkpointer.set_cadence(options.checkpoint_every);
-  checkpointer.set_fingerprint(tdx::FingerprintText(*text));
+  checkpointer.set_fingerprint(tdx::FingerprintText(text));
   if (!options.checkpoint_path.empty()) options.checkpointer = &checkpointer;
 
   // Advisory static-analysis pass: warnings and notes go to stderr so they
@@ -563,6 +571,7 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
   // *errors* (the parser already rejects those). Run tdx_lint for the full
   // report.
   if (options.lint) {
+    TDX_TRACE_SPAN("cli.analyze");
     const tdx::AnalysisReport report = tdx::AnalyzeProgram(program);
     for (const tdx::Diagnostic& d : report.diagnostics) {
       std::cerr << tdx::RenderDiagnostic(d, positional[1]);
@@ -574,7 +583,7 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
   if (command == "resume") {
     if (positional.size() < 3) return Usage();
     auto checkpoint = tdx::LoadChaseCheckpoint(
-        positional[2], *text, &program.schema, &program.universe);
+        positional[2], text, &program.schema, &program.universe);
     if (!checkpoint.ok()) {
       std::cerr << checkpoint.status() << "\n";
       return kExitError;
