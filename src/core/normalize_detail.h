@@ -6,7 +6,6 @@
 #define TDX_CORE_NORMALIZE_DETAIL_H_
 
 #include <algorithm>
-#include <compare>
 #include <cstdint>
 #include <numeric>
 #include <optional>
@@ -77,52 +76,32 @@ inline bool CarriesNull(FactView fact, NullId null) {
 /// intervals; every run of two or more facts is a cluster, and Algorithm 1
 /// unions each cluster into one component.
 ///
-/// Build indexes a whole instance as one sorted array. Later rows, appended
-/// or rewritten, go to a small hash map that is merged into the array once
-/// it outgrows a quarter of it, so absorbing a row costs amortized O(1).
-/// Entries may go stale (a rewrite replaced the null, or a rewritten tail
-/// moved the row); RowsOf validates them against the instance, so a stale
-/// entry costs a check, never a wrong cluster.
+/// One map from null to the rows carrying it. Build indexes a whole
+/// instance; later rows, appended or rewritten, are appended to their
+/// nulls' lists. Entries may go stale (a rewrite replaced the null, or a
+/// rewritten tail moved the row) or repeat; every read validates a null's
+/// list against the instance and compacts it, so a stale entry costs a
+/// check, never a wrong cluster.
 class NullIndex {
  public:
-  /// One (null, row) occurrence.
-  struct Entry {
-    NullId null;
-    FactRef row;
-    friend auto operator<=>(const Entry&, const Entry&) = default;
-  };
-
   void Clear() {
-    sorted_.clear();
-    recent_.clear();
-    recent_entries_ = 0;
+    rows_.clear();
     indexed_.clear();
   }
 
   /// Indexes every row of `facts`, dropping what the index held.
   void Build(const Instance& facts) {
     Clear();
-    const std::size_t num_rels = facts.schema().relation_count();
-    indexed_.resize(num_rels, 0);
-    for (RelationId r = 0; r < num_rels; ++r) {
-      const FactColumn column = facts.facts(r);
-      for (std::uint32_t pos = 0; pos < column.size(); ++pos) {
-        for (const Value& v : column[pos].args()) {
-          if (v.is_annotated_null()) sorted_.push_back({v.null_id(), {r, pos}});
-        }
-      }
-      indexed_[r] = static_cast<std::uint32_t>(column.size());
-    }
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_.erase(std::unique(sorted_.begin(), sorted_.end()), sorted_.end());
+    AbsorbAppends(facts);
   }
 
   /// Records the annotated nulls of row (rel, pos).
   void AddRow(const Instance& facts, RelationId rel, std::uint32_t pos) {
+    const FactRef row{rel, pos};
     for (const Value& v : facts.facts(rel)[pos].args()) {
       if (!v.is_annotated_null()) continue;
-      recent_[v.null_id()].push_back({rel, pos});
-      ++recent_entries_;
+      std::vector<FactRef>& rows = rows_[v.null_id()];
+      if (rows.empty() || rows.back() != row) rows.push_back(row);
     }
   }
 
@@ -137,7 +116,6 @@ class NullIndex {
       }
       indexed_[r] = n;
     }
-    if (recent_entries_ > sorted_.size() / 4 + 64) Merge(facts);
   }
 
   /// Rows of `rel` at `pos` and beyond are re-read by the next
@@ -147,56 +125,39 @@ class NullIndex {
   }
 
   /// The rows that carry `null` now, ascending and unique, into `*out`.
-  void RowsOf(const Instance& facts, NullId null,
-              std::vector<FactRef>* out) const {
+  void RowsOf(const Instance& facts, NullId null, std::vector<FactRef>* out) {
     out->clear();
-    auto it = std::lower_bound(sorted_.begin(), sorted_.end(),
-                               Entry{null, FactRef{0, 0}});
-    for (; it != sorted_.end() && it->null == null; ++it) {
-      out->push_back(it->row);
-    }
-    const auto recent = recent_.find(null);
-    if (recent != recent_.end()) {
-      out->insert(out->end(), recent->second.begin(), recent->second.end());
-      std::sort(out->begin(), out->end());
-      out->erase(std::unique(out->begin(), out->end()), out->end());
-    }
-    out->erase(std::remove_if(out->begin(), out->end(),
-                              [&](const FactRef& row) {
-                                return !Carries(facts, row, null);
-                              }),
-               out->end());
+    const auto it = rows_.find(null);
+    if (it == rows_.end()) return;
+    Compact(facts, null, &it->second);
+    *out = it->second;
   }
 
-  /// The sorted array (Build): every null's rows, contiguous and
-  /// ascending. Complete only right after Build.
-  const std::vector<Entry>& built() const { return sorted_; }
+  /// Calls fn(rows) with every null's rows, as RowsOf returns them.
+  template <typename Fn>
+  void ForEachNull(const Instance& facts, Fn fn) {
+    for (auto& [null, rows] : rows_) {
+      Compact(facts, null, &rows);
+      fn(static_cast<const std::vector<FactRef>&>(rows));
+    }
+  }
 
  private:
-  static bool Carries(const Instance& facts, FactRef row, NullId null) {
-    const FactColumn column = facts.facts(row.rel);
-    return row.pos < column.size() && CarriesNull(column[row.pos], null);
+  static void Compact(const Instance& facts, NullId null,
+                      std::vector<FactRef>* rows) {
+    std::sort(rows->begin(), rows->end());
+    rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
+    rows->erase(std::remove_if(rows->begin(), rows->end(),
+                               [&](const FactRef& row) {
+                                 const FactColumn column = facts.facts(row.rel);
+                                 return row.pos >= column.size() ||
+                                        !CarriesNull(column[row.pos], null);
+                               }),
+                rows->end());
   }
 
-  /// Folds the recent rows into the sorted array, dropping stale entries.
-  void Merge(const Instance& facts) {
-    for (const auto& [null, rows] : recent_) {
-      for (const FactRef& row : rows) sorted_.push_back({null, row});
-    }
-    recent_.clear();
-    recent_entries_ = 0;
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_.erase(std::unique(sorted_.begin(), sorted_.end()), sorted_.end());
-    sorted_.erase(std::remove_if(sorted_.begin(), sorted_.end(),
-                                 [&](const Entry& e) {
-                                   return !Carries(facts, e.row, e.null);
-                                 }),
-                  sorted_.end());
-  }
-
-  std::vector<Entry> sorted_;
-  std::unordered_map<NullId, std::vector<FactRef>> recent_;
-  std::size_t recent_entries_ = 0;
+  std::unordered_map<NullId, std::vector<FactRef>> rows_;
+  /// Per relation, the rows absorbed so far.
   std::vector<std::uint32_t> indexed_;
 };
 

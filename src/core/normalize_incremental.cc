@@ -45,7 +45,6 @@ void NormalizeState::Invalidate() {
   prev_touched_.clear();
   label_changed_.clear();
   nulls_.Clear();
-  nulls_valid_ = false;
 }
 
 void NormalizeState::NoteRewrite(const Instance& facts,
@@ -151,6 +150,7 @@ Status NormalizeState::Restore(const Watermark& wm,
   }
   num_components_ = wm.num_components;
   RebuildDerived();
+  nulls_.Build(facts);
   bound_ = &instance.facts();
   generation_ = facts.generation();
   valid_ = true;
@@ -394,9 +394,8 @@ void NormalizeState::Pass(Instance* target,
 
   // A fact is "fresh" when appended (at or past its mark) or rewritten
   // (dirty); every other fact is old, verbatim from the previous output.
-  if (!watermarked || !nulls_valid_) {
+  if (!watermarked) {
     nulls_.Build(facts);
-    nulls_valid_ = true;
   } else {
     nulls_.AbsorbAppends(facts);
   }
@@ -508,18 +507,10 @@ void NormalizeState::Pass(Instance* target,
     }
   }
   if (!watermarked) {
-    // Every cluster joins whole, read off the freshly built index.
-    const std::vector<normalize_detail::NullIndex::Entry>& built =
-        nulls_.built();
+    // Every cluster joins whole.
     NullRuns runs;
-    for (std::size_t i = 0; i < built.size();) {
-      null_rows_.clear();
-      std::size_t j = i;
-      for (; j < built.size() && built[j].null == built[i].null; ++j) {
-        null_rows_.push_back(built[j].row);
-      }
-      i = j;
-      SweepRuns(facts, null_rows_, &runs);
+    nulls_.ForEachNull(facts, [&](const std::vector<FactRef>& rows) {
+      SweepRuns(facts, rows, &runs);
       for (std::size_t run = 0; run + 1 < runs.begin.size(); ++run) {
         const std::size_t first = runs.members[runs.begin[run]];
         for (std::uint32_t k = runs.begin[run]; k < runs.begin[run + 1];
@@ -527,7 +518,7 @@ void NormalizeState::Pass(Instance* target,
           join(first, runs.members[k]);
         }
       }
-    }
+    });
   } else {
     for (const std::size_t id : fresh_ids_) touch_clusters(id);
   }
@@ -568,15 +559,7 @@ void NormalizeState::Pass(Instance* target,
 
   // Distinct start/end points per dirty component (TP_Delta, lines 11-13),
   // numbered in dense-id order of their first fact.
-  if (grouped_ids_.size() > total / 8) {
-    // Cheaper to read off in order than to sort.
-    grouped_ids_.clear();
-    for (std::size_t id = 0; id < total; ++id) {
-      if (grouped_[id] != 0) grouped_ids_.push_back(id);
-    }
-  } else {
-    std::sort(grouped_ids_.begin(), grouped_ids_.end());
-  }
+  std::sort(grouped_ids_.begin(), grouped_ids_.end());
   rows_visited_ += grouped_ids_.size();
   std::uint32_t num_dirty = 0;
   grouped_rows_.clear();
@@ -777,14 +760,6 @@ void NormalizeState::Pass(Instance* target,
       }
       nulls_.Rewind(r, span.begin);
     }
-  }
-  const std::size_t tail_total = tail_rows_.size();
-  // Absorbing a rewritten tail row by row pays when the tail is small;
-  // past a quarter of the instance the next pass rebuilds instead.
-  if (tail_total * 4 > total) {
-    nulls_valid_ = false;
-  } else if (tail_total > 0) {
-    nulls_.AbsorbAppends(facts);
   }
 
   // Labels left without rows become reusable.

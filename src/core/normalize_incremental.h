@@ -212,7 +212,7 @@ class NormalizeState {
   /// kUngrouped) in the label counts and member lists.
   void Relabel(std::uint32_t from, std::uint32_t to, FactRef row);
   /// Rebuilds the label counts from comp_of_ (Restore); the member lists
-  /// and the null index follow on first use.
+  /// follow on first use.
   void RebuildDerived();
   /// Sweeps one null's rows (ascending) into `*runs`: its runs of two or
   /// more transitively overlapping facts.
@@ -254,10 +254,9 @@ class NormalizeState {
   bool members_valid_ = false;
   /// Labels with no rows, reusable by AllocateLabel.
   std::vector<std::uint32_t> free_labels_;
-  /// The null->rows index, rebuilt on first use when a pass rewrote too
-  /// much of the instance to absorb it row by row (nulls_valid_).
+  /// The null->rows index: built by a full pass or a restore, then kept
+  /// up to date by absorbing appended and rewritten rows.
   normalize_detail::NullIndex nulls_;
-  bool nulls_valid_ = false;
 
   // ---- reusable machinery --------------------------------------------
   /// One finder kept across passes: it catches up on appends and rebuilds

@@ -183,19 +183,12 @@ bool Instance::Erase(const Fact& fact) {
 
 void Instance::Truncate(const std::vector<std::uint32_t>& counts) {
   const std::size_t rels = std::min(counts.size(), by_rel_.size());
-  std::size_t removed = 0;
-  for (std::size_t r = 0; r < rels; ++r) {
-    if (by_rel_[r].count > counts[r]) removed += by_rel_[r].count - counts[r];
-  }
-  if (removed == 0) return;
-  // When most of the instance goes, rehashing what stays is cheaper than
-  // erasing what goes.
-  const bool rebuild = removed > size_ - removed;
+  bool removed = false;
   for (std::size_t r = 0; r < rels; ++r) {
     RelationStore& store = by_rel_[r];
     if (store.count <= counts[r]) continue;
     const auto rel = static_cast<RelationId>(r);
-    for (std::uint32_t pos = counts[r]; !rebuild && pos < store.count; ++pos) {
+    for (std::uint32_t pos = counts[r]; pos < store.count; ++pos) {
       const bool erased = EraseMemberAt(
           rel, pos, HashFactSpan(rel, Row(rel, pos), store.arity));
       assert(erased && "every stored row has a membership slot");
@@ -203,9 +196,9 @@ void Instance::Truncate(const std::vector<std::uint32_t>& counts) {
     }
     store.count = counts[r];
     store.arena.resize(std::size_t{store.count} * store.arity);
+    removed = true;
   }
-  if (rebuild) RebuildMembersFromArena();
-  ++generation_;
+  if (removed) ++generation_;
 }
 
 RewriteResult Instance::RewriteFacts(
