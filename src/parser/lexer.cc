@@ -1,17 +1,30 @@
 #include "src/parser/lexer.h"
 
+#include <algorithm>
 #include <cctype>
+#include <string>
+#include <utility>
 
 namespace tdx {
 
 namespace {
 
+bool IsDigit(char c) {
+  return std::isdigit(static_cast<unsigned char>(c)) != 0;
+}
 bool IsIdentStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
 }
 bool IsIdentCont(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '+';
 }
+
+// The single-character tokens, and their kinds position by position.
+constexpr std::string_view kPunctuation = "()[,;:&=@";
+constexpr TokenKind kPunctuationKinds[] = {
+    TokenKind::kLParen, TokenKind::kRParen,    TokenKind::kLBracket,
+    TokenKind::kComma,  TokenKind::kSemicolon, TokenKind::kColon,
+    TokenKind::kAmp,    TokenKind::kEquals,    TokenKind::kAt};
 
 }  // namespace
 
@@ -49,139 +62,94 @@ std::string_view TokenKindName(TokenKind kind) {
   return "?";
 }
 
-Result<std::vector<Token>> Tokenize(std::string_view input,
-                                    const ParseLimits& limits) {
+Lexer::Lexer(std::string_view input, const ParseLimits& limits)
+    : input_(input), max_tokens_(limits.max_tokens) {
   if (input.size() > limits.max_input_bytes) {
-    return Status::ParseError(
+    status_ = Status::ParseError(
         "input of " + std::to_string(input.size()) +
         " bytes exceeds the limit of " +
         std::to_string(limits.max_input_bytes) + " bytes at line 1, column 1");
   }
-  std::vector<Token> tokens;
-  std::size_t line = 1;
-  std::size_t column = 1;
-  std::size_t i = 0;
+}
 
-  auto error = [&](const std::string& what) {
-    return Status::ParseError(what + " at line " + std::to_string(line) +
-                              ", column " + std::to_string(column));
-  };
-  bool over_budget = false;
-  auto push = [&](TokenKind kind, std::string text, std::uint64_t number = 0) {
-    if (tokens.size() >= limits.max_tokens) {
-      over_budget = true;
-      return;
-    }
-    tokens.push_back(Token{kind, std::move(text), number, line, column});
-  };
-  auto advance = [&](std::size_t n) {
-    for (std::size_t k = 0; k < n; ++k) {
-      if (i < input.size() && input[i] == '\n') {
-        ++line;
-        column = 1;
-      } else {
-        ++column;
-      }
-      ++i;
-    }
-  };
+Status Lexer::Fail(Token* token, std::string what) {
+  status_ = Status::ParseError(std::move(what) + " at line " +
+                               std::to_string(line_) + ", column " +
+                               std::to_string(column_));
+  *token = Token{TokenKind::kEnd, {}, line_, column_};
+  return status_;
+}
 
-  while (i < input.size()) {
-    if (over_budget) {
-      return error("token count exceeds the limit of " +
-                   std::to_string(limits.max_tokens) + " tokens");
-    }
-    const char c = input[i];
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance(1);
-      continue;
-    }
-    if (c == '#') {
-      while (i < input.size() && input[i] != '\n') advance(1);
-      continue;
-    }
-    if (c == '-' && i + 1 < input.size() && input[i + 1] == '>') {
-      push(TokenKind::kArrow, "->");
-      advance(2);
-      continue;
-    }
-    switch (c) {
-      case '(':
-        push(TokenKind::kLParen, "(");
-        advance(1);
-        continue;
-      case ')':
-        push(TokenKind::kRParen, ")");
-        advance(1);
-        continue;
-      case '[':
-        push(TokenKind::kLBracket, "[");
-        advance(1);
-        continue;
-      case ',':
-        push(TokenKind::kComma, ",");
-        advance(1);
-        continue;
-      case ';':
-        push(TokenKind::kSemicolon, ";");
-        advance(1);
-        continue;
-      case ':':
-        push(TokenKind::kColon, ":");
-        advance(1);
-        continue;
-      case '&':
-        push(TokenKind::kAmp, "&");
-        advance(1);
-        continue;
-      case '=':
-        push(TokenKind::kEquals, "=");
-        advance(1);
-        continue;
-      case '@':
-        push(TokenKind::kAt, "@");
-        advance(1);
-        continue;
-      default:
-        break;
-    }
-    if (c == '"') {
-      std::size_t j = i + 1;
-      while (j < input.size() && input[j] != '"' && input[j] != '\n') ++j;
-      if (j >= input.size() || input[j] != '"') {
-        return error("unterminated string literal");
-      }
-      push(TokenKind::kString, std::string(input.substr(i + 1, j - i - 1)));
-      advance(j + 1 - i);
-      continue;
-    }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      std::size_t j = i;
-      std::uint64_t value = 0;
-      while (j < input.size() &&
-             std::isdigit(static_cast<unsigned char>(input[j]))) {
-        value = value * 10 + static_cast<std::uint64_t>(input[j] - '0');
-        ++j;
-      }
-      push(TokenKind::kNumber, std::string(input.substr(i, j - i)), value);
-      advance(j - i);
-      continue;
-    }
-    if (IsIdentStart(c)) {
-      std::size_t j = i;
-      while (j < input.size() && IsIdentCont(input[j])) ++j;
-      push(TokenKind::kIdentifier, std::string(input.substr(i, j - i)));
-      advance(j - i);
-      continue;
-    }
-    return error(std::string("unexpected character '") + c + "'");
+Status Lexer::Next(Token* token) {
+  if (!status_.ok()) {
+    *token = Token{TokenKind::kEnd, {}, line_, column_};
+    return status_;
   }
-  if (over_budget) {
-    return error("token count exceeds the limit of " +
-                 std::to_string(limits.max_tokens) + " tokens");
+  // Whitespace and comments. Only these can span lines: no token contains
+  // a newline, so past this loop the column simply advances by the token's
+  // length.
+  while (pos_ < input_.size()) {
+    const char c = input_[pos_];
+    if (c == '\n') {
+      ++line_;
+      column_ = 1;
+    } else if (c == ' ' || c == '\t' || c == '\r') {
+      ++column_;
+    } else if (c == '#') {
+      const std::size_t eol = std::min(input_.find('\n', pos_), input_.size());
+      column_ += eol - pos_;
+      pos_ = eol;
+      continue;
+    } else {
+      break;
+    }
+    ++pos_;
   }
-  tokens.push_back(Token{TokenKind::kEnd, "", 0, line, column});
-  return tokens;
+  if (pos_ == input_.size()) {
+    *token = Token{TokenKind::kEnd, {}, line_, column_};
+    return Status::OK();
+  }
+
+  const char c = input_[pos_];
+  TokenKind kind;
+  std::size_t length = 1;
+  if (const std::size_t p = kPunctuation.find(c);
+      p != std::string_view::npos) {
+    kind = kPunctuationKinds[p];
+  } else if (c == '-' && input_.substr(pos_ + 1, 1) == ">") {
+    kind = TokenKind::kArrow;
+    length = 2;
+  } else if (c == '"') {
+    const std::size_t close = input_.find_first_of("\"\n", pos_ + 1);
+    if (close == std::string_view::npos || input_[close] != '"') {
+      return Fail(token, "unterminated string literal");
+    }
+    kind = TokenKind::kString;
+    length = close + 1 - pos_;
+  } else if (IsDigit(c)) {
+    kind = TokenKind::kNumber;
+    while (pos_ + length < input_.size() && IsDigit(input_[pos_ + length])) {
+      ++length;
+    }
+  } else if (IsIdentStart(c)) {
+    kind = TokenKind::kIdentifier;
+    while (pos_ + length < input_.size() &&
+           IsIdentCont(input_[pos_ + length])) {
+      ++length;
+    }
+  } else {
+    return Fail(token, std::string("unexpected character '") + c + "'");
+  }
+  std::string_view text = input_.substr(pos_, length);
+  if (kind == TokenKind::kString) text = text.substr(1, length - 2);
+  *token = Token{kind, text, line_, column_};
+  pos_ += length;
+  column_ += length;
+  if (++count_ > max_tokens_) {
+    return Fail(token, "token count exceeds the limit of " +
+                           std::to_string(max_tokens_) + " tokens");
+  }
+  return Status::OK();
 }
 
 }  // namespace tdx

@@ -14,14 +14,27 @@
 // Tokens: identifiers, quoted strings, unsigned integers, `inf`, and the
 // punctuation ( ) [ , ; : & = @ -> plus end-of-input. Comments run from `#`
 // to end of line.
+//
+// Pull contract. The lexer never materializes the token stream: the parser
+// calls Next() once per token it consumes (plus at most one token of
+// lookahead), so the front end holds two tokens whatever the input size.
+//  * Token::text is a view into the input the Lexer was built over. It stays
+//    valid exactly as long as that input does; callers that keep a name past
+//    the input's lifetime copy it into a std::string.
+//  * Limits are enforced as tokens are pulled: `max_input_bytes` before the
+//    first token is read (at line 1, column 1), `max_tokens` when the token
+//    one past the cap is read (at the position just after it).
+//  * The first failure is sticky: every later Next() returns the same
+//    status. Because the parser pulls tokens in input order and reports a
+//    lexical error only once it reaches the offending token, the error a
+//    program is rejected with is the first one in input order.
 
 #ifndef TDX_PARSER_LEXER_H_
 #define TDX_PARSER_LEXER_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/common/resource.h"
 #include "src/common/status.h"
@@ -29,9 +42,9 @@
 namespace tdx {
 
 enum class TokenKind {
-  kIdentifier,  ///< [A-Za-z_][A-Za-z0-9_]*
+  kIdentifier,  ///< [A-Za-z_][A-Za-z0-9_+]*
   kString,      ///< "..." (no escapes needed by the format)
-  kNumber,      ///< unsigned decimal integer
+  kNumber,      ///< unsigned decimal integer (spelling only; see ParseInterval)
   kLParen,      ///< (
   kRParen,      ///< )
   kLBracket,    ///< [
@@ -46,9 +59,10 @@ enum class TokenKind {
 };
 
 struct Token {
-  TokenKind kind;
-  std::string text;     ///< identifier/string contents or number spelling
-  std::uint64_t number = 0;  ///< value when kind == kNumber
+  TokenKind kind = TokenKind::kEnd;
+  /// Identifier or number spelling, string contents without the quotes,
+  /// punctuation as written; empty at end of input. Points into the input.
+  std::string_view text;
   std::size_t line = 1;
   std::size_t column = 1;
 };
@@ -67,10 +81,27 @@ struct ParseLimits {
   std::size_t max_atom_terms = 4096;  ///< terms per atom / fact arguments
 };
 
-/// Tokenizes `input`; returns ParseError with line/column info on bad input
-/// or when `limits` (input size, token count) are exceeded.
-Result<std::vector<Token>> Tokenize(std::string_view input,
-                                    const ParseLimits& limits = {});
+/// Pull lexer over a caller-owned input (see the contract above).
+class Lexer {
+ public:
+  Lexer(std::string_view input, const ParseLimits& limits);
+
+  /// Reads the next token into *token; at end of input, a kEnd token (and
+  /// again on every later call). On failure returns a ParseError carrying
+  /// line and column, and *token is a kEnd token at the failing position.
+  Status Next(Token* token);
+
+ private:
+  Status Fail(Token* token, std::string what);
+
+  std::string_view input_;
+  std::size_t max_tokens_;
+  std::size_t pos_ = 0;
+  std::size_t line_ = 1;
+  std::size_t column_ = 1;
+  std::size_t count_ = 0;  ///< tokens read so far, end of input excluded
+  Status status_;          ///< first failure, returned by every later Next
+};
 
 /// Debug name of a token kind ("identifier", "'('", ...).
 std::string_view TokenKindName(TokenKind kind);

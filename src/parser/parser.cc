@@ -1,5 +1,8 @@
 #include "src/parser/parser.h"
 
+#include <charconv>
+#include <filesystem>
+#include <fstream>
 #include <unordered_map>
 
 #include "src/analysis/termination.h"
@@ -9,18 +12,30 @@ namespace tdx {
 
 namespace {
 
-/// Recursive-descent parser over the token stream.
+/// Recursive-descent parser pulling tokens from a Lexer through a
+/// two-token window.
 class Parser {
  public:
-  Parser(std::vector<Token> tokens, const ParseLimits& limits,
+  Parser(std::string_view text, const ParseLimits& limits,
          ParsedProgram* program)
-      : tokens_(std::move(tokens)), limits_(limits), program_(program) {}
+      : lexer_(text, limits), limits_(limits), program_(program) {
+    Pull(&cur_);
+  }
 
   Status Run() {
     while (!AtEnd()) {
       TDX_FAULT_POINT("parser/statement");
       TDX_RETURN_IF_ERROR(ParseStatement());
     }
+    // The whole-program checks name the offending statement's position in
+    // their messages; like every other rejection they are parse errors.
+    Status status = Finish();
+    if (status.ok() || status.code() == StatusCode::kParseError) return status;
+    return Status::ParseError(status.message());
+  }
+
+ private:
+  Status Finish() {
     // Materialize temporal-operator closures now that all facts are known.
     for (const ParsedProgram::ClosureSpec& spec : program_->closures) {
       TDX_RETURN_IF_ERROR(MaterializeClosure(program_->source,
@@ -45,15 +60,38 @@ class Parser {
     return Status::OK();
   }
 
- private:
   // ---- token helpers ------------------------------------------------------
-  const Token& Peek(std::size_t ahead = 0) const {
-    const std::size_t i = std::min(pos_ + ahead, tokens_.size() - 1);
-    return tokens_[i];
+  // A token the lexer failed on reads as kEnd at the failing position; its
+  // error is reported only once the parser reaches it (ErrorHere), so an
+  // earlier parse error wins and the first error in input order is the one
+  // returned. Nothing is pulled past it, so it is the last token pulled.
+  void Pull(Token* token) { lex_error_ = lexer_.Next(token); }
+  bool CurrentFailed() const { return !lex_error_.ok() && !has_next_; }
+  /// Peek(0) is the current token; Peek(1), pulled on demand, the one after.
+  const Token& Peek(std::size_t ahead = 0) {
+    if (ahead == 0 || CurrentFailed()) return cur_;
+    if (!has_next_) {
+      Pull(&next_);
+      has_next_ = true;
+    }
+    return next_;
   }
-  bool AtEnd() const { return Peek().kind == TokenKind::kEnd; }
-  const Token& Advance() { return tokens_[pos_++]; }
-  bool Check(TokenKind kind) const { return Peek().kind == kind; }
+  bool AtEnd() const {
+    return cur_.kind == TokenKind::kEnd && !CurrentFailed();
+  }
+  /// Consumes the current token and returns it (by value: the window slot
+  /// is refilled).
+  Token Advance() {
+    const Token consumed = cur_;
+    if (has_next_) {
+      cur_ = next_;
+      has_next_ = false;
+    } else if (!CurrentFailed()) {
+      Pull(&cur_);
+    }
+    return consumed;
+  }
+  bool Check(TokenKind kind) const { return cur_.kind == kind; }
   bool Match(TokenKind kind) {
     if (!Check(kind)) return false;
     Advance();
@@ -61,18 +99,17 @@ class Parser {
   }
   /// Position of the next token; statements record the span of their
   /// introducing keyword.
-  SourceSpan SpanHere() const {
-    return SourceSpan{Peek().line, Peek().column};
-  }
+  SourceSpan SpanHere() const { return SourceSpan{cur_.line, cur_.column}; }
   Status ErrorHere(const std::string& what) const {
-    const Token& t = Peek();
-    return Status::ParseError(what + " at line " + std::to_string(t.line) +
-                              ", column " + std::to_string(t.column) +
-                              " (got " + std::string(TokenKindName(t.kind)) +
-                              (t.text.empty() ? "" : " '" + t.text + "'") +
-                              ")");
+    if (CurrentFailed()) return lex_error_;
+    const std::string text(cur_.text);
+    return Status::ParseError(what + " at line " + std::to_string(cur_.line) +
+                              ", column " + std::to_string(cur_.column) +
+                              " (got " + std::string(TokenKindName(cur_.kind)) +
+                              (text.empty() ? "" : " '" + text + "'") + ")");
   }
-  Status Expect(TokenKind kind, const std::string& context) {
+  /// Consumes a token of `kind`; the message is built only on failure.
+  Status Expect(TokenKind kind, const char* context) {
     if (Match(kind)) return Status::OK();
     return ErrorHere("expected " + std::string(TokenKindName(kind)) + " " +
                      context);
@@ -84,7 +121,7 @@ class Parser {
       return ErrorHere("expected a statement keyword");
     }
     statement_span_ = SpanHere();
-    const std::string keyword = Peek().text;
+    const std::string_view keyword = cur_.text;
     if (keyword == "source" || keyword == "target") {
       return ParseRelationDecl(keyword == "source" ? SchemaRole::kSource
                                                    : SchemaRole::kTarget);
@@ -94,7 +131,8 @@ class Parser {
     if (keyword == "egd") return ParseEgd();
     if (keyword == "fact") return ParseFact();
     if (keyword == "query") return ParseQuery();
-    return ErrorHere("unknown statement keyword '" + keyword + "'");
+    return ErrorHere("unknown statement keyword '" + std::string(keyword) +
+                     "'");
   }
 
   Status ParseRelationDecl(SchemaRole role) {
@@ -102,21 +140,21 @@ class Parser {
     if (!Check(TokenKind::kIdentifier)) {
       return ErrorHere("expected relation name");
     }
-    const std::string name = Advance().text;
+    const std::string_view name = Advance().text;
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after relation name"));
     std::vector<std::string> attrs;
     do {
       if (!Check(TokenKind::kIdentifier)) {
         return ErrorHere("expected attribute name");
       }
-      attrs.push_back(Advance().text);
+      attrs.emplace_back(Advance().text);
     } while (Match(TokenKind::kComma));
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "after attribute list"));
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kSemicolon, "after declaration"));
-    TDX_ASSIGN_OR_RETURN(
-        RelationId ignored,
-        program_->schema.AddRelationPair(name, std::move(attrs), role));
-    (void)ignored;
+    TDX_RETURN_IF_ERROR(WithSpan(
+        program_->schema.AddRelationPair(name, std::move(attrs), role)
+            .status(),
+        statement_span_));
     SyncRelationSpans();
     return Status::OK();
   }
@@ -134,12 +172,13 @@ class Parser {
     std::unordered_map<std::string, VarId> ids;
     std::vector<std::string> names;
 
-    VarId Get(const std::string& name) {
-      auto it = ids.find(name);
+    VarId Get(std::string_view name) {
+      std::string key(name);
+      auto it = ids.find(key);
       if (it != ids.end()) return it->second;
       const VarId v = static_cast<VarId>(names.size());
-      ids.emplace(name, v);
-      names.push_back(name);
+      names.push_back(key);
+      ids.emplace(std::move(key), v);
       return v;
     }
     VarId Fresh() {
@@ -157,7 +196,7 @@ class Parser {
       return Term::Val(program_->universe.Constant(Advance().text));
     }
     if (Check(TokenKind::kIdentifier)) {
-      const std::string name = Advance().text;
+      const std::string_view name = Advance().text;
       if (name == "_") return Term::Var(scope->Fresh());
       return Term::Var(scope->Get(name));
     }
@@ -168,15 +207,15 @@ class Parser {
     if (!Check(TokenKind::kIdentifier)) {
       return ErrorHere("expected relation name in atom");
     }
-    const Token& name_token = Peek();
-    const std::string name = Advance().text;
+    const Token name_token = Advance();
+    const std::string_view name = name_token.text;
 
     // Temporal operator applied to an atom: op(R(...)).
     TemporalOp op;
     if (TemporalOpFromName(name, &op)) {
       if (!allow_temporal_ops) {
         return Status::ParseError(
-            "temporal operator '" + name +
+            "temporal operator '" + std::string(name) +
             "' is only allowed in tgd bodies (line " +
             std::to_string(name_token.line) + ")");
       }
@@ -204,8 +243,8 @@ class Parser {
 
     Result<RelationId> rel = program_->schema.Find(name);
     if (!rel.ok()) {
-      return Status::ParseError("unknown relation '" + name + "' at line " +
-                                std::to_string(name_token.line));
+      return Status::ParseError("unknown relation '" + std::string(name) +
+                                "' at line " + std::to_string(name_token.line));
     }
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after relation name"));
     Atom atom;
@@ -213,7 +252,7 @@ class Parser {
     do {
       if (atom.terms.size() >= limits_.max_atom_terms) {
         return Status::ParseError(
-            "atom over '" + name + "' exceeds the limit of " +
+            "atom over '" + std::string(name) + "' exceeds the limit of " +
             std::to_string(limits_.max_atom_terms) + " terms at line " +
             std::to_string(name_token.line));
       }
@@ -223,7 +262,7 @@ class Parser {
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "after atom terms"));
     if (atom.terms.size() != program_->schema.relation(*rel).arity()) {
       return Status::ParseError(
-          "atom over '" + name + "' has arity " +
+          "atom over '" + std::string(name) + "' has arity " +
           std::to_string(atom.terms.size()) + ", expected " +
           std::to_string(program_->schema.relation(*rel).arity()) +
           " at line " + std::to_string(name_token.line));
@@ -269,7 +308,7 @@ class Parser {
   std::string ParseOptionalLabel() {
     if (Check(TokenKind::kIdentifier) &&
         Peek(1).kind == TokenKind::kColon) {
-      const std::string label = Advance().text;
+      std::string label(Advance().text);
       Advance();  // colon
       return label;
     }
@@ -287,7 +326,7 @@ class Parser {
     TDX_ASSIGN_OR_RETURN(
         tgd.body, ParseConjunction(&scope, /*allow_temporal_ops=*/!target));
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kArrow, "in tgd"));
-    if (Check(TokenKind::kIdentifier) && Peek().text == "exists") {
+    if (Check(TokenKind::kIdentifier) && cur_.text == "exists") {
       Advance();
       do {
         if (!Check(TokenKind::kIdentifier)) {
@@ -336,17 +375,35 @@ class Parser {
     return Status::OK();
   }
 
+  /// Consumes a finite interval endpoint. Numerals past 2^64 - 1 are
+  /// rejected rather than wrapped, and 2^64 - 1 itself is kTimeInfinity,
+  /// which only `inf` may spell.
+  Result<TimePoint> ParseTimePoint() {
+    const Token t = Advance();
+    TimePoint value = 0;
+    const std::from_chars_result r =
+        std::from_chars(t.text.data(), t.text.data() + t.text.size(), value);
+    if (r.ec == std::errc() && value != kTimeInfinity) return value;
+    return Status::ParseError(
+        "interval endpoint " + std::string(t.text) +
+        (r.ec != std::errc()
+             ? " is out of range"
+             : " is the infinity sentinel; write 'inf' for an unbounded end") +
+        " at line " + std::to_string(t.line) + ", column " +
+        std::to_string(t.column));
+  }
+
   Result<Interval> ParseInterval() {
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kLBracket, "to open interval"));
     if (!Check(TokenKind::kNumber)) {
       return ErrorHere("expected interval start point");
     }
-    const TimePoint start = Advance().number;
+    TDX_ASSIGN_OR_RETURN(const TimePoint start, ParseTimePoint());
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kComma, "in interval"));
     TimePoint end = kTimeInfinity;
     if (Check(TokenKind::kNumber)) {
-      end = Advance().number;
-    } else if (Check(TokenKind::kIdentifier) && Peek().text == "inf") {
+      TDX_ASSIGN_OR_RETURN(end, ParseTimePoint());
+    } else if (Check(TokenKind::kIdentifier) && cur_.text == "inf") {
       Advance();
     } else {
       return ErrorHere("expected interval end point or 'inf'");
@@ -357,7 +414,7 @@ class Parser {
     Result<Interval> iv = Interval::Make(start, end);
     if (!iv.ok()) {
       return Status::ParseError(iv.status().message() + " at line " +
-                                std::to_string(Peek().line));
+                                std::to_string(cur_.line));
     }
     return iv;
   }
@@ -367,14 +424,20 @@ class Parser {
     if (!Check(TokenKind::kIdentifier)) {
       return ErrorHere("expected relation name in fact");
     }
-    const std::string name = Advance().text;
-    TDX_ASSIGN_OR_RETURN(RelationId snap, program_->schema.Find(name));
-    TDX_ASSIGN_OR_RETURN(RelationId conc, program_->schema.TwinOf(snap));
+    const Token name = Advance();
+    Result<RelationId> snap = program_->schema.Find(name.text);
+    if (!snap.ok()) {
+      return WithSpan(snap.status(), SourceSpan{name.line, name.column});
+    }
+    TDX_ASSIGN_OR_RETURN(RelationId conc, program_->schema.TwinOf(*snap));
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after relation name"));
+    // Room for the interval too, which ConcreteInstance::Add appends.
     std::vector<Value> data;
+    data.reserve(program_->schema.relation(conc).arity());
     do {
       if (data.size() >= limits_.max_atom_terms) {
-        return ErrorHere("fact over '" + name + "' exceeds the limit of " +
+        return ErrorHere("fact over '" + std::string(name.text) +
+                         "' exceeds the limit of " +
                          std::to_string(limits_.max_atom_terms) +
                          " arguments");
       }
@@ -388,7 +451,8 @@ class Parser {
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kAt, "before fact interval"));
     TDX_ASSIGN_OR_RETURN(Interval iv, ParseInterval());
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kSemicolon, "after fact"));
-    return program_->source.Add(conc, std::move(data), iv);
+    return WithSpan(program_->source.Add(conc, std::move(data), iv),
+                    statement_span_);
   }
 
   Status ParseQuery() {
@@ -398,10 +462,10 @@ class Parser {
     }
     ConjunctiveQuery query;
     query.span = statement_span_;
-    query.name = Advance().text;
+    query.name = std::string(Advance().text);
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after query name"));
     VarScope scope;
-    std::vector<std::string> head_names;
+    std::vector<std::string_view> head_names;
     if (!Check(TokenKind::kRParen)) {
       do {
         if (!Check(TokenKind::kIdentifier)) {
@@ -412,7 +476,7 @@ class Parser {
     }
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "after query head"));
     TDX_RETURN_IF_ERROR(Expect(TokenKind::kColon, "before query body"));
-    for (const std::string& name : head_names) {
+    for (const std::string_view name : head_names) {
       query.head.push_back(scope.Get(name));
     }
     TDX_ASSIGN_OR_RETURN(query.body, ParseConjunction(&scope));
@@ -442,8 +506,11 @@ class Parser {
                               span.ToString());
   }
 
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
+  Lexer lexer_;
+  Token cur_;          ///< Peek(0)
+  Token next_;         ///< Peek(1), valid while has_next_
+  bool has_next_ = false;
+  Status lex_error_;   ///< status of the last pull
   ParseLimits limits_;
   std::size_t atom_depth_ = 0;  ///< temporal-operator nesting in ParseAtom
   SourceSpan statement_span_;   ///< span of the statement being parsed
@@ -462,11 +529,24 @@ Result<const UnionQuery*> ParsedProgram::FindQuery(
 
 Result<std::unique_ptr<ParsedProgram>> ParseProgram(std::string_view text,
                                                     const ParseLimits& limits) {
-  TDX_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(text, limits));
   auto program = std::make_unique<ParsedProgram>();
-  Parser parser(std::move(tokens), limits, program.get());
+  Parser parser(text, limits, program.get());
   TDX_RETURN_IF_ERROR(parser.Run());
   return program;
+}
+
+Result<std::string> ReadProgramFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::NotFound("cannot open '" + path + "'");
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::string text(ec ? 0 : size, '\0');
+  in.read(text.data(), static_cast<std::streamsize>(text.size()));
+  text.resize(static_cast<std::size_t>(in.gcount()));
+  for (char chunk[4096]; in.read(chunk, sizeof chunk) || in.gcount() > 0;) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
+  return text;
 }
 
 }  // namespace tdx

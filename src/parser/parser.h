@@ -40,6 +40,7 @@
 #define TDX_PARSER_PARSER_H_
 
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -89,6 +90,11 @@ struct ParsedProgram {
 /// instead of exhausting memory.
 Result<std::unique_ptr<ParsedProgram>> ParseProgram(
     std::string_view text, const ParseLimits& limits = {});
+
+/// Reads a program file whole: one pass into a string presized from the
+/// file's length (a stream of unknown length, such as a pipe, is read on to
+/// its end). NotFound when the file cannot be opened.
+Result<std::string> ReadProgramFile(const std::string& path);
 
 }  // namespace tdx
 

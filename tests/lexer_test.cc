@@ -2,8 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/parser/parser.h"
+#include "tests/test_util.h"
+
 namespace tdx {
 namespace {
+
+/// Pulls every token of `input`, the final kEnd included; on a lexical error
+/// returns the error and stops.
+Result<std::vector<Token>> Pull(std::string_view input,
+                                const ParseLimits& limits = {}) {
+  Lexer lexer(input, limits);
+  std::vector<Token> tokens;
+  Token token;
+  do {
+    TDX_RETURN_IF_ERROR(lexer.Next(&token));
+    tokens.push_back(token);
+  } while (token.kind != TokenKind::kEnd);
+  return tokens;
+}
 
 std::vector<TokenKind> Kinds(const std::vector<Token>& tokens) {
   std::vector<TokenKind> out;
@@ -12,7 +31,7 @@ std::vector<TokenKind> Kinds(const std::vector<Token>& tokens) {
 }
 
 TEST(LexerTest, TokenizesFactStatement) {
-  auto tokens = Tokenize(R"(fact E("Ada", "IBM") @ [2012, 2014);)");
+  auto tokens = Pull(R"(fact E("Ada", "IBM") @ [2012, 2014);)");
   ASSERT_TRUE(tokens.ok());
   EXPECT_EQ(Kinds(*tokens),
             (std::vector<TokenKind>{
@@ -23,11 +42,11 @@ TEST(LexerTest, TokenizesFactStatement) {
                 TokenKind::kNumber, TokenKind::kRParen,
                 TokenKind::kSemicolon, TokenKind::kEnd}));
   EXPECT_EQ((*tokens)[3].text, "Ada");
-  EXPECT_EQ((*tokens)[9].number, 2012u);
+  EXPECT_EQ((*tokens)[9].text, "2012");
 }
 
 TEST(LexerTest, ArrowAndAmpersand) {
-  auto tokens = Tokenize("E(n, c) & S(n, s) -> Emp(n, c, s)");
+  auto tokens = Pull("E(n, c) & S(n, s) -> Emp(n, c, s)");
   ASSERT_TRUE(tokens.ok());
   bool has_arrow = false, has_amp = false;
   for (const Token& t : *tokens) {
@@ -39,7 +58,7 @@ TEST(LexerTest, ArrowAndAmpersand) {
 }
 
 TEST(LexerTest, CommentsAreSkipped) {
-  auto tokens = Tokenize("# a comment\nfoo # trailing\nbar");
+  auto tokens = Pull("# a comment\nfoo # trailing\nbar");
   ASSERT_TRUE(tokens.ok());
   ASSERT_EQ(tokens->size(), 3u);  // foo, bar, end
   EXPECT_EQ((*tokens)[0].text, "foo");
@@ -47,7 +66,7 @@ TEST(LexerTest, CommentsAreSkipped) {
 }
 
 TEST(LexerTest, LineAndColumnTracking) {
-  auto tokens = Tokenize("a\n  b");
+  auto tokens = Pull("a\n  b");
   ASSERT_TRUE(tokens.ok());
   EXPECT_EQ((*tokens)[0].line, 1u);
   EXPECT_EQ((*tokens)[0].column, 1u);
@@ -56,40 +75,78 @@ TEST(LexerTest, LineAndColumnTracking) {
 }
 
 TEST(LexerTest, UnterminatedStringFails) {
-  auto tokens = Tokenize("fact E(\"Ada");
+  auto tokens = Pull("fact E(\"Ada");
   EXPECT_FALSE(tokens.ok());
   EXPECT_EQ(tokens.status().code(), StatusCode::kParseError);
 }
 
 TEST(LexerTest, UnexpectedCharacterFails) {
-  auto tokens = Tokenize("a $ b");
+  auto tokens = Pull("a $ b");
   EXPECT_FALSE(tokens.ok());
 }
 
 TEST(LexerTest, InfIsAnIdentifier) {
-  auto tokens = Tokenize("[2014, inf)");
+  auto tokens = Pull("[2014, inf)");
   ASSERT_TRUE(tokens.ok());
   EXPECT_EQ((*tokens)[3].kind, TokenKind::kIdentifier);
   EXPECT_EQ((*tokens)[3].text, "inf");
 }
 
 TEST(LexerTest, IdentifiersMayContainPlus) {
-  auto tokens = Tokenize("Emp+");
+  auto tokens = Pull("Emp+");
   ASSERT_TRUE(tokens.ok());
   EXPECT_EQ((*tokens)[0].text, "Emp+");
 }
 
 TEST(LexerTest, EmptyInputYieldsEnd) {
-  auto tokens = Tokenize("");
+  auto tokens = Pull("");
   ASSERT_TRUE(tokens.ok());
   ASSERT_EQ(tokens->size(), 1u);
   EXPECT_EQ((*tokens)[0].kind, TokenKind::kEnd);
 }
 
+// Tokens carry spellings, not values: an interval endpoint's value is read
+// by the parser, which accepts every finite time point below kTimeInfinity.
 TEST(LexerTest, NumbersParseValue) {
-  auto tokens = Tokenize("18446744073709551614");
+  auto program =
+      ParseProgram("source E(x);\nfact E(\"a\") @ [18446744073709551613, "
+                   "18446744073709551614);");
+  ASSERT_TRUE(program.ok()) << program.status();
+  EXPECT_TRUE(testing::HasConcreteFact(
+      (*program)->source, (*program)->universe, "E+", {"a"},
+      Interval(18446744073709551613ull, 18446744073709551614ull)));
+}
+
+TEST(LexerTest, TextPointsIntoTheInput) {
+  const std::string input = "fact E(\"Ada\")";
+  auto tokens = Pull(input);
   ASSERT_TRUE(tokens.ok());
-  EXPECT_EQ((*tokens)[0].number, 18446744073709551614ull);
+  EXPECT_EQ((*tokens)[3].text.data(), input.data() + 8);
+}
+
+TEST(LexerTest, FailureIsSticky) {
+  Lexer lexer("a $ b", ParseLimits{});
+  Token token;
+  ASSERT_TRUE(lexer.Next(&token).ok());
+  const Status first = lexer.Next(&token);
+  ASSERT_FALSE(first.ok());
+  EXPECT_EQ(first.message(), "unexpected character '$' at line 1, column 3");
+  EXPECT_EQ(token.kind, TokenKind::kEnd);
+  EXPECT_EQ(lexer.Next(&token).message(), first.message());
+}
+
+TEST(LexerTest, TokenBudgetCountsPulledTokens) {
+  ParseLimits limits;
+  limits.max_tokens = 2;
+  Lexer lexer("a b c", limits);
+  Token token;
+  ASSERT_TRUE(lexer.Next(&token).ok());
+  ASSERT_TRUE(lexer.Next(&token).ok());
+  const Status third = lexer.Next(&token);
+  EXPECT_EQ(third.message(),
+            "token count exceeds the limit of 2 tokens at line 1, column 6");
+  // The end of input is not a token against the budget.
+  EXPECT_TRUE(Pull("a b", limits).ok());
 }
 
 }  // namespace

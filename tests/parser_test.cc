@@ -264,6 +264,72 @@ TEST(ParserHardeningTest, ReversedIntervalIsAParseError) {
   EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
 }
 
+// Interval endpoints are read with std::from_chars: a numeral past 2^64 - 1
+// is rejected instead of wrapping (this one used to read as [4, 14)).
+TEST(ParserHardeningTest, EndpointPast2To64IsAParseError) {
+  auto parsed = ParseProgram(
+      "source E(x);\n"
+      "fact E(\"a\") @ [18446744073709551620, 18446744073709551630);");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(parsed.status().message(),
+            "interval endpoint 18446744073709551620 is out of range at line "
+            "2, column 16");
+}
+
+// 2^64 - 1 is kTimeInfinity: a finite end spelled that way used to read as
+// an unbounded one.
+TEST(ParserHardeningTest, FiniteEndpointAtInfinityIsAParseError) {
+  auto parsed = ParseProgram(
+      "source E(x);\nfact E(\"a\") @ [3, 18446744073709551615);");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(parsed.status().message(),
+            "interval endpoint 18446744073709551615 is the infinity sentinel; "
+            "write 'inf' for an unbounded end at line 2, column 19");
+}
+
+TEST(ParserHardeningTest, NumericFactConstantsKeepTheirSpelling) {
+  auto parsed = ParseProgram(
+      "source E(x);\nfact E(007) @ [0, 1);\n"
+      "fact E(18446744073709551620) @ [0, 1);");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const ParsedProgram& p = **parsed;
+  EXPECT_TRUE(
+      HasConcreteFact(p.source, p.universe, "E+", {"007"}, Interval(0, 1)));
+  EXPECT_TRUE(HasConcreteFact(p.source, p.universe, "E+",
+                              {"18446744073709551620"}, Interval(0, 1)));
+}
+
+// The lexer is pulled as the parser goes, so of several errors the first
+// in the input is reported; a lone lexical error keeps its message.
+TEST(ParserHardeningTest, FirstErrorInInputOrderIsReported) {
+  auto parsed = ParseProgram("source E(x);\nbogus;\nfact E($);");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(),
+            "unknown statement keyword 'bogus' at line 2, column 1 (got "
+            "identifier 'bogus')");
+  parsed = ParseProgram("source E(x);\nfact E($);");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().message(),
+            "unexpected character '$' at line 2, column 8");
+}
+
+// Rejections from the schema and the instance are parse errors that name
+// the statement, like every other one.
+TEST(ParserHardeningTest, SemanticRejectionsArePositionedParseErrors) {
+  auto parsed = ParseProgram("source E(x);\nfact F(\"a\") @ [0, 1);");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(parsed.status().message(),
+            "no relation named 'F' at line 2, column 6");
+  parsed = ParseProgram("source E(x);\nsource E(y);");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_NE(parsed.status().message().find("line 2, column 1"),
+            std::string::npos);
+}
+
 TEST(ParserHardeningTest, DefaultLimitsAdmitThePaperProgram) {
   EXPECT_TRUE(ParseProgram(testing::kPaperProgram).ok());
 }

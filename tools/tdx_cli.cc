@@ -54,7 +54,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -277,16 +276,6 @@ bool ParseFlags(int argc, char** argv, CliOptions* options,
     }
   }
   return true;
-}
-
-tdx::Result<std::string> ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    return tdx::Status::NotFound("cannot open '" + path + "'");
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 // Prints the structured abort line. The partial target is deliberately not
@@ -548,7 +537,7 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
   std::string text;
   auto parsed = [&]() -> tdx::Result<std::unique_ptr<tdx::ParsedProgram>> {
     TDX_TRACE_SPAN("cli.parse");
-    TDX_ASSIGN_OR_RETURN(text, ReadFile(positional[1]));
+    TDX_ASSIGN_OR_RETURN(text, tdx::ReadProgramFile(positional[1]));
     return tdx::ParseProgram(text, options.parse_limits);
   }();
   if (!parsed.ok()) {
@@ -563,8 +552,10 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
   tdx::Checkpointer checkpointer(options.checkpoint_path, &program.schema,
                                  &program.universe);
   checkpointer.set_cadence(options.checkpoint_every);
-  checkpointer.set_fingerprint(tdx::FingerprintText(text));
-  if (!options.checkpoint_path.empty()) options.checkpointer = &checkpointer;
+  if (!options.checkpoint_path.empty()) {  // resume fingerprints on load
+    checkpointer.set_fingerprint(tdx::FingerprintText(text));
+    options.checkpointer = &checkpointer;
+  }
 
   // Advisory static-analysis pass: warnings and notes go to stderr so they
   // never corrupt command output; a parsed program cannot carry lint

@@ -19,10 +19,8 @@
 // 1 when at least one did, 2 on usage or I/O problems.
 
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -36,15 +34,6 @@ int Usage() {
   std::cerr << "usage: tdx_lint [--format=text|json] [--Werror] "
                "[--explain-plan] <file>...\n";
   return 2;
-}
-
-bool ReadFile(const std::string& path, std::string* out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return true;
 }
 
 /// Lints one file; parse failures become a TDX000 report with an unknown
@@ -96,14 +85,14 @@ int main(int argc, char** argv) {
   bool any_errors = false;
   std::string json_out = "[";
   for (std::size_t i = 0; i < files.size(); ++i) {
-    std::string text;
-    if (!ReadFile(files[i], &text)) {
+    const tdx::Result<std::string> text = tdx::ReadProgramFile(files[i]);
+    if (!text.ok()) {
       std::cerr << "cannot open '" << files[i] << "'\n";
       return 2;
     }
     std::optional<tdx::ChaseSchedule> plan;
     tdx::AnalysisReport report =
-        LintFile(text, explain_plan ? &plan : nullptr);
+        LintFile(*text, explain_plan ? &plan : nullptr);
     if (werror) report.PromoteWarnings();
     any_errors = any_errors || report.HasErrors();
     if (json) {
