@@ -590,63 +590,6 @@ void AnalyzeRedundancy(const AnalysisInput& in, AnalysisReport* report) {
 }
 
 // ---------------------------------------------------------------------------
-// TDX016: normalization blowup estimate.
-
-void AnalyzeBlowup(const AnalysisInput& in, const AnalyzerOptions& options,
-                   AnalysisReport* report) {
-  if (in.source == nullptr) return;
-  const std::size_t total_facts = in.source->size();
-  if (total_facts < options.blowup_min_facts) return;
-  const Schema& schema = *in.schema;
-  // Relations co-occurring in some tgd body fragment each other during
-  // normalization against Phi+ (Section 4.2/4.3).
-  std::unordered_map<RelationId, std::unordered_set<RelationId>> cobody;
-  for (const Tgd& tgd : in.mapping->st_tgds) {
-    for (const Atom& a : tgd.body.atoms) {
-      for (const Atom& b : tgd.body.atoms) {
-        if (a.rel != b.rel) cobody[a.rel].insert(b.rel);
-      }
-    }
-  }
-  double estimate = 0;
-  std::size_t counted_facts = 0;
-  for (const auto& [rel, partners] : cobody) {
-    const Result<RelationId> twin = schema.TwinOf(rel);
-    if (!twin.ok()) continue;
-    std::vector<Interval> partner_ivs;
-    for (RelationId p : partners) {
-      const Result<RelationId> ptwin = schema.TwinOf(p);
-      if (!ptwin.ok()) continue;
-      for (const FactView f : in.source->facts().facts(*ptwin)) {
-        if (f.has_interval()) partner_ivs.push_back(f.interval());
-      }
-    }
-    const std::vector<TimePoint> cuts = DistinctFiniteEndpoints(partner_ivs);
-    for (const FactView f : in.source->facts().facts(*twin)) {
-      if (!f.has_interval()) continue;
-      const Interval iv = f.interval();
-      const auto lo = std::upper_bound(cuts.begin(), cuts.end(), iv.start());
-      const auto hi = std::lower_bound(cuts.begin(), cuts.end(), iv.end());
-      estimate += 1.0 + static_cast<double>(hi - lo);
-      ++counted_facts;
-    }
-  }
-  if (counted_facts == 0) return;
-  const double factor = estimate / static_cast<double>(counted_facts);
-  if (factor <= options.blowup_warn_factor) return;
-  report->Add(
-      "TDX016", Severity::kWarning,
-      "normalizing the source against Phi+ is estimated to fragment " +
-          std::to_string(counted_facts) + " facts into ~" +
-          std::to_string(static_cast<std::size_t>(estimate)) +
-          " pieces (x" + std::to_string(factor).substr(0, 4) +
-          "); Theorem 13 only bounds this by O(n^2)",
-      {},
-      "coalesce adjacent facts or split multi-relation tgd bodies to "
-      "reduce cross-relation interval cuts");
-}
-
-// ---------------------------------------------------------------------------
 // TDX018-TDX024: the chase planner's rule-dependency diagnostics. One
 // PlanChaseDetailed call powers all seven lints — the same graph the
 // engines consume as their schedule.
@@ -803,8 +746,7 @@ void AnalyzePlanning(const AnalysisInput& in, AnalysisReport* report) {
 
 }  // namespace
 
-AnalysisReport Analyze(const AnalysisInput& input,
-                       const AnalyzerOptions& options) {
+AnalysisReport Analyze(const AnalysisInput& input) {
   AnalysisReport report;
   assert(input.schema != nullptr && input.mapping != nullptr);
   if (!InputIsStructural(input)) {
@@ -825,20 +767,18 @@ AnalysisReport Analyze(const AnalysisInput& input,
   AnalyzeDeadRelations(input, &report);
   AnalyzeSatisfiability(input, &report);
   AnalyzePlanning(input, &report);
-  AnalyzeBlowup(input, options, &report);
   report.Sort();
   return report;
 }
 
-AnalysisReport AnalyzeProgram(const ParsedProgram& program,
-                              const AnalyzerOptions& options) {
+AnalysisReport AnalyzeProgram(const ParsedProgram& program) {
   AnalysisInput input;
   input.schema = &program.schema;
   input.mapping = &program.mapping;
   input.source = &program.source;
   input.queries = &program.queries;
   input.relation_spans = &program.relation_spans;
-  return Analyze(input, options);
+  return Analyze(input);
 }
 
 }  // namespace tdx

@@ -20,9 +20,6 @@
 //    relations (TDX013), duplicate dependencies up to variable renaming
 //    (TDX014), dependencies implied by another via a one-step chase
 //    implication test on a frozen body (TDX015).
-//  * Normalization blowup (TDX016): estimates how many fragments
-//    normalizing the source against Phi+ produces (Theorem 13's O(n^2)
-//    bound) and warns when the estimate exceeds a configurable factor.
 //  * Empty mapping (TDX017): no s-t tgds means the target is always empty.
 //
 // All analyses are conservative: an `error` means the program is wrong
@@ -32,7 +29,6 @@
 #ifndef TDX_ANALYSIS_ANALYZER_H_
 #define TDX_ANALYSIS_ANALYZER_H_
 
-#include <cstddef>
 #include <vector>
 
 #include "src/analysis/diagnostic.h"
@@ -45,19 +41,9 @@ namespace tdx {
 
 struct ParsedProgram;
 
-/// Tuning knobs for the analyzer; defaults match the CLI tools.
-struct AnalyzerOptions {
-  /// TDX016 fires when the estimated fragment count exceeds this multiple
-  /// of the source fact count ...
-  double blowup_warn_factor = 4.0;
-  /// ... and the source has at least this many facts (tiny instances
-  /// fragment heavily in relative terms without mattering).
-  std::size_t blowup_min_facts = 8;
-};
-
 /// What to analyze. `schema` and `mapping` (the non-temporal M) are
 /// required; the rest widens coverage when present:
-///  * `source` enables the data-dependent lints TDX010 and TDX016;
+///  * `source` enables the data-dependent lint TDX010;
 ///  * `queries` extends the variable lints (TDX012) to query bodies;
 ///  * `relation_spans` (indexed by RelationId, parser-provided) lets
 ///    TDX013 point at the offending declaration.
@@ -72,13 +58,11 @@ struct AnalysisInput {
 /// Runs every applicable analysis and returns the sorted report. Never
 /// fails: a structurally broken mapping (atom arity or relation ids out of
 /// range) yields a single TDX000 error instead of undefined behavior.
-AnalysisReport Analyze(const AnalysisInput& input,
-                       const AnalyzerOptions& options = {});
+AnalysisReport Analyze(const AnalysisInput& input);
 
 /// Convenience wrapper: analyzes a successfully parsed program (schema,
 /// non-temporal mapping, source instance, queries, declaration spans).
-AnalysisReport AnalyzeProgram(const ParsedProgram& program,
-                              const AnalyzerOptions& options = {});
+AnalysisReport AnalyzeProgram(const ParsedProgram& program);
 
 }  // namespace tdx
 

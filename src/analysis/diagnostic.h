@@ -20,8 +20,6 @@
 //   TDX013  warning  dead relation (never read/written by any statement)
 //   TDX014  warning  duplicate dependency (identical up to renaming)
 //   TDX015  note     dependency implied by another (body containment)
-//   TDX016  warning  normalization blowup: Phi+ fragments the source
-//                    heavily (Theorem 13's O(n^2) bound)
 //   TDX017  warning  mapping has no s-t tgds; target is always empty
 //   TDX018  warning  dead rule: a body atom can never be derived, the rule
 //                    never fires on any source (chase planner liveness)

@@ -6,7 +6,6 @@
 
 #include "src/common/checkpoint.h"
 #include "src/core/normalize_incremental.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/relational/chase_run.h"
 
@@ -31,48 +30,6 @@ Result<VarId> InferTemporalVar(const Conjunction& conj) {
   }
   return *t;
 }
-
-namespace {
-
-/// Publishes normalize.incremental.* as the growth of a run's target
-/// normalization record, when the run returns by any path: the counterpart
-/// of ChaseRunScope's cchase.* (relational/chase_run.h). A resumed run
-/// constructs it after the restore, so it publishes only its own passes.
-class NormalizeRunMetrics {
- public:
-  explicit NormalizeRunMetrics(const NormalizeStats* record)
-      : record_(record), entry_(*record) {}
-  ~NormalizeRunMetrics() {
-    static auto* metrics = new Metrics();
-    metrics->passes.Inc(record_->passes - entry_.passes);
-    metrics->full_passes.Inc(record_->full_passes - entry_.full_passes);
-    metrics->delta_facts.Inc(record_->delta_facts - entry_.delta_facts);
-    metrics->dirty_components.Inc(record_->dirty_components -
-                                  entry_.dirty_components);
-    metrics->reused_components.Inc(record_->reused_components -
-                                   entry_.reused_components);
-    metrics->homomorphisms.Inc(record_->homomorphisms - entry_.homomorphisms);
-    metrics->rows_visited.Inc(record_->rows_visited - entry_.rows_visited);
-  }
-  NormalizeRunMetrics(const NormalizeRunMetrics&) = delete;
-  NormalizeRunMetrics& operator=(const NormalizeRunMetrics&) = delete;
-
- private:
-  struct Metrics {
-    obs::Counter passes{"normalize.incremental.passes"};
-    obs::Counter full_passes{"normalize.incremental.full_passes"};
-    obs::Counter delta_facts{"normalize.incremental.delta_facts"};
-    obs::Counter dirty_components{"normalize.incremental.dirty_components"};
-    obs::Counter reused_components{"normalize.incremental.reused_components"};
-    obs::Counter homomorphisms{"normalize.incremental.homomorphisms"};
-    obs::Counter rows_visited{"normalize.incremental.rows_visited"};
-  };
-
-  const NormalizeStats* record_;
-  NormalizeStats entry_;
-};
-
-}  // namespace
 
 Result<CChaseOutcome> CChase(const ConcreteInstance& source,
                              const Mapping& lifted, Universe* universe,
@@ -170,8 +127,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   // The stats above reflect the resume restore, so the scope's exit-time
   // deltas cover only this run's own work.
   ChaseRunScope run_metrics(ChaseEngine::kCChase, &outcome.stats, &rounds,
-                            &outcome.kind);
-  NormalizeRunMetrics norm_metrics(&outcome.target_norm_stats);
+                            &outcome.kind, &outcome.target_norm_stats);
   DeltaFrontier frontier;
   // The facts an egd could be violated over: those appended since the
   // last egd fixpoint left every egd satisfied (every fact before the

@@ -24,21 +24,6 @@ Conjunction RenameTemporalApart(const Conjunction& phi) {
   return out;
 }
 
-void NormalizeStats::Accumulate(const NormalizeStats& pass) {
-  passes += pass.passes;
-  full_passes += pass.full_passes;
-  partial = pass.partial;
-  if (pass.partial) return;
-  input_facts = pass.input_facts;
-  output_facts = pass.output_facts;
-  homomorphisms += pass.homomorphisms;
-  groups += pass.groups;
-  delta_facts += pass.delta_facts;
-  dirty_components += pass.dirty_components;
-  reused_components += pass.reused_components;
-  rows_visited += pass.rows_visited;
-}
-
 ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
                                 NormalizeStats* stats, ResourceGuard* guard) {
   const std::vector<TimePoint> cuts = instance.Endpoints();
@@ -61,17 +46,13 @@ ConcreteInstance NaiveNormalize(const ConcreteInstance& instance,
     }
   });
   if (stats != nullptr) {
-    stats->input_facts = instance.size();
-    stats->output_facts = out.size();
-    stats->homomorphisms = 0;
-    stats->groups = 0;
-    stats->delta_facts = instance.size();
-    stats->dirty_components = 0;
-    stats->reused_components = 0;
-    stats->rows_visited = instance.size() + out.size();
-    stats->passes = 1;
-    stats->full_passes = 1;
-    stats->partial = guard != nullptr && guard->tripped();
+    *stats = NormalizeStats{.input_facts = instance.size(),
+                            .output_facts = out.size(),
+                            .delta_facts = instance.size(),
+                            .rows_visited = instance.size() + out.size(),
+                            .passes = 1,
+                            .full_passes = 1,
+                            .partial = guard != nullptr && guard->tripped()};
   }
   return out;
 }

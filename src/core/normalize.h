@@ -30,6 +30,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "src/common/counters.h"
 #include "src/common/resource.h"
 #include "src/relational/homomorphism.h"
 #include "src/temporal/concrete_instance.h"
@@ -73,9 +74,29 @@ struct NormalizeStats {
   /// normalized (garbage per the guard contract below).
   bool partial = false;
 
-  /// Adds one pass's record. A partial pass adds only its pass counts,
-  /// since its work counters were never filled in.
-  void Accumulate(const NormalizeStats& pass);
+  /// Adds one pass's record (MergeCounters). A partial pass adds the work
+  /// it counted before the guard tripped, and leaves the sizes alone.
+  void Accumulate(const NormalizeStats& pass) {
+    MergeCounters(this, pass, !pass.partial);
+  }
+
+  /// The counter list (common/counters.h). The sizes and the flag
+  /// describe a pass, and are not metrics.
+  template <class F, class... R>
+  static void ForEachCounter(F&& f, R&... r) {
+    constexpr CounterMerge kSum = CounterMerge::kSum;
+    f({"input", nullptr, CounterMerge::kLast}, r.input_facts...);
+    f({"output", nullptr, CounterMerge::kLast}, r.output_facts...);
+    f({"homs", "homomorphisms", kSum}, r.homomorphisms...);
+    f({"groups", "groups", kSum}, r.groups...);
+    f({"delta", "delta_facts", kSum}, r.delta_facts...);
+    f({"dirty", "dirty_components", kSum}, r.dirty_components...);
+    f({"reused", "reused_components", kSum}, r.reused_components...);
+    f({"rows_visited", "rows_visited", kSum}, r.rows_visited...);
+    f({"passes", "passes", kSum}, r.passes...);
+    f({"full_passes", "full_passes", kSum}, r.full_passes...);
+    f({"partial", nullptr, CounterMerge::kAny}, r.partial...);
+  }
 };
 
 /// N(phi): renames the temporal position of every atom to a fresh variable,

@@ -340,6 +340,7 @@ void NormalizeState::Pass(Instance* target,
   Instance& facts = *target;
   const bool watermarked = valid_;
   if (stats != nullptr) {
+    *stats = NormalizeStats{};
     stats->passes = 1;
     stats->full_passes = watermarked ? 0 : 1;
   }
@@ -372,13 +373,7 @@ void NormalizeState::Pass(Instance* target,
     if (stats != nullptr) {
       stats->input_facts = total;
       stats->output_facts = total;
-      stats->homomorphisms = 0;
-      stats->groups = 0;
-      stats->delta_facts = 0;
-      stats->dirty_components = 0;
       stats->reused_components = num_components_;
-      stats->rows_visited = 0;
-      stats->partial = false;
     }
     return;
   }
@@ -640,7 +635,6 @@ void NormalizeState::Pass(Instance* target,
     stats->dirty_components = num_dirty;
     // Reused = previous components no fresh fact reached.
     stats->reused_components = num_components_ - touched_labels_.size();
-    stats->partial = false;
   }
   dirty_label_.resize(num_dirty);
   const std::size_t labels = label_rows_.size() + num_dirty;

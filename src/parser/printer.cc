@@ -132,32 +132,19 @@ std::string RenderAnswers(const std::vector<Tuple>& answers,
 }
 
 std::string RenderChaseStats(const CChaseOutcome& outcome) {
-  const ChaseStats& stats = outcome.stats;
   std::ostringstream out;
-  out << "(stats: triggers=" << stats.tgd_triggers
-      << " fires=" << stats.tgd_fires << " egd_steps=" << stats.egd_steps
-      << " fresh_nulls=" << stats.fresh_nulls
-      << " facts_inserted=" << stats.facts_inserted
-      << " values_rewritten=" << stats.values_rewritten
-      << " schedule_strata=" << stats.schedule_strata
-      << " skipped_egd_passes=" << stats.skipped_egd_passes
-      << " skipped_normalize_passes=" << stats.skipped_normalize_passes
-      << " index_probes=" << stats.search.index_probes
-      << " index_candidates=" << stats.search.index_candidates
-      << " full_scans=" << stats.search.full_scans
-      << " rows_indexed=" << stats.search.rows_indexed << ")\n";
-  const auto norm_line = [&out](const char* label, const NormalizeStats& n) {
-    out << "(" << label << ": input=" << n.input_facts
-        << " output=" << n.output_facts << " homs=" << n.homomorphisms
-        << " groups=" << n.groups << " delta=" << n.delta_facts
-        << " dirty=" << n.dirty_components
-        << " reused=" << n.reused_components
-        << " rows_visited=" << n.rows_visited << " passes=" << n.passes
-        << " full_passes=" << n.full_passes
-        << " partial=" << (n.partial ? 1 : 0) << ")\n";
+  const auto line = [&out](const char* head, const auto& record) {
+    out << "(" << head << ":";
+    record.ForEachCounter(
+        [&out](const CounterSpec& spec, const auto& value) {
+          out << " " << spec.label << "=" << value;
+        },
+        record);
+    out << ")\n";
   };
-  norm_line("norm-source", outcome.source_norm_stats);
-  norm_line("norm-target", outcome.target_norm_stats);
+  line("stats", outcome.stats);
+  line("norm-source", outcome.source_norm_stats);
+  line("norm-target", outcome.target_norm_stats);
   return out.str();
 }
 

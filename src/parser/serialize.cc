@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
 namespace tdx {
@@ -497,6 +498,44 @@ Status ParseWarmth(TokenCursor* c, std::vector<IndexWarmth>* warmth,
   return Status::OK();
 }
 
+/// A checkpoint counter line: `head`, then the record's counter list less
+/// the shared counters, which every run derives afresh.
+template <class Record>
+std::string CounterLine(const char* head, const Record& record) {
+  std::string out = head;
+  Record::ForEachCounter(
+      [&out](const CounterSpec& spec, auto value) {
+        if (spec.merge != CounterMerge::kShared) {
+          out += " " + std::to_string(value);
+        }
+      },
+      record);
+  return out + "\n";
+}
+
+/// Reads a CounterLine. A missing or extra field, or a value its counter
+/// cannot hold, makes the line malformed.
+template <class Record>
+Status ParseCounterLine(std::string_view text, const char* head,
+                        Record* record) {
+  TokenCursor line{text};
+  bool ok = line.Eat(head) && line.Eat(" ");
+  Record::ForEachCounter(
+      [&](const CounterSpec& spec, auto& field) {
+        using Field = std::remove_reference_t<decltype(field)>;
+        std::uint64_t v = 0;
+        if (!ok || spec.merge == CounterMerge::kShared) return;
+        ok = line.Uint(&v) && v <= std::numeric_limits<Field>::max();
+        field = static_cast<Field>(v);
+      },
+      *record);
+  line.SkipSpaces();
+  if (!ok || !line.s.empty()) {
+    return Malformed(std::string("malformed ") + head + " line");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
@@ -517,33 +556,9 @@ Result<std::string> SerializeCheckpoint(const ChaseCheckpoint& checkpoint,
   out += "config " + checkpoint.config + "\n";
   out += "phase " + checkpoint.phase + "\n";
   out += "rounds " + std::to_string(checkpoint.rounds) + "\n";
-  out += "stats " + std::to_string(checkpoint.stats.tgd_triggers) + " " +
-         std::to_string(checkpoint.stats.tgd_fires) + " " +
-         std::to_string(checkpoint.stats.egd_steps) + " " +
-         std::to_string(checkpoint.stats.fresh_nulls) + " " +
-         std::to_string(checkpoint.stats.facts_inserted) + " " +
-         std::to_string(checkpoint.stats.values_rewritten) + " " +
-         std::to_string(checkpoint.stats.skipped_egd_passes) + " " +
-         std::to_string(checkpoint.stats.skipped_normalize_passes) + " " +
-         std::to_string(checkpoint.stats.search.index_probes) + " " +
-         std::to_string(checkpoint.stats.search.index_candidates) + " " +
-         std::to_string(checkpoint.stats.search.full_scans) + " " +
-         std::to_string(checkpoint.stats.search.rows_indexed) + "\n";
-  const auto norm_line = [](const char* head, const NormalizeStats& ns) {
-    return std::string(head) + " " + std::to_string(ns.input_facts) + " " +
-           std::to_string(ns.output_facts) + " " +
-           std::to_string(ns.homomorphisms) + " " +
-           std::to_string(ns.groups) + " " +
-           std::to_string(ns.delta_facts) + " " +
-           std::to_string(ns.dirty_components) + " " +
-           std::to_string(ns.reused_components) + " " +
-           std::to_string(ns.rows_visited) + " " +
-           std::to_string(ns.passes) + " " +
-           std::to_string(ns.full_passes) + " " +
-           std::to_string(ns.partial ? 1 : 0) + "\n";
-  };
-  out += norm_line("norm-source", checkpoint.source_norm_stats);
-  out += norm_line("norm-target", checkpoint.target_norm_stats);
+  out += CounterLine("stats", checkpoint.stats);
+  out += CounterLine("norm-source", checkpoint.source_norm_stats);
+  out += CounterLine("norm-target", checkpoint.target_norm_stats);
   out += "consumed " + std::to_string(checkpoint.consumed.elapsed.count()) +
          "\n";
   out += "nulls " + std::to_string(checkpoint.next_null) + "\n";
@@ -655,56 +670,17 @@ Result<ChaseCheckpoint> ParseCheckpoint(std::string_view text,
   c = TokenCursor{reader.Next()};
   if (!c.Eat("rounds ") || !c.Uint(&n)) return Malformed("malformed rounds");
   ck.rounds = static_cast<std::size_t>(n);
-  // A counter line: its head, then exactly `count` unsigned fields.
-  const auto parse_counts = [&reader](const char* head, std::uint64_t* v,
-                                      std::size_t count) -> Status {
-    TokenCursor line{reader.Next()};
-    bool ok = line.Eat(head) && line.Eat(" ");
-    for (std::size_t i = 0; ok && i < count; ++i) ok = line.Uint(&v[i]);
-    line.SkipSpaces();
-    if (!ok || !line.s.empty()) {
-      return Malformed(std::string("malformed ") + head + " line");
-    }
-    return Status::OK();
-  };
+  TDX_RETURN_IF_ERROR(ParseCounterLine(reader.Next(), "stats", &ck.stats));
+  TDX_RETURN_IF_ERROR(
+      ParseCounterLine(reader.Next(), "norm-source", &ck.source_norm_stats));
+  TDX_RETURN_IF_ERROR(
+      ParseCounterLine(reader.Next(), "norm-target", &ck.target_norm_stats));
   {
-    std::uint64_t v[12];
-    TDX_RETURN_IF_ERROR(parse_counts("stats", v, 12));
-    ck.stats.tgd_triggers = static_cast<std::size_t>(v[0]);
-    ck.stats.tgd_fires = static_cast<std::size_t>(v[1]);
-    ck.stats.egd_steps = static_cast<std::size_t>(v[2]);
-    ck.stats.fresh_nulls = static_cast<std::size_t>(v[3]);
-    ck.stats.facts_inserted = static_cast<std::size_t>(v[4]);
-    ck.stats.values_rewritten = static_cast<std::size_t>(v[5]);
-    ck.stats.skipped_egd_passes = static_cast<std::size_t>(v[6]);
-    ck.stats.skipped_normalize_passes = static_cast<std::size_t>(v[7]);
-    ck.stats.search.index_probes = v[8];
-    ck.stats.search.index_candidates = v[9];
-    ck.stats.search.full_scans = v[10];
-    ck.stats.search.rows_indexed = v[11];
-  }
-  const auto parse_norm = [&](const char* head, NormalizeStats* ns) -> Status {
-    std::uint64_t v[11];
-    TDX_RETURN_IF_ERROR(parse_counts(head, v, 11));
-    if (v[10] > 1) return Malformed(std::string("malformed ") + head + " line");
-    ns->input_facts = static_cast<std::size_t>(v[0]);
-    ns->output_facts = static_cast<std::size_t>(v[1]);
-    ns->homomorphisms = static_cast<std::size_t>(v[2]);
-    ns->groups = static_cast<std::size_t>(v[3]);
-    ns->delta_facts = static_cast<std::size_t>(v[4]);
-    ns->dirty_components = static_cast<std::size_t>(v[5]);
-    ns->reused_components = static_cast<std::size_t>(v[6]);
-    ns->rows_visited = static_cast<std::size_t>(v[7]);
-    ns->passes = static_cast<std::size_t>(v[8]);
-    ns->full_passes = static_cast<std::size_t>(v[9]);
-    ns->partial = v[10] != 0;
-    return Status::OK();
-  };
-  TDX_RETURN_IF_ERROR(parse_norm("norm-source", &ck.source_norm_stats));
-  TDX_RETURN_IF_ERROR(parse_norm("norm-target", &ck.target_norm_stats));
-  {
+    c = TokenCursor{reader.Next()};
     std::uint64_t elapsed = 0;
-    TDX_RETURN_IF_ERROR(parse_counts("consumed", &elapsed, 1));
+    const bool ok = c.Eat("consumed ") && c.Uint(&elapsed);
+    c.SkipSpaces();
+    if (!ok || !c.s.empty()) return Malformed("malformed consumed line");
     if (elapsed > static_cast<std::uint64_t>(
                       std::chrono::milliseconds::max().count())) {
       return Malformed("consumed elapsed time out of range");

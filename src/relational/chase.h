@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/counters.h"
 #include "src/common/resource.h"
 #include "src/common/status.h"
 #include "src/relational/dependency.h"
@@ -70,6 +71,25 @@ struct ChaseStats {
   /// Mapping::certificate when the parser filled it in, otherwise derived
   /// on entry. Runs whose certificate is kUnknown are refused upfront.
   std::optional<TerminationCertificate> certificate;
+
+  /// The counter list (common/counters.h), ending with search's.
+  template <class F, class... R>
+  static void ForEachCounter(F&& f, R&... r) {
+    constexpr CounterMerge kSum = CounterMerge::kSum;
+    f({"triggers", "tgd_triggers", kSum}, r.tgd_triggers...);
+    f({"fires", "tgd_fires", kSum}, r.tgd_fires...);
+    f({"egd_steps", "egd_steps", kSum}, r.egd_steps...);
+    f({"fresh_nulls", "fresh_nulls", kSum}, r.fresh_nulls...);
+    f({"facts_inserted", "facts_inserted", kSum}, r.facts_inserted...);
+    f({"values_rewritten", "values_rewritten", kSum}, r.values_rewritten...);
+    f({"schedule_strata", "schedule_strata", CounterMerge::kShared},
+      r.schedule_strata...);
+    f({"skipped_egd_passes", "skipped_egd_passes", kSum},
+      r.skipped_egd_passes...);
+    f({"skipped_normalize_passes", "skipped_normalize_passes", kSum},
+      r.skipped_normalize_passes...);
+    IndexStats::ForEachCounter(f, r.search...);
+  }
 };
 
 /// Execution knobs for the snapshot chase (the c-chase mirrors them in

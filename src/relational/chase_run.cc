@@ -1,7 +1,9 @@
 #include "src/relational/chase_run.h"
 
+#include <cstdint>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/analysis/planner.h"
 #include "src/analysis/termination.h"
@@ -44,75 +46,91 @@ Status ChaseRun::Begin(const Mapping& mapping, const Schema& schema,
   return Status::OK();
 }
 
+namespace {
+
+/// The metrics of a record's counter list under one prefix: a counter per
+/// summed counter, a gauge per other published one.
+template <class Record>
+class RecordMetrics {
+ public:
+  explicit RecordMetrics(const std::string& prefix) {
+    Record::ForEachCounter([&](const CounterSpec& spec) {
+      if (spec.metric == nullptr) return;
+      ids_.push_back(obs::MetricsRegistry::Instance().Register(
+          prefix + spec.metric, spec.merge == CounterMerge::kSum
+                                    ? obs::MetricKind::kCounter
+                                    : obs::MetricKind::kGauge));
+    });
+  }
+
+  /// Publishes a run that took the record from `entry` to `exit`.
+  void Publish(const Record& entry, const Record& exit) const {
+    obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+    const std::uint32_t* id = ids_.data();
+    Record::ForEachCounter(
+        [&](const CounterSpec& spec, auto before, auto after) {
+          if (spec.metric == nullptr) return;
+          if (spec.merge == CounterMerge::kSum) {
+            registry.Add(*id++, after - before);
+          } else {
+            registry.SetMax(*id++, after);
+          }
+        },
+        entry, exit);
+  }
+
+ private:
+  std::vector<std::uint32_t> ids_;
+};
+
+}  // namespace
+
 struct ChaseRunScope::Metrics {
-  Metrics(const std::string& prefix, bool normalizes)
+  explicit Metrics(const std::string& prefix)
       : runs(prefix + ".runs"),
         aborts(prefix + ".aborts"),
         rounds(prefix + ".rounds"),
-        tgd_triggers(prefix + ".tgd_triggers"),
-        tgd_fires(prefix + ".tgd_fires"),
-        egd_steps(prefix + ".egd_steps"),
-        fresh_nulls(prefix + ".fresh_nulls"),
-        values_rewritten(prefix + ".values_rewritten"),
-        skipped_egd_passes(prefix + ".skipped_egd_passes"),
-        rows_indexed(prefix + ".rows_indexed"),
-        strata(prefix + ".schedule_strata"),
-        run_us(prefix + ".run_us") {
-    if (normalizes) {
-      skipped_normalize_passes.emplace(prefix + ".skipped_normalize_passes");
-    }
-  }
+        run_us(prefix + ".run_us"),
+        stats(prefix + ".") {}
 
   obs::Counter runs;
   obs::Counter aborts;
   obs::Counter rounds;
-  obs::Counter tgd_triggers;
-  obs::Counter tgd_fires;
-  obs::Counter egd_steps;
-  obs::Counter fresh_nulls;
-  obs::Counter values_rewritten;
-  obs::Counter skipped_egd_passes;
-  obs::Counter rows_indexed;
-  std::optional<obs::Counter> skipped_normalize_passes;
-  obs::Gauge strata;
   obs::Histogram run_us;
+  RecordMetrics<ChaseStats> stats;
 };
 
 ChaseRunScope::Metrics* ChaseRunScope::MetricsFor(ChaseEngine engine) {
-  static auto* snapshot = new Metrics("snapshot", false);
-  static auto* cchase = new Metrics("cchase", true);
+  static auto* snapshot = new Metrics("snapshot");
+  static auto* cchase = new Metrics("cchase");
   return engine == ChaseEngine::kCChase ? cchase : snapshot;
 }
 
-ChaseRunScope::ChaseRunScope(ChaseEngine engine,
-                             const ChaseStats* stats, const std::size_t* rounds,
-                             const ChaseResultKind* kind)
+ChaseRunScope::ChaseRunScope(ChaseEngine engine, const ChaseStats* stats,
+                             const std::size_t* rounds,
+                             const ChaseResultKind* kind,
+                             const NormalizeStats* target_norm)
     : metrics_(MetricsFor(engine)),
       stats_(stats),
+      target_norm_(target_norm),
       rounds_(rounds),
       kind_(kind),
       entry_(*stats),
+      target_norm_entry_(target_norm != nullptr ? *target_norm
+                                                : NormalizeStats{}),
       entry_rounds_(*rounds),
       latency_(&metrics_->run_us) {}
 
 ChaseRunScope::~ChaseRunScope() {
-  Metrics& m = *metrics_;
-  m.runs.Inc();
-  if (*kind_ == ChaseResultKind::kAborted) m.aborts.Inc();
-  m.rounds.Inc(*rounds_ - entry_rounds_);
-  m.tgd_triggers.Inc(stats_->tgd_triggers - entry_.tgd_triggers);
-  m.tgd_fires.Inc(stats_->tgd_fires - entry_.tgd_fires);
-  m.egd_steps.Inc(stats_->egd_steps - entry_.egd_steps);
-  m.fresh_nulls.Inc(stats_->fresh_nulls - entry_.fresh_nulls);
-  m.values_rewritten.Inc(stats_->values_rewritten - entry_.values_rewritten);
-  m.skipped_egd_passes.Inc(stats_->skipped_egd_passes -
-                           entry_.skipped_egd_passes);
-  m.rows_indexed.Inc(stats_->search.rows_indexed - entry_.search.rows_indexed);
-  if (m.skipped_normalize_passes.has_value()) {
-    m.skipped_normalize_passes->Inc(stats_->skipped_normalize_passes -
-                                    entry_.skipped_normalize_passes);
+  metrics_->runs.Inc();
+  if (*kind_ == ChaseResultKind::kAborted) metrics_->aborts.Inc();
+  metrics_->rounds.Inc(*rounds_ - entry_rounds_);
+  metrics_->stats.Publish(entry_, *stats_);
+  if (target_norm_ != nullptr) {
+    static auto* norm =
+        new RecordMetrics<NormalizeStats>("normalize.incremental.");
+    norm->Publish(target_norm_entry_, *target_norm_);
   }
-  m.strata.Set(stats_->schedule_strata);
 }
 
 }  // namespace tdx

@@ -14,6 +14,7 @@
 #include "src/analysis/schedule.h"
 #include "src/common/resource.h"
 #include "src/common/status.h"
+#include "src/core/normalize.h"
 #include "src/obs/metrics.h"
 #include "src/relational/chase.h"
 
@@ -63,20 +64,22 @@ class ChaseRun {
   ChaseEngine engine_;
 };
 
-/// Publishes a run's work to the process metrics, as bulk deltas of the
-/// ChaseStats the engine maintains anyway, so the chase interior pays
-/// nothing per trigger. Publishes when the engine returns by any path —
-/// success, chase failure, abort, or Status error. A resumed c-chase
-/// constructs it after the resume restore: the deltas then cover only this
-/// run's own work.
-///
-/// Names are prefixed "snapshot." or "cchase." by engine; only the c-chase
-/// publishes skipped_normalize_passes. See docs/INTERNALS.md
+/// The one scope that publishes a run's metrics, when the engine returns
+/// by any path (success, chase failure, abort, or Status error): under the
+/// engine's prefix ("snapshot." or "cchase.") the run's `runs`, `aborts`,
+/// `rounds` and `run_us`, and the growth of its ChaseStats; for the
+/// c-chase also the growth of its target normalization record, as
+/// normalize.incremental.*. The record metrics are read off the records'
+/// counter lists (common/counters.h), so the chase interior pays nothing
+/// per trigger, and their handles are registered once per process. A
+/// resumed c-chase constructs the scope after the resume restore: the
+/// deltas then cover only its own work. See docs/INTERNALS.md
 /// ("Observability") for the name registry.
 class ChaseRunScope {
  public:
   ChaseRunScope(ChaseEngine engine, const ChaseStats* stats,
-                const std::size_t* rounds, const ChaseResultKind* kind);
+                const std::size_t* rounds, const ChaseResultKind* kind,
+                const NormalizeStats* target_norm = nullptr);
   ~ChaseRunScope();
   ChaseRunScope(const ChaseRunScope&) = delete;
   ChaseRunScope& operator=(const ChaseRunScope&) = delete;
@@ -87,9 +90,11 @@ class ChaseRunScope {
 
   Metrics* metrics_;
   const ChaseStats* stats_;
+  const NormalizeStats* target_norm_;
   const std::size_t* rounds_;
   const ChaseResultKind* kind_;
   ChaseStats entry_;
+  NormalizeStats target_norm_entry_;
   std::size_t entry_rounds_;
   obs::ScopedLatency latency_;
 };

@@ -38,6 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/counters.h"
 #include "src/relational/instance.h"
 
 namespace tdx {
@@ -53,12 +54,14 @@ struct IndexStats {
   /// rebuild after a generation change. The index work a run paid for.
   std::uint64_t rows_indexed = 0;
 
-  IndexStats& operator+=(const IndexStats& o) {
-    index_probes += o.index_probes;
-    index_candidates += o.index_candidates;
-    full_scans += o.full_scans;
-    rows_indexed += o.rows_indexed;
-    return *this;
+  /// The counter list (common/counters.h); ChaseStats's ends with it.
+  template <class F, class... R>
+  static void ForEachCounter(F&& f, R&... r) {
+    constexpr CounterMerge kSum = CounterMerge::kSum;
+    f({"index_probes", "index_probes", kSum}, r.index_probes...);
+    f({"index_candidates", "index_candidates", kSum}, r.index_candidates...);
+    f({"full_scans", "full_scans", kSum}, r.full_scans...);
+    f({"rows_indexed", "rows_indexed", kSum}, r.rows_indexed...);
   }
 };
 

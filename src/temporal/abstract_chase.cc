@@ -74,18 +74,7 @@ Instance RelabelNulls(Instance target, const std::vector<Value>& nulls,
 /// exactly like the sequential engine that never ran them).
 bool MergePiece(const AbstractPiece& piece, ChaseOutcome piece_outcome,
                 Universe* universe, AbstractChaseOutcome* outcome) {
-  outcome->stats.tgd_triggers += piece_outcome.stats.tgd_triggers;
-  outcome->stats.tgd_fires += piece_outcome.stats.tgd_fires;
-  outcome->stats.egd_steps += piece_outcome.stats.egd_steps;
-  outcome->stats.fresh_nulls += piece_outcome.stats.fresh_nulls;
-  outcome->stats.values_rewritten += piece_outcome.stats.values_rewritten;
-  outcome->stats.skipped_egd_passes += piece_outcome.stats.skipped_egd_passes;
-  outcome->stats.skipped_normalize_passes +=
-      piece_outcome.stats.skipped_normalize_passes;
-  outcome->stats.search += piece_outcome.stats.search;
-  // Every piece chases the same mapping, so the stratum count is shared,
-  // not additive.
-  outcome->stats.schedule_strata = piece_outcome.stats.schedule_strata;
+  MergeCounters(&outcome->stats, piece_outcome.stats);
   if (piece_outcome.kind != ChaseResultKind::kSuccess) {
     outcome->kind = piece_outcome.kind;
     outcome->failure_span = piece.span;

@@ -116,6 +116,36 @@ TEST(AbstractChaseTest, AgreesWithGroundTruthSnapshotChase) {
   }
 }
 
+TEST(AbstractChaseTest, StatsSumThePieceChases) {
+  // The aggregate work record is the sum of the per-piece snapshot chases,
+  // whichever engine merges them.
+  auto w = PaperWorkload();
+  auto ia = AbstractInstance::FromConcrete(w->source);
+  ASSERT_TRUE(ia.ok());
+  ChaseStats pieces;
+  for (const AbstractPiece& piece : ia->pieces()) {
+    Universe scratch;
+    auto chased = ChaseSnapshot(piece.snapshot, w->mapping, &scratch);
+    ASSERT_TRUE(chased.ok()) << chased.status();
+    pieces.tgd_fires += chased->stats.tgd_fires;
+    pieces.fresh_nulls += chased->stats.fresh_nulls;
+    pieces.facts_inserted += chased->stats.facts_inserted;
+  }
+  ASSERT_GT(pieces.facts_inserted, 0u);
+  for (unsigned jobs : {1u, 4u}) {
+    AbstractChaseOptions options;
+    options.jobs = jobs;
+    auto outcome = AbstractChase(*ia, w->mapping, &w->universe, options);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    ASSERT_EQ(outcome->kind, ChaseResultKind::kSuccess);
+    EXPECT_EQ(outcome->stats.tgd_fires, pieces.tgd_fires) << "jobs " << jobs;
+    EXPECT_EQ(outcome->stats.fresh_nulls, pieces.fresh_nulls)
+        << "jobs " << jobs;
+    EXPECT_EQ(outcome->stats.facts_inserted, pieces.facts_inserted)
+        << "jobs " << jobs;
+  }
+}
+
 TEST(AbstractChaseTest, FailurePropagatesWithSpan) {
   auto w = PaperWorkload();
   // Conflicting salary for Ada during [2013, 2014): chase of those

@@ -693,42 +693,6 @@ TEST(AnalyzerTest, Tdx015AbsentOnIndependentTgds) {
 }
 
 // ---------------------------------------------------------------------------
-// TDX016: normalization blowup estimate.
-
-std::string BlowupProgram(bool fragmented) {
-  std::string text =
-      "source A(x);\n"
-      "source B(x);\n"
-      "target T(x, y);\n"
-      "tgd t1: A(x) & B(y) -> T(x, y);\n";
-  for (int i = 0; i < 8; ++i) {
-    text += "fact A(\"a" + std::to_string(i) + "\") @ [0, 100);\n";
-  }
-  for (int i = 0; i < 8; ++i) {
-    // Fragmented: 8 narrow B facts whose 16 endpoints each cut every A
-    // fact. Benign: B facts share A's endpoints, so nothing fragments.
-    const int start = fragmented ? 2 * i + 1 : 0;
-    const int end = fragmented ? 2 * i + 2 : 100;
-    text += "fact B(\"b" + std::to_string(i) + "\") @ [" +
-            std::to_string(start) + ", " + std::to_string(end) + ");\n";
-  }
-  return text;
-}
-
-TEST(AnalyzerTest, Tdx016FragmentationBlowup) {
-  const AnalysisReport report = LintText(BlowupProgram(true));
-  const auto found = FindAll(report, "TDX016");
-  ASSERT_EQ(found.size(), 1u) << RenderText(report, "t");
-  EXPECT_EQ(found[0]->severity, Severity::kWarning);
-  EXPECT_NE(found[0]->message.find("fragment"), std::string::npos);
-}
-
-TEST(AnalyzerTest, Tdx016AbsentWhenIntervalsAlign) {
-  const AnalysisReport report = LintText(BlowupProgram(false));
-  EXPECT_FALSE(Has(report, "TDX016")) << RenderText(report, "t");
-}
-
-// ---------------------------------------------------------------------------
 // TDX017: mappings with no s-t tgds.
 
 TEST(AnalyzerTest, Tdx017EmptyMapping) {

@@ -115,6 +115,14 @@ TEST(CheckpointRoundTripTest, ConsumedLedgerRoundTrips) {
   EXPECT_EQ(parsed->consumed.elapsed, std::chrono::milliseconds(1234));
 }
 
+// The line of `text` that starts with `head`, without its newline.
+std::string LineStartingWith(const std::string& text, const std::string& head) {
+  const std::size_t start = text.find("\n" + head);
+  if (start == std::string::npos) return "";
+  const std::size_t end = text.find('\n', start + 1);
+  return text.substr(start + 1, end - start - 1);
+}
+
 TEST(CheckpointRoundTripTest, WorkRecordCountersRoundTrip) {
   // The counters v5 added: the budgeted fact count and the normalization
   // records' pass counts; and v6's: rows indexed and rows visited.
@@ -128,9 +136,44 @@ TEST(CheckpointRoundTripTest, WorkRecordCountersRoundTrip) {
   ck.source_norm_stats.full_passes = 1;
   ck.target_norm_stats.passes = 7;
   ck.target_norm_stats.full_passes = 2;
+  // Every other counter of the three records gets a value of its own, so
+  // the v6 layout below is pinned field by field.
+  ck.stats.tgd_triggers = 101;
+  ck.stats.tgd_fires = 102;
+  ck.stats.egd_steps = 103;
+  ck.stats.fresh_nulls = 104;
+  ck.stats.values_rewritten = 105;
+  ck.stats.schedule_strata = 106;  // derived on every run: not written
+  ck.stats.skipped_egd_passes = 107;
+  ck.stats.skipped_normalize_passes = 108;
+  ck.stats.search.index_probes = 109;
+  ck.stats.search.index_candidates = 110;
+  ck.stats.search.full_scans = 111;
+  ck.source_norm_stats.input_facts = 201;
+  ck.source_norm_stats.output_facts = 202;
+  ck.source_norm_stats.homomorphisms = 203;
+  ck.source_norm_stats.groups = 204;
+  ck.source_norm_stats.delta_facts = 205;
+  ck.source_norm_stats.dirty_components = 206;
+  ck.source_norm_stats.reused_components = 207;
+  ck.source_norm_stats.partial = false;
+  ck.target_norm_stats.input_facts = 301;
+  ck.target_norm_stats.output_facts = 302;
+  ck.target_norm_stats.homomorphisms = 303;
+  ck.target_norm_stats.groups = 304;
+  ck.target_norm_stats.delta_facts = 305;
+  ck.target_norm_stats.dirty_components = 306;
+  ck.target_norm_stats.reused_components = 307;
+  ck.target_norm_stats.partial = true;
 
   auto text = SerializeCheckpoint(ck, program->schema, program->universe);
   ASSERT_TRUE(text.ok()) << text.status();
+  EXPECT_EQ(LineStartingWith(*text, "stats "),
+            "stats 101 102 103 104 11 105 107 108 109 110 111 13");
+  EXPECT_EQ(LineStartingWith(*text, "norm-source "),
+            "norm-source 201 202 203 204 205 206 207 17 1 1 0");
+  EXPECT_EQ(LineStartingWith(*text, "norm-target "),
+            "norm-target 301 302 303 304 305 306 307 19 7 2 1");
   auto parsed = ParseCheckpoint(*text, &program->schema, &program->universe);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->stats.facts_inserted, 11u);
@@ -141,6 +184,10 @@ TEST(CheckpointRoundTripTest, WorkRecordCountersRoundTrip) {
   EXPECT_EQ(parsed->source_norm_stats.full_passes, 1u);
   EXPECT_EQ(parsed->target_norm_stats.passes, 7u);
   EXPECT_EQ(parsed->target_norm_stats.full_passes, 2u);
+  EXPECT_EQ(parsed->stats.schedule_strata, 0u);
+  auto text2 = SerializeCheckpoint(*parsed, program->schema, program->universe);
+  ASSERT_TRUE(text2.ok()) << text2.status();
+  EXPECT_EQ(*text2, *text);
 }
 
 TEST(CheckpointRoundTripTest, ScheduleSkipCountersRoundTrip) {
