@@ -3,7 +3,9 @@
 // Sweeps the c-chase over employment workloads along three axes:
 //  * instance size (people),
 //  * timeline density (horizon; denser histories -> more fragmentation),
-//  * the share of unknown salaries (more nulls -> more egd merges).
+//  * the share of unknown salaries (more spans without a salary -> more
+//    fresh nulls; the full rule sigma2 fires first and witnesses every span
+//    with one, so no null is minted only to be merged by the egd).
 //
 // Also ablates the normalizer choice inside the chase (Algorithm 1 vs the
 // naive endpoint normalizer, CChaseOptions::use_naive_normalizer): the

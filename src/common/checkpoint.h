@@ -1,12 +1,13 @@
 // Checkpoint/resume for the c-chase (core/cchase.h), the engine tdx runs on
 // concrete instances and the only one that checkpoints.
 //
-// The c-chase is deterministic: tgds fire in declaration order with
-// triggers in canonical order, normalization and egd fixpoints are
-// deterministic functions of the instance, and fresh nulls are minted from a
-// counter. A checkpoint taken at a *safe point* — a phase boundary or the
-// seam between two target-tgd rounds — therefore captures everything needed
-// to continue the run to a bit-identical result: the target instance
+// The c-chase is deterministic: tgds fire in a fixed order (full st-tgds
+// before existential ones, otherwise declaration order) with triggers in
+// canonical order, normalization and egd fixpoints are deterministic
+// functions of the instance, and fresh nulls are minted from a counter. A
+// checkpoint taken at a *safe point* — a phase boundary or the seam between
+// two target-tgd rounds — therefore captures everything needed to continue
+// the run to a bit-identical result: the target instance
 // (including interval-annotated nulls, which the `fact` statement format
 // deliberately rejects — the checkpoint has its own durable encoding in
 // src/parser/serialize.h), the normalized source, the semi-naive
@@ -57,9 +58,12 @@ std::uint64_t FingerprintText(std::string_view text);
 /// c-chase (CChaseOptions::checkpointer), persisted by Checkpointer, loaded
 /// with LoadChaseCheckpoint, and fed back via CChaseOptions::resume_from.
 struct ChaseCheckpoint {
-  /// Bumped whenever the durable encoding changes shape; ParseCheckpoint
-  /// refuses every other version, so each line has exactly one layout.
-  static constexpr std::uint32_t kFormatVersion = 6;
+  /// Bumped whenever the durable encoding changes shape, or the run it
+  /// captures would continue differently (v7: full st-tgds fire first, so a
+  /// v6 checkpoint holds the nulls of the old fire order); ParseCheckpoint
+  /// refuses every other version, so each line has exactly one layout and
+  /// one meaning.
+  static constexpr std::uint32_t kFormatVersion = 7;
 
   /// FNV-1a fingerprint of the program text the run was parsed from.
   /// Stamped by the Checkpointer; LoadChaseCheckpoint validates it.

@@ -135,9 +135,10 @@ struct ChaseOutcome {
 /// budget from the same source reproduces the identical solution
 /// (determinism is unaffected by where the budget cut the previous run).
 ///
-/// Deterministic: tgds fire in declaration order with triggers in canonical
-/// order; egds likewise. The result of a successful chase is a universal
-/// solution (Fagin et al., Theorem 3.3).
+/// Deterministic: full st-tgds fire before existential ones (the plan
+/// ChaseRun::Begin builds), otherwise tgds fire in declaration order, with
+/// triggers in canonical order; egds likewise. The result of a successful
+/// chase is a universal solution (Fagin et al., Theorem 3.3).
 Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
                                    const Mapping& mapping, Universe* universe,
                                    const ChaseLimits& limits = {});
@@ -266,15 +267,16 @@ class DeltaFrontier {
   std::vector<FactRef> rows_;
 };
 
-/// The runtime form of one tgd vector's execution: which rules run, in
-/// declaration order. Each rule collects its triggers and then fires them
+/// The runtime form of one tgd vector's execution: which rules run, and in
+/// which order. Each rule collects its triggers and then fires them
 /// before the next rule collects — the restricted chase step, one rule at
 /// a time, which keeps fresh-null identities and therefore the whole
 /// outcome bit-identical for every plan.
 struct TgdRunPlan {
   /// The rules; not owned, must outlive the plan.
   const std::vector<Tgd>* tgds = nullptr;
-  /// Indices into *tgds: the live rules, in declaration order.
+  /// Indices into *tgds: the live rules, in fire order — declaration
+  /// order, except that the st plan puts full rules first (ChaseRun::Begin).
   std::vector<std::size_t> live;
   /// Per tgd (all indices, dead included): its head-visible universal
   /// variables, precomputed once per run instead of once per round.

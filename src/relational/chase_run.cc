@@ -1,5 +1,6 @@
 #include "src/relational/chase_run.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -34,7 +35,19 @@ Status ChaseRun::Begin(const Mapping& mapping, const Schema& schema,
   const ChaseSchedule* plan_schedule = schedule.has_value() ? &*schedule
                                                             : nullptr;
   target_plan = BuildTgdRunPlan(mapping.target_tgds, plan_schedule);
+  // Datalog-first st phase (Carral, Dragoste, Kroetzsch, IJCAI 2017): full
+  // st-tgds fire before existential ones, each group in declaration order.
+  // Every st-tgd collects its triggers from the source, so this changes no
+  // trigger, only which heads the restricted-chase witness check already
+  // sees: a full rule's facts witness an existential rule's heads, which
+  // then mint no null for an egd to merge away. Target-tgd rounds keep
+  // declaration order — there a full rule collected before its existential
+  // feeder fires would wait a round.
   st_plan = BuildTgdRunPlan(mapping.st_tgds, nullptr);
+  std::stable_partition(st_plan.live.begin(), st_plan.live.end(),
+                        [&](std::size_t i) {
+                          return mapping.st_tgds[i].existential.empty();
+                        });
   if (schedule.has_value()) {
     egds.reserve(schedule->live_egds.size());
     for (std::size_t index : schedule->live_egds) {

@@ -39,7 +39,8 @@ class ChaseRun {
   ///     forever, so the run is refused before doing any work;
   ///   * under `scheduled` the schedule is resolved (ScheduleFor) and the
   ///     live egds selected; the target-tgd plan follows the schedule, and
-  ///     is flat without one. The st plan is flat either way.
+  ///     is flat without one. The st plan is the same either way: every
+  ///     st-tgd is live, full ones first, each group in declaration order.
   /// The certificate and schedule_strata in `stats` are derived state:
   /// recomputed on every run, never taken from a checkpoint, so a resumed
   /// run restores `stats` before calling this.

@@ -136,22 +136,26 @@ TEST(CChaseTest, RejectsIncompleteSource) {
 }
 
 TEST(CChaseTest, EgdFragmentsTargetBeforeMerging) {
-  // sigma1 produces Emp(Ada, IBM, N^[0,10), [0,10)); sigma2 produces
-  // Emp(Ada, IBM, 18k, [3,6)). Target normalization w.r.t. the egd body
-  // must fragment the null row so the egd can equate the middle piece.
+  // m1 produces Emp(Ada, IBM, N^[0,10), [0,10)); m2 produces
+  // Emp(Ada, M^[3,6), 18k, [3,6)). No tgd body joins E with S, so the
+  // source stays whole and only target normalization w.r.t. the egd bodies
+  // can fragment the null row, so that k1 and k2 equate the middle piece.
   auto program = ParseOrDie(R"(
     source E(name, company);
     source S(name, salary);
     target Emp(name, company, salary);
-    tgd sigma1: E(n, c) -> exists s: Emp(n, c, s);
-    tgd sigma2: E(n, c) & S(n, s) -> Emp(n, c, s);
-    egd Emp(n, c, s) & Emp(n, c, s2) -> s = s2;
+    tgd m1: E(n, c) -> exists s: Emp(n, c, s);
+    tgd m2: S(n, s) -> exists c: Emp(n, c, s);
+    egd k1: Emp(n, c, _) & Emp(n, c2, _) -> c = c2;
+    egd k2: Emp(n, _, s) & Emp(n, _, s2) -> s = s2;
     fact E("Ada", "IBM") @ [0, 10);
     fact S("Ada", "18k") @ [3, 6);
   )");
   auto outcome = CChase(program->source, program->lifted, &program->universe);
   ASSERT_TRUE(outcome.ok());
   ASSERT_EQ(outcome->kind, ChaseResultKind::kSuccess);
+  EXPECT_EQ(outcome->source_norm_stats.output_facts, 2u);
+  EXPECT_EQ(outcome->stats.egd_steps, 2u);
   const Universe& u = program->universe;
   EXPECT_TRUE(HasConcreteFact(outcome->target, u, "Emp+",
                               {"Ada", "IBM", "18k"}, Interval(3, 6)));

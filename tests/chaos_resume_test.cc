@@ -38,6 +38,7 @@
 namespace tdx {
 namespace {
 
+using ::tdx::testing::kMergingProgram;
 using ::tdx::testing::kPaperProgram;
 using ::tdx::testing::ParseOrDie;
 
@@ -312,11 +313,11 @@ TEST(CChaseDirtyRowResumeTest, RewriteThatRegroupsResumesIdentically) {
 // ---------------------------------------------------------------------------
 
 TEST(BudgetResumeTest, ResumedRunChargesRemainingBudget) {
-  // The paper program needs 8 tgd fires end to end; cap at 5.
+  // The merging program needs 5 tgd fires end to end; cap at 3.
   ChaseLimits limits;
-  limits.max_tgd_fires = 5;
+  limits.max_tgd_fires = 3;
 
-  auto program = ParseOrDie(kPaperProgram);
+  auto program = ParseOrDie(kMergingProgram);
   Checkpointer checkpointer("", &program->schema, &program->universe);
   checkpointer.set_cadence(1);
   checkpointer.set_max_overhead(0);
@@ -342,8 +343,8 @@ TEST(BudgetResumeTest, ResumedRunChargesRemainingBudget) {
   EXPECT_EQ(still_aborted->abort_dimension, ResourceDimension::kTgdFires);
 
   // Raising the budget is the intended recovery: the resumed run completes
-  // and matches an unrestricted run exactly.
-  auto unrestricted = ParseOrDie(kPaperProgram);
+  // and matches an unrestricted run exactly, egd merges included.
+  auto unrestricted = ParseOrDie(kMergingProgram);
   auto full = CChase(unrestricted->source, unrestricted->lifted,
                      &unrestricted->universe);
   ASSERT_TRUE(full.ok()) << full.status();
@@ -359,6 +360,8 @@ TEST(BudgetResumeTest, ResumedRunChargesRemainingBudget) {
   EXPECT_EQ(RenderConcreteInstance(recovered->target, program->universe),
             RenderConcreteInstance(full->target, unrestricted->universe));
   EXPECT_EQ(recovered->stats.tgd_fires, full->stats.tgd_fires);
+  EXPECT_GT(full->stats.egd_steps, 0u);
+  EXPECT_EQ(recovered->stats.egd_steps, full->stats.egd_steps);
 }
 
 TEST(BudgetResumeTest, UnlimitedCheckpointResumesAgainstItsSpentCounts) {

@@ -249,19 +249,24 @@ TEST(ChaseStressTest, TargetContainsOnlyTargetRelations) {
   });
 }
 
-// Stats plausibility on the paper instance.
+// Stats plausibility on the merging program.
 TEST(ChaseStressTest, StatsAccounting) {
-  auto program = ParseOrDie(testing::kPaperProgram);
+  auto program = ParseOrDie(testing::kMergingProgram);
   auto chase = CChase(program->source, program->lifted, &program->universe);
   ASSERT_TRUE(chase.ok());
-  // sigma1 fires once per normalized E fact (5); sigma2 three times.
-  EXPECT_EQ(chase->stats.tgd_fires, 8u);
+  ASSERT_EQ(chase->kind, ChaseResultKind::kSuccess);
+  // m1 fires once per normalized E fact (3), m2 once per S fact (2), and
+  // each fire mints one null.
+  EXPECT_EQ(chase->stats.tgd_fires, 5u);
   EXPECT_EQ(chase->stats.fresh_nulls, 5u);
-  // Three nulls get merged into constants (2013-Ada, 2014-Ada, 2015-Bob).
-  EXPECT_EQ(chase->stats.egd_steps, 3u);
+  // Where a job and a salary overlap, k1 equates the salary side's company
+  // null with the job's company and k2 the job side's salary null with the
+  // salary: Ada over [2013, 2014) and [2014, inf), Bob over [2015, 2018).
+  EXPECT_EQ(chase->stats.egd_steps, 6u);
+  EXPECT_EQ(chase->stats.values_rewritten, 6u);
 }
 
-// Determinism under abort: because tgds fire in declaration order with
+// Determinism under abort: because tgds fire in a fixed order with
 // triggers in canonical order, a budget only decides WHERE a run stops, not
 // WHAT it computes. Aborting at any budget and rerunning from a fresh parse
 // with a sufficient budget must reproduce the unbudgeted solution exactly.

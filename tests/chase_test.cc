@@ -74,7 +74,7 @@ TEST_F(ChaseTest, KnownSalaryProducesCompleteFact) {
   EXPECT_EQ(outcome->kind, ChaseResultKind::kSuccess);
   EXPECT_TRUE(outcome->target.Contains(Fact(
       emp_, {u_.Constant("Ada"), u_.Constant("IBM"), u_.Constant("18k")})));
-  // After the egd merges sigma1's null into 18k there is exactly one fact.
+  // sigma2's complete fact witnesses sigma1's trigger: exactly one fact.
   EXPECT_EQ(outcome->target.size(), 1u);
 }
 
@@ -115,16 +115,17 @@ TEST_F(ChaseTest, EmptySourceProducesEmptyTarget) {
 
 TEST_F(ChaseTest, RestrictedChaseSkipsWitnessedTriggers) {
   // With both sigma2 and sigma1 applicable, firing order matters only for
-  // economy: sigma2's complete fact should satisfy sigma1's trigger. The
-  // chase fires sigma1 first (declaration order), so an extra null is
-  // created and then merged by the egd; either way the final target is the
-  // single complete fact and at most one null is minted.
+  // economy. The full rule sigma2 fires first (ChaseRun::Begin puts full
+  // st-tgds before existential ones), so its complete fact witnesses
+  // sigma1's trigger: no null is minted and the egd has nothing to merge.
+  // The target is the single complete fact.
   Instance source(&schema_);
   source.Insert(e_, {u_.Constant("Ada"), u_.Constant("IBM")});
   source.Insert(s_, {u_.Constant("Ada"), u_.Constant("18k")});
   auto outcome = ChaseSnapshot(source, mapping_, &u_);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_LE(outcome->stats.fresh_nulls, 1u);
+  EXPECT_EQ(outcome->stats.fresh_nulls, 0u);
+  EXPECT_EQ(outcome->stats.egd_steps, 0u);
   EXPECT_EQ(outcome->target.size(), 1u);
 }
 

@@ -137,7 +137,7 @@ TEST(CheckpointRoundTripTest, WorkRecordCountersRoundTrip) {
   ck.target_norm_stats.passes = 7;
   ck.target_norm_stats.full_passes = 2;
   // Every other counter of the three records gets a value of its own, so
-  // the v6 layout below is pinned field by field.
+  // the v7 layout (v6's) below is pinned field by field.
   ck.stats.tgd_triggers = 101;
   ck.stats.tgd_fires = 102;
   ck.stats.egd_steps = 103;
@@ -314,7 +314,7 @@ TEST(CheckpointRoundTripTest, FrontierRowsRoundTripAndTornRowsAreRejected) {
 
 TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
   // Each format version has one layout per line: the shorter stats lines
-  // of earlier revisions, and any v1 to v5 header, are parse errors, not
+  // of earlier revisions, and any v1 to v6 header, are parse errors, not
   // crashes.
   auto program = ParseOrDie(kPaperProgram);
   const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
@@ -329,8 +329,8 @@ TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
     EXPECT_NE(parsed.status().message().find("stats"), std::string::npos);
   }
 
-  ASSERT_EQ(text->rfind("tdxckpt v6\n", 0), 0u);
-  for (const std::string version : {"v1", "v2", "v3", "v4", "v5"}) {
+  ASSERT_EQ(text->rfind("tdxckpt v7\n", 0), 0u);
+  for (const std::string version : {"v1", "v2", "v3", "v4", "v5", "v6"}) {
     std::string old =
         "tdxckpt " + version + "\n" + text->substr(text->find('\n') + 1);
     old = Resign(old.substr(0, old.rfind("\nend ") + 1));
@@ -339,6 +339,28 @@ TEST(CheckpointRoundTripTest, EarlierFormatLayoutsAreRejected) {
     EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
     EXPECT_NE(parsed.status().message().find(version), std::string::npos);
   }
+}
+
+TEST(CheckpointRoundTripTest, V6CheckpointOfTheOldFireOrderIsRefused) {
+  // v6 has v7's line layout, but it was taken under declaration-order
+  // st-tgds, so its nulls are not the ones this binary's run would mint.
+  // A well-formed, correctly signed v6 file is refused, not resumed into a
+  // solution that differs from the uninterrupted run's.
+  auto program = ParseOrDie(kPaperProgram);
+  const ChaseCheckpoint ck = CaptureFromPaperRun(program.get());
+  auto text = SerializeCheckpoint(ck, program->schema, program->universe);
+  ASSERT_TRUE(text.ok()) << text.status();
+  std::string v6 = "tdxckpt v6\n" + text->substr(text->find('\n') + 1);
+  v6 = Resign(v6.substr(0, v6.rfind("\nend ") + 1));
+  auto parsed = ParseCheckpoint(v6, &program->schema, &program->universe);
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  EXPECT_NE(parsed.status().message().find("unsupported format version v6"),
+            std::string::npos)
+      << parsed.status();
+  // The same body under the current header loads.
+  EXPECT_TRUE(
+      ParseCheckpoint(*text, &program->schema, &program->universe).ok());
 }
 
 TEST(CheckpointRoundTripTest, SixFieldStatsLineIsMalformed) {

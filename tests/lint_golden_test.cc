@@ -10,12 +10,11 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "src/analysis/analyzer.h"
 #include "src/parser/parser.h"
+#include "tests/test_util.h"
 
 #ifndef TDX_REPO_DIR
 #define TDX_REPO_DIR "."
@@ -24,14 +23,7 @@
 namespace tdx {
 namespace {
 
-std::string ReadFileOrDie(const std::string& path) {
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "cannot open " << path;
-  if (!in.good()) std::abort();
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+using ::tdx::testing::ReadFileOrDie;
 
 class LintGoldenTest : public ::testing::TestWithParam<const char*> {
  protected:

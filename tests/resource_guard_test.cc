@@ -23,6 +23,7 @@
 namespace tdx {
 namespace {
 
+using ::tdx::testing::kMergingProgram;
 using ::tdx::testing::kPaperProgram;
 using ::tdx::testing::ParseOrDie;
 
@@ -176,13 +177,14 @@ TEST(CChaseBudgetTest, TgdFireBudgetAborts) {
 }
 
 TEST(CChaseBudgetTest, EgdStepBudgetAborts) {
-  auto program = ParseOrDie(kPaperProgram);
-  // The unbudgeted run performs egd merges (sigma1's fresh salary nulls get
-  // equated with sigma2's concrete salaries); a zero budget must abort.
+  auto program = ParseOrDie(kMergingProgram);
+  // The unbudgeted run performs egd merges (m1's fresh salary nulls get
+  // equated with S's salaries, m2's company nulls with E's companies); a
+  // zero budget must abort.
   const CChaseOutcome full = CChaseWithLimits(*program, ChaseLimits{});
   ASSERT_GT(full.stats.egd_steps, 0u);
 
-  auto rerun = ParseOrDie(kPaperProgram);
+  auto rerun = ParseOrDie(kMergingProgram);
   ChaseLimits limits;
   limits.max_egd_steps = 0;
   const CChaseOutcome outcome = CChaseWithLimits(*rerun, limits);
@@ -276,7 +278,8 @@ TEST(SnapshotChaseBudgetTest, EachDimensionAborts) {
     cases.push_back(c);
   }
   for (const Case& c : cases) {
-    auto program = ParseOrDie(kPaperProgram);
+    // At 2015 both of Ada's and Bob's jobs need a fire and a fresh null.
+    auto program = ParseOrDie(kMergingProgram);
     auto snapshot = SnapshotAt(program->source, 2015, &program->universe);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
     auto outcome = ChaseSnapshot(*snapshot, program->mapping,

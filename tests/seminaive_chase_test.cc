@@ -227,8 +227,10 @@ TEST_F(CascadeFixture, DeltaFrontierBookkeeping) {
 }
 
 TEST_F(CascadeFixture, ValuesRewrittenSurfacesEgdWork) {
-  // Two tgds disagree on who fills the Hop endpoint; the egd merges a null
-  // with a constant, and the rewrite work must show up in the new counter.
+  // Two existential tgds each know half of an Emp fact; the egd merges
+  // the company null one mints with the company the other copies, and the
+  // rewrite work must show up in the new counter. Neither rule is full, so
+  // no fire order lets one witness the other.
   Schema schema;
   const RelationId e = *schema.AddRelation("E", {"n", "c"}, SchemaRole::kSource);
   const RelationId s = *schema.AddRelation("S", {"n", "s"}, SchemaRole::kSource);
@@ -244,21 +246,21 @@ TEST_F(CascadeFixture, ValuesRewrittenSurfacesEgdWork) {
     t.existential.push_back(2);
     mapping.st_tgds.push_back(t);
   }
-  {  // E(n, c) & S(n, s) -> Emp(n, c, s)
+  {  // S(n, s) -> exists c: Emp(n, c, s)
     Tgd t;
-    t.body.atoms.push_back({e, {Term::Var(0), Term::Var(1)}});
     t.body.atoms.push_back({s, {Term::Var(0), Term::Var(2)}});
     t.body.num_vars = 3;
     t.head.atoms.push_back({emp, {Term::Var(0), Term::Var(1), Term::Var(2)}});
     t.head.num_vars = 3;
+    t.existential.push_back(1);
     mapping.st_tgds.push_back(t);
   }
-  {  // Emp(n, c, s) & Emp(n, c, s2) -> s = s2
+  {  // Emp(n, c, s) & Emp(n, c2, s2) -> c = c2
     Egd egd;
     egd.body.atoms.push_back({emp, {Term::Var(0), Term::Var(1), Term::Var(2)}});
-    egd.body.atoms.push_back({emp, {Term::Var(0), Term::Var(1), Term::Var(3)}});
-    egd.body.num_vars = 4;
-    egd.x1 = 2;
+    egd.body.atoms.push_back({emp, {Term::Var(0), Term::Var(3), Term::Var(4)}});
+    egd.body.num_vars = 5;
+    egd.x1 = 1;
     egd.x2 = 3;
     mapping.egds.push_back(egd);
   }
@@ -269,6 +271,7 @@ TEST_F(CascadeFixture, ValuesRewrittenSurfacesEgdWork) {
   auto outcome = ChaseSnapshot(source, mapping, &u);
   ASSERT_TRUE(outcome.ok());
   ASSERT_EQ(outcome->kind, ChaseResultKind::kSuccess);
+  EXPECT_EQ(outcome->stats.fresh_nulls, 2u);
   EXPECT_GT(outcome->stats.egd_steps, 0u);
   EXPECT_GT(outcome->stats.values_rewritten, 0u);
 }

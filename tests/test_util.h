@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +38,38 @@ inline constexpr std::string_view kPaperProgram = R"(
 
   query salaries(n, s): Emp(n, _, s);
 )";
+
+/// The paper's Figure 4 source under two existential st-tgds that egds
+/// join: E knows a job's company, S its salary, and an employee holds one
+/// job at a time. No full rule witnesses either head, so the fresh nulls,
+/// and the egd merges that equate them with the other side's constants,
+/// do not depend on the order in which st-tgds fire.
+inline constexpr std::string_view kMergingProgram = R"(
+  source E(name, company);
+  source S(name, salary);
+  target Emp(name, company, salary);
+
+  tgd m1: E(n, c) -> exists s: Emp(n, c, s);
+  tgd m2: S(n, s) -> exists c: Emp(n, c, s);
+  egd k1: Emp(n, c, _) & Emp(n, c2, _) -> c = c2;
+  egd k2: Emp(n, _, s) & Emp(n, _, s2) -> s = s2;
+
+  fact E("Ada", "IBM")    @ [2012, 2014);
+  fact E("Ada", "Google") @ [2014, inf);
+  fact E("Bob", "IBM")    @ [2013, 2018);
+  fact S("Ada", "18k")    @ [2013, inf);
+  fact S("Bob", "13k")    @ [2015, inf);
+)";
+
+/// The contents of the file at `path`, or fails the test.
+inline std::string ReadFileOrDie(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  if (!in.good()) std::abort();
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
 /// Parses or fails the test.
 inline std::unique_ptr<ParsedProgram> ParseOrDie(std::string_view text) {
