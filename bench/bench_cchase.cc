@@ -11,13 +11,57 @@
 // naive endpoint normalizer, CChaseOptions::use_naive_normalizer): the
 // naive normalizer saves grouping time but inflates the instance the tgds
 // then iterate over — the paper's trade-off, measured.
+//
+// BM_StTgdPhase isolates the st-tgd phase and reports heap allocations
+// per collected trigger (allocs_per_trigger, gated in
+// bench/bench_gates.json), counted by the global operator new below, which
+// replaces the default one in this binary only.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <optional>
+#include <vector>
 
 #include "src/core/cchase.h"
+#include "src/core/normalize.h"
 #include "src/gen/workload.h"
+#include "src/relational/chase_run.h"
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// None of these is inlined: once malloc or free is inlined beside an
+// operator new or delete call (as in the static registration BENCHMARK
+// emits), GCC's -Wmismatched-new-delete reports a mismatched pair.
+
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -125,5 +169,68 @@ void BM_CChaseSemiNaiveAblation(benchmark::State& state) {
   ReportChase(state, *last, w->source.size());
 }
 BENCHMARK(BM_CChaseSemiNaiveAblation)->Arg(1)->Arg(0);
+
+void BM_StTgdPhase(benchmark::State& state) {
+  // The c-chase's st phase alone: the source is normalized once, outside
+  // the timed loop, and each iteration runs the Datalog-first st plan
+  // (ChaseRun::Begin) into a fresh target through fresh finders, as
+  // CChase does. The run's trigger batch is reused across iterations, as
+  // one run reuses it across rules and rounds, so allocs_per_trigger
+  // counts a warm run's allocations: target inserts, index builds and the
+  // witness probes', not trigger bookkeeping.
+  auto w = MakeInstance(state.range(0), 100, 0.7);
+  const tdx::ConcreteInstance normalized =
+      tdx::Normalize(w->source, w->lifted.TgdBodies());
+  const tdx::Instance& source = normalized.facts();
+  tdx::ChaseRun run(tdx::ChaseEngine::kCChase, tdx::ChaseLimits{});
+  tdx::ChaseStats begin_stats;
+  if (!run.Begin(w->lifted, w->source.schema(), true, &begin_stats).ok()) {
+    state.SkipWithError("ChaseRun::Begin failed");
+    return;
+  }
+  // Each st-tgd's temporal variable annotates the nulls it mints.
+  std::vector<tdx::VarId> temporal;
+  for (const tdx::Tgd& tgd : w->lifted.st_tgds) {
+    auto t = tgd.temporal_var.has_value()
+                 ? tdx::Result<tdx::VarId>(*tgd.temporal_var)
+                 : tdx::InferTemporalVar(tgd.body);
+    if (!t.ok()) {
+      state.SkipWithError("st-tgd without a temporal variable");
+      return;
+    }
+    temporal.push_back(*t);
+  }
+  const tdx::FreshNullFactory fresh = [&](const tdx::Tgd& tgd,
+                                          const tdx::Binding& trigger) {
+    const tdx::VarId t = temporal[&tgd - w->lifted.st_tgds.data()];
+    return w->universe.FreshAnnotatedNull(trigger.Get(t).interval());
+  };
+  std::uint64_t allocations = 0;
+  std::size_t triggers = 0;
+  std::size_t fires = 0;
+  for (auto _ : state) {
+    tdx::Instance target(&source.schema());
+    tdx::ChaseStats stats;
+    tdx::DeltaFrontier full;
+    const std::uint64_t before = g_allocations.load();
+    {
+      tdx::HomomorphismFinder source_finder(source, &stats.search);
+      tdx::HomomorphismFinder target_finder(target, &stats.search);
+      tdx::RunTgds(source, &target, run.st_plan, &full, fresh, &stats,
+                   &run.guard, &source_finder, &target_finder, &run.triggers);
+    }
+    allocations += g_allocations.load() - before;
+    triggers += stats.tgd_triggers;
+    fires += stats.tgd_fires;
+    benchmark::DoNotOptimize(target);
+  }
+  const double iterations = static_cast<double>(state.iterations());
+  state.counters["tgd_triggers"] = static_cast<double>(triggers) / iterations;
+  state.counters["tgd_fires"] = static_cast<double>(fires) / iterations;
+  state.counters["allocs_per_trigger"] =
+      static_cast<double>(allocations) /
+      static_cast<double>(std::max<std::size_t>(triggers, 1));
+}
+BENCHMARK(BM_StTgdPhase)->Arg(100);
 
 }  // namespace

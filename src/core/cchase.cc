@@ -243,7 +243,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
     HomomorphismFinder target_finder(target, &outcome.stats.search);
     DeltaFrontier full;
     RunTgds(normalized, &target, run.st_plan, &full, fresh, &outcome.stats,
-            &guard, &source_finder, &target_finder);
+            &guard, &source_finder, &target_finder, &run.triggers);
     if (guard.tripped()) return aborted();
   } else {
     target = *resume->target;
@@ -351,7 +351,8 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
     if (!options.semi_naive) frontier.Reset();
     Instance& facts = concrete_target.mutable_facts();
     return RunTgds(facts, &facts, run.target_plan, &frontier, fresh,
-                   &outcome.stats, &guard, round_finder, round_finder);
+                   &outcome.stats, &guard, round_finder, round_finder,
+                   &run.triggers);
   };
   // Normalization is idempotent, so the loop-top pass is a provable no-op
   // whenever the target is untouched since the last pass: nothing fired and

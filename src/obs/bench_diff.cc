@@ -13,27 +13,73 @@ std::string FormatDouble(double value) {
   return buf;
 }
 
-/// Indexes a report's benchmark entries by name into `out`. Repeated names
-/// keep the first occurrence (google-benchmark emits one entry per benchmark
-/// in non-repetition mode, which is all we produce). Out-parameter rather
-/// than Result<map>: gcc 12's -Wfree-nonheap-object misfires on a variant
+/// A report's benchmark entries by name, and its coefficient-of-variation
+/// aggregates by run name.
+struct BenchIndex {
+  std::unordered_map<std::string, const Json*> by_name;
+  std::unordered_map<std::string, const Json*> cv;
+};
+
+/// Indexes a report's benchmark entries into `out`. Under repetitions
+/// (google-benchmark's --benchmark_repetitions, with or without
+/// --benchmark_report_aggregates_only) the "median" aggregate stands for
+/// its run: it is indexed under its run_name ahead of that run's iteration
+/// entries, and the "cv" aggregate goes to `out->cv`. Every other entry,
+/// other aggregates included, is indexed under its own name; repeated
+/// names keep the first occurrence. Out-parameter rather than
+/// Result<map>: gcc 12's -Wfree-nonheap-object misfires on a variant
 /// holding an unordered_map.
 Status IndexBenchmarks(const Json& report, const char* which,
-                       std::unordered_map<std::string, const Json*>* out) {
+                       BenchIndex* out) {
   const Json* benchmarks = report.Find("benchmarks");
   if (benchmarks == nullptr || !benchmarks->is_array()) {
     return Status::InvalidArgument(std::string(which) +
                                    " report has no \"benchmarks\" array");
   }
+  // Which repetition aggregate, if any, `entry` is and the run it sums up.
+  const auto aggregate_of = [](const Json& entry) -> std::string {
+    const Json* aggregate = entry.Find("aggregate_name");
+    const Json* run_name = entry.Find("run_name");
+    if (aggregate == nullptr || !aggregate->is_string() ||
+        run_name == nullptr || !run_name->is_string()) {
+      return "";
+    }
+    return aggregate->as_string();
+  };
   for (const Json& entry : benchmarks->items()) {
     const Json* name = entry.Find("name");
     if (name == nullptr || !name->is_string()) {
       return Status::InvalidArgument(std::string(which) +
                                      " report has a benchmark with no name");
     }
-    out->emplace(name->as_string(), &entry);
+    const std::string aggregate = aggregate_of(entry);
+    if (aggregate == "median") {
+      out->by_name.emplace(entry.Find("run_name")->as_string(), &entry);
+    } else if (aggregate == "cv") {
+      out->cv.emplace(entry.Find("run_name")->as_string(), &entry);
+    }
+  }
+  for (const Json& entry : benchmarks->items()) {
+    const std::string aggregate = aggregate_of(entry);
+    if (aggregate == "median" || aggregate == "cv") continue;
+    out->by_name.emplace(entry.Find("name")->as_string(), &entry);
   }
   return Status::OK();
+}
+
+/// " (cv num a, den b)" from the runs' "cv" aggregates (real_time is the
+/// fraction); empty when neither run was repeated.
+std::string CvNote(const BenchIndex& index, const std::string& num,
+                   const std::string& den) {
+  const auto cv = [&index](const std::string& run) -> std::string {
+    auto it = index.cv.find(run);
+    const Json* value =
+        it == index.cv.end() ? nullptr : it->second->Find("real_time");
+    if (value == nullptr || !value->is_number()) return "n/a";
+    return FormatDouble(100 * value->as_number()) + "%";
+  };
+  if (index.cv.count(num) == 0 && index.cv.count(den) == 0) return "";
+  return " (cv num " + cv(num) + ", den " + cv(den) + ")";
 }
 
 /// A benchmark's real_time, normalized to nanoseconds.
@@ -122,13 +168,15 @@ Result<Json> MergeBenchReports(const std::vector<Json>& reports) {
 
 Result<GateReport> CheckBenchGates(const Json& fresh, const Json* baseline,
                                    const Json& gates) {
-  std::unordered_map<std::string, const Json*> fresh_by_name;
-  TDX_RETURN_IF_ERROR(IndexBenchmarks(fresh, "fresh", &fresh_by_name));
-  std::unordered_map<std::string, const Json*> baseline_by_name;
+  BenchIndex fresh_index;
+  TDX_RETURN_IF_ERROR(IndexBenchmarks(fresh, "fresh", &fresh_index));
+  const auto& fresh_by_name = fresh_index.by_name;
+  BenchIndex baseline_index;
   if (baseline != nullptr) {
     TDX_RETURN_IF_ERROR(
-        IndexBenchmarks(*baseline, "baseline", &baseline_by_name));
+        IndexBenchmarks(*baseline, "baseline", &baseline_index));
   }
+  const auto& baseline_by_name = baseline_index.by_name;
 
   GateReport report;
   auto add = [&report](GateCheck check) {
@@ -189,6 +237,7 @@ Result<GateReport> CheckBenchGates(const Json& fresh, const Json* baseline,
                                        "': denominator time is zero");
       }
       const double ratio = num_ns / den_ns;
+      const std::string cv_note = CvNote(fresh_index, num, den);
 
       if (const Json* min = gate.Find("min");
           min != nullptr && min->is_number()) {
@@ -200,7 +249,7 @@ Result<GateReport> CheckBenchGates(const Json& fresh, const Json* baseline,
         check.pass = ratio >= check.limit;
         check.detail = name + ": " + num + "/" + den + " = " +
                        FormatDouble(ratio) + "x (min " +
-                       FormatDouble(check.limit) + "x)";
+                       FormatDouble(check.limit) + "x)" + cv_note;
         add(std::move(check));
       }
       if (const Json* max = gate.Find("max");
@@ -213,7 +262,7 @@ Result<GateReport> CheckBenchGates(const Json& fresh, const Json* baseline,
         check.pass = ratio <= check.limit;
         check.detail = name + ": " + num + "/" + den + " = " +
                        FormatDouble(ratio) + "x (max " +
-                       FormatDouble(check.limit) + "x)";
+                       FormatDouble(check.limit) + "x)" + cv_note;
         add(std::move(check));
       }
 

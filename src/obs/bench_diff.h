@@ -27,6 +27,12 @@
 //        to the counter's ratio to the same counter on another benchmark,
 //        e.g. how a per-stage count grows from a small size to a large one.
 //
+// A report may hold google-benchmark repetitions (--benchmark_repetitions,
+// with or without --benchmark_report_aggregates_only): a repeated run is
+// then gated on its "median" aggregate, looked up under the run's own
+// name, and each ratio gate's detail line carries both runs' "cv"
+// aggregate, so a verdict shows how noisy the numbers behind it were.
+//
 // The gates config is itself JSON (see bench/bench_gates.json for the CI
 // instance and docs/INTERNALS.md for the schema).
 

@@ -4,6 +4,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <string_view>
+#include <utility>
 
 namespace tdx::obs {
 
@@ -229,6 +232,17 @@ class Parser {
 
   Result<Json> ParseNumber() {
     const std::size_t start = pos_;
+    // google-benchmark writes a non-finite statistic, such as the cv of a
+    // counter whose mean is 0, as one of these bare words.
+    for (const auto& [word, value] :
+         {std::pair<std::string_view, double>{
+              "NaN", std::numeric_limits<double>::quiet_NaN()},
+          {"Infinity", std::numeric_limits<double>::infinity()},
+          {"-Infinity", -std::numeric_limits<double>::infinity()}}) {
+      if (ConsumeWord(word)) {
+        return Json::NumberLiteral(value, std::string(word));
+      }
+    }
     if (Consume('-')) {
     }
     while (pos_ < text_.size() &&

@@ -111,7 +111,9 @@ class Json {
 };
 
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
-/// Errors carry a byte offset.
+/// Beyond strict JSON, a number may be NaN, Infinity or -Infinity, as
+/// google-benchmark writes non-finite statistics; Dump re-emits them as
+/// written. Errors carry a byte offset.
 Result<Json> ParseJson(std::string_view text);
 
 }  // namespace tdx::obs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -37,24 +36,35 @@ std::vector<VarId> HeadUniversalVars(const Tgd& tgd) {
   return out;
 }
 
-/// Triggers of one tgd, deduplicated and canonically ordered by the
-/// head-visible universal values: triggers agreeing there would fire
-/// indistinguishable head images (the fresh-null factories only consult
-/// head-visible variables), so the first collected binding represents the
-/// key. Collection always completes before any firing, so the enumerated
-/// instance may alias the insertion target.
-using TriggerSet = std::map<std::vector<Value>, Binding>;
+/// The body variables of `tgd` outside `key`, in order of first occurrence.
+std::vector<VarId> BodyVarsOutside(const Tgd& tgd,
+                                   const std::vector<VarId>& key) {
+  std::vector<char> taken(tgd.num_vars(), 0);
+  for (VarId v : key) taken[v] = 1;
+  std::vector<VarId> out;
+  for (const Atom& atom : tgd.body.atoms) {
+    for (const Term& t : atom.terms) {
+      if (t.is_var() && taken[t.var()] == 0) {
+        taken[t.var()] = 1;
+        out.push_back(t.var());
+      }
+    }
+  }
+  return out;
+}
 
 /// Enumerates the homomorphisms from `conj` (over `num_vars` variables)
 /// into `inst` whose image touches `frontier`; all of them while it is
 /// full. Otherwise enumeration is seeded on each atom's frontier range and
 /// on each rewritten frontier row, so a homomorphism touching several
-/// frontier facts is found once per touched atom and seed.
+/// frontier facts is found once per touched atom and seed. Every seed
+/// extends one empty binding in place, which each search restores.
 void ForEachTouching(HomomorphismFinder* finder, const Instance& inst,
                      const Conjunction& conj, std::size_t num_vars,
                      const DeltaFrontier& frontier, const HomCallback& cb) {
+  Binding empty(num_vars);
   if (frontier.full()) {
-    finder->ForEach(conj, Binding(num_vars), cb);
+    finder->ForEach(conj, &empty, cb);
     return;
   }
   for (std::size_t i = 0; i < conj.atoms.size(); ++i) {
@@ -62,47 +72,57 @@ void ForEachTouching(HomomorphismFinder* finder, const Instance& inst,
     const std::uint32_t begin = frontier.mark(rel);
     const auto end = static_cast<std::uint32_t>(inst.facts(rel).size());
     if (begin >= end) continue;
-    finder->ForEachSeeded(conj, i, begin, end, Binding(num_vars), cb);
+    finder->ForEachSeeded(conj, i, begin, end, &empty, cb);
   }
   for (const FactRef& row : frontier.rows()) {
     for (std::size_t i = 0; i < conj.atoms.size(); ++i) {
       if (conj.atoms[i].rel != row.rel) continue;
-      finder->ForEachSeeded(conj, i, row.pos, row.pos + 1, Binding(num_vars),
-                            cb);
+      finder->ForEachSeeded(conj, i, row.pos, row.pos + 1, &empty, cb);
     }
   }
 }
 
 /// Collects the triggers of `tgd` over `inst` whose body image touches
-/// `frontier` (ForEachTouching); the key map absorbs the duplicates.
+/// `frontier` (ForEachTouching) into `batch`, then canonicalizes it: the
+/// duplicates a key absorbs, and those of a trigger found from several
+/// seeds, drop out there. The batch copies the values, and collection
+/// completes before any firing, so `inst` may alias the insertion target.
 void CollectTriggers(HomomorphismFinder* finder, const Instance& inst,
                      const Tgd& tgd, const std::vector<VarId>& key_vars,
+                     const std::vector<VarId>& body_vars,
                      const DeltaFrontier& frontier, ChaseStats* stats,
-                     TriggerSet* triggers) {
+                     TriggerBatch* batch) {
+  batch->Clear(key_vars.size(), key_vars.size() + body_vars.size());
   const HomCallback add = [&](const Binding& binding, const AtomImage&) {
     ++stats->tgd_triggers;
-    std::vector<Value> key;
-    key.reserve(key_vars.size());
-    for (VarId v : key_vars) key.push_back(binding.Get(v));
-    triggers->emplace(std::move(key), binding);
+    batch->Append(binding, key_vars, body_vars);
     return true;
   };
   ForEachTouching(finder, inst, tgd.body, tgd.num_vars(), frontier, add);
+  batch->Canonicalize();
 }
 
-/// Fires every collected trigger that lacks an extension witness in the
-/// current target (restricted chase). `head_finder` enumerates over the
-/// live target: its index cache absorbs the inserts this loop performs, so
-/// a witness fired moments ago is visible to the next Exists probe — the
-/// behavior the old per-insert finder rebuild bought, at append cost.
-/// Returns true if at least one new fact was inserted.
-bool FireTriggers(Instance* target, const Tgd& tgd, TriggerSet& triggers,
-                  const FreshNullFactory& fresh, ChaseStats* stats,
-                  ResourceGuard* guard, HomomorphismFinder* head_finder) {
+/// Fires every canonical trigger in `batch` that lacks an extension
+/// witness in the current target (restricted chase). Each row re-binds one
+/// reused binding; the existentials are bound in place for the head and
+/// unbound after it. `head_finder` enumerates over the live target: its
+/// index cache absorbs the inserts this loop performs, so a witness fired
+/// moments ago is visible to the next Exists probe. Returns true if at
+/// least one new fact was inserted.
+bool FireTriggers(Instance* target, const Tgd& tgd,
+                  const std::vector<VarId>& key_vars,
+                  const std::vector<VarId>& body_vars,
+                  const TriggerBatch& batch, const FreshNullFactory& fresh,
+                  ChaseStats* stats, ResourceGuard* guard,
+                  HomomorphismFinder* head_finder) {
   bool inserted_any = false;
+  Binding binding(tgd.num_vars());
   std::vector<Value> row;  // reused head-instantiation scratch
-  for (auto& [key, binding] : triggers) {
+  for (const std::uint32_t r : batch.order()) {
     if (!guard->CheckDeadline()) break;
+    const Value* values = batch.row(r);
+    for (VarId v : key_vars) binding.Bind(v, *values++);
+    for (VarId v : body_vars) binding.Bind(v, *values++);
     // In-place witness check: the binding is extended during the search and
     // fully restored before Exists returns.
     if (head_finder->Exists(tgd.head, &binding)) continue;
@@ -110,17 +130,16 @@ bool FireTriggers(Instance* target, const Tgd& tgd, TriggerSet& triggers,
     // firing never half-materializes: no nulls are minted and no facts
     // inserted once the guard trips.
     if (!guard->AdmitTgdFires(stats->tgd_fires + 1)) break;
-    Binding extended = binding;
     for (VarId y : tgd.existential) {
       if (!guard->AdmitFreshNulls(stats->fresh_nulls + 1)) break;
-      extended.Bind(y, fresh(tgd, binding));
+      binding.Bind(y, fresh(tgd, binding));
       ++stats->fresh_nulls;
     }
     if (guard->tripped()) break;
     for (const Atom& atom : tgd.head.atoms) {
       row.clear();
       for (const Term& t : atom.terms) {
-        row.push_back(t.is_var() ? extended.Get(t.var()) : t.value());
+        row.push_back(t.is_var() ? binding.Get(t.var()) : t.value());
       }
       if (target->InsertSpan(atom.rel, row.data(), row.size())) {
         inserted_any = true;
@@ -130,11 +149,46 @@ bool FireTriggers(Instance* target, const Tgd& tgd, TriggerSet& triggers,
     }
     ++stats->tgd_fires;
     if (guard->tripped()) break;
+    for (VarId y : tgd.existential) binding.Unbind(y);
   }
   return inserted_any;
 }
 
 }  // namespace
+
+void TriggerBatch::Append(const Binding& binding,
+                          const std::vector<VarId>& key_vars,
+                          const std::vector<VarId>& body_vars) {
+  for (VarId v : key_vars) values_.push_back(binding.Get(v));
+  for (VarId v : body_vars) values_.push_back(binding.Get(v));
+  ++rows_;
+}
+
+void TriggerBatch::Canonicalize() {
+  // Three-way key comparison in Value's canonical order.
+  const auto compare = [this](std::uint32_t a, std::uint32_t b) {
+    const Value* ka = row(a);
+    const Value* kb = row(b);
+    for (std::size_t k = 0; k < key_width_; ++k) {
+      if (ka[k] < kb[k]) return -1;
+      if (kb[k] < ka[k]) return 1;
+    }
+    return 0;
+  };
+  order_.resize(rows_);
+  std::iota(order_.begin(), order_.end(), 0);
+  // Ties keep collection order, so the first collected row of each key
+  // leads its run.
+  std::sort(order_.begin(), order_.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              const int c = compare(a, b);
+              return c != 0 ? c < 0 : a < b;
+            });
+  const auto last = std::unique(
+      order_.begin(), order_.end(),
+      [&](std::uint32_t a, std::uint32_t b) { return compare(a, b) == 0; });
+  order_.erase(last, order_.end());
+}
 
 void DeltaFrontier::AdvancePast(const Instance& facts) {
   std::vector<std::uint32_t> sizes(facts.schema().relation_count());
@@ -159,7 +213,11 @@ TgdRunPlan BuildTgdRunPlan(const std::vector<Tgd>& tgds,
   TgdRunPlan plan;
   plan.tgds = &tgds;
   plan.key_vars.reserve(tgds.size());
-  for (const Tgd& tgd : tgds) plan.key_vars.push_back(HeadUniversalVars(tgd));
+  plan.body_vars.reserve(tgds.size());
+  for (const Tgd& tgd : tgds) {
+    plan.key_vars.push_back(HeadUniversalVars(tgd));
+    plan.body_vars.push_back(BodyVarsOutside(tgd, plan.key_vars.back()));
+  }
   if (schedule != nullptr) {
     plan.live = schedule->live_target_tgds;
   } else {
@@ -173,7 +231,7 @@ bool RunTgds(const Instance& collect_from, Instance* target,
              const TgdRunPlan& plan, DeltaFrontier* frontier,
              const FreshNullFactory& fresh, ChaseStats* stats,
              ResourceGuard* guard, HomomorphismFinder* collect_finder,
-             HomomorphismFinder* fire_finder) {
+             HomomorphismFinder* fire_finder, TriggerBatch* batch) {
   const std::vector<Tgd>& tgds = *plan.tgds;
   // Everything inserted from here on is the next round's frontier. Sizes
   // are captured before any firing; facts a tgd inserts this round are
@@ -196,11 +254,16 @@ bool RunTgds(const Instance& collect_from, Instance* target,
       own.emplace(*target, &stats->search);
       collect_with = fire_with = &*own;
     }
-    TriggerSet triggers;
-    CollectTriggers(collect_with, collect_from, tgds[i], plan.key_vars[i],
-                    *frontier, stats, &triggers);
-    if (FireTriggers(target, tgds[i], triggers, fresh, stats, guard,
-                     fire_with)) {
+    {
+      obs::TraceSpan span("tgd.collect");
+      span.SetArg("rule", i);
+      CollectTriggers(collect_with, collect_from, tgds[i], plan.key_vars[i],
+                      plan.body_vars[i], *frontier, stats, batch);
+    }
+    obs::TraceSpan span("tgd.fire");
+    span.SetArg("rule", i);
+    if (FireTriggers(target, tgds[i], plan.key_vars[i], plan.body_vars[i],
+                     *batch, fresh, stats, guard, fire_with)) {
       inserted = true;
     }
   }
@@ -452,7 +515,8 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
     HomomorphismFinder target_finder(outcome.target, &outcome.stats.search);
     DeltaFrontier full;
     RunTgds(source, &outcome.target, run.st_plan, &full, fresh,
-            &outcome.stats, &guard, &source_finder, &target_finder);
+            &outcome.stats, &guard, &source_finder, &target_finder,
+            &run.triggers);
   }
   if (guard.tripped()) return aborted();
 
@@ -473,7 +537,7 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
     if (!options.semi_naive) frontier.Reset();
     return RunTgds(outcome.target, &outcome.target, run.target_plan,
                    &frontier, fresh, &outcome.stats, &guard, round_finder,
-                   round_finder);
+                   round_finder, &run.triggers);
   };
   while (true) {
     bool fired = false;

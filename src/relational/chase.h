@@ -156,7 +156,9 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
 
 /// Mints the value substituted for an existential variable when `tgd` fires
 /// with `trigger`. The snapshot chase returns a fresh labeled null; the
-/// concrete chase returns a fresh null annotated with trigger(t).
+/// concrete chase returns a fresh null annotated with trigger(t). The
+/// existentials are bound in `trigger` one by one as they are minted, so a
+/// factory must read only body variables.
 using FreshNullFactory =
     std::function<Value(const Tgd& tgd, const Binding& trigger)>;
 
@@ -279,8 +281,57 @@ struct TgdRunPlan {
   /// order, except that the st plan puts full rules first (ChaseRun::Begin).
   std::vector<std::size_t> live;
   /// Per tgd (all indices, dead included): its head-visible universal
-  /// variables, precomputed once per run instead of once per round.
+  /// variables, the key triggers are deduplicated and ordered by.
+  /// Precomputed once per run instead of once per round.
   std::vector<std::vector<VarId>> key_vars;
+  /// Per tgd: its body variables outside key_vars, in order of first
+  /// occurrence. A trigger is stored as the values of key_vars then of
+  /// body_vars (TriggerBatch), which binds every body variable once.
+  std::vector<std::vector<VarId>> body_vars;
+};
+
+/// One rule's triggers, stored flat and reused from rule to rule. Row r is
+/// one trigger: the values of the rule's key_vars, then of its body_vars
+/// (TgdRunPlan), contiguous in one arena. Canonicalize orders the rows by
+/// key and keeps the first collected row of each key: the restricted
+/// chase's canonical trigger order, in which triggers agreeing on the key
+/// would fire indistinguishable head images. Clear keeps the capacity, so
+/// a warm batch collects and fires without allocating per trigger.
+class TriggerBatch {
+ public:
+  /// Empties the batch for a rule with `key_width` key values in a row of
+  /// `width` values.
+  void Clear(std::size_t key_width, std::size_t width) {
+    key_width_ = key_width;
+    width_ = width;
+    values_.clear();
+    rows_ = 0;
+    order_.clear();
+  }
+
+  /// Appends one row: `binding`'s values of `key_vars`, then of
+  /// `body_vars`.
+  void Append(const Binding& binding, const std::vector<VarId>& key_vars,
+              const std::vector<VarId>& body_vars);
+
+  /// Sorts the rows by key, ties in collection order, and keeps the first
+  /// row of each key in order().
+  void Canonicalize();
+
+  /// The kept rows in fire order; filled by Canonicalize.
+  const std::vector<std::uint32_t>& order() const { return order_; }
+
+  /// The `width` values of row `r`.
+  const Value* row(std::uint32_t r) const {
+    return values_.data() + static_cast<std::size_t>(r) * width_;
+  }
+
+ private:
+  std::size_t key_width_ = 0;
+  std::size_t width_ = 0;
+  std::vector<Value> values_;
+  std::uint32_t rows_ = 0;
+  std::vector<std::uint32_t> order_;
 };
 
 /// Builds the plan for `tgds`. Without a schedule every rule is live. With
@@ -291,12 +342,16 @@ TgdRunPlan BuildTgdRunPlan(const std::vector<Tgd>& tgds,
                            const ChaseSchedule* schedule);
 
 /// Runs `plan` once: rule by rule, collects the rule's triggers from
-/// `collect_from` through `collect_finder` — only triggers whose body image
-/// touches `frontier` (its suffixes, and each rewritten row seeded alone),
-/// unless it is full — then fires them into `target`
-/// through `fire_finder` (restricted chase: triggers whose head is already
-/// witnessed are skipped). Returns true if anything was inserted, and
-/// advances `frontier` past the facts `collect_from` held on entry.
+/// `collect_from` through `collect_finder` into `batch` — only triggers
+/// whose body image touches `frontier` (its suffixes, and each rewritten
+/// row seeded alone), unless it is full — then fires the canonical ones
+/// (TriggerBatch::Canonicalize) into `target` through `fire_finder`
+/// (restricted chase: triggers whose head is already witnessed are
+/// skipped). Returns true if anything was inserted, and advances
+/// `frontier` past the facts `collect_from` held on entry. `batch` is
+/// scratch: the caller keeps one per run (ChaseRun::triggers) so its
+/// capacity carries from rule to rule and round to round. Each rule opens
+/// a `tgd.collect` and a `tgd.fire` span, both with the rule's index.
 ///
 /// A semi-naive target-tgd round collects from the target itself, through
 /// the same persistent finder it fires through (its indexes catch up with
@@ -313,7 +368,7 @@ bool RunTgds(const Instance& collect_from, Instance* target,
              const TgdRunPlan& plan, DeltaFrontier* frontier,
              const FreshNullFactory& fresh, ChaseStats* stats,
              ResourceGuard* guard, HomomorphismFinder* collect_finder,
-             HomomorphismFinder* fire_finder);
+             HomomorphismFinder* fire_finder, TriggerBatch* batch);
 
 }  // namespace tdx
 

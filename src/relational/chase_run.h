@@ -60,6 +60,8 @@ class ChaseRun {
   TgdRunPlan target_plan;
   /// The egds the fixpoint runs: the schedule's live ones, or all of them.
   std::vector<Egd> egds;
+  /// The run's trigger scratch, reused by every RunTgds call.
+  TriggerBatch triggers;
 
  private:
   ChaseEngine engine_;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -226,6 +227,102 @@ TEST(CheckBenchGates, PerBenchmarkThresholdAgainstBaseline) {
   EXPECT_FALSE(report->pass);
   ASSERT_EQ(report->checks.size(), 1u);
   EXPECT_EQ(report->checks[0].gate, "BM_A/1");
+}
+
+/// One google-benchmark 1.7 repetition aggregate of `run`: a time entry,
+/// or for "cv" the fraction, with the counter `fires` alongside.
+std::string Aggregate(const std::string& run, const std::string& aggregate,
+                      double real_time, double fires) {
+  const bool cv = aggregate == "cv";
+  return R"({"name":")" + run + "_" + aggregate + R"(","run_name":")" + run +
+         R"(","run_type":"aggregate","repetitions":5,"aggregate_name":")" +
+         aggregate + R"(","aggregate_unit":")" +
+         (cv ? "percentage" : "time") + R"(","real_time":)" +
+         std::to_string(real_time) +
+         (cv ? std::string() : std::string(R"(,"time_unit":"ns")")) +
+         R"(,"fires":)" + std::to_string(fires) + "}";
+}
+
+/// The aggregates --benchmark_report_aggregates_only emits for `run`.
+std::string Aggregates(const std::string& run, double mean, double median,
+                       double cv, double fires) {
+  return Aggregate(run, "mean", mean, fires) + "," +
+         Aggregate(run, "median", median, fires) + "," +
+         Aggregate(run, "stddev", mean * cv, 0) + "," +
+         Aggregate(run, "cv", cv, 0);
+}
+
+TEST(CheckBenchGates, AggregateOnlyReportGatesOnMedians) {
+  // Means 4x apart, medians 5x apart: the gates read the medians, under
+  // the run names, and each ratio gate prints both runs' cv.
+  const Json fresh = Report(Aggregates("BM_A/0", 400, 500, 0.05, 3) + "," +
+                            Aggregates("BM_A/1", 100, 100, 0.02, 7));
+  const Json gates = Parse(
+      R"({"ratio_gates":[{"name":"speedup","num":"BM_A/0","den":"BM_A/1",)"
+      R"("min":4.5}],"counter_gates":[{"name":"fires",)"
+      R"("benchmark":"BM_A/1","counter":"fires","max":7}]})");
+  auto report = CheckBenchGates(fresh, nullptr, gates);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->pass);
+  ASSERT_EQ(report->checks.size(), 2u);
+  EXPECT_DOUBLE_EQ(report->checks[0].actual, 5.0);
+  EXPECT_NE(report->checks[0].detail.find("(cv num 5%, den 2%)"),
+            std::string::npos)
+      << report->checks[0].detail;
+  EXPECT_DOUBLE_EQ(report->checks[1].actual, 7.0);
+}
+
+TEST(CheckBenchGates, MixedReportPrefersMediansOverIterations) {
+  // BM_A/0 ran with repetitions but without aggregates-only: its iteration
+  // entries share its name and come first, and its median comes after
+  // them. BM_A/1 ran once. Unrepeated runs print no cv, and a ratio gate
+  // with one repeated side marks the other n/a.
+  const Json fresh = Report(
+      R"({"name":"BM_A/0","run_name":"BM_A/0","run_type":"iteration",)"
+      R"("real_time":900.0,"time_unit":"ns"},)"
+      R"({"name":"BM_A/0","run_name":"BM_A/0","run_type":"iteration",)"
+      R"("real_time":300.0,"time_unit":"ns"},)" +
+      Aggregates("BM_A/0", 600, 300, 0.5, 3) + "," + kFast);
+  const Json gates = Parse(
+      R"({"ratio_gates":[{"name":"speedup","num":"BM_A/0","den":"BM_A/1",)"
+      R"("max":3.5},{"name":"plain","num":"BM_A/1","den":"BM_A/1",)"
+      R"("max":1}]})");
+  auto report = CheckBenchGates(fresh, nullptr, gates);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->pass);
+  ASSERT_EQ(report->checks.size(), 2u);
+  EXPECT_DOUBLE_EQ(report->checks[0].actual, 3.0);
+  EXPECT_NE(report->checks[0].detail.find("(cv num 50%, den n/a)"),
+            std::string::npos)
+      << report->checks[0].detail;
+  EXPECT_EQ(report->checks[1].detail.find("cv"), std::string::npos);
+  // Aggregates other than the median keep their own names.
+  const Json mean_gates = Parse(
+      R"({"ratio_gates":[{"name":"mean","num":"BM_A/0_mean",)"
+      R"("den":"BM_A/1","min":6}]})");
+  report = CheckBenchGates(fresh, nullptr, mean_gates);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_DOUBLE_EQ(report->checks[0].actual, 6.0);
+}
+
+TEST(MergeBenchReports, KeepsNonFiniteStatistics) {
+  // google-benchmark writes the cv of a counter whose mean is 0 as NaN;
+  // the report must still parse, merge and re-emit it.
+  const Json report = Report(
+      R"({"name":"BM_A/1_cv","run_name":"BM_A/1","aggregate_name":"cv",)"
+      R"("real_time":0.02,"fires":NaN,"up":Infinity,"down":-Infinity})");
+  const Json* entry = &report.Find("benchmarks")->items()[0];
+  EXPECT_TRUE(std::isnan(entry->Find("fires")->as_number()));
+  EXPECT_TRUE(std::isinf(entry->Find("up")->as_number()));
+  EXPECT_LT(entry->Find("down")->as_number(), 0);
+  std::vector<Json> reports;
+  reports.push_back(report);
+  auto merged = MergeBenchReports(reports);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  const std::string text = merged->Dump(0);
+  EXPECT_NE(text.find("\"fires\":NaN"), std::string::npos) << text;
+  EXPECT_TRUE(ParseJson(text).ok());
+  EXPECT_FALSE(ParseJson("[NaNa]").ok());
 }
 
 TEST(GateReport, VerdictsSerialize) {

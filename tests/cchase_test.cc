@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace tdx {
@@ -232,6 +238,102 @@ TEST(CChaseTest, InferTemporalVarValidation) {
   Conjunction non_var = good;
   non_var.atoms[0].terms.back() = Term::Val(Value::OfInterval(Interval(0, 1)));
   EXPECT_FALSE(InferTemporalVar(non_var).ok());
+}
+
+// The canonical fire order belongs to the restricted chase, not to the
+// container its triggers are kept in: a rule's triggers fire in ascending
+// order of their head-visible universal values (x, then t), one per value,
+// whatever order their body facts were inserted in. The rule under test,
+// R2(w, x, y) -> exists z: T(x, z), is a target tgd, because a c-chase that
+// aborts in its st phase returns no target to inspect. The full st-tgd
+// copies R into R2 in key order, led by the rank w; the ranks run against
+// x, so R2 holds the facts in descending x order, several y per x.
+class CChaseFireOrderTest : public ::testing::Test {
+ protected:
+  static constexpr int kKeys = 5;
+  static constexpr int kPerKey = 3;
+  static constexpr std::size_t kCopies = kKeys * kPerKey;
+
+  /// Interns x0 < x1 < ... and then the ranks w0 < w1 < ..., adds
+  /// R(w_(kKeys-1-i), x_i, y_j) for every i and j, and c-chases under
+  /// `limits`.
+  CChaseOutcome Chase(const ChaseLimits& limits) {
+    program_ = ParseOrDie(R"(
+      source R(w, x, y);
+      target R2(w, x, y);
+      target T(x, z);
+      tgd copy: R(w, x, y) -> R2(w, x, y);
+      ttgd rt: R2(w, x, y) -> exists z: T(x, z);
+    )");
+    Universe& u = program_->universe;
+    std::vector<Value> xs, ws;
+    for (int i = 0; i < kKeys; ++i) {
+      xs.push_back(u.Constant("x" + std::to_string(i)));
+    }
+    for (int i = 0; i < kKeys; ++i) {
+      ws.push_back(u.Constant("w" + std::to_string(i)));
+    }
+    const RelationId r_plus = *program_->schema.Find("R+");
+    for (int i = 0; i < kKeys; ++i) {
+      for (int j = 0; j < kPerKey; ++j) {
+        EXPECT_TRUE(program_->source
+                        .Add(r_plus,
+                             {ws[kKeys - 1 - i], xs[i],
+                              u.Constant("y" + std::to_string(j))},
+                             Interval(0, 10))
+                        .ok());
+      }
+    }
+    CChaseOptions opts;
+    opts.limits = limits;
+    auto outcome = CChase(program_->source, program_->lifted, &u, opts);
+    EXPECT_TRUE(outcome.ok()) << outcome.status();
+    return std::move(outcome).value();
+  }
+
+  /// The T+ facts as (x symbol, null id), sorted by x.
+  std::vector<std::pair<SymbolId, NullId>> Fired(const CChaseOutcome& o) {
+    const RelationId t_plus = *program_->schema.Find("T+");
+    std::vector<std::pair<SymbolId, NullId>> out;
+    for (const FactView fact : o.target.facts().facts(t_plus)) {
+      out.emplace_back(fact.arg(0).symbol(), fact.arg(1).null_id());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  std::unique_ptr<ParsedProgram> program_;
+};
+
+TEST_F(CChaseFireOrderTest, OneFirePerKeyWithNullIdsRisingInKeyOrder) {
+  const CChaseOutcome outcome = Chase(ChaseLimits{});
+  ASSERT_EQ(outcome.kind, ChaseResultKind::kSuccess);
+  // The copy fires once per R fact; rt once per x.
+  EXPECT_EQ(outcome.stats.tgd_fires, kCopies + kKeys);
+  EXPECT_GT(outcome.stats.tgd_triggers, outcome.stats.tgd_fires);
+  const auto fired = Fired(outcome);
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kKeys));
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    EXPECT_LT(fired[i - 1].second, fired[i].second) << "x" << i;
+  }
+}
+
+TEST_F(CChaseFireOrderTest, FireBudgetStopsAfterTheFirstKeysInKeyOrder) {
+  for (std::size_t k = 1; k < kKeys; ++k) {
+    ChaseLimits limits;
+    limits.max_tgd_fires = kCopies + k;
+    const CChaseOutcome outcome = Chase(limits);
+    ASSERT_EQ(outcome.kind, ChaseResultKind::kAborted) << k;
+    EXPECT_EQ(outcome.abort_dimension, ResourceDimension::kTgdFires);
+    EXPECT_EQ(outcome.stats.tgd_fires, kCopies + k);
+    const auto fired = Fired(outcome);
+    ASSERT_EQ(fired.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(fired[i].first,
+                program_->universe.Constant("x" + std::to_string(i)).symbol())
+          << "budget " << k;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/relational/universal.h"
 
 namespace tdx {
@@ -228,6 +233,96 @@ TEST_F(ChaseTest, EgdMergesTwoNulls) {
   EXPECT_EQ(outcome->target.facts(q)[0].arg(1),
             outcome->target.facts(r)[0].arg(1));
   EXPECT_EQ(outcome->stats.egd_steps, 1u);
+}
+
+// The canonical fire order belongs to the restricted chase, not to the
+// container its triggers are kept in: a rule's triggers fire in ascending
+// order of their head-visible universal values (Value's canonical order),
+// one per value, whatever order the source facts were inserted in.
+class ChaseFireOrderTest : public ::testing::Test {
+ protected:
+  static constexpr int kKeys = 5;
+  static constexpr int kPerKey = 3;
+
+  void SetUp() override {
+    r_ = *schema_.AddRelation("R", {"x", "y"}, SchemaRole::kSource);
+    t_ = *schema_.AddRelation("T", {"x", "z"}, SchemaRole::kTarget);
+    Tgd tgd;  // R(x, y) -> exists z: T(x, z)
+    tgd.label = "rt";
+    tgd.body.atoms = {Atom{r_, {Term::Var(0), Term::Var(1)}}};
+    tgd.head.atoms = {Atom{t_, {Term::Var(0), Term::Var(2)}}};
+    tgd.body.num_vars = tgd.head.num_vars = 3;
+    ASSERT_TRUE(tgd.Finalize().ok());
+    mapping_.st_tgds = {std::move(tgd)};
+    ASSERT_TRUE(ValidateMapping(mapping_, schema_).ok());
+  }
+
+  /// Chases under `limits` in a fresh universe that interns the x values
+  /// in ascending order, so key order is x0 < x1 < ...; the source facts
+  /// are inserted in descending x order, several y per x.
+  ChaseOutcome Chase(const ChaseLimits& limits, Universe* u) {
+    std::vector<Value> xs;
+    for (int i = 0; i < kKeys; ++i) {
+      xs.push_back(u->Constant("x" + std::to_string(i)));
+    }
+    Instance source(&schema_);
+    for (int i = kKeys - 1; i >= 0; --i) {
+      for (int j = 0; j < kPerKey; ++j) {
+        source.Insert(r_, {xs[i], u->Constant("y" + std::to_string(j))});
+      }
+    }
+    auto outcome = ChaseSnapshot(source, mapping_, u, limits);
+    EXPECT_TRUE(outcome.ok()) << outcome.status();
+    return std::move(outcome).value();
+  }
+
+  /// The T facts as (x symbol, null id), sorted by x.
+  std::vector<std::pair<SymbolId, NullId>> Fired(const Instance& target) {
+    std::vector<std::pair<SymbolId, NullId>> out;
+    for (const FactView fact : target.facts(t_)) {
+      out.emplace_back(fact.arg(0).symbol(), fact.arg(1).null_id());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  Schema schema_;
+  Mapping mapping_;
+  RelationId r_ = 0, t_ = 0;
+};
+
+TEST_F(ChaseFireOrderTest, OneFirePerKeyWithNullIdsRisingInKeyOrder) {
+  Universe u;
+  const ChaseOutcome outcome = Chase(ChaseLimits{}, &u);
+  ASSERT_EQ(outcome.kind, ChaseResultKind::kSuccess);
+  EXPECT_EQ(outcome.stats.tgd_triggers,
+            static_cast<std::size_t>(kKeys * kPerKey));
+  EXPECT_EQ(outcome.stats.tgd_fires, static_cast<std::size_t>(kKeys));
+  EXPECT_GT(outcome.stats.tgd_triggers, outcome.stats.tgd_fires);
+  const auto fired = Fired(outcome.target);
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kKeys));
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    EXPECT_LT(fired[i - 1].second, fired[i].second) << "x" << i;
+  }
+}
+
+TEST_F(ChaseFireOrderTest, FireBudgetStopsAfterTheFirstKeysInKeyOrder) {
+  for (std::size_t k = 1; k < kKeys; ++k) {
+    Universe u;
+    ChaseLimits limits;
+    limits.max_tgd_fires = k;
+    const ChaseOutcome outcome = Chase(limits, &u);
+    ASSERT_EQ(outcome.kind, ChaseResultKind::kAborted) << k;
+    EXPECT_EQ(outcome.abort_dimension, ResourceDimension::kTgdFires);
+    EXPECT_EQ(outcome.stats.tgd_fires, k);
+    const auto fired = Fired(outcome.target);
+    ASSERT_EQ(fired.size(), k);
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(fired[i].first,
+                u.Constant("x" + std::to_string(i)).symbol())
+          << "budget " << k;
+    }
+  }
 }
 
 }  // namespace
