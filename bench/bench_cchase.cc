@@ -16,6 +16,12 @@
 // per collected trigger (allocs_per_trigger, gated in
 // bench/bench_gates.json), counted by the global operator new below, which
 // replaces the default one in this binary only.
+//
+// BM_QueryAtCascade runs query-at's per-snapshot certain answers
+// (CertainAnswersAtMany) at the 32 points 0..31 of a 20-stage cascade over
+// horizon 32, whose ballast ends at 4: the points fall into two pieces of
+// equal snapshots, so snapshot_chases (read from the certain.* metrics,
+// gated in bench/bench_gates.json) must be 2, not 32.
 
 #include <benchmark/benchmark.h>
 
@@ -25,11 +31,14 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "src/core/cchase.h"
+#include "src/core/certain.h"
 #include "src/core/normalize.h"
 #include "src/gen/workload.h"
+#include "src/obs/metrics.h"
 #include "src/relational/chase_run.h"
 
 namespace {
@@ -232,5 +241,45 @@ void BM_StTgdPhase(benchmark::State& state) {
       static_cast<double>(std::max<std::size_t>(triggers, 1));
 }
 BENCHMARK(BM_StTgdPhase)->Arg(100);
+
+std::uint64_t CounterValue(std::string_view name) {
+  const tdx::obs::MetricsSnapshot snap =
+      tdx::obs::MetricsRegistry::Instance().Snapshot();
+  const tdx::obs::MetricValue* metric = snap.Find(name);
+  return metric == nullptr ? 0 : metric->value;
+}
+
+void BM_QueryAtCascade(benchmark::State& state) {
+  tdx::CascadeConfig cfg;
+  cfg.stages = 20;
+  cfg.ballast_keys = 20;
+  cfg.ballast_dup = 10;
+  cfg.horizon = 32;
+  auto w = tdx::MakeCascadeWorkload(cfg);
+  // query reached(x): Cur(x);
+  tdx::ConjunctiveQuery cq;
+  cq.body.atoms = {tdx::Atom{*w->schema.Find("Cur"), {tdx::Term::Var(0)}}};
+  cq.body.num_vars = 1;
+  cq.head = {0};
+  tdx::UnionQuery query;
+  query.disjuncts = {cq};
+  std::vector<tdx::TimePoint> points(32);
+  for (std::size_t i = 0; i < points.size(); ++i) points[i] = i;
+  const std::uint64_t before = CounterValue("certain.snapshot_chases");
+  for (auto _ : state) {
+    auto results = tdx::CertainAnswersAtMany(query, w->source, w->mapping,
+                                             points, &w->universe);
+    if (!results.ok()) {
+      state.SkipWithError("CertainAnswersAtMany failed");
+      return;
+    }
+    benchmark::DoNotOptimize(results);
+  }
+  state.counters["snapshot_chases"] =
+      static_cast<double>(CounterValue("certain.snapshot_chases") - before) /
+      static_cast<double>(state.iterations());
+  state.counters["points"] = static_cast<double>(points.size());
+}
+BENCHMARK(BM_QueryAtCascade)->Unit(benchmark::kMillisecond);
 
 }  // namespace

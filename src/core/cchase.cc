@@ -244,7 +244,10 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
     DeltaFrontier full;
     RunTgds(normalized, &target, run.st_plan, &full, fresh, &outcome.stats,
             &guard, &source_finder, &target_finder, &run.triggers);
-    if (guard.tripped()) return aborted();
+    if (guard.tripped()) {
+      outcome.target = ConcreteInstance(std::move(target));
+      return aborted();
+    }
   } else {
     target = *resume->target;
   }

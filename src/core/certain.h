@@ -51,15 +51,19 @@ Result<CertainAnswersResult> CertainAnswersAt(const UnionQuery& query,
                                               TimePoint l, Universe* universe,
                                               const ChaseLimits& limits = {});
 
-/// CertainAnswersAt for a batch of time points, with the per-point snapshot
-/// chases fanned out over `jobs` threads. Snapshots are materialized
-/// sequentially (SnapshotAt memoizes null projections into `universe`,
-/// which is not thread-safe); each chase then runs against a scratch
-/// Universe, whose nulls never reach the answers (naive evaluation drops
-/// tuples with nulls). results[i] corresponds to points[i] and is identical
-/// to CertainAnswersAt(query, source, mapping, points[i], ...) regardless
-/// of `jobs`, except that a point whose pool task was dropped (the
-/// thread-pool/dispatch fault site) reports kAborted.
+/// CertainAnswersAt for a batch of time points, one snapshot chase per
+/// piece. Two points p < q see the same snapshot when no fact of `source`
+/// starts or ends in (p, q], so such points form one piece; each piece is
+/// materialized, chased and evaluated once, in its own task on up to
+/// `jobs` threads, against a scratch Universe. `source` must be complete
+/// (InvalidArgument otherwise): its snapshots project no null, so a worker
+/// materializing one writes to no shared universe, and the answers are
+/// null-free, so scratch ids never escape; `universe` is not used.
+/// results[i] corresponds to points[i] (any order, repeats allowed) and is
+/// identical to CertainAnswersAt(query, source, mapping, points[i], ...)
+/// regardless of `jobs`, except that when the pool drops a piece's task
+/// (the thread-pool/dispatch fault site) every point of that piece reports
+/// kAborted with no answers.
 Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
     const UnionQuery& query, const ConcreteInstance& source,
     const Mapping& mapping, const std::vector<TimePoint>& points,

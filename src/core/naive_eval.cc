@@ -5,7 +5,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "src/common/thread_pool.h"
 #include "src/core/normalize.h"
 
 namespace tdx {
@@ -43,29 +42,6 @@ std::vector<Tuple> NaiveEvaluateAbstractAt(const UnionQuery& query,
                                            TimePoint l, Universe* universe) {
   const Instance snapshot = ja.At(l, universe);
   return DropTuplesWithNulls(Evaluate(query, snapshot));
-}
-
-std::vector<std::vector<Tuple>> NaiveEvaluateAbstractAtMany(
-    const UnionQuery& query, const AbstractInstance& ja,
-    const std::vector<TimePoint>& points, Universe* universe, unsigned jobs) {
-  // Materialize sequentially (At() writes projection memos into the shared
-  // universe), evaluate in parallel (pure function of the snapshot).
-  std::vector<Instance> snapshots;
-  snapshots.reserve(points.size());
-  for (TimePoint l : points) snapshots.push_back(ja.At(l, universe));
-  std::vector<std::vector<Tuple>> results(points.size());
-  std::vector<char> done(points.size(), 0);
-  const auto evaluate = [&](std::size_t i) {
-    results[i] = DropTuplesWithNulls(Evaluate(query, snapshots[i]));
-    done[i] = 1;
-  };
-  ParallelFor(jobs, points.size(), evaluate);
-  // A task the pool dropped (the thread-pool/dispatch fault site) left its
-  // slot unfilled; evaluation is pure, so redo it here.
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (done[i] == 0) evaluate(i);
-  }
-  return results;
 }
 
 std::vector<Tuple> ConcreteAnswersAt(const std::vector<Tuple>& answers,

@@ -44,17 +44,6 @@ std::vector<Tuple> NaiveEvaluateAbstractAt(const UnionQuery& query,
                                            const AbstractInstance& ja,
                                            TimePoint l, Universe* universe);
 
-/// NaiveEvaluateAbstractAt for a batch of snapshots, with the evaluations
-/// fanned out over `jobs` threads. Snapshots materialize sequentially
-/// (At() memoizes null projections into `universe`, which is not
-/// thread-safe); evaluation is read-only and runs in parallel, and a point
-/// whose pool task was dropped is evaluated inline afterwards. results[i]
-/// corresponds to points[i] and is independent of `jobs`.
-std::vector<std::vector<Tuple>> NaiveEvaluateAbstractAtMany(
-    const UnionQuery& query, const AbstractInstance& ja,
-    const std::vector<TimePoint>& points, Universe* universe,
-    unsigned jobs = 1);
-
 /// [[q+(Jc)!]] at snapshot l: the k-tuples whose interval contains l.
 std::vector<Tuple> ConcreteAnswersAt(const std::vector<Tuple>& answers,
                                      TimePoint l);

@@ -141,6 +141,28 @@ TEST(CChaseTest, RejectsIncompleteSource) {
                    .ok());
 }
 
+// A budget that trips in the st phase still hands back what the phase
+// materialized, as one that trips in a target round does.
+TEST(CChaseTest, StPhaseAbortKeepsThePartialTarget) {
+  auto program = ParseOrDie(R"(
+    source E(name, company);
+    target T(name);
+    tgd E(n, c) -> T(n);
+    fact E("Ada", "IBM") @ [0, 5);
+    fact E("Bob", "IBM") @ [2, 7);
+  )");
+  CChaseOptions options;
+  options.limits.max_tgd_fires = 1;
+  auto outcome =
+      CChase(program->source, program->lifted, &program->universe, options);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_EQ(outcome->kind, ChaseResultKind::kAborted);
+  EXPECT_EQ(outcome->abort_dimension, ResourceDimension::kTgdFires);
+  EXPECT_EQ(outcome->stats.tgd_fires, 1u);
+  EXPECT_EQ(outcome->target.size(), 1u);
+  EXPECT_TRUE(outcome->target.Validate().ok());
+}
+
 TEST(CChaseTest, EgdFragmentsTargetBeforeMerging) {
   // m1 produces Emp(Ada, IBM, N^[0,10), [0,10)); m2 produces
   // Emp(Ada, M^[3,6), 18k, [3,6)). No tgd body joins E with S, so the
@@ -244,8 +266,7 @@ TEST(CChaseTest, InferTemporalVarValidation) {
 // container its triggers are kept in: a rule's triggers fire in ascending
 // order of their head-visible universal values (x, then t), one per value,
 // whatever order their body facts were inserted in. The rule under test,
-// R2(w, x, y) -> exists z: T(x, z), is a target tgd, because a c-chase that
-// aborts in its st phase returns no target to inspect. The full st-tgd
+// R2(w, x, y) -> exists z: T(x, z), is a target tgd. The full st-tgd
 // copies R into R2 in key order, led by the rank w; the ranks run against
 // x, so R2 holds the facts in descending x order, several y per x.
 class CChaseFireOrderTest : public ::testing::Test {

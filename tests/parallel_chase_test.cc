@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/certain.h"
-#include "src/core/naive_eval.h"
 #include "src/gen/workload.h"
+#include "src/obs/metrics.h"
 #include "src/temporal/abstract_chase.h"
 #include "src/temporal/abstract_hom.h"
 
@@ -25,25 +29,31 @@ std::vector<TimePoint> ProbePoints(const ConcreteInstance& ic) {
   return pts;
 }
 
+/// The identity UCQ over relation `r`.
+UnionQuery IdentityQuery(const Schema& schema, RelationId r) {
+  const std::size_t arity = schema.relation(r).arity();
+  ConjunctiveQuery cq;
+  Atom atom{r, {}};
+  for (std::size_t i = 0; i < arity; ++i) {
+    atom.terms.push_back(Term::Var(static_cast<VarId>(i)));
+    cq.head.push_back(static_cast<VarId>(i));
+  }
+  cq.body.atoms.push_back(atom);
+  cq.body.num_vars = arity;
+  UnionQuery query;
+  query.disjuncts.push_back(cq);
+  return query;
+}
+
 /// The identity UCQ over the schema's first target relation (generated
 /// workloads carry no queries of their own).
 UnionQuery FirstTargetIdentityQuery(const Schema& schema) {
-  UnionQuery query;
   for (RelationId r = 0; r < schema.relation_count(); ++r) {
-    if (schema.relation(r).role != SchemaRole::kTarget) continue;
-    const std::size_t arity = schema.relation(r).arity();
-    ConjunctiveQuery cq;
-    Atom atom{r, {}};
-    for (std::size_t i = 0; i < arity; ++i) {
-      atom.terms.push_back(Term::Var(static_cast<VarId>(i)));
-      cq.head.push_back(static_cast<VarId>(i));
+    if (schema.relation(r).role == SchemaRole::kTarget) {
+      return IdentityQuery(schema, r);
     }
-    cq.body.atoms.push_back(atom);
-    cq.body.num_vars = arity;
-    query.disjuncts.push_back(cq);
-    break;
   }
-  return query;
+  return UnionQuery();
 }
 
 class ParallelSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -125,30 +135,6 @@ TEST_P(ParallelSweep, CertainAnswersAtManyMatchesPerPoint) {
     EXPECT_EQ((*batched)[i].chase_kind, single->chase_kind)
         << "l=" << points[i];
     EXPECT_EQ((*batched)[i].answers, single->answers) << "l=" << points[i];
-  }
-}
-
-TEST_P(ParallelSweep, NaiveEvalAtManyMatchesPerPoint) {
-  EmploymentConfig cfg;
-  cfg.num_people = 8;
-  cfg.seed = GetParam();
-  auto w = MakeEmploymentWorkload(cfg);
-  auto ia = AbstractInstance::FromConcrete(w->source);
-  ASSERT_TRUE(ia.ok());
-  auto chased = AbstractChase(*ia, w->mapping, &w->universe);
-  ASSERT_TRUE(chased.ok());
-  ASSERT_EQ(chased->kind, ChaseResultKind::kSuccess);
-  const UnionQuery query = FirstTargetIdentityQuery(w->schema);
-  ASSERT_FALSE(query.disjuncts.empty());
-
-  const std::vector<TimePoint> points = ProbePoints(w->source);
-  const auto batched = NaiveEvaluateAbstractAtMany(query, chased->target,
-                                                   points, &w->universe, 4);
-  ASSERT_EQ(batched.size(), points.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(batched[i], NaiveEvaluateAbstractAt(query, chased->target,
-                                                  points[i], &w->universe))
-        << "l=" << points[i];
   }
 }
 
@@ -235,43 +221,152 @@ TEST(ParallelFaultTest, DroppedCertainAnswersPointReportsAborted) {
   }
 }
 
-// Naive evaluation is pure, so a dropped NaiveEvaluateAbstractAtMany task
-// is recomputed: every point still gets its real answers, at any job count.
-TEST(ParallelFaultTest, DroppedNaiveEvalPointIsRecomputed) {
-  for (const unsigned jobs : {1u, 4u}) {
-    EmploymentConfig cfg;
-    cfg.num_people = 8;
-    cfg.seed = 2;
-    auto w = MakeEmploymentWorkload(cfg);
-    auto ia = AbstractInstance::FromConcrete(w->source);
-    ASSERT_TRUE(ia.ok());
-    auto chased = AbstractChase(*ia, w->mapping, &w->universe);
-    ASSERT_TRUE(chased.ok());
-    ASSERT_EQ(chased->kind, ChaseResultKind::kSuccess);
-    const UnionQuery query = FirstTargetIdentityQuery(w->schema);
-    ASSERT_FALSE(query.disjuncts.empty());
+/// The small cascade of the tests below: its ballast holds over [0, 4) and
+/// everything else over [0, 8), so its snapshots form the pieces [0, 4),
+/// [4, 8) and [8, inf).
+std::unique_ptr<Workload> SmallCascade() {
+  CascadeConfig cfg;
+  cfg.stages = 5;
+  cfg.ballast_keys = 3;
+  cfg.ballast_dup = 3;
+  cfg.horizon = 8;
+  return MakeCascadeWorkload(cfg);
+}
 
-    // Only points with answers, so an unfilled slot cannot pass for a
-    // correct empty one.
-    std::vector<TimePoint> points;
-    std::vector<std::vector<Tuple>> expected;
-    for (const TimePoint l : ProbePoints(w->source)) {
-      std::vector<Tuple> answers =
-          NaiveEvaluateAbstractAt(query, chased->target, l, &w->universe);
-      if (answers.empty()) continue;
-      points.push_back(l);
-      expected.push_back(std::move(answers));
+std::uint64_t CounterValue(std::string_view name) {
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Instance().Snapshot();
+  const obs::MetricValue* metric = snap.Find(name);
+  return metric == nullptr ? 0 : metric->value;
+}
+
+/// Every integer in [0, StabilizationPoint() + 3), each twice, shuffled.
+std::vector<TimePoint> DensePoints(const ConcreteInstance& source) {
+  std::vector<TimePoint> points;
+  for (TimePoint l = 0; l < source.StabilizationPoint() + 3; ++l) {
+    points.push_back(l);
+    points.push_back(l);
+  }
+  std::mt19937_64 rng(7);
+  std::shuffle(points.begin(), points.end(), rng);
+  return points;
+}
+
+// Points that share a piece share one snapshot chase, and each still gets
+// exactly the one-point answer, for dense, unsorted and repeated points.
+TEST(CertainAnswersPiecesTest, DensePointsMatchPerPoint) {
+  EmploymentConfig employment;
+  employment.num_people = 6;
+  employment.horizon = 30;
+  employment.seed = 4;
+  struct Case {
+    std::string name;
+    std::unique_ptr<Workload> w;
+    UnionQuery query;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"cascade", SmallCascade(), {}});
+  cases.push_back({"employment", MakeEmploymentWorkload(employment), {}});
+  cases[0].query = IdentityQuery(cases[0].w->schema,
+                                 *cases[0].w->schema.Find("Cur"));
+  cases[1].query = FirstTargetIdentityQuery(cases[1].w->schema);
+  for (Case& c : cases) {
+    ASSERT_FALSE(c.query.disjuncts.empty());
+    const std::vector<TimePoint> points = DensePoints(c.w->source);
+    for (const unsigned jobs : {1u, 4u}) {
+      auto batched = CertainAnswersAtMany(c.query, c.w->source, c.w->mapping,
+                                          points, &c.w->universe, jobs);
+      ASSERT_TRUE(batched.ok()) << batched.status();
+      ASSERT_EQ(batched->size(), points.size());
+      std::size_t answers = 0;
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        auto single = CertainAnswersAt(c.query, c.w->source, c.w->mapping,
+                                       points[i], &c.w->universe);
+        ASSERT_TRUE(single.ok());
+        EXPECT_EQ((*batched)[i].chase_kind, single->chase_kind)
+            << c.name << " jobs=" << jobs << " l=" << points[i];
+        EXPECT_EQ((*batched)[i].answers, single->answers)
+            << c.name << " jobs=" << jobs << " l=" << points[i];
+        answers += single->answers.size();
+      }
+      EXPECT_GT(answers, 0u) << c.name;
     }
-    ASSERT_GT(points.size(), 1u);
+  }
+}
+
+// The counters show the sharing: the small cascade's 22 points fall into
+// its 3 pieces.
+TEST(CertainAnswersPiecesTest, CountsOneChasePerPiece) {
+  auto w = SmallCascade();
+  const UnionQuery query = IdentityQuery(w->schema, *w->schema.Find("Cur"));
+  const std::vector<TimePoint> points = DensePoints(w->source);
+  ASSERT_EQ(points.size(), 22u);
+  const std::uint64_t points_before = CounterValue("certain.points");
+  const std::uint64_t chases_before = CounterValue("certain.snapshot_chases");
+  auto batched = CertainAnswersAtMany(query, w->source, w->mapping, points,
+                                      &w->universe, 4);
+  ASSERT_TRUE(batched.ok()) << batched.status();
+  EXPECT_EQ(CounterValue("certain.points") - points_before, 22u);
+  EXPECT_EQ(CounterValue("certain.snapshot_chases") - chases_before, 3u);
+}
+
+TEST(CertainAnswersPiecesTest, IncompleteSourceIsRejected) {
+  auto w = SmallCascade();
+  const UnionQuery query = IdentityQuery(w->schema, *w->schema.Find("Cur"));
+  const RelationId sseed_plus = *w->schema.Find("SSeed+");
+  ASSERT_TRUE(w->source
+                  .Add(sseed_plus,
+                       {w->universe.FreshAnnotatedNull(Interval(0, 2))},
+                       Interval(0, 2))
+                  .ok());
+  auto batched = CertainAnswersAtMany(query, w->source, w->mapping, {0, 1},
+                                      &w->universe, 1);
+  ASSERT_FALSE(batched.ok());
+  EXPECT_EQ(batched.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A dropped task costs its whole piece: exactly the points of that piece
+// report kAborted, every other point keeps its exact answers. Every piece
+// here holds at least two requested points, so whichever task the pool
+// drops, the abort covers more than one point.
+TEST(ParallelFaultTest, DroppedPieceAbortsEachOfItsPoints) {
+  for (const unsigned jobs : {1u, 4u}) {
+    auto w = SmallCascade();
+    const UnionQuery query = IdentityQuery(w->schema, *w->schema.Find("Cur"));
+    const std::vector<TimePoint> points = {9, 1, 5, 0, 12, 3, 6, 1, 8};
+    const auto piece = [](TimePoint l) { return l < 4 ? 0 : l < 8 ? 1 : 2; };
 
     FaultRegistry::Arm("thread-pool/dispatch",
                        Status::Internal("injected fault"));
-    const auto batched = NaiveEvaluateAbstractAtMany(query, chased->target,
-                                                     points, &w->universe,
-                                                     jobs);
-    EXPECT_GE(FaultRegistry::HitCount("thread-pool/dispatch"), 1u);
+    auto batched = CertainAnswersAtMany(query, w->source, w->mapping, points,
+                                        &w->universe, jobs);
     FaultRegistry::DisarmAll();
-    EXPECT_EQ(batched, expected) << "jobs=" << jobs;
+    ASSERT_TRUE(batched.ok()) << batched.status();
+    ASSERT_EQ(batched->size(), points.size());
+    int dropped = -1;
+    std::size_t aborted = 0;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      if ((*batched)[i].chase_kind == ChaseResultKind::kAborted) {
+        dropped = piece(points[i]);
+        break;
+      }
+    }
+    ASSERT_NE(dropped, -1) << "jobs=" << jobs;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      const CertainAnswersResult& got = (*batched)[i];
+      if (piece(points[i]) == dropped) {
+        ++aborted;
+        EXPECT_EQ(got.chase_kind, ChaseResultKind::kAborted)
+            << "l=" << points[i];
+        EXPECT_TRUE(got.answers.empty()) << "l=" << points[i];
+        continue;
+      }
+      auto single = CertainAnswersAt(query, w->source, w->mapping, points[i],
+                                     &w->universe);
+      ASSERT_TRUE(single.ok());
+      EXPECT_EQ(got.chase_kind, single->chase_kind) << "l=" << points[i];
+      EXPECT_EQ(got.answers, single->answers) << "l=" << points[i];
+    }
+    EXPECT_GE(aborted, 2u) << "jobs=" << jobs;
   }
 }
 

@@ -328,8 +328,9 @@ int RunChase(tdx::ParsedProgram& program, const CliOptions& options,
   return EXIT_SUCCESS;
 }
 
-// Per-snapshot certain answers for a batch of time points; the snapshot
-// chases fan out over --jobs threads (core/certain.h).
+// Per-snapshot certain answers for a batch of time points: one snapshot
+// chase per piece of equal snapshots, fanned out over --jobs threads
+// (core/certain.h).
 int RunQueryAt(tdx::ParsedProgram& program, const CliOptions& options,
                const std::vector<std::string>& positional) {
   auto query = program.FindQuery(positional[2]);
