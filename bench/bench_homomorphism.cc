@@ -51,7 +51,8 @@ void BM_PointLookup(benchmark::State& state) {
   conj.num_vars = 1;
   tdx::HomomorphismFinder finder(*fx.instance);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(finder.Exists(conj, tdx::Binding(1)));
+    tdx::Binding binding(1);
+    benchmark::DoNotOptimize(finder.Exists(conj, &binding));
   }
 }
 BENCHMARK(BM_PointLookup)->Arg(1000)->Arg(10000)->Arg(100000);
@@ -66,12 +67,10 @@ void BM_StarJoin(benchmark::State& state) {
   std::size_t homs = 0;
   for (auto _ : state) {
     tdx::HomomorphismFinder finder(*fx.instance);
+    tdx::Binding binding(3);
     homs = 0;
-    finder.ForEach(conj, tdx::Binding(3),
-                   [&](const tdx::Binding&, const tdx::AtomImage&) {
-                     ++homs;
-                     return true;
-                   });
+    tdx::HomomorphismFinder::Cursor cursor = finder.Open(conj, &binding);
+    while (cursor.Next()) ++homs;
     benchmark::DoNotOptimize(homs);
   }
   state.counters["homs"] = static_cast<double>(homs);
@@ -91,12 +90,10 @@ void BM_SelectiveJoin(benchmark::State& state) {
   std::size_t homs = 0;
   for (auto _ : state) {
     tdx::HomomorphismFinder finder(*fx.instance);
+    tdx::Binding binding(2);
     homs = 0;
-    finder.ForEach(conj, tdx::Binding(2),
-                   [&](const tdx::Binding&, const tdx::AtomImage&) {
-                     ++homs;
-                     return true;
-                   });
+    tdx::HomomorphismFinder::Cursor cursor = finder.Open(conj, &binding);
+    while (cursor.Next()) ++homs;
     benchmark::DoNotOptimize(homs);
   }
   state.counters["homs"] = static_cast<double>(homs);
@@ -114,11 +111,10 @@ void BM_CrossProductCapped(benchmark::State& state) {
   conj.num_vars = 4;
   for (auto _ : state) {
     tdx::HomomorphismFinder finder(*fx.instance);
+    tdx::Binding binding(4);
     std::size_t homs = 0;
-    finder.ForEach(conj, tdx::Binding(4),
-                   [&](const tdx::Binding&, const tdx::AtomImage&) {
-                     return ++homs < 10000;
-                   });
+    tdx::HomomorphismFinder::Cursor cursor = finder.Open(conj, &binding);
+    while (homs < 10000 && cursor.Next()) ++homs;
     benchmark::DoNotOptimize(homs);
   }
 }

@@ -498,11 +498,11 @@ bool TgdImplies(const Tgd& a, const Tgd& b, const Schema& schema) {
   std::vector<Binding> triggers;
   {
     HomomorphismFinder finder(frozen);
-    finder.ForEach(a.body, Binding(a.body.num_vars),
-                   [&triggers](const Binding& binding, const AtomImage&) {
-                     triggers.push_back(binding);
-                     return triggers.size() < kMaxImplicationTriggers;
-                   });
+    Binding binding(a.body.num_vars);
+    HomomorphismFinder::Cursor cursor = finder.Open(a.body, &binding);
+    while (triggers.size() < kMaxImplicationTriggers && cursor.Next()) {
+      triggers.push_back(binding);
+    }
   }
   Instance result = frozen;
   NullId fresh = kFreshNullBase;
@@ -539,7 +539,7 @@ bool TgdImplies(const Tgd& a, const Tgd& b, const Schema& schema) {
     }
   }
   HomomorphismFinder finder(result);
-  return finder.Exists(b.head, init);
+  return finder.Exists(b.head, &init);
 }
 
 void AnalyzeRedundancy(const AnalysisInput& in, AnalysisReport* report) {

@@ -73,23 +73,17 @@ bool HasEmptyIntersectionProperty(const ConcreteInstance& instance,
   HomomorphismFinder finder(instance.facts());
   for (const Conjunction& phi : phis) {
     const Conjunction star = RenameTemporalApart(phi);
-    bool ok = true;
-    finder.ForEach(star, Binding(star.num_vars),
-                   [&](const Binding&, const AtomImage& image) {
-                     const std::optional<Interval> inter =
-                         IntersectIntervals(image);
-                     if (!inter.has_value()) return true;  // condition 1
-                     // Condition 2: intersection == union, i.e. all image
-                     // facts carry one identical interval.
-                     for (FactView f : image) {
-                       if (f.interval() != *inter) {
-                         ok = false;
-                         return false;
-                       }
-                     }
-                     return true;
-                   });
-    if (!ok) return false;
+    Binding binding(star.num_vars);
+    HomomorphismFinder::Cursor cursor = finder.Open(star, &binding);
+    while (cursor.Next()) {
+      const std::optional<Interval> inter = IntersectIntervals(cursor.image());
+      if (!inter.has_value()) continue;  // condition 1
+      // Condition 2: intersection == union, i.e. all image facts carry one
+      // identical interval.
+      for (FactView f : cursor.image()) {
+        if (f.interval() != *inter) return false;
+      }
+    }
   }
   return true;
 }

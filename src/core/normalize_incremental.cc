@@ -446,19 +446,22 @@ void NormalizeState::Pass(Instance* target,
   };
   std::size_t hom_count = 0;
   bool deadline_ok = true;
-  const auto on_hom = [&](const Binding&, const AtomImage& image) {
-    // The hom sweep dominates Algorithm 1's worst case (Theorem 13), so
-    // the deadline is polled here too.
-    if (guard != nullptr && !guard->CheckDeadline()) {
-      deadline_ok = false;
-      return false;
+  // Joins the facts of each hom `cursor` yields whose intervals intersect.
+  const auto sweep = [&](HomomorphismFinder::Cursor cursor) {
+    while (cursor.Next()) {
+      // The hom sweep dominates Algorithm 1's worst case (Theorem 13), so
+      // the deadline is polled here too.
+      if (guard != nullptr && !guard->CheckDeadline()) {
+        deadline_ok = false;
+        return;
+      }
+      ++hom_count;
+      const AtomImage& image = cursor.image();
+      if (!IntersectIntervals(image).has_value()) continue;
+      const FactView front = image.front();
+      const std::size_t first = base_[front.relation()] + front.pos();
+      for (FactView f : image) join(first, base_[f.relation()] + f.pos());
     }
-    ++hom_count;
-    if (!IntersectIntervals(image).has_value()) return true;
-    const FactView front = image.front();
-    const std::size_t first = base_[front.relation()] + front.pos();
-    for (FactView f : image) join(first, base_[f.relation()] + f.pos());
-    return true;
   };
   // Joins `id` with every fact of each null cluster it belongs to.
   const auto touch_clusters = [&](std::size_t id) {
@@ -482,13 +485,19 @@ void NormalizeState::Pass(Instance* target,
 
   std::vector<Conjunction> stars;
   stars.reserve(phis.size());
-  for (const Conjunction& phi : phis) stars.push_back(RenameTemporalApart(phi));
+  std::size_t num_vars = 0;
+  for (const Conjunction& phi : phis) {
+    stars.push_back(RenameTemporalApart(phi));
+    num_vars = std::max(num_vars, stars.back().num_vars);
+  }
+  // One empty binding serves every sweep: each cursor restores it.
+  Binding empty(num_vars);
   for (const Conjunction& star : stars) {
     if (!deadline_ok) break;
     if (!watermarked) {
       // Every fact is fresh: one unseeded sweep finds each hom once, where
       // seeding every atom would count a k-atom hom k times.
-      finder_->ForEach(star, Binding(star.num_vars), on_hom);
+      sweep(finder_->Open(star, &empty));
       continue;
     }
     for (std::size_t a = 0; a < star.atoms.size() && deadline_ok; ++a) {
@@ -497,8 +506,7 @@ void NormalizeState::Pass(Instance* target,
       const std::uint32_t end =
           static_cast<std::uint32_t>(facts.facts(rel).size());
       if (begin >= end) continue;
-      finder_->ForEachSeeded(star, a, begin, end, Binding(star.num_vars),
-                             on_hom);
+      sweep(finder_->OpenSeeded(star, a, begin, end, &empty));
     }
   }
   if (!watermarked) {
@@ -540,8 +548,7 @@ void NormalizeState::Pass(Instance* target,
       if (!deadline_ok) break;
       for (std::size_t a = 0; a < star.atoms.size() && deadline_ok; ++a) {
         if (star.atoms[a].rel != row.rel) continue;
-        finder_->ForEachSeeded(star, a, row.pos, row.pos + 1,
-                               Binding(star.num_vars), on_hom);
+        sweep(finder_->OpenSeeded(star, a, row.pos, row.pos + 1, &empty));
       }
     }
     touch_clusters(id);

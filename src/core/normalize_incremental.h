@@ -35,14 +35,14 @@
 //    Normalize (normalize.h) is exactly this pass over a copy of its input.
 //
 //  * With a watermark, the homomorphism sweep is seeded from the appended
-//    suffix (ForEachSeeded per atom over [mark, size)) and from each dirty
-//    row, finding exactly the homs that touch at least one new or rewritten
-//    fact. Old facts pulled into a group are expanded transitively (all
-//    homs through them, again via single-fact seeds), and so are facts
-//    sharing an annotated null with a grouped fact, so every component
-//    containing a new or dirty fact is discovered in full. The previous
-//    component of a dirty row is re-derived whole: its other members are
-//    expanded too, since the rewrite may have split it.
+//    suffix (an OpenSeeded cursor per atom over [mark, size)) and from each
+//    dirty row, finding exactly the homs that touch at least one new or
+//    rewritten fact. Old facts pulled into a group are expanded
+//    transitively (all homs through them, again via single-fact seeds), and
+//    so are facts sharing an annotated null with a grouped fact, so every
+//    component containing a new or dirty fact is discovered in full. The
+//    previous component of a dirty row is re-derived whole: its other
+//    members are expanded too, since the rewrite may have split it.
 //
 //  * Components without any new or dirty fact are provably already
 //    normalized: any hom (or shared-null pair) whose image holds no such

@@ -102,14 +102,14 @@ std::vector<Tuple> Evaluate(const ConjunctiveQuery& query,
                             const Instance& instance) {
   std::vector<Tuple> out;
   HomomorphismFinder finder(instance);
-  finder.ForEach(query.body, Binding(query.body.num_vars),
-                 [&](const Binding& binding, const AtomImage&) {
-                   Tuple tuple;
-                   tuple.reserve(query.head.size());
-                   for (VarId v : query.head) tuple.push_back(binding.Get(v));
-                   out.push_back(std::move(tuple));
-                   return true;
-                 });
+  Binding binding(query.body.num_vars);
+  HomomorphismFinder::Cursor cursor = finder.Open(query.body, &binding);
+  while (cursor.Next()) {
+    Tuple tuple;
+    tuple.reserve(query.head.size());
+    for (VarId v : query.head) tuple.push_back(binding.Get(v));
+    out.push_back(std::move(tuple));
+  }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;

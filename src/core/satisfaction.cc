@@ -15,30 +15,23 @@ bool TgdSatisfied(const Tgd& tgd, const Instance& body_side,
                   const Instance& head_side) {
   HomomorphismFinder body_finder(body_side);
   HomomorphismFinder head_finder(head_side);
-  bool satisfied = true;
-  body_finder.ForEach(tgd.body, Binding(tgd.num_vars()),
-                      [&](const Binding& binding, const AtomImage&) {
-                        if (!head_finder.Exists(tgd.head, binding)) {
-                          satisfied = false;
-                          return false;
-                        }
-                        return true;
-                      });
-  return satisfied;
+  Binding binding(tgd.num_vars());
+  HomomorphismFinder::Cursor cursor = body_finder.Open(tgd.body, &binding);
+  while (cursor.Next()) {
+    // The head's cursor extends the body match and restores it on return.
+    if (!head_finder.Exists(tgd.head, &binding)) return false;
+  }
+  return true;
 }
 
 bool EgdSatisfied(const Egd& egd, const Instance& target) {
   HomomorphismFinder finder(target);
-  bool satisfied = true;
-  finder.ForEach(egd.body, Binding(egd.num_vars()),
-                 [&](const Binding& binding, const AtomImage&) {
-                   if (binding.Get(egd.x1) != binding.Get(egd.x2)) {
-                     satisfied = false;
-                     return false;
-                   }
-                   return true;
-                 });
-  return satisfied;
+  Binding binding(egd.num_vars());
+  HomomorphismFinder::Cursor cursor = finder.Open(egd.body, &binding);
+  while (cursor.Next()) {
+    if (binding.Get(egd.x1) != binding.Get(egd.x2)) return false;
+  }
+  return true;
 }
 
 }  // namespace

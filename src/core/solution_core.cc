@@ -35,18 +35,14 @@ std::optional<Instance> ProperEndomorphismImage(const Instance& instance) {
   if (null_vars.empty()) return std::nullopt;  // no nulls: already a core
 
   HomomorphismFinder finder(instance);
-  std::optional<Instance> image;
-  finder.ForEach(conj, Binding(conj.num_vars),
-                 [&](const Binding& binding, const AtomImage&) {
-                   Instance candidate =
-                       ApplyEndomorphism(instance, null_vars, binding);
-                   if (candidate.size() < instance.size()) {
-                     image = std::move(candidate);
-                     return false;  // found a proper retraction
-                   }
-                   return true;
-                 });
-  return image;
+  Binding binding(conj.num_vars);
+  HomomorphismFinder::Cursor cursor = finder.Open(conj, &binding);
+  while (cursor.Next()) {
+    Instance candidate = ApplyEndomorphism(instance, null_vars, binding);
+    // A proper retraction: its image is smaller than the instance.
+    if (candidate.size() < instance.size()) return candidate;
+  }
+  return std::nullopt;
 }
 
 }  // namespace

@@ -115,15 +115,6 @@ Result<double> LookupTimeNs(
   return RealTimeNs(*it->second, name);
 }
 
-Result<double> ConfigNumber(const Json& gate, const char* key) {
-  const Json* value = gate.Find(key);
-  if (value == nullptr || !value->is_number()) {
-    return Status::InvalidArgument(std::string("gate is missing numeric \"") +
-                                   key + "\"");
-  }
-  return value->as_number();
-}
-
 Result<std::string> ConfigString(const Json& gate, const char* key) {
   const Json* value = gate.Find(key);
   if (value == nullptr || !value->is_string()) {
@@ -183,43 +174,6 @@ Result<GateReport> CheckBenchGates(const Json& fresh, const Json* baseline,
     report.pass = report.pass && check.pass;
     report.checks.push_back(std::move(check));
   };
-
-  // --- per-benchmark thresholds -------------------------------------------
-  if (const Json* per = gates.Find("per_benchmark");
-      per != nullptr && per->is_object()) {
-    const Json* enabled = per->Find("enabled");
-    if (enabled != nullptr && enabled->is_bool() && enabled->as_bool()) {
-      if (baseline == nullptr) {
-        return Status::InvalidArgument(
-            "per_benchmark gates need a baseline report");
-      }
-      TDX_ASSIGN_OR_RETURN(const double threshold,
-                           ConfigNumber(*per, "threshold"));
-      double noise_floor_ns = 0;
-      if (const Json* floor = per->Find("noise_floor_ns");
-          floor != nullptr && floor->is_number()) {
-        noise_floor_ns = floor->as_number();
-      }
-      for (const auto& [name, entry] : baseline_by_name) {
-        auto it = fresh_by_name.find(name);
-        if (it == fresh_by_name.end()) continue;  // renamed/removed: not a gate
-        TDX_ASSIGN_OR_RETURN(const double base_ns, RealTimeNs(*entry, name));
-        TDX_ASSIGN_OR_RETURN(const double fresh_ns,
-                             RealTimeNs(*it->second, name));
-        if (base_ns < noise_floor_ns && fresh_ns < noise_floor_ns) continue;
-        GateCheck check;
-        check.gate = name;
-        check.kind = "per_benchmark";
-        check.actual = fresh_ns;
-        check.limit = base_ns * threshold;
-        check.pass = fresh_ns <= check.limit;
-        check.detail = name + ": " + FormatDouble(fresh_ns) + "ns vs " +
-                       FormatDouble(base_ns) + "ns baseline (threshold " +
-                       FormatDouble(threshold) + "x)";
-        add(std::move(check));
-      }
-    }
-  }
 
   // --- ratio gates --------------------------------------------------------
   if (const Json* ratio_gates = gates.Find("ratio_gates");

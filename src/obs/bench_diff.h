@@ -9,14 +9,9 @@
 //    merge bench-smoke used to carry.
 //
 //  * Check — evaluate a gates config against a fresh report and (optionally)
-//    a baseline report, producing a machine-readable verdict. Three gate
-//    families:
+//    a baseline report, producing a machine-readable verdict. Two gate
+//    families, both hardware-independent (absolute times are not gated):
 //
-//      - per-benchmark threshold: every benchmark present in both reports
-//        must satisfy fresh_time <= baseline_time * threshold, unless both
-//        sit under the noise floor. Meaningful only when both reports come
-//        from the same hardware; CI leaves it disabled because the committed
-//        baseline was measured elsewhere.
 //      - ratio gates: a dimensionless fresh_time(num)/fresh_time(den) ratio
 //        with a min and/or max bound, and optionally a drift bound against
 //        the same ratio computed from the baseline (ratios transfer across
@@ -56,8 +51,7 @@ Result<Json> MergeBenchReports(const std::vector<Json>& reports);
 /// One evaluated gate.
 struct GateCheck {
   std::string gate;    ///< gate name from the config (or benchmark name)
-  std::string kind;    ///< "per_benchmark" | "ratio" | "ratio_drift" |
-                       ///< "counter"
+  std::string kind;    ///< "ratio" | "ratio_drift" | "counter"
   bool pass = false;
   double actual = 0;   ///< the measured value the gate bounded
   double limit = 0;    ///< the bound it was held to
@@ -77,8 +71,8 @@ struct GateReport {
   std::string ToText() const;
 };
 
-/// Evaluates `gates` against `fresh`, using `baseline` for per-benchmark
-/// thresholds and ratio drift bounds (pass nullptr to skip both). Errors on
+/// Evaluates `gates` against `fresh`, using `baseline` for ratio drift
+/// bounds (pass nullptr to skip them). Errors on
 /// malformed reports/config or on a gate referencing a benchmark or counter
 /// missing from `fresh`; a gate failure is NOT an error — it is a failed
 /// check in the returned report.

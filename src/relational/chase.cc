@@ -1,7 +1,6 @@
 #include "src/relational/chase.h"
 
 #include <algorithm>
-#include <functional>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -53,31 +52,37 @@ std::vector<VarId> BodyVarsOutside(const Tgd& tgd,
   return out;
 }
 
-/// Enumerates the homomorphisms from `conj` (over `num_vars` variables)
-/// into `inst` whose image touches `frontier`; all of them while it is
-/// full. Otherwise enumeration is seeded on each atom's frontier range and
-/// on each rewritten frontier row, so a homomorphism touching several
-/// frontier facts is found once per touched atom and seed. Every seed
-/// extends one empty binding in place, which each search restores.
+/// Calls `on_match` with each homomorphism from `conj` (over `num_vars`
+/// variables) into `inst` whose image touches `frontier`; with all of them
+/// while it is full. Otherwise a cursor is seeded on each atom's frontier
+/// range and on each rewritten frontier row, so a homomorphism touching
+/// several frontier facts is found once per touched atom and seed. Every
+/// cursor extends one empty binding in place, and restores it on closing.
+template <class OnMatch>
 void ForEachTouching(HomomorphismFinder* finder, const Instance& inst,
                      const Conjunction& conj, std::size_t num_vars,
-                     const DeltaFrontier& frontier, const HomCallback& cb) {
+                     const DeltaFrontier& frontier, OnMatch&& on_match) {
   Binding empty(num_vars);
   if (frontier.full()) {
-    finder->ForEach(conj, &empty, cb);
+    HomomorphismFinder::Cursor cursor = finder->Open(conj, &empty);
+    while (cursor.Next()) on_match(cursor.binding());
     return;
   }
+  const auto seeded = [&](std::size_t atom, std::uint32_t begin,
+                          std::uint32_t end) {
+    HomomorphismFinder::Cursor cursor =
+        finder->OpenSeeded(conj, atom, begin, end, &empty);
+    while (cursor.Next()) on_match(cursor.binding());
+  };
   for (std::size_t i = 0; i < conj.atoms.size(); ++i) {
     const RelationId rel = conj.atoms[i].rel;
     const std::uint32_t begin = frontier.mark(rel);
     const auto end = static_cast<std::uint32_t>(inst.facts(rel).size());
-    if (begin >= end) continue;
-    finder->ForEachSeeded(conj, i, begin, end, &empty, cb);
+    if (begin < end) seeded(i, begin, end);
   }
   for (const FactRef& row : frontier.rows()) {
     for (std::size_t i = 0; i < conj.atoms.size(); ++i) {
-      if (conj.atoms[i].rel != row.rel) continue;
-      finder->ForEachSeeded(conj, i, row.pos, row.pos + 1, &empty, cb);
+      if (conj.atoms[i].rel == row.rel) seeded(i, row.pos, row.pos + 1);
     }
   }
 }
@@ -93,12 +98,11 @@ void CollectTriggers(HomomorphismFinder* finder, const Instance& inst,
                      const DeltaFrontier& frontier, ChaseStats* stats,
                      TriggerBatch* batch) {
   batch->Clear(key_vars.size(), key_vars.size() + body_vars.size());
-  const HomCallback add = [&](const Binding& binding, const AtomImage&) {
-    ++stats->tgd_triggers;
-    batch->Append(binding, key_vars, body_vars);
-    return true;
-  };
-  ForEachTouching(finder, inst, tgd.body, tgd.num_vars(), frontier, add);
+  ForEachTouching(finder, inst, tgd.body, tgd.num_vars(), frontier,
+                  [&](const Binding& binding) {
+                    ++stats->tgd_triggers;
+                    batch->Append(binding, key_vars, body_vars);
+                  });
   batch->Canonicalize();
 }
 
@@ -319,7 +323,7 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
           finder != nullptr ? finder : &own.emplace(*target, &stats->search);
       for (const Egd& egd : egds) {
         ForEachTouching(matcher, *target, egd.body, egd.num_vars(), seeds,
-                        [&](const Binding& binding, const AtomImage&) {
+                        [&](const Binding& binding) {
                           const Value& a = binding.Get(egd.x1);
                           const Value& b = binding.Get(egd.x2);
                           if (a != b) {
@@ -328,7 +332,6 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
                               violated_label = egd.label;
                             }
                           }
-                          return true;
                         });
       }
     }
@@ -346,8 +349,7 @@ ChaseResultKind EgdFixpoint(Instance* target, const std::vector<Egd>& egds,
       }
       return it->second;
     };
-    std::function<std::size_t(std::size_t)> find =
-        [&](std::size_t x) -> std::size_t {
+    const auto find = [&](std::size_t x) {
       while (parent[x] != x) {
         parent[x] = parent[parent[x]];
         x = parent[x];

@@ -27,9 +27,11 @@ std::string Conjunction::ToString(const Schema& schema,
   return out;
 }
 
-bool HomomorphismFinder::MatchAtom(const Atom& atom, FactView fact,
-                                   Binding& binding,
-                                   std::vector<VarId>& newly_bound) {
+// Inline: Next() runs it once per candidate fact; as a call it cost a
+// cross product ~10% of its time per match (bench_homomorphism).
+inline bool HomomorphismFinder::MatchAtom(const Atom& atom, FactView fact,
+                                          Binding& binding,
+                                          std::vector<VarId>& newly_bound) {
   if (fact.relation() != atom.rel || fact.arity() != atom.terms.size()) {
     return false;
   }
@@ -57,11 +59,9 @@ fail:
   return false;
 }
 
-bool HomomorphismFinder::Search(const Conjunction& conj, Scratch& scratch,
-                                std::size_t depth, std::size_t remaining,
-                                Binding& binding, const HomCallback& cb) {
-  if (remaining == 0) return cb(binding, scratch.image);
-
+void HomomorphismFinder::EnterFrame(const Conjunction& conj, Scratch& scratch,
+                                    std::size_t depth,
+                                    const Binding& binding) {
   // Pick the undone atom with the most bound terms (most selective first);
   // among equally-bound atoms prefer the one whose relation has fewer facts
   // (cheap selectivity estimate).
@@ -85,9 +85,7 @@ bool HomomorphismFinder::Search(const Conjunction& conj, Scratch& scratch,
   assert(best < conj.atoms.size());
   const Atom& atom = conj.atoms[best];
 
-  // Probe key: the atom's bound positions and their values, into this
-  // depth's reusable frame (frames are pre-sized to the atom count, so the
-  // reference stays valid across the recursion below).
+  // Probe key: the atom's bound positions and their values.
   assert(depth < scratch.frames.size());
   Frame& frame = scratch.frames[depth];
   frame.positions.clear();
@@ -102,20 +100,11 @@ bool HomomorphismFinder::Search(const Conjunction& conj, Scratch& scratch,
       frame.values.push_back(binding.Get(t.var()));
     }
   }
-
-  const FactColumn rel_facts = instance_->facts(atom.rel);
+  frame.newly_bound.clear();
+  frame.atom = best;
+  frame.facts = instance_->facts(atom.rel);
+  frame.next = 0;
   scratch.done[best] = 1;
-  bool keep_going = true;
-
-  auto try_fact = [&](FactView fact) {
-    frame.newly_bound.clear();
-    if (!MatchAtom(atom, fact, binding, frame.newly_bound)) return true;
-    scratch.image[best] = fact;
-    const bool cont =
-        Search(conj, scratch, depth + 1, remaining - 1, binding, cb);
-    for (VarId v : frame.newly_bound) binding.Unbind(v);
-    return cont;
-  };
 
   // Index probe on bound positions; an uncovered probe (nothing bound, or a
   // wide relation beyond the mask width) falls back to a full scan.
@@ -127,89 +116,129 @@ bool HomomorphismFinder::Search(const Conjunction& conj, Scratch& scratch,
   if (candidates.covered) {
     ++stats_->index_probes;
     stats_->index_candidates += candidates.size();
-    for (std::uint32_t idx : candidates) {
-      if (!try_fact(rel_facts[idx])) {
-        keep_going = false;
-        break;
-      }
-    }
+    frame.rows = candidates.data;
+    frame.end = candidates.size();
   } else {
     ++stats_->full_scans;
-    for (std::size_t i = 0; i < rel_facts.size(); ++i) {
-      if (!try_fact(rel_facts[i])) {
-        keep_going = false;
+    frame.rows = nullptr;
+    frame.end = static_cast<std::uint32_t>(frame.facts.size());
+  }
+}
+
+HomomorphismFinder::Cursor HomomorphismFinder::Open(const Conjunction& conj,
+                                                    Binding* binding) {
+  return Cursor(this, conj, binding, Cursor::kUnseeded, 0, 0);
+}
+
+HomomorphismFinder::Cursor HomomorphismFinder::OpenSeeded(
+    const Conjunction& conj, std::size_t seed_atom, std::uint32_t seed_begin,
+    std::uint32_t seed_end, Binding* binding) {
+  assert(seed_atom < conj.atoms.size());
+  return Cursor(this, conj, binding, seed_atom, seed_begin, seed_end);
+}
+
+bool HomomorphismFinder::Exists(const Conjunction& conj, Binding* binding) {
+  Cursor cursor = Open(conj, binding);
+  return cursor.Next();
+}
+
+HomomorphismFinder::Cursor::Cursor(HomomorphismFinder* finder,
+                                   const Conjunction& conj, Binding* binding,
+                                   std::size_t seed_atom,
+                                   std::uint32_t seed_begin,
+                                   std::uint32_t seed_end)
+    : finder_(finder),
+      conj_(&conj),
+      binding_(binding),
+      generation_(finder->instance_->generation()) {
+  assert(binding->size() >= conj.num_vars);
+  auto& pool = finder->scratch_pool_;
+  if (finder->active_scratch_ == pool.size()) {
+    pool.push_back(std::make_unique<Scratch>());
+  }
+  scratch_ = pool[finder->active_scratch_++].get();
+  scratch_->done.assign(conj.atoms.size(), 0);
+  scratch_->image.assign(conj.atoms.size(), FactView());
+  if (scratch_->frames.size() < conj.atoms.size()) {
+    scratch_->frames.resize(conj.atoms.size());
+  }
+  if (conj.atoms.empty()) {
+    trivial_ = true;
+    return;
+  }
+  depth_ = 1;
+  if (seed_atom == kUnseeded) {
+    finder->EnterFrame(conj, *scratch_, 0, *binding);
+    return;
+  }
+  // The seed frame: its atom is fixed and its candidates are a row range.
+  Frame& frame = scratch_->frames[0];
+  frame.newly_bound.clear();
+  frame.atom = seed_atom;
+  frame.facts = finder->instance_->facts(conj.atoms[seed_atom].rel);
+  assert(seed_end <= frame.facts.size());
+  frame.rows = nullptr;
+  frame.next = seed_begin;
+  frame.end = seed_end;
+  scratch_->done[seed_atom] = 1;
+}
+
+bool HomomorphismFinder::Cursor::Next() {
+  if (depth_ == 0) {
+    const bool first = trivial_;
+    trivial_ = false;
+    return first;
+  }
+  assert(finder_->instance_->generation() == generation_);
+  const Conjunction& conj = *conj_;
+  Binding& binding = *binding_;
+  Scratch& scratch = *scratch_;
+  std::size_t depth = depth_;
+  // Resume at the deepest frame: undo its current match and try its next
+  // candidate; an exhausted frame hands back to the one above it.
+  while (depth > 0) {
+    Frame& frame = scratch.frames[depth - 1];
+    const Atom& atom = conj.atoms[frame.atom];
+    assert(finder_->instance_->facts(atom.rel).size() == frame.facts.size());
+    for (VarId v : frame.newly_bound) binding.Unbind(v);
+    frame.newly_bound.clear();
+    const FactColumn facts = frame.facts;
+    const std::uint32_t* rows = frame.rows;
+    std::uint32_t next = frame.next;
+    const std::uint32_t end = frame.end;
+    bool matched = false;
+    while (next < end) {
+      const FactView fact = facts[rows != nullptr ? rows[next] : next];
+      ++next;
+      if (MatchAtom(atom, fact, binding, frame.newly_bound)) {
+        scratch.image[frame.atom] = fact;
+        matched = true;
         break;
       }
     }
+    frame.next = next;
+    if (!matched) {
+      scratch.done[frame.atom] = 0;
+      --depth;
+    } else if (depth == conj.atoms.size()) {
+      break;
+    } else {
+      finder_->EnterFrame(conj, scratch, depth++, binding);
+    }
   }
-  scratch.done[best] = 0;
-  return keep_going;
+  depth_ = depth;
+  return depth > 0;
 }
 
-bool HomomorphismFinder::ForEach(const Conjunction& conj, Binding* initial,
-                                 const HomCallback& cb) {
-  assert(initial->size() >= conj.num_vars);
-  if (conj.atoms.empty()) {
-    const AtomImage empty_image;
-    return cb(*initial, empty_image);
+HomomorphismFinder::Cursor::~Cursor() {
+  for (; depth_ > 0; --depth_) {
+    for (VarId v : scratch_->frames[depth_ - 1].newly_bound) {
+      binding_->Unbind(v);
+    }
   }
-  ScratchLease scratch(this);
-  scratch->done.assign(conj.atoms.size(), 0);
-  scratch->image.assign(conj.atoms.size(), FactView());
-  if (scratch->frames.size() < conj.atoms.size()) {
-    scratch->frames.resize(conj.atoms.size());
-  }
-  return Search(conj, *scratch, 0, conj.atoms.size(), *initial, cb);
-}
-
-bool HomomorphismFinder::ForEachSeeded(const Conjunction& conj,
-                                       std::size_t seed_atom,
-                                       std::uint32_t seed_begin,
-                                       std::uint32_t seed_end,
-                                       Binding* initial, const HomCallback& cb) {
-  assert(initial->size() >= conj.num_vars);
-  assert(seed_atom < conj.atoms.size());
-  const Atom& atom = conj.atoms[seed_atom];
-  const FactColumn rel_facts = instance_->facts(atom.rel);
-  assert(seed_end <= rel_facts.size());
-  ScratchLease scratch(this);
-  scratch->done.assign(conj.atoms.size(), 0);
-  scratch->image.assign(conj.atoms.size(), FactView());
-  // Frame slot 0 serves the seed loop; recursion starts at depth 1.
-  if (scratch->frames.size() < conj.atoms.size() + 1) {
-    scratch->frames.resize(conj.atoms.size() + 1);
-  }
-  scratch->done[seed_atom] = 1;
-  std::vector<VarId>& newly_bound = scratch->frames[0].newly_bound;
-  for (std::uint32_t i = seed_begin; i < seed_end; ++i) {
-    newly_bound.clear();
-    if (!MatchAtom(atom, rel_facts[i], *initial, newly_bound)) continue;
-    scratch->image[seed_atom] = rel_facts[i];
-    const bool cont =
-        Search(conj, *scratch, 1, conj.atoms.size() - 1, *initial, cb);
-    for (VarId v : newly_bound) initial->Unbind(v);
-    if (!cont) return false;
-  }
-  return true;
-}
-
-bool HomomorphismFinder::Exists(const Conjunction& conj, Binding* initial) {
-  bool found = false;
-  ForEach(conj, initial, [&](const Binding&, const AtomImage&) {
-    found = true;
-    return false;  // stop at the first one
-  });
-  return found;
-}
-
-std::optional<Binding> HomomorphismFinder::FindFirst(const Conjunction& conj,
-                                                     Binding initial) {
-  std::optional<Binding> result;
-  ForEach(conj, &initial, [&](const Binding& binding, const AtomImage&) {
-    result = binding;
-    return false;
-  });
-  return result;
+  assert(finder_->scratch_pool_[finder_->active_scratch_ - 1].get() ==
+         scratch_);
+  --finder_->active_scratch_;
 }
 
 }  // namespace tdx

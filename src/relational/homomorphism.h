@@ -11,24 +11,24 @@
 //  * conjunctive query evaluation and naive evaluation (Section 5),
 //  * instance-level homomorphism checks (universality, Definition 3).
 //
-// Search is backtracking over atoms, dynamically ordered most-bound-first
-// (ties broken toward the smaller relation — a cheap selectivity estimate),
-// with hash-index probes (index.h) for candidate facts. Because the paper
-// treats intervals as values ("intervals behave as constants" after
-// normalization), temporal variables need no special handling here.
+// Search is a pull cursor backtracking over atoms on an explicit frame
+// stack, so it does not recurse. Each depth's atom is picked
+// most-bound-first (ties broken toward the smaller relation — a cheap
+// selectivity estimate), with hash-index probes (index.h) for candidate
+// facts. Because the paper treats intervals as values ("intervals behave
+// as constants" after normalization), temporal variables need no special
+// handling here.
 //
-// The search is allocation-free in steady state: probe keys, the
-// newly-bound stack, and the atom image live in per-finder scratch buffers
-// reused across calls, and the image holds FactView handles into the
-// instance arena instead of copied Facts.
+// The search is allocation-free in steady state: frames, probe keys, and
+// the atom image live in per-finder scratch buffers reused across cursors,
+// and the image holds FactView handles into the instance arena instead of
+// copied Facts.
 
 #ifndef TDX_RELATIONAL_HOMOMORPHISM_H_
 #define TDX_RELATIONAL_HOMOMORPHISM_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -111,27 +111,25 @@ class Binding {
 
 /// The image of a conjunction under a homomorphism: for each atom (by
 /// position), a view of the fact it was mapped to. Views are into the
-/// instance's arena and only valid during the callback.
+/// instance's arena and valid until the cursor that produced them advances
+/// or is destroyed.
 using AtomImage = std::vector<FactView>;
-
-/// Callback invoked per homomorphism found. Return true to continue
-/// enumeration, false to stop early.
-using HomCallback =
-    std::function<bool(const Binding& binding, const AtomImage& image)>;
 
 /// View over an Instance that enumerates homomorphisms. The finder may
 /// outlive instance mutations: its index cache catches up incrementally on
 /// appends and rebuilds itself when the instance's generation changes
 /// (erase, in-place rewrite, assignment) — see index.h. This is what lets
 /// the chase keep ONE finder alive across rounds. Do not mutate the
-/// instance from inside an enumeration callback, though: candidate lists
-/// for the in-flight probe would dangle.
+/// instance while a cursor is open, though: the candidate lists of its
+/// in-flight probes would dangle (debug builds assert this in Next()).
 ///
 /// When `stats` is given, the finder accumulates index probe / candidate /
 /// full-scan counters there (the chase engines point it at their
 /// ChaseStats).
 class HomomorphismFinder {
  public:
+  class Cursor;
+
   explicit HomomorphismFinder(const Instance& instance,
                               IndexStats* stats = nullptr)
       : instance_(&instance),
@@ -144,85 +142,52 @@ class HomomorphismFinder {
     cache_.Rewarm(warmth);
   }
 
-  /// Enumerates every homomorphism from `conj` to the instance extending
-  /// `initial` (pass a fresh Binding(conj.num_vars) for no constraints).
-  /// Returns false iff the callback stopped enumeration early.
-  bool ForEach(const Conjunction& conj, Binding initial,
-               const HomCallback& cb) {
-    return ForEach(conj, &initial, cb);
-  }
+  /// Opens an enumeration of every homomorphism from `conj` to the instance
+  /// that extends `*binding` (a fresh Binding(conj.num_vars) for no
+  /// constraints). The cursor extends `*binding` in place while it is open
+  /// and restores it when it is destroyed.
+  Cursor Open(const Conjunction& conj, Binding* binding);
 
-  /// In-place variant: extends `*initial` during the search and fully
-  /// restores it before returning (even on early stop) — no Binding copy.
-  bool ForEach(const Conjunction& conj, Binding* initial,
-               const HomCallback& cb);
+  /// Semi-naive building block: opens an enumeration of every homomorphism
+  /// extending `*binding` whose image of atom `seed_atom` is one of the
+  /// facts facts(conj.atoms[seed_atom].rel)[seed_begin..seed_end). Seeding
+  /// each body atom with a delta range enumerates exactly the homomorphisms
+  /// that touch at least one delta fact (with overlap when several atoms
+  /// hit the delta; chase trigger collection deduplicates by key, so
+  /// overlap costs time, never correctness).
+  Cursor OpenSeeded(const Conjunction& conj, std::size_t seed_atom,
+                    std::uint32_t seed_begin, std::uint32_t seed_end,
+                    Binding* binding);
 
-  /// Semi-naive building block: enumerates every homomorphism extending
-  /// `initial` whose image of atom `seed_atom` is one of the facts
-  /// facts(conj.atoms[seed_atom].rel)[seed_begin..seed_end). Seeding each
-  /// body atom with a delta range enumerates exactly the homomorphisms that
-  /// touch at least one delta fact (with overlap when several atoms hit the
-  /// delta; chase trigger collection deduplicates by key, so overlap costs
-  /// time, never correctness). Returns false iff the callback stopped early.
-  bool ForEachSeeded(const Conjunction& conj, std::size_t seed_atom,
-                     std::uint32_t seed_begin, std::uint32_t seed_end,
-                     Binding initial, const HomCallback& cb) {
-    return ForEachSeeded(conj, seed_atom, seed_begin, seed_end, &initial, cb);
-  }
-
-  /// In-place variant of ForEachSeeded (restores `*initial` on return).
-  bool ForEachSeeded(const Conjunction& conj, std::size_t seed_atom,
-                     std::uint32_t seed_begin, std::uint32_t seed_end,
-                     Binding* initial, const HomCallback& cb);
-
-  /// Does any homomorphism extending `initial` exist?
-  bool Exists(const Conjunction& conj, Binding initial) {
-    return Exists(conj, &initial);
-  }
-
-  /// In-place variant of Exists (restores `*initial` on return).
-  bool Exists(const Conjunction& conj, Binding* initial);
-
-  /// First homomorphism extending `initial`, if any.
-  std::optional<Binding> FindFirst(const Conjunction& conj, Binding initial);
+  /// Does any homomorphism extending `*binding` exist? One Next() on a
+  /// cursor; `*binding` is restored on return.
+  bool Exists(const Conjunction& conj, Binding* binding);
 
  private:
-  /// Reusable per-depth search state. One Frame per recursion level; the
-  /// frames vector is sized once per enumeration (to the atom count), so
-  /// recursion never reallocates it under a live reference.
+  /// One depth of a cursor: its atom, probe key, candidates and progress.
   struct Frame {
     std::vector<std::uint32_t> positions;  // bound positions (probe key)
     std::vector<Value> values;             // bound values (probe key)
-    std::vector<VarId> newly_bound;        // vars bound at this level
+    std::vector<VarId> newly_bound;        // vars the current match bound
+    std::size_t atom = 0;
+    FactColumn facts;  // the atom's relation
+    // Candidates still to try: rows[next..end) when an index answered,
+    // else the fact positions next..end-1 themselves.
+    const std::uint32_t* rows = nullptr;
+    std::uint32_t next = 0;
+    std::uint32_t end = 0;
   };
+  /// One open cursor's state, leased from the pool: cursors open at once on
+  /// one finder get distinct scratch and close in reverse order.
   struct Scratch {
     std::vector<Frame> frames;
     std::vector<char> done;
     AtomImage image;
   };
-  /// RAII lease of one Scratch from the finder's pool. Nested enumerations
-  /// (a callback calling back into the same finder) get distinct scratch.
-  class ScratchLease {
-   public:
-    explicit ScratchLease(HomomorphismFinder* f) : f_(f) {
-      if (f_->active_scratch_ == f_->scratch_pool_.size()) {
-        f_->scratch_pool_.push_back(std::make_unique<Scratch>());
-      }
-      s_ = f_->scratch_pool_[f_->active_scratch_++].get();
-    }
-    ~ScratchLease() { --f_->active_scratch_; }
-    ScratchLease(const ScratchLease&) = delete;
-    ScratchLease& operator=(const ScratchLease&) = delete;
-    Scratch& operator*() const { return *s_; }
-    Scratch* operator->() const { return s_; }
 
-   private:
-    HomomorphismFinder* f_;
-    Scratch* s_;
-  };
-
-  bool Search(const Conjunction& conj, Scratch& scratch, std::size_t depth,
-              std::size_t remaining, Binding& binding, const HomCallback& cb);
+  /// Picks the atom of depth `depth` and loads its candidates.
+  void EnterFrame(const Conjunction& conj, Scratch& scratch, std::size_t depth,
+                  const Binding& binding);
 
   /// Attempts to match `fact` against `atom` under `binding`; on success
   /// appends newly bound vars to `newly_bound` and returns true.
@@ -235,6 +200,37 @@ class HomomorphismFinder {
   IndexStats* stats_;
   std::vector<std::unique_ptr<Scratch>> scratch_pool_;
   std::size_t active_scratch_ = 0;
+};
+
+/// A pull enumeration of homomorphisms: `while (cursor.Next())`. Each Next()
+/// yields the next one, with the binding extended and image() valid until
+/// the following Next(). Destroying the cursor restores the binding it was
+/// opened on, also mid-enumeration.
+class HomomorphismFinder::Cursor {
+ public:
+  Cursor(const Cursor&) = delete;
+  Cursor& operator=(const Cursor&) = delete;
+  ~Cursor();
+
+  /// Advances to the next homomorphism; false once there is none.
+  bool Next();
+  const Binding& binding() const { return *binding_; }
+  const AtomImage& image() const { return scratch_->image; }
+
+ private:
+  friend class HomomorphismFinder;
+  static constexpr std::size_t kUnseeded = static_cast<std::size_t>(-1);
+  Cursor(HomomorphismFinder* finder, const Conjunction& conj, Binding* binding,
+         std::size_t seed_atom, std::uint32_t seed_begin,
+         std::uint32_t seed_end);
+
+  HomomorphismFinder* finder_;
+  const Conjunction* conj_;
+  Binding* binding_;
+  Scratch* scratch_ = nullptr;
+  std::size_t depth_ = 0;  // frames entered
+  bool trivial_ = false;   // the empty conjunction's one match is pending
+  std::uint64_t generation_;
 };
 
 }  // namespace tdx

@@ -31,12 +31,12 @@ std::optional<NullAssignment> FindInstanceHomomorphism(const Instance& from,
   std::unordered_map<Value, VarId, ValueHash> null_vars;
   const Conjunction conj = InstanceToConjunction(from, &null_vars);
   HomomorphismFinder finder(to);
-  std::optional<Binding> found =
-      finder.FindFirst(conj, Binding(conj.num_vars));
-  if (!found.has_value()) return std::nullopt;
+  Binding binding(conj.num_vars);
+  HomomorphismFinder::Cursor cursor = finder.Open(conj, &binding);
+  if (!cursor.Next()) return std::nullopt;
   NullAssignment assignment;
   for (const auto& [null, var] : null_vars) {
-    assignment.emplace(null, found->Get(var));
+    assignment.emplace(null, binding.Get(var));
   }
   return assignment;
 }

@@ -1,7 +1,10 @@
 #include "src/temporal/abstract_hom.h"
 
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "src/relational/homomorphism.h"
 
@@ -73,42 +76,66 @@ class AbstractHomSearch {
     }
   }
 
-  bool Run() { return SearchPiece(0); }
+  /// Depth-first over the pieces, one cursor per piece on an explicit stack.
+  bool Run() {
+    const std::size_t n = from_->pieces().size();
+    if (n == 0) return true;
+    std::vector<std::unique_ptr<Level>> stack;
+    stack.push_back(Enter(0));
+    while (!stack.empty()) {
+      Level& level = *stack.back();
+      for (NullId null : level.added) global_.erase(null);
+      level.added.clear();
+      if (!level.cursor.Next()) {
+        stack.pop_back();
+      } else if (Extend(&level)) {
+        if (stack.size() == n) return true;
+        stack.push_back(Enter(stack.size()));
+      }
+    }
+    return false;
+  }
 
  private:
-  bool SearchPiece(std::size_t i) {
-    if (i == from_->pieces().size()) return true;
+  /// One piece of the search: its symbolic problem, the binding its cursor
+  /// extends (with the labeled nulls that earlier pieces fixed already
+  /// bound), and the labeled nulls its current match added to global_.
+  struct Level {
+    Level(PieceProblem p, const Instance& to, const Binding& fixed)
+        : problem(std::move(p)),
+          binding(fixed),
+          finder(to),
+          cursor(finder.Open(problem.conj, &binding)) {}
+    PieceProblem problem;
+    Binding binding;
+    HomomorphismFinder finder;
+    HomomorphismFinder::Cursor cursor;
+    std::vector<NullId> added;
+  };
+
+  std::unique_ptr<Level> Enter(std::size_t i) {
     PieceProblem problem = BuildPieceProblem(from_->pieces()[i].snapshot);
-    Binding initial(problem.conj.num_vars);
+    Binding fixed(problem.conj.num_vars);
     for (const auto& [var, null] : problem.labeled_vars) {
       auto it = global_.find(null);
-      if (it != global_.end()) initial.Bind(var, it->second);
+      if (it != global_.end()) fixed.Bind(var, it->second);
     }
-    HomomorphismFinder finder(to_->pieces()[i].snapshot);
-    bool found = false;
-    finder.ForEach(
-        problem.conj, std::move(initial),
-        [&](const Binding& binding, const AtomImage&) {
-          // Validate and collect global extensions for labeled nulls.
-          std::vector<NullId> added;
-          bool valid = true;
-          for (const auto& [var, null] : problem.labeled_vars) {
-            const Value& image = binding.Get(var);
-            if (image.is_annotated_null() &&
-                single_snapshot_nulls_.count(null) == 0) {
-              valid = false;  // would violate condition 2 across snapshots
-              break;
-            }
-            if (global_.count(null) == 0) {
-              global_.emplace(null, image);
-              added.push_back(null);
-            }
-          }
-          if (valid && SearchPiece(i + 1)) found = true;
-          for (NullId n : added) global_.erase(n);
-          return !found;  // stop enumeration once a full hom is found
-        });
-    return found;
+    return std::make_unique<Level>(std::move(problem),
+                                   to_->pieces()[i].snapshot, fixed);
+  }
+
+  /// Validates the level's current match and records the images of its
+  /// labeled nulls that are new to global_.
+  bool Extend(Level* level) {
+    for (const auto& [var, null] : level->problem.labeled_vars) {
+      const Value& image = level->binding.Get(var);
+      if (image.is_annotated_null() &&
+          single_snapshot_nulls_.count(null) == 0) {
+        return false;  // would violate condition 2 across snapshots
+      }
+      if (global_.emplace(null, image).second) level->added.push_back(null);
+    }
+    return true;
   }
 
   const AbstractInstance* from_;

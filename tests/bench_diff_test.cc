@@ -210,25 +210,6 @@ TEST(CheckBenchGates, TimeUnitsAreNormalized) {
   EXPECT_NEAR(report->checks[0].actual, 4.0, 1e-9);
 }
 
-TEST(CheckBenchGates, PerBenchmarkThresholdAgainstBaseline) {
-  const Json fresh = Report(
-      R"({"name":"BM_A/1","real_time":130.0,"time_unit":"ns"},)"
-      R"({"name":"BM_Noise","real_time":20.0,"time_unit":"ns"})");
-  const Json baseline = Report(
-      R"({"name":"BM_A/1","real_time":100.0,"time_unit":"ns"},)"
-      R"({"name":"BM_Noise","real_time":10.0,"time_unit":"ns"})");
-  const Json gates = Parse(
-      R"({"per_benchmark":{"enabled":true,"threshold":1.25,)"
-      R"("noise_floor_ns":50}})");
-  auto report = CheckBenchGates(fresh, &baseline, gates);
-  ASSERT_TRUE(report.ok()) << report.status();
-  // BM_A/1 regressed 1.3x > 1.25x; BM_Noise doubled but sits under the
-  // noise floor and is not gated.
-  EXPECT_FALSE(report->pass);
-  ASSERT_EQ(report->checks.size(), 1u);
-  EXPECT_EQ(report->checks[0].gate, "BM_A/1");
-}
-
 /// One google-benchmark 1.7 repetition aggregate of `run`: a time entry,
 /// or for "cv" the fraction, with the counter `fires` alongside.
 std::string Aggregate(const std::string& run, const std::string& aggregate,

@@ -72,56 +72,54 @@ class HomAllocTest : public ::testing::Test {
   std::unique_ptr<Instance> instance_;
 };
 
-TEST_F(HomAllocTest, SteadyStateForEachIsAllocationFree) {
+TEST_F(HomAllocTest, SteadyStateCursorIsAllocationFree) {
   HomomorphismFinder finder(*instance_);
   const Conjunction conj = PathQuery();
   Binding binding(conj.num_vars);
-  std::size_t count = 0;
-  const auto cb = [&](const Binding&, const AtomImage&) {
-    ++count;
-    return true;
+  const auto count = [&]() {
+    std::size_t homs = 0;
+    HomomorphismFinder::Cursor cursor = finder.Open(conj, &binding);
+    while (cursor.Next()) ++homs;
+    return homs;
   };
   // Warm-up: builds indexes, sizes scratch frames, grows the image.
-  finder.ForEach(conj, &binding, cb);
-  const std::size_t warm_count = count;
+  const std::size_t warm_count = count();
   ASSERT_GT(warm_count, 0u);
 
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (int round = 0; round < 5; ++round) {
-    count = 0;
-    finder.ForEach(conj, &binding, cb);
-    EXPECT_EQ(count, warm_count);
+    EXPECT_EQ(count(), warm_count);
+    EXPECT_TRUE(finder.Exists(conj, &binding));
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before)
-      << "ForEach allocated in steady state";
+      << "a warm cursor allocated on open, Next or close";
 }
 
-TEST_F(HomAllocTest, SteadyStateForEachSeededIsAllocationFree) {
+TEST_F(HomAllocTest, SteadyStateSeededCursorIsAllocationFree) {
   HomomorphismFinder finder(*instance_);
   const Conjunction conj = PathQuery();
   Binding binding(conj.num_vars);
   const std::uint32_t n =
       static_cast<std::uint32_t>(instance_->facts(e_).size());
-  std::size_t count = 0;
-  const auto cb = [&](const Binding&, const AtomImage&) {
-    ++count;
-    return true;
+  // Semi-naive rounds seed each body atom in turn.
+  const auto count = [&]() {
+    std::size_t homs = 0;
+    for (std::size_t atom = 0; atom < conj.atoms.size(); ++atom) {
+      HomomorphismFinder::Cursor cursor =
+          finder.OpenSeeded(conj, atom, 0, n, &binding);
+      while (cursor.Next()) ++homs;
+    }
+    return homs;
   };
-  // Warm up both seed atoms (semi-naive rounds seed each body atom).
-  finder.ForEachSeeded(conj, 0, 0, n, &binding, cb);
-  finder.ForEachSeeded(conj, 1, 0, n, &binding, cb);
-  const std::size_t warm_count = count;
+  const std::size_t warm_count = count();
   ASSERT_GT(warm_count, 0u);
 
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (int round = 0; round < 5; ++round) {
-    count = 0;
-    finder.ForEachSeeded(conj, 0, 0, n, &binding, cb);
-    finder.ForEachSeeded(conj, 1, 0, n, &binding, cb);
-    EXPECT_EQ(count, warm_count);
+    EXPECT_EQ(count(), warm_count);
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before)
-      << "ForEachSeeded allocated in steady state";
+      << "a warm seeded cursor allocated on open, Next or close";
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "tests/test_util.h"
+
 namespace tdx {
 namespace {
 
@@ -30,12 +32,10 @@ class HomomorphismTest : public ::testing::Test {
 
   std::size_t CountHoms(const Conjunction& conj, const Instance& inst) {
     HomomorphismFinder finder(inst);
+    Binding binding(conj.num_vars);
+    HomomorphismFinder::Cursor cursor = finder.Open(conj, &binding);
     std::size_t count = 0;
-    finder.ForEach(conj, Binding(conj.num_vars),
-                   [&](const Binding&, const AtomImage&) {
-                     ++count;
-                     return true;
-                   });
+    while (cursor.Next()) ++count;
     return count;
   }
 
@@ -62,9 +62,10 @@ TEST_F(HomomorphismTest, ConstantsFilter) {
   conj.atoms = {MakeAtom(e_, {Term::Var(0), Term::Val(u_.Constant("IBM"))})};
   conj.num_vars = 1;
   HomomorphismFinder finder(inst);
-  auto found = finder.FindFirst(conj, Binding(1));
-  ASSERT_TRUE(found.has_value());
-  EXPECT_EQ(found->Get(0), u_.Constant("Ada"));
+  Binding binding(1);
+  HomomorphismFinder::Cursor cursor = finder.Open(conj, &binding);
+  ASSERT_TRUE(cursor.Next());
+  EXPECT_EQ(binding.Get(0), u_.Constant("Ada"));
   EXPECT_EQ(CountHoms(conj, inst), 1u);
 }
 
@@ -113,7 +114,8 @@ TEST_F(HomomorphismTest, NoMatchOnEmptyRelation) {
   conj.atoms = {MakeAtom(e_, {Term::Var(0), Term::Var(1)})};
   conj.num_vars = 2;
   HomomorphismFinder finder(inst);
-  EXPECT_FALSE(finder.Exists(conj, Binding(2)));
+  Binding binding(2);
+  EXPECT_FALSE(finder.Exists(conj, &binding));
 }
 
 TEST_F(HomomorphismTest, InitialBindingConstrains) {
@@ -126,32 +128,43 @@ TEST_F(HomomorphismTest, InitialBindingConstrains) {
   Binding initial(2);
   initial.Bind(0, u_.Constant("Bob"));
   HomomorphismFinder finder(inst);
+  HomomorphismFinder::Cursor cursor = finder.Open(conj, &initial);
   std::size_t count = 0;
-  finder.ForEach(conj, initial, [&](const Binding& b, const AtomImage&) {
-    EXPECT_EQ(b.Get(0), u_.Constant("Bob"));
+  while (cursor.Next()) {
+    EXPECT_EQ(cursor.binding().Get(0), u_.Constant("Bob"));
     ++count;
-    return true;
-  });
+  }
   EXPECT_EQ(count, 1u);
 }
 
-TEST_F(HomomorphismTest, EarlyStopHaltsEnumeration) {
+TEST_F(HomomorphismTest, ClosingMidEnumerationRestoresBinding) {
   Instance inst(&schema_);
   for (int i = 0; i < 10; ++i) {
     inst.Insert(e_, {u_.Constant("p" + std::to_string(i)), u_.Constant("c")});
+    inst.Insert(s_, {u_.Constant("p" + std::to_string(i)), u_.Constant("s")});
   }
-  Conjunction conj;
-  conj.atoms = {MakeAtom(e_, {Term::Var(0), Term::Var(1)})};
-  conj.num_vars = 2;
+  Conjunction conj;  // E(n, c) & S(n, s), with c given
+  conj.atoms = {MakeAtom(e_, {Term::Var(0), Term::Var(1)}),
+                MakeAtom(s_, {Term::Var(0), Term::Var(2)})};
+  conj.num_vars = 3;
+  Binding binding(3);
+  binding.Bind(1, u_.Constant("c"));
   HomomorphismFinder finder(inst);
+  {
+    HomomorphismFinder::Cursor cursor = finder.Open(conj, &binding);
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(cursor.Next());
+    EXPECT_TRUE(binding.IsBound(0));
+    EXPECT_TRUE(binding.IsBound(2));
+  }  // closed mid-enumeration
+  EXPECT_FALSE(binding.IsBound(0));
+  EXPECT_FALSE(binding.IsBound(2));
+  ASSERT_TRUE(binding.IsBound(1));
+  EXPECT_EQ(binding.Get(1), u_.Constant("c"));
+  // The finder enumerates afresh from the restored binding.
+  HomomorphismFinder::Cursor cursor = finder.Open(conj, &binding);
   std::size_t count = 0;
-  const bool completed = finder.ForEach(conj, Binding(2),
-                                        [&](const Binding&, const AtomImage&) {
-                                          ++count;
-                                          return count < 3;
-                                        });
-  EXPECT_FALSE(completed);
-  EXPECT_EQ(count, 3u);
+  while (cursor.Next()) ++count;
+  EXPECT_EQ(count, 10u);
 }
 
 TEST_F(HomomorphismTest, ImageReportsMatchedFacts) {
@@ -163,12 +176,14 @@ TEST_F(HomomorphismTest, ImageReportsMatchedFacts) {
                 MakeAtom(s_, {Term::Var(0), Term::Var(2)})};
   conj.num_vars = 3;
   HomomorphismFinder finder(inst);
-  finder.ForEach(conj, Binding(3), [&](const Binding&, const AtomImage& img) {
-    EXPECT_EQ(img.size(), 2u);
-    EXPECT_EQ(img[0].relation(), e_);
-    EXPECT_EQ(img[1].relation(), s_);
-    return true;
-  });
+  Binding binding(3);
+  HomomorphismFinder::Cursor cursor = finder.Open(conj, &binding);
+  ASSERT_TRUE(cursor.Next());
+  const AtomImage& img = cursor.image();
+  EXPECT_EQ(img.size(), 2u);
+  EXPECT_EQ(img[0].relation(), e_);
+  EXPECT_EQ(img[1].relation(), s_);
+  EXPECT_FALSE(cursor.Next());
 }
 
 TEST_F(HomomorphismTest, IntervalValuesMatchAsConstants) {
@@ -185,11 +200,12 @@ TEST_F(HomomorphismTest, IntervalValuesMatchAsConstants) {
   conj.num_vars = 3;
   std::set<TimePoint> starts;
   HomomorphismFinder finder(inst);
-  finder.ForEach(conj, Binding(3), [&](const Binding& b, const AtomImage&) {
+  Binding b(3);
+  HomomorphismFinder::Cursor cursor = finder.Open(conj, &b);
+  while (cursor.Next()) {
     EXPECT_TRUE(b.Get(2).is_interval());
     starts.insert(b.Get(2).interval().start());
-    return true;
-  });
+  }
   EXPECT_EQ(starts, (std::set<TimePoint>{1, 5}));
 }
 
@@ -201,11 +217,13 @@ TEST_F(HomomorphismTest, NullsMatchByIdentity) {
   conj.atoms = {MakeAtom(e_, {Term::Var(0), Term::Val(n)})};
   conj.num_vars = 1;
   HomomorphismFinder finder(inst);
-  EXPECT_TRUE(finder.Exists(conj, Binding(1)));
+  Binding binding(1);
+  EXPECT_TRUE(finder.Exists(conj, &binding));
+  EXPECT_FALSE(binding.IsBound(0));  // Exists restores the binding
   Conjunction other;
   other.atoms = {MakeAtom(e_, {Term::Var(0), Term::Val(u_.FreshNull())})};
   other.num_vars = 1;
-  EXPECT_FALSE(finder.Exists(other, Binding(1)));
+  EXPECT_FALSE(finder.Exists(other, &binding));
 }
 
 TEST_F(HomomorphismTest, LargeInstanceJoinCount) {
@@ -235,6 +253,56 @@ TEST_F(HomomorphismTest, CrossProductEnumeratesAllPairs) {
                 MakeAtom(p_, {Term::Var(2), Term::Var(3)})};
   conj.num_vars = 4;
   EXPECT_EQ(CountHoms(conj, inst), 25u);
+}
+
+// A chain E(x0, x1) & E(x1, x2) & ... & E(xn-1, xn) over a path of n
+// edges matches exactly once, with each xi at node i. The cursor keeps one
+// frame per atom on the heap, so a 10,000-atom chain needs no more call
+// stack than a 1-atom one: it runs on a 256 KiB thread stack, where a search
+// that recursed per atom crashed from 1,000 atoms.
+TEST_F(HomomorphismTest, LongChainMatchesOnSmallStack) {
+  constexpr std::size_t kAtoms = 10000;
+  Instance inst(&schema_);
+  std::vector<Value> nodes;
+  for (std::size_t i = 0; i <= kAtoms; ++i) {
+    nodes.push_back(u_.Constant("n" + std::to_string(i)));
+  }
+  for (std::size_t i = 0; i < kAtoms; ++i) {
+    inst.Insert(p_, {nodes[i], nodes[i + 1]});
+  }
+  Conjunction chain;
+  for (std::size_t i = 0; i < kAtoms; ++i) {
+    chain.atoms.push_back(
+        MakeAtom(p_, {Term::Var(static_cast<VarId>(i)),
+                      Term::Var(static_cast<VarId>(i + 1))}));
+  }
+  chain.num_vars = kAtoms + 1;
+  Binding binding(chain.num_vars);
+  binding.Bind(0, nodes[0]);  // anchor the chain at its first node
+  std::size_t matches = 0;
+  bool images_in_order = true;
+  bool exists = false;
+  bool restored = false;
+  testing::RunOnSmallStack([&] {
+    HomomorphismFinder finder(inst);
+    {
+      HomomorphismFinder::Cursor cursor = finder.Open(chain, &binding);
+      while (cursor.Next()) {
+        ++matches;
+        for (std::size_t i = 0; i < kAtoms; ++i) {
+          images_in_order = images_in_order && cursor.image()[i].pos() == i &&
+                            binding.Get(static_cast<VarId>(i + 1)) ==
+                                nodes[i + 1];
+        }
+      }
+    }
+    exists = finder.Exists(chain, &binding);
+    restored = !binding.IsBound(kAtoms) && binding.IsBound(0);
+  });
+  EXPECT_EQ(matches, 1u);
+  EXPECT_TRUE(images_in_order);
+  EXPECT_TRUE(exists);
+  EXPECT_TRUE(restored);
 }
 
 }  // namespace

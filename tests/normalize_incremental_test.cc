@@ -583,16 +583,17 @@ Emission EmitFresh(const ConcreteInstance& input,
   HomomorphismFinder finder(facts);
   for (const Conjunction& phi : phis) {
     const Conjunction star = RenameTemporalApart(phi);
-    finder.ForEach(star, Binding(star.num_vars),
-                   [&](const Binding&, const AtomImage& image) {
-                     std::optional<Interval> common = image[0].interval();
-                     for (FactView f : image) {
-                       if (common) common = common->Intersect(f.interval());
-                     }
-                     if (!common) return true;
-                     for (FactView f : image) unite(id_of(image[0]), id_of(f));
-                     return true;
-                   });
+    Binding binding(star.num_vars);
+    HomomorphismFinder::Cursor cursor = finder.Open(star, &binding);
+    while (cursor.Next()) {
+      const AtomImage& image = cursor.image();
+      std::optional<Interval> common = image[0].interval();
+      for (FactView f : image) {
+        if (common) common = common->Intersect(f.interval());
+      }
+      if (!common) continue;
+      for (FactView f : image) unite(id_of(image[0]), id_of(f));
+    }
   }
   for (std::size_t i = 0; i < rows.size(); ++i) {
     for (std::size_t j = i + 1; j < rows.size(); ++j) {

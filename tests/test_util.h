@@ -4,8 +4,10 @@
 #define TDX_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -69,6 +71,30 @@ inline std::string ReadFileOrDie(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// The thread stack RunOnSmallStack uses: 256 KiB, a 32nd of the usual
+/// 8 MiB main-thread stack.
+inline constexpr std::size_t kSmallStackBytes = 256 * 1024;
+
+/// Runs `work` to completion on a thread whose stack is `stack_bytes` (at
+/// least PTHREAD_STACK_MIN). Work whose stack depth grows with its input
+/// overflows it and crashes the test binary.
+inline void RunOnSmallStack(const std::function<void()>& work,
+                            std::size_t stack_bytes = kSmallStackBytes) {
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
+  pthread_t thread;
+  const auto run = [](void* arg) -> void* {
+    (*static_cast<const std::function<void()>*>(arg))();
+    return nullptr;
+  };
+  ASSERT_EQ(pthread_create(&thread, &attr, run,
+                           const_cast<std::function<void()>*>(&work)),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
 }
 
 /// Parses or fails the test.

@@ -11,7 +11,7 @@
 //   tdx_bench_diff check --fresh=FILE --gates=FILE [--baseline=FILE]
 //                        [--json-out=FILE]
 //       Evaluate the gates against the fresh report (and baseline, for
-//       drift/per-benchmark gates). Prints the text verdict to stdout;
+//       ratio drift bounds). Prints the text verdict to stdout;
 //       --json-out additionally writes the machine-readable verdict.
 //
 // Exit codes: 0 all gates pass; 1 at least one gate failed; 2 usage, I/O,
