@@ -1,6 +1,7 @@
 #include "src/analysis/diagnostic.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace tdx {
 
@@ -79,68 +80,35 @@ std::string RenderText(const AnalysisReport& report, std::string_view file) {
   return out;
 }
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* kHex = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
+obs::Json RenderJson(const AnalysisReport& report, std::string_view file) {
+  using obs::Json;
+  Json diagnostics = Json::Array();
+  for (const Diagnostic& d : report.diagnostics) {
+    Json object = Json::Object();
+    object.Set("id", Json::Str(d.id));
+    object.Set("severity", Json::Str(std::string(SeverityName(d.severity))));
+    object.Set("line", Json::Uint(d.span.line));
+    object.Set("column", Json::Uint(d.span.column));
+    object.Set("message", Json::Str(d.message));
+    if (!d.hint.empty()) object.Set("hint", Json::Str(d.hint));
+    diagnostics.Append(std::move(object));
   }
-  return out;
-}
-
-std::string RenderJson(const AnalysisReport& report, std::string_view file) {
-  std::string out = "{\"file\":\"" + JsonEscape(file) + "\",";
-  out += "\"diagnostics\":[";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const Diagnostic& d = report.diagnostics[i];
-    if (i > 0) out += ',';
-    out += "{\"id\":\"" + JsonEscape(d.id) + "\",";
-    out += "\"severity\":\"" + std::string(SeverityName(d.severity)) + "\",";
-    out += "\"line\":" + std::to_string(d.span.line) + ",";
-    out += "\"column\":" + std::to_string(d.span.column) + ",";
-    out += "\"message\":\"" + JsonEscape(d.message) + "\"";
-    if (!d.hint.empty()) out += ",\"hint\":\"" + JsonEscape(d.hint) + "\"";
-    out += '}';
+  const TerminationCertificate& cert = report.certificate;
+  Json certificate = Json::Object();
+  certificate.Set("criterion", Json::Str(std::string(
+                                   TerminationCriterionName(cert.criterion))));
+  certificate.Set("guarantees_termination",
+                  Json::Bool(cert.guarantees_termination()));
+  if (!cert.witness.empty()) {
+    certificate.Set("witness", Json::Str(cert.witness));
   }
-  out += "],";
-  out += "\"certificate\":{\"criterion\":\"";
-  out += TerminationCriterionName(report.certificate.criterion);
-  out += "\",\"guarantees_termination\":";
-  out += report.certificate.guarantees_termination() ? "true" : "false";
-  if (!report.certificate.witness.empty()) {
-    out += ",\"witness\":\"" + JsonEscape(report.certificate.witness) + "\"";
-  }
-  out += "},";
-  out += "\"errors\":" + std::to_string(report.CountOf(Severity::kError)) +
-         ",\"warnings\":" +
-         std::to_string(report.CountOf(Severity::kWarning)) +
-         ",\"notes\":" + std::to_string(report.CountOf(Severity::kNote)) +
-         "}";
+  Json out = Json::Object();
+  out.Set("file", Json::Str(std::string(file)));
+  out.Set("diagnostics", std::move(diagnostics));
+  out.Set("certificate", std::move(certificate));
+  out.Set("errors", Json::Uint(report.CountOf(Severity::kError)));
+  out.Set("warnings", Json::Uint(report.CountOf(Severity::kWarning)));
+  out.Set("notes", Json::Uint(report.CountOf(Severity::kNote)));
   return out;
 }
 

@@ -45,6 +45,7 @@
 
 #include "src/analysis/certificate.h"
 #include "src/common/source.h"
+#include "src/obs/json.h"
 
 namespace tdx {
 
@@ -89,14 +90,11 @@ std::string RenderDiagnostic(const Diagnostic& d, std::string_view file);
 /// the termination certificate.
 std::string RenderText(const AnalysisReport& report, std::string_view file);
 
-/// One JSON object per report:
+/// The report as one JSON object (Dump() gives the compact form
+/// `tdx_lint --format=json` prints):
 ///   {"file": ..., "diagnostics": [...], "certificate": {...},
 ///    "errors": N, "warnings": N, "notes": N}
-std::string RenderJson(const AnalysisReport& report, std::string_view file);
-
-/// Escapes a string for embedding in a JSON string literal (quotes not
-/// included). Exposed for the CLI drivers.
-std::string JsonEscape(std::string_view s);
+obs::Json RenderJson(const AnalysisReport& report, std::string_view file);
 
 }  // namespace tdx
 

@@ -1,8 +1,7 @@
 #include "src/analysis/schedule.h"
 
 #include <unordered_set>
-
-#include "src/analysis/diagnostic.h"  // JsonEscape
+#include <utility>
 
 namespace tdx {
 
@@ -118,45 +117,44 @@ std::string ChaseSchedule::ToText() const {
   return out;
 }
 
-std::string ChaseSchedule::ToJson() const {
-  std::string out = "{\"rules\": [";
+obs::Json ChaseSchedule::ToJson() const {
+  using obs::Json;
+  Json rules_json = Json::Array();
   for (std::size_t i = 0; i < rules.size(); ++i) {
     const ScheduleRule& rule = rules[i];
-    if (i > 0) out += ", ";
-    out += "{\"id\": " + std::to_string(i) + ", \"kind\": \"" +
-           std::string(ScheduleRuleKindName(rule.kind)) + "\", \"index\": " +
-           std::to_string(rule.index) + ", \"name\": \"" +
-           JsonEscape(rule.name) + "\", \"stratum\": " +
-           std::to_string(rule.stratum) + ", \"live\": " +
-           (rule.live ? "true" : "false") + ", \"effect_free\": " +
-           (rule.effect_free ? "true" : "false");
+    Json object = Json::Object();
+    object.Set("id", Json::Uint(i));
+    object.Set("kind", Json::Str(std::string(ScheduleRuleKindName(rule.kind))));
+    object.Set("index", Json::Uint(rule.index));
+    object.Set("name", Json::Str(rule.name));
+    object.Set("stratum", Json::Uint(rule.stratum));
+    object.Set("live", Json::Bool(rule.live));
+    object.Set("effect_free", Json::Bool(rule.effect_free));
     if (!rule.skip_reason.empty()) {
-      out += ", \"skip_reason\": \"" + JsonEscape(rule.skip_reason) + "\"";
+      object.Set("skip_reason", Json::Str(rule.skip_reason));
     }
-    out += "}";
+    rules_json.Append(std::move(object));
   }
-  out += "], \"strata\": [";
-  for (std::size_t s = 0; s < strata.size(); ++s) {
-    if (s > 0) out += ", ";
-    out += "[";
-    for (std::size_t k = 0; k < strata[s].size(); ++k) {
-      if (k > 0) out += ", ";
-      out += std::to_string(strata[s][k]);
-    }
-    out += "]";
+  Json strata_json = Json::Array();
+  for (const std::vector<std::size_t>& stratum : strata) {
+    Json members = Json::Array();
+    for (const std::size_t rule : stratum) members.Append(Json::Uint(rule));
+    strata_json.Append(std::move(members));
   }
-  out += "], \"edges\": [";
-  for (std::size_t i = 0; i < edges.size(); ++i) {
-    const ScheduleEdge& edge = edges[i];
-    if (i > 0) out += ", ";
-    out += "{\"from\": " + std::to_string(edge.from) + ", \"to\": " +
-           std::to_string(edge.to) + ", \"reason\": \"" +
-           std::string(EdgeReasonName(edge.reason)) + "\", \"relation\": \"" +
-           JsonEscape(edge.relation) + "\"}";
+  Json edges_json = Json::Array();
+  for (const ScheduleEdge& edge : edges) {
+    Json object = Json::Object();
+    object.Set("from", Json::Uint(edge.from));
+    object.Set("to", Json::Uint(edge.to));
+    object.Set("reason", Json::Str(std::string(EdgeReasonName(edge.reason))));
+    object.Set("relation", Json::Str(edge.relation));
+    edges_json.Append(std::move(object));
   }
-  out += "], \"egd_fixpoint\": \"";
-  out += egd_fixpoint_live() ? "live" : "skipped";
-  out += "\"}";
+  Json out = Json::Object();
+  out.Set("rules", std::move(rules_json));
+  out.Set("strata", std::move(strata_json));
+  out.Set("edges", std::move(edges_json));
+  out.Set("egd_fixpoint", Json::Str(egd_fixpoint_live() ? "live" : "skipped"));
   return out;
 }
 

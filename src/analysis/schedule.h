@@ -37,6 +37,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/obs/json.h"
+
 namespace tdx {
 
 enum class ScheduleRuleKind { kStTgd, kTargetTgd, kEgd };
@@ -104,7 +106,7 @@ struct ChaseSchedule {
   std::string ToText() const;
   /// The same as one JSON object; used by `tdx_cli plan --format=json` and
   /// `tdx_lint --explain-plan --format=json`.
-  std::string ToJson() const;
+  obs::Json ToJson() const;
 };
 
 }  // namespace tdx

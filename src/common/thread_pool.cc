@@ -1,7 +1,9 @@
 #include "src/common/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
+#include <atomic>
+#include <thread>
+#include <vector>
 
 #include "src/common/resource.h"
 #include "src/obs/metrics.h"
@@ -13,9 +15,9 @@ namespace {
 
 /// The thread-pool/dispatch fault site: when armed, the next dispatched
 /// work item is silently dropped — a stand-in for a worker killed between
-/// dequeue and execution. Callers that fan out through ParallelFor observe
-/// an unfilled result slot and must turn it into a clean abort (see
-/// temporal/abstract_chase.cc).
+/// claiming an item and running it. Callers that fan out through ParallelFor
+/// observe an unfilled result slot and must turn it into a clean abort (see
+/// core/certain.cc).
 bool DispatchFaultDropsTask() {
 #ifndef TDX_DISABLE_FAULT_POINTS
   if (FaultRegistry::AnyArmed()) {
@@ -25,58 +27,13 @@ bool DispatchFaultDropsTask() {
   return false;
 }
 
+void RunItem(const std::function<void(std::size_t)>& fn, std::size_t i) {
+  if (!DispatchFaultDropsTask()) fn(i);
+}
+
 }  // namespace
 
-ThreadPool::ThreadPool(unsigned threads) {
-  const unsigned n = std::max(1u, threads);
-  workers_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    shutdown_ = true;
-  }
-  task_ready_.notify_all();
-  for (std::thread& w : workers_) w.join();
-}
-
-void ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    queue_.push_back(std::move(task));
-    ++in_flight_;
-  }
-  task_ready_.notify_one();
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-}
-
-void ThreadPool::WorkerLoop() {
-  while (true) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      task_ready_.wait(lock, [this] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shutdown and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
-  }
-}
-
-unsigned ThreadPool::HardwareJobs() {
+unsigned HardwareJobs() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
@@ -90,23 +47,26 @@ void ParallelFor(unsigned jobs, std::size_t count,
   batches_metric.Inc();
   tasks_metric.Inc(count);
   if (jobs <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (DispatchFaultDropsTask()) continue;
-      fn(i);
-    }
+    for (std::size_t i = 0; i < count; ++i) RunItem(fn, i);
     return;
   }
   obs::TraceSpan span("thread_pool.parallel_for");
   span.SetArg("tasks", count);
   jobs_metric.Set(jobs);
-  ThreadPool pool(std::min<std::size_t>(jobs, count));
-  for (std::size_t i = 0; i < count; ++i) {
-    pool.Submit([&fn, i] {
-      if (DispatchFaultDropsTask()) return;
-      fn(i);
+  std::atomic<std::size_t> next{0};
+  const std::size_t threads = std::min<std::size_t>(jobs, count);
+  // Joined on destruction, before the span closes, also when starting a
+  // later thread throws.
+  std::vector<std::jthread> workers;
+  workers.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      for (std::size_t i = next.fetch_add(1); i < count;
+           i = next.fetch_add(1)) {
+        RunItem(fn, i);
+      }
     });
   }
-  pool.Wait();
 }
 
 }  // namespace tdx

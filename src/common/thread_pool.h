@@ -1,68 +1,30 @@
-// A small fixed-size thread pool for fanning independent work items out
-// across cores.
+// Fan-out of independent work items across cores.
 //
 // The engine's data structures (Universe, Instance, ResourceGuard, the
 // finders) are deliberately NOT thread-safe: parallel callers give every
 // work item its own scratch state and merge results sequentially in a
-// deterministic order afterwards (see temporal/abstract_chase.cc for the
-// pattern). The pool itself therefore stays minimal: submit closures, wait
-// for quiescence, join on destruction.
+// deterministic order afterwards (see core/certain.cc for the pattern).
+// ParallelFor keeps no pool: each call starts its threads, they claim
+// indexes from one atomic counter, and the call joins them.
 
 #ifndef TDX_COMMON_THREAD_POOL_H_
 #define TDX_COMMON_THREAD_POOL_H_
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace tdx {
 
-class ThreadPool {
- public:
-  /// Spawns max(1, threads) workers.
-  explicit ThreadPool(unsigned threads);
-  /// Waits for pending tasks, then joins the workers.
-  ~ThreadPool();
+/// max(1, std::thread::hardware_concurrency()) — the default for a
+/// "--jobs=0 means auto" flag.
+unsigned HardwareJobs();
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Enqueues a task. Tasks must not throw: there is no channel to report
-  /// an exception, so failures travel through captured result slots.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every task submitted so far has finished. The pool is
-  /// reusable afterwards.
-  void Wait();
-
-  unsigned thread_count() const {
-    return static_cast<unsigned>(workers_.size());
-  }
-
-  /// max(1, std::thread::hardware_concurrency()) — the default for a
-  /// "--jobs=0 means auto" flag.
-  static unsigned HardwareJobs();
-
- private:
-  void WorkerLoop();
-
-  std::mutex mu_;
-  std::condition_variable task_ready_;   // signals workers: task or shutdown
-  std::condition_variable all_done_;     // signals Wait(): in_flight hit 0
-  std::deque<std::function<void()>> queue_;
-  std::size_t in_flight_ = 0;  // queued + currently executing
-  bool shutdown_ = false;
-  std::vector<std::thread> workers_;
-};
-
-/// Runs fn(0..count-1), spreading the calls over up to `jobs` pool workers.
-/// Runs inline (no threads) when jobs <= 1 or count <= 1, so callers can
-/// unconditionally route through this and let the flag decide. `fn` must be
-/// safe to call concurrently for distinct indexes and must not throw.
+/// Runs fn(0..count-1). With jobs > 1 and count > 1 it starts
+/// min(jobs, count) threads that claim the next index from a shared counter
+/// and joins them before returning; the calling thread runs no item.
+/// Otherwise it runs inline (no threads), so callers can unconditionally
+/// route through this and let the flag decide. `fn` must be safe to call
+/// concurrently for distinct indexes and must not throw.
 void ParallelFor(unsigned jobs, std::size_t count,
                  const std::function<void(std::size_t)>& fn);
 

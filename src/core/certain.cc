@@ -37,8 +37,9 @@ Result<CertainAnswersResult> CertainAnswersAt(const UnionQuery& query,
                                               TimePoint l, Universe* universe,
                                               const ChaseLimits& limits) {
   TDX_ASSIGN_OR_RETURN(Instance snapshot, SnapshotAt(source, l, universe));
-  TDX_ASSIGN_OR_RETURN(ChaseOutcome chase,
-                       ChaseSnapshot(snapshot, mapping, universe, limits));
+  TDX_ASSIGN_OR_RETURN(
+      ChaseOutcome chase,
+      ChaseSnapshot(snapshot, mapping, universe, {.limits = limits}));
   CertainAnswersResult result;
   result.chase_kind = chase.kind;
   if (chase.kind != ChaseResultKind::kSuccess) return result;
@@ -100,7 +101,8 @@ Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
       }
       chases_metric.Inc();
       TDX_ASSIGN_OR_RETURN(ChaseOutcome chase,
-                           ChaseSnapshot(snapshot, mapping, &scratch, limits));
+                           ChaseSnapshot(snapshot, mapping, &scratch,
+                                         {.limits = limits}));
       CertainAnswersResult result;
       result.chase_kind = chase.kind;
       if (chase.kind != ChaseResultKind::kSuccess) return result;
@@ -123,7 +125,7 @@ Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
   for (std::size_t i = 0; i < points.size(); ++i) {
     const std::size_t k = piece_of_point[i];
     if (!slots[k].has_value()) {
-      // The pool dropped this piece's task (only the thread-pool/dispatch
+      // ParallelFor dropped this piece's task (only the thread-pool/dispatch
       // fault site does that — a stand-in for a killed worker). Its chase
       // never ran, so every point of the piece reports an abort, never
       // empty answers.

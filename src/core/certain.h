@@ -61,7 +61,7 @@ Result<CertainAnswersResult> CertainAnswersAt(const UnionQuery& query,
 /// null-free, so scratch ids never escape; `universe` is not used.
 /// results[i] corresponds to points[i] (any order, repeats allowed) and is
 /// identical to CertainAnswersAt(query, source, mapping, points[i], ...)
-/// regardless of `jobs`, except that when the pool drops a piece's task
+/// regardless of `jobs`, except that when ParallelFor drops a piece's task
 /// (the thread-pool/dispatch fault site) every point of that piece reports
 /// kAborted with no answers.
 Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(

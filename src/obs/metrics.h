@@ -11,9 +11,9 @@
 //     read.
 //  2. Reads must be deterministic. Snapshot() merges shards with
 //     commutative reductions only (sum for counters and histogram buckets,
-//     max for gauges), mirroring how the parallel abstract chase sums its
-//     pieces' IndexStats: the merged value is independent of thread
-//     scheduling and shard order.
+//     max for gauges), mirroring how the abstract chase sums its pieces'
+//     IndexStats: the merged value is independent of thread scheduling
+//     and shard order.
 //     Gauges are therefore *high-watermark* gauges — Set records the max of
 //     the observations, the only last-write-free semantics that stays
 //     deterministic under parallel writers.
@@ -26,7 +26,7 @@
 // registered with the same name share one metric.
 //
 // Shards are registry-owned and recycled: a thread that exits returns its
-// shard to a free list for the next thread, so repeated ParallelFor pools
+// shard to a free list for the next thread, so repeated ParallelFor batches
 // do not grow the shard set without bound.
 
 #ifndef TDX_OBS_METRICS_H_

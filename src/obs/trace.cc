@@ -89,7 +89,7 @@ std::uint64_t ProcessAgeMicros() {
 /// Per-thread event buffer. The owning thread appends without locking; the
 /// global trace mutex guards buffer creation/recycling and the export-time
 /// merge (export happens after the run, when worker threads have quiesced —
-/// ThreadPool joins its workers before ParallelFor returns).
+/// ParallelFor joins its threads before it returns).
 struct TracerThreadBuffer {
   std::uint32_t tid = 0;
   std::vector<TraceEvent> events;
@@ -126,7 +126,7 @@ TraceGlobals& Globals() {
 /// Impl pointer — so a destroyed tracer (or a new one reusing its address)
 /// can never be confused with the lease's owner. The destructor returns the
 /// buffer to its tracer's free list so transient ParallelFor threads recycle
-/// buffers instead of growing the set per pool.
+/// buffers instead of growing the set per batch.
 struct BufferLease {
   std::uint64_t generation = 0;
   TracerThreadBuffer* buffer = nullptr;

@@ -578,12 +578,4 @@ Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
   return outcome;
 }
 
-Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
-                                   const Mapping& mapping, Universe* universe,
-                                   const ChaseLimits& limits) {
-  ChaseOptions options;
-  options.limits = limits;
-  return ChaseSnapshot(source, mapping, universe, options);
-}
-
 }  // namespace tdx

@@ -130,9 +130,9 @@ struct ChaseOutcome {
 
 /// Runs the chase of `source` with `mapping`, materializing a target
 /// instance over the same Schema. Fresh labeled nulls come from `universe`.
-/// `limits` bounds the run; the default is unlimited. A run that exhausts
-/// its budget returns kAborted with partial stats — rerunning with a larger
-/// budget from the same source reproduces the identical solution
+/// `options.limits` bounds the run; the default is unlimited. A run that
+/// exhausts its budget returns kAborted with partial stats — rerunning with
+/// a larger budget from the same source reproduces the identical solution
 /// (determinism is unaffected by where the budget cut the previous run).
 ///
 /// Deterministic: full st-tgds fire before existential ones (the plan
@@ -141,12 +141,7 @@ struct ChaseOutcome {
 /// chase is a universal solution (Fagin et al., Theorem 3.3).
 Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
                                    const Mapping& mapping, Universe* universe,
-                                   const ChaseLimits& limits = {});
-
-/// Same, with execution knobs (semi-naive vs naive rounds).
-Result<ChaseOutcome> ChaseSnapshot(const Instance& source,
-                                   const Mapping& mapping, Universe* universe,
-                                   const ChaseOptions& options);
+                                   const ChaseOptions& options = {});
 
 // ---------------------------------------------------------------------------
 // Building blocks, shared with the concrete chase (core/cchase.h), which

@@ -29,20 +29,6 @@
 
 namespace tdx {
 
-struct AbstractChaseOptions {
-  /// Per-piece snapshot-chase knobs (budget, semi-naive rounds).
-  ChaseOptions chase;
-  /// Number of pieces chased concurrently. 1 (the default) is the exact
-  /// sequential engine. With jobs > 1 every piece is chased against a
-  /// scratch Universe on a pool thread and the results are merged — stats
-  /// aggregated, nulls re-labeled from the shared universe — sequentially
-  /// in piece order, so the outcome is deterministic and independent of
-  /// scheduling: identical to the sequential result up to the names of the
-  /// labeled nulls consumed mid-chase (the final target's annotated nulls
-  /// are assigned in the same piece order either way).
-  unsigned jobs = 1;
-};
-
 struct AbstractChaseOutcome {
   explicit AbstractChaseOutcome(AbstractInstance target_in)
       : target(std::move(target_in)) {}
@@ -60,21 +46,15 @@ struct AbstractChaseOutcome {
 };
 
 /// Chases every piece of a *complete* abstract source instance with the
-/// non-temporal mapping. Returns InvalidArgument if some piece contains
-/// nulls (the paper assumes complete sources). `limits` applies to each
-/// per-piece snapshot chase independently; the first piece to exhaust its
-/// budget aborts the whole abstract chase (kind == kAborted, failure_span =
-/// that piece's span).
+/// non-temporal mapping, in piece order against `universe`. Returns
+/// InvalidArgument if some piece contains nulls (the paper assumes complete
+/// sources). `options` applies to each per-piece snapshot chase
+/// independently; the first piece to exhaust its budget aborts the whole
+/// abstract chase (kind == kAborted, failure_span = that piece's span).
 Result<AbstractChaseOutcome> AbstractChase(const AbstractInstance& source,
                                            const Mapping& mapping,
                                            Universe* universe,
-                                           const ChaseLimits& limits = {});
-
-/// Same, with execution knobs (parallel pieces, semi-naive rounds).
-Result<AbstractChaseOutcome> AbstractChase(const AbstractInstance& source,
-                                           const Mapping& mapping,
-                                           Universe* universe,
-                                           const AbstractChaseOptions& options);
+                                           const ChaseOptions& options = {});
 
 /// Materializes db_l of `source` and chases it. Ground truth for property
 /// tests comparing against the compact implementations.

@@ -62,8 +62,7 @@ Result<AbstractInstance> AbstractInstance::FromConcrete(
         status = twin.status();
         return;
       }
-      std::vector<Value> args(fact.args().begin(), fact.args().end() - 1);
-      snapshot.Insert(Fact(*twin, std::move(args)));
+      snapshot.InsertSpan(*twin, fact.args().data(), fact.arity() - 1);
     });
     if (!status.ok()) return status;
     out.AddPiece(span, std::move(snapshot));
@@ -75,14 +74,13 @@ Instance AbstractInstance::At(TimePoint l, Universe* universe) const {
   for (const AbstractPiece& piece : pieces_) {
     if (!piece.span.Contains(l)) continue;
     Instance out(schema_);
+    std::vector<Value> row;
     piece.snapshot.ForEach([&](FactView fact) {
-      std::vector<Value> args;
-      args.reserve(fact.arity());
+      row.clear();
       for (const Value& v : fact.args()) {
-        args.push_back(v.is_annotated_null() ? universe->ProjectNull(v, l)
-                                             : v);
+        row.push_back(v.is_annotated_null() ? universe->ProjectNull(v, l) : v);
       }
-      out.Insert(Fact(fact.relation(), std::move(args)));
+      out.InsertSpan(fact.relation(), row.data(), row.size());
     });
     return out;
   }

@@ -8,8 +8,7 @@
 // homomorphic equivalence instead; this diff is for complete instances and
 // for exact comparisons of chase outputs under one Universe).
 //
-// Used by tests to produce actionable failure messages and by the CLI's
-// `diff` command to compare the solutions of two program files.
+// Used by tests to produce actionable failure messages.
 
 #ifndef TDX_TEMPORAL_SEMANTIC_DIFF_H_
 #define TDX_TEMPORAL_SEMANTIC_DIFF_H_

@@ -1,5 +1,7 @@
 #include "src/temporal/snapshot.h"
 
+#include <vector>
+
 namespace tdx {
 
 Result<Instance> SnapshotAt(const ConcreteInstance& instance, TimePoint l,
@@ -7,6 +9,7 @@ Result<Instance> SnapshotAt(const ConcreteInstance& instance, TimePoint l,
   const Schema& schema = instance.schema();
   Instance out(&schema);
   Status status = Status::OK();
+  std::vector<Value> row;
   instance.facts().ForEach([&](FactView fact) {
     if (!status.ok()) return;
     if (!fact.interval().Contains(l)) return;
@@ -15,13 +18,12 @@ Result<Instance> SnapshotAt(const ConcreteInstance& instance, TimePoint l,
       status = twin.status();
       return;
     }
-    std::vector<Value> args;
-    args.reserve(fact.arity() - 1);
+    row.clear();
     for (std::size_t i = 0; i + 1 < fact.arity(); ++i) {
       const Value& v = fact.arg(i);
-      args.push_back(v.is_annotated_null() ? universe->ProjectNull(v, l) : v);
+      row.push_back(v.is_annotated_null() ? universe->ProjectNull(v, l) : v);
     }
-    out.Insert(Fact(*twin, std::move(args)));
+    out.InsertSpan(*twin, row.data(), row.size());
   });
   if (!status.ok()) return status;
   return out;

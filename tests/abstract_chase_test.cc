@@ -117,8 +117,7 @@ TEST(AbstractChaseTest, AgreesWithGroundTruthSnapshotChase) {
 }
 
 TEST(AbstractChaseTest, StatsSumThePieceChases) {
-  // The aggregate work record is the sum of the per-piece snapshot chases,
-  // whichever engine merges them.
+  // The aggregate work record is the sum of the per-piece snapshot chases.
   auto w = PaperWorkload();
   auto ia = AbstractInstance::FromConcrete(w->source);
   ASSERT_TRUE(ia.ok());
@@ -132,18 +131,12 @@ TEST(AbstractChaseTest, StatsSumThePieceChases) {
     pieces.facts_inserted += chased->stats.facts_inserted;
   }
   ASSERT_GT(pieces.facts_inserted, 0u);
-  for (unsigned jobs : {1u, 4u}) {
-    AbstractChaseOptions options;
-    options.jobs = jobs;
-    auto outcome = AbstractChase(*ia, w->mapping, &w->universe, options);
-    ASSERT_TRUE(outcome.ok()) << outcome.status();
-    ASSERT_EQ(outcome->kind, ChaseResultKind::kSuccess);
-    EXPECT_EQ(outcome->stats.tgd_fires, pieces.tgd_fires) << "jobs " << jobs;
-    EXPECT_EQ(outcome->stats.fresh_nulls, pieces.fresh_nulls)
-        << "jobs " << jobs;
-    EXPECT_EQ(outcome->stats.facts_inserted, pieces.facts_inserted)
-        << "jobs " << jobs;
-  }
+  auto outcome = AbstractChase(*ia, w->mapping, &w->universe);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_EQ(outcome->kind, ChaseResultKind::kSuccess);
+  EXPECT_EQ(outcome->stats.tgd_fires, pieces.tgd_fires);
+  EXPECT_EQ(outcome->stats.fresh_nulls, pieces.fresh_nulls);
+  EXPECT_EQ(outcome->stats.facts_inserted, pieces.facts_inserted);
 }
 
 TEST(AbstractChaseTest, FailurePropagatesWithSpan) {

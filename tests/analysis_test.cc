@@ -967,8 +967,13 @@ TEST(RenderTest, TextSummaryCountsBySeverity) {
 }
 
 TEST(RenderTest, JsonEscapesControlCharacters) {
-  EXPECT_EQ(JsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-  EXPECT_EQ(JsonEscape(std::string_view("\x01", 1)), "\\u0001");
+  AnalysisReport report;
+  report.Add("TDX013", Severity::kWarning, "a\"b\\c\nd\x01");
+  const std::string json = RenderJson(report, "f\t.tdx").Dump();
+  EXPECT_NE(json.find("\"file\":\"f\\t.tdx\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"message\":\"a\\\"b\\\\c\\nd\\u0001\""),
+            std::string::npos)
+      << json;
 }
 
 TEST(RenderTest, PromoteWarningsImplementsWerror) {

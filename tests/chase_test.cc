@@ -271,7 +271,7 @@ class ChaseFireOrderTest : public ::testing::Test {
         source.Insert(r_, {xs[i], u->Constant("y" + std::to_string(j))});
       }
     }
-    auto outcome = ChaseSnapshot(source, mapping_, u, limits);
+    auto outcome = ChaseSnapshot(source, mapping_, u, {.limits = limits});
     EXPECT_TRUE(outcome.ok()) << outcome.status();
     return std::move(outcome).value();
   }

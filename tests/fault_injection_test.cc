@@ -225,7 +225,7 @@ TEST_F(FaultInjectionTest, ParserSiteWithSkipCountFailsMidProgram) {
 }
 
 // ---------------------------------------------------------------------------
-// Infrastructure sites: pool dispatch drops and merge-seam kills
+// Infrastructure sites: dispatch drops and merge-seam kills
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultInjectionTest, DispatchSiteDropsExactlyOneTaskInline) {
@@ -234,7 +234,7 @@ TEST_F(FaultInjectionTest, DispatchSiteDropsExactlyOneTaskInline) {
   ParallelFor(1, ran.size(), [&](std::size_t i) { ran[i] = 1; });
   std::size_t executed = 0;
   for (const char r : ran) executed += static_cast<std::size_t>(r);
-  // One task was "killed" between dequeue and execution; the rest ran.
+  // One task was "killed" between being claimed and running; the rest ran.
   EXPECT_EQ(executed, ran.size() - 1);
 }
 

@@ -53,7 +53,7 @@ TEST_P(LintGoldenTest, TextOutputMatchesGolden) {
 }
 
 TEST_P(LintGoldenTest, JsonOutputMatchesGolden) {
-  EXPECT_EQ(RenderJson(Lint(), DisplayPath()) + "\n", Golden("json"));
+  EXPECT_EQ(RenderJson(Lint(), DisplayPath()).Dump() + "\n", Golden("json"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Examples, LintGoldenTest,

@@ -121,7 +121,7 @@ TEST(MetricsRegistry, DisabledWritesAreDropped) {
 
 TEST(MetricsRegistry, ParallelWritersMergeDeterministically) {
   // The merge must equal the arithmetic total no matter how ParallelFor
-  // schedules the writers across pool threads (sum is commutative), and the
+  // schedules the writers across its threads (sum is commutative), and the
   // histogram must place every sample. Mirrors the engines' --jobs mode.
   Counter counter("obs_test.parallel_counter");
   Histogram histogram("obs_test.parallel_histogram");
@@ -152,9 +152,9 @@ TEST(MetricsRegistry, ParallelWritersMergeDeterministically) {
 
 TEST(MetricsRegistry, ShardsAreRecycledAcrossPools) {
   Counter counter("obs_test.recycle");
-  // A pool thread that runs no task leases no shard, so every round makes
-  // all four workers lease one at once: each of the four tasks waits at the
-  // latch until the others have started, which no worker can do for two.
+  // A thread that runs no task leases no shard, so every round makes all
+  // four threads lease one at once: each of the four tasks waits at the
+  // latch until the others have started, which no thread can do for two.
   const auto round = [&] {
     std::latch all_running(4);
     ParallelFor(4, 4, [&](std::size_t) {
@@ -166,8 +166,8 @@ TEST(MetricsRegistry, ShardsAreRecycledAcrossPools) {
   const std::size_t after_first_rounds =
       MetricsRegistry::Instance().shard_count();
   for (int i = 0; i < 4; ++i) round();
-  // Exited pool threads return their shards to the free list, so repeated
-  // pools reuse them instead of growing the shard set without bound.
+  // Exited threads return their shards to the free list, so repeated
+  // batches reuse them instead of growing the shard set without bound.
   EXPECT_EQ(MetricsRegistry::Instance().shard_count(), after_first_rounds);
 }
 

@@ -283,7 +283,7 @@ TEST(SnapshotChaseBudgetTest, EachDimensionAborts) {
     auto snapshot = SnapshotAt(program->source, 2015, &program->universe);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
     auto outcome = ChaseSnapshot(*snapshot, program->mapping,
-                                 &program->universe, c.limits);
+                                 &program->universe, {.limits = c.limits});
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_EQ(outcome->kind, ChaseResultKind::kAborted);
     EXPECT_EQ(outcome->abort_dimension, c.want)
@@ -312,7 +312,8 @@ TEST(AbstractChaseBudgetTest, BudgetAbortsWithPieceSpan) {
   ChaseLimits limits;
   limits.max_tgd_fires = 1;
   auto outcome =
-      AbstractChase(*ia, program->mapping, &program->universe, limits);
+      AbstractChase(*ia, program->mapping, &program->universe,
+                    {.limits = limits});
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->kind, ChaseResultKind::kAborted);
   EXPECT_EQ(outcome->abort_dimension, ResourceDimension::kTgdFires);

@@ -2,65 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 namespace tdx {
 namespace {
 
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), 100);
-  }
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  std::atomic<int> counter{0};
-  ThreadPool pool(2);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 3);
-}
-
-TEST(ThreadPoolTest, WaitOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // no tasks: must not hang
-}
-
-TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    // No Wait: the destructor joins after the queue drains.
-  }
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, ClampsToAtLeastOneThread) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.thread_count(), 1u);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
 TEST(ThreadPoolTest, HardwareJobsIsPositive) {
-  EXPECT_GE(ThreadPool::HardwareJobs(), 1u);
+  EXPECT_GE(HardwareJobs(), 1u);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
@@ -85,6 +38,29 @@ TEST(ParallelForTest, ResultsLandAtTheirIndex) {
   ParallelFor(8, out.size(),
               [&](std::size_t i) { out[i] = static_cast<int>(i) * 3; });
   for (int i = 0; i < 100; ++i) EXPECT_EQ(out[i], i * 3);
+}
+
+// A parallel batch runs on at most min(jobs, count) threads, none of them
+// the caller's (the caller holds the batch's trace span); jobs = 1 runs
+// every item on the caller.
+TEST(ParallelForTest, StartsAtMostMinJobsCountWorkers) {
+  const auto threads_of = [](unsigned jobs) {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    ParallelFor(jobs, 3, [&](std::size_t) {
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    });
+    return ids;
+  };
+  for (unsigned jobs : {2u, 16u}) {
+    const std::set<std::thread::id> ids = threads_of(jobs);
+    EXPECT_GE(ids.size(), 1u) << "jobs=" << jobs;
+    EXPECT_LE(ids.size(), std::min(jobs, 3u)) << "jobs=" << jobs;
+    EXPECT_EQ(ids.count(std::this_thread::get_id()), 0u) << "jobs=" << jobs;
+  }
+  EXPECT_EQ(threads_of(1),
+            std::set<std::thread::id>{std::this_thread::get_id()});
 }
 
 }  // namespace

@@ -266,8 +266,7 @@ bool ParseFlags(int argc, char** argv, CliOptions* options,
     } else if (name == "--max-nesting-depth") {
       options->parse_limits.max_nesting_depth = n;
     } else if (name == "--jobs") {
-      options->jobs =
-          n == 0 ? tdx::ThreadPool::HardwareJobs() : static_cast<unsigned>(n);
+      options->jobs = n == 0 ? tdx::HardwareJobs() : static_cast<unsigned>(n);
     } else if (name == "--checkpoint-every") {
       options->checkpoint_every = n;
     } else {
@@ -503,7 +502,7 @@ int RunPlan(tdx::ParsedProgram& program, const CliOptions& options) {
   const tdx::ChaseSchedule schedule =
       tdx::ScheduleFor(program.mapping, program.schema);
   if (options.format == "json") {
-    std::cout << schedule.ToJson() << "\n";
+    std::cout << schedule.ToJson().Dump() << "\n";
   } else {
     std::cout << schedule.ToText();
   }

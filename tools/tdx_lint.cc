@@ -22,10 +22,12 @@
 #include <iostream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/analyzer.h"
 #include "src/analysis/planner.h"
+#include "src/obs/json.h"
 #include "src/parser/parser.h"
 
 namespace {
@@ -83,7 +85,7 @@ int main(int argc, char** argv) {
   if (files.empty()) return Usage();
 
   bool any_errors = false;
-  std::string json_out = "[";
+  tdx::obs::Json json_out = tdx::obs::Json::Array();
   for (std::size_t i = 0; i < files.size(); ++i) {
     const tdx::Result<std::string> text = tdx::ReadProgramFile(files[i]);
     if (!text.ok()) {
@@ -96,18 +98,14 @@ int main(int argc, char** argv) {
     if (werror) report.PromoteWarnings();
     any_errors = any_errors || report.HasErrors();
     if (json) {
-      if (i > 0) json_out += ',';
-      std::string object = tdx::RenderJson(report, files[i]);
-      if (plan.has_value()) {
-        // Splice the schedule into the file's object, before the final '}'.
-        object.insert(object.size() - 1, ", \"plan\": " + plan->ToJson());
-      }
-      json_out += object;
+      tdx::obs::Json object = tdx::RenderJson(report, files[i]);
+      if (plan.has_value()) object.Set("plan", plan->ToJson());
+      json_out.Append(std::move(object));
     } else {
       std::cout << tdx::RenderText(report, files[i]);
       if (plan.has_value()) std::cout << plan->ToText();
     }
   }
-  if (json) std::cout << json_out << "]\n";
+  if (json) std::cout << json_out.Dump() << "\n";
   return any_errors ? 1 : 0;
 }
