@@ -1,6 +1,7 @@
 #include "src/common/interval.h"
 
 #include <algorithm>
+#include <charconv>
 
 namespace tdx {
 
@@ -30,17 +31,38 @@ std::pair<Interval, Interval> Interval::SplitAt(TimePoint t) const {
   return {Interval(start_, t), Interval(t, end_)};
 }
 
+namespace {
+
+void AppendTimePoint(TimePoint t, std::string* out) {
+  if (t == kTimeInfinity) {
+    *out += "inf";
+    return;
+  }
+  char digits[24];
+  const std::to_chars_result r =
+      std::to_chars(digits, digits + sizeof digits, t);
+  out->append(digits, r.ptr);
+}
+
+}  // namespace
+
 std::string TimePointToString(TimePoint t) {
-  if (t == kTimeInfinity) return "inf";
-  return std::to_string(t);
+  std::string out;
+  AppendTimePoint(t, &out);
+  return out;
+}
+
+void Interval::AppendTo(std::string* out) const {
+  *out += '[';
+  AppendTimePoint(start_, out);
+  *out += ", ";
+  AppendTimePoint(end_, out);
+  *out += ')';
 }
 
 std::string Interval::ToString() const {
-  std::string out = "[";
-  out += TimePointToString(start_);
-  out += ", ";
-  out += TimePointToString(end_);
-  out += ")";
+  std::string out;
+  AppendTo(&out);
   return out;
 }
 

@@ -104,6 +104,8 @@ class Interval {
 
   /// Renders as "[s, e)" with "inf" for the unbounded endpoint.
   std::string ToString() const;
+  /// Appends ToString() to *out, building no temporary string.
+  void AppendTo(std::string* out) const;
 
   friend constexpr bool operator==(const Interval& a, const Interval& b) {
     return a.start_ == b.start_ && a.end_ == b.end_;

@@ -7,16 +7,23 @@
 // database engines for dictionary-encoding low-cardinality string columns.
 //
 // A SymbolTable is append-only and owned by a Universe (see value.h); ids
-// are never reused and remain valid for the table's lifetime.
+// are never reused and remain valid for the table's lifetime. Ids are dense
+// and handed out in order of first appearance.
+//
+// Layout. Spellings are copied into a chunked character arena: a chunk is
+// never reallocated, so a Spelling view stays valid for the table's
+// lifetime (and across a move of the table). The id of a spelling is found
+// through one open-addressing table of (hash, id) slots, probed linearly;
+// interning a spelling already present allocates nothing.
 
 #ifndef TDX_COMMON_SYMBOL_TABLE_H_
 #define TDX_COMMON_SYMBOL_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <string>
+#include <memory>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace tdx {
 
@@ -32,8 +39,8 @@ class SymbolTable {
   // would silently fork the id space, so it is move-only.
   SymbolTable(const SymbolTable&) = delete;
   SymbolTable& operator=(const SymbolTable&) = delete;
-  SymbolTable(SymbolTable&&) = default;
-  SymbolTable& operator=(SymbolTable&&) = default;
+  SymbolTable(SymbolTable&& other) noexcept { *this = std::move(other); }
+  SymbolTable& operator=(SymbolTable&& other) noexcept;
 
   /// Interns `text`, returning its id (existing id if already interned).
   SymbolId Intern(std::string_view text);
@@ -48,10 +55,26 @@ class SymbolTable {
   std::size_t size() const { return spellings_.size(); }
 
  private:
-  // deque: references to stored strings stay valid across push_back, so the
-  // string_view keys below never dangle (vector would move SSO buffers).
-  std::deque<std::string> spellings_;
-  std::unordered_map<std::string_view, SymbolId> ids_;
+  /// One slot of the id table; `id == kEmpty` marks a free slot.
+  struct Slot {
+    std::uint32_t hash = 0;
+    SymbolId id = kEmpty;
+  };
+  static constexpr SymbolId kEmpty = 0xFFFFFFFFu;
+
+  /// Index of the slot holding `text`, or of the free slot where it would
+  /// go. Precondition: the table has at least one free slot.
+  std::size_t FindSlot(std::string_view text, std::uint32_t hash) const;
+  /// Doubles the slot table (or creates it) and reinserts every id.
+  void Grow();
+  /// Copies `text` into the arena and returns the stable copy.
+  std::string_view Store(std::string_view text);
+
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  char* cursor_ = nullptr;   ///< free space in the newest chunk
+  std::size_t left_ = 0;     ///< bytes free at cursor_
+  std::vector<std::string_view> spellings_;  ///< by id, into chunks_
+  std::vector<Slot> slots_;  ///< power-of-two size, at most half full
 };
 
 }  // namespace tdx

@@ -47,22 +47,30 @@ std::string_view Universe::NullName(NullId id) const {
   return null_names_[id];
 }
 
-std::string Universe::Render(const Value& v) const {
+void Universe::AppendRendered(const Value& v, std::string* out) const {
   switch (v.kind()) {
     case ValueKind::kConstant:
-      return std::string(symbols_.Spelling(v.symbol()));
+      *out += symbols_.Spelling(v.symbol());
+      return;
     case ValueKind::kNull:
-      return std::string(NullName(v.null_id()));
-    case ValueKind::kAnnotatedNull: {
-      std::string out(NullName(v.null_id()));
-      out += "^";
-      out += v.interval().ToString();
-      return out;
-    }
+      *out += NullName(v.null_id());
+      return;
+    case ValueKind::kAnnotatedNull:
+      *out += NullName(v.null_id());
+      *out += '^';
+      v.interval().AppendTo(out);
+      return;
     case ValueKind::kInterval:
-      return v.interval().ToString();
+      v.interval().AppendTo(out);
+      return;
   }
-  return "<invalid>";
+  *out += "<invalid>";
+}
+
+std::string Universe::Render(const Value& v) const {
+  std::string out;
+  AppendRendered(v, &out);
+  return out;
 }
 
 }  // namespace tdx

@@ -204,6 +204,9 @@ class Universe {
   /// annotated nulls as "N^[s, e)", intervals as "[s, e)".
   std::string Render(const Value& v) const;
 
+  /// Appends Render(v) to *out, building no temporary string.
+  void AppendRendered(const Value& v, std::string* out) const;
+
   /// Number of labeled nulls allocated so far.
   NullId null_count() const { return next_null_; }
 

@@ -1,6 +1,5 @@
 #include "src/core/certain.h"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -59,45 +58,21 @@ Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
   }
   points_metric.Inc(points.size());
 
-  // Piece keys. Two sorted points p < q see the same snapshot when no fact
-  // starts or ends in (p, q]; every such endpoint x cuts in front of the
-  // first point >= x.
-  std::vector<TimePoint> sorted = points;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  std::vector<char> cut(sorted.size(), 0);
-  const auto cut_at = [&](TimePoint x) {
-    const auto it = std::lower_bound(sorted.begin(), sorted.end(), x);
-    if (it != sorted.begin() && it != sorted.end()) {
-      cut[it - sorted.begin()] = 1;
-    }
-  };
-  source.facts().ForEach([&](FactView fact) {
-    const Interval iv = fact.interval();
-    cut_at(iv.start());
-    if (!iv.unbounded()) cut_at(iv.end());
-  });
-  // piece_of[j]: the piece of sorted[j]; firsts[k]: piece k's first point.
-  std::vector<std::size_t> piece_of(sorted.size());
-  std::vector<TimePoint> firsts;
-  for (std::size_t j = 0; j < sorted.size(); ++j) {
-    if (j == 0 || cut[j] != 0) firsts.push_back(sorted[j]);
-    piece_of[j] = firsts.size() - 1;
-  }
+  // One scan finds the pieces of equal snapshots and hands each its rows.
+  const SnapshotPieces pieces = SplitSnapshots(source, points);
 
   // One task per piece: materialize its snapshot, chase it and evaluate
   // the query, all against a scratch Universe. A complete source projects
-  // no null, so SnapshotAt never writes to it; the answers carry no nulls,
-  // so scratch ids never escape.
+  // no null; the answers carry no nulls, so scratch ids never escape.
   std::vector<std::optional<Result<CertainAnswersResult>>> slots(
-      firsts.size());
-  ParallelFor(jobs, firsts.size(), [&](std::size_t k) {
+      pieces.firsts.size());
+  ParallelFor(jobs, pieces.firsts.size(), [&](std::size_t k) {
     Universe scratch;
     auto run = [&]() -> Result<CertainAnswersResult> {
       Instance snapshot(&source.schema());
       {
         TDX_TRACE_SPAN("snapshot.materialize");
-        TDX_ASSIGN_OR_RETURN(snapshot, SnapshotAt(source, firsts[k], &scratch));
+        TDX_ASSIGN_OR_RETURN(snapshot, MaterializePiece(source, pieces, k));
       }
       chases_metric.Inc();
       TDX_ASSIGN_OR_RETURN(ChaseOutcome chase,
@@ -114,10 +89,9 @@ Result<std::vector<CertainAnswersResult>> CertainAnswersAtMany(
   });
 
   std::vector<std::size_t> piece_of_point(points.size());
-  std::vector<std::size_t> last_use(firsts.size(), 0);
+  std::vector<std::size_t> last_use(pieces.firsts.size(), 0);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto it = std::lower_bound(sorted.begin(), sorted.end(), points[i]);
-    piece_of_point[i] = piece_of[it - sorted.begin()];
+    piece_of_point[i] = pieces.PieceOf(points[i]);
     last_use[piece_of_point[i]] = i;
   }
   std::vector<CertainAnswersResult> results;

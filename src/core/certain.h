@@ -53,12 +53,14 @@ Result<CertainAnswersResult> CertainAnswersAt(const UnionQuery& query,
 
 /// CertainAnswersAt for a batch of time points, one snapshot chase per
 /// piece. Two points p < q see the same snapshot when no fact of `source`
-/// starts or ends in (p, q], so such points form one piece; each piece is
-/// materialized, chased and evaluated once, in its own task on up to
-/// `jobs` threads, against a scratch Universe. `source` must be complete
-/// (InvalidArgument otherwise): its snapshots project no null, so a worker
-/// materializing one writes to no shared universe, and the answers are
-/// null-free, so scratch ids never escape; `universe` is not used.
+/// starts or ends in (p, q], so such points form one piece. One scan of
+/// the source (SplitSnapshots) finds the pieces and hands each its rows;
+/// each piece is materialized, chased and evaluated once, in its own task
+/// on up to `jobs` threads, against a scratch Universe. `source` must be
+/// complete (InvalidArgument otherwise): its snapshots project no null, so
+/// a worker materializing one writes to no shared universe, and the
+/// answers are null-free, so scratch ids never escape; `universe` is not
+/// used.
 /// results[i] corresponds to points[i] (any order, repeats allowed) and is
 /// identical to CertainAnswersAt(query, source, mapping, points[i], ...)
 /// regardless of `jobs`, except that when ParallelFor drops a piece's task

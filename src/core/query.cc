@@ -139,13 +139,18 @@ std::vector<Tuple> DropTuplesWithNulls(std::vector<Tuple> tuples) {
   return tuples;
 }
 
-std::string TupleToString(const Tuple& tuple, const Universe& u) {
-  std::string out = "(";
+void AppendTuple(const Tuple& tuple, const Universe& u, std::string* out) {
+  *out += '(';
   for (std::size_t i = 0; i < tuple.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += u.Render(tuple[i]);
+    if (i > 0) *out += ", ";
+    u.AppendRendered(tuple[i], out);
   }
-  out += ")";
+  *out += ')';
+}
+
+std::string TupleToString(const Tuple& tuple, const Universe& u) {
+  std::string out;
+  AppendTuple(tuple, u, &out);
   return out;
 }
 

@@ -69,6 +69,8 @@ std::vector<Tuple> Evaluate(const UnionQuery& query, const Instance& instance);
 /// arrow" of naive evaluation on a single snapshot).
 std::vector<Tuple> DropTuplesWithNulls(std::vector<Tuple> tuples);
 
+/// "(v1, ..., vn)", appended to *out.
+void AppendTuple(const Tuple& tuple, const Universe& u, std::string* out);
 std::string TupleToString(const Tuple& tuple, const Universe& u);
 
 }  // namespace tdx

@@ -100,7 +100,13 @@ class TraceSpan {
   /// `name` must be a string literal.
   explicit TraceSpan(const char* name)
       : tracer_(Tracer::Current()), name_(name) {
-    if (tracer_ != nullptr) start_us_ = tracer_->NowMicros();
+    if (tracer_ == nullptr) return;
+    // The thread id is claimed when the span opens: a thread's buffer (and
+    // id) passes to another thread only once this one has exited, so a
+    // span recorded under an id never overlaps one that an earlier owner
+    // of the id recorded.
+    tid_ = tracer_->ThreadId();
+    start_us_ = tracer_->NowMicros();
   }
   ~TraceSpan() {
     if (tracer_ == nullptr) return;
@@ -108,7 +114,7 @@ class TraceSpan {
     event.name = name_;
     event.ts_us = start_us_;
     event.dur_us = tracer_->NowMicros() - start_us_;
-    event.tid = tracer_->ThreadId();
+    event.tid = tid_;
     event.arg_name = arg_name_;
     event.arg_value = arg_value_;
     tracer_->Record(event);
@@ -128,6 +134,7 @@ class TraceSpan {
  private:
   Tracer* tracer_;
   const char* name_;
+  std::uint32_t tid_ = 0;
   std::uint64_t start_us_ = 0;
   const char* arg_name_ = nullptr;
   std::uint64_t arg_value_ = 0;

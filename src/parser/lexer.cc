@@ -1,7 +1,8 @@
 #include "src/parser/lexer.h"
 
 #include <algorithm>
-#include <cctype>
+#include <array>
+#include <cstdint>
 #include <string>
 #include <utility>
 
@@ -9,22 +10,47 @@ namespace tdx {
 
 namespace {
 
-bool IsDigit(char c) {
-  return std::isdigit(static_cast<unsigned char>(c)) != 0;
-}
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool IsIdentCont(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '+';
-}
+// Byte classes, one table lookup per byte. A byte may carry several flags
+// (a digit also continues an identifier); a punctuation byte carries its
+// single-character token kind.
+enum : std::uint8_t {
+  kBlank = 1,       ///< ' ', '\t', '\r' (newlines are counted apart)
+  kDigit = 2,       ///< 0-9
+  kIdentStart = 4,  ///< A-Z a-z _
+  kIdentCont = 8,   ///< identifier start, digits, and '+'
+  kPunct = 16,      ///< ( ) [ , ; : & = @
+};
 
-// The single-character tokens, and their kinds position by position.
-constexpr std::string_view kPunctuation = "()[,;:&=@";
-constexpr TokenKind kPunctuationKinds[] = {
-    TokenKind::kLParen, TokenKind::kRParen,    TokenKind::kLBracket,
-    TokenKind::kComma,  TokenKind::kSemicolon, TokenKind::kColon,
-    TokenKind::kAmp,    TokenKind::kEquals,    TokenKind::kAt};
+struct ByteClass {
+  std::uint8_t flags = 0;
+  TokenKind punct = TokenKind::kEnd;  ///< the token of a kPunct byte
+};
+
+constexpr std::array<ByteClass, 256> kByteClasses = [] {
+  std::array<ByteClass, 256> table{};
+  for (const char c : {' ', '\t', '\r'}) {
+    table[static_cast<unsigned char>(c)].flags = kBlank;
+  }
+  for (int c = '0'; c <= '9'; ++c) table[c].flags = kDigit | kIdentCont;
+  for (int c = 'a'; c <= 'z'; ++c) table[c].flags = kIdentStart | kIdentCont;
+  for (int c = 'A'; c <= 'Z'; ++c) table[c].flags = kIdentStart | kIdentCont;
+  table['_'].flags = kIdentStart | kIdentCont;
+  table['+'].flags = kIdentCont;
+  const std::pair<char, TokenKind> punctuation[] = {
+      {'(', TokenKind::kLParen},    {')', TokenKind::kRParen},
+      {'[', TokenKind::kLBracket},  {',', TokenKind::kComma},
+      {';', TokenKind::kSemicolon}, {':', TokenKind::kColon},
+      {'&', TokenKind::kAmp},       {'=', TokenKind::kEquals},
+      {'@', TokenKind::kAt}};
+  for (const auto& [c, kind] : punctuation) {
+    table[static_cast<unsigned char>(c)] = ByteClass{kPunct, kind};
+  }
+  return table;
+}();
+
+const ByteClass& ClassOf(char c) {
+  return kByteClasses[static_cast<unsigned char>(c)];
+}
 
 }  // namespace
 
@@ -72,84 +98,89 @@ Lexer::Lexer(std::string_view input, const ParseLimits& limits)
   }
 }
 
-Status Lexer::Fail(Token* token, std::string what) {
+void Lexer::Fail(Token* token, std::string what) {
   status_ = Status::ParseError(std::move(what) + " at line " +
                                std::to_string(line_) + ", column " +
                                std::to_string(column_));
   *token = Token{TokenKind::kEnd, {}, line_, column_};
-  return status_;
 }
 
-Status Lexer::Next(Token* token) {
+bool Lexer::Read(Token* token) {
   if (!status_.ok()) {
     *token = Token{TokenKind::kEnd, {}, line_, column_};
-    return status_;
+    return false;
   }
+  const char* const data = input_.data();
+  const std::size_t size = input_.size();
   // Whitespace and comments. Only these can span lines: no token contains
   // a newline, so past this loop the column simply advances by the token's
   // length.
-  while (pos_ < input_.size()) {
-    const char c = input_[pos_];
+  std::size_t pos = pos_;
+  while (pos < size) {
+    const char c = data[pos];
     if (c == '\n') {
       ++line_;
       column_ = 1;
-    } else if (c == ' ' || c == '\t' || c == '\r') {
+    } else if (ClassOf(c).flags & kBlank) {
       ++column_;
     } else if (c == '#') {
-      const std::size_t eol = std::min(input_.find('\n', pos_), input_.size());
-      column_ += eol - pos_;
-      pos_ = eol;
+      const std::size_t eol = std::min(input_.find('\n', pos), size);
+      column_ += eol - pos;
+      pos = eol;
       continue;
     } else {
       break;
     }
-    ++pos_;
+    ++pos;
   }
-  if (pos_ == input_.size()) {
+  pos_ = pos;
+  if (pos == size) {
     *token = Token{TokenKind::kEnd, {}, line_, column_};
-    return Status::OK();
+    return true;
   }
 
-  const char c = input_[pos_];
+  const char c = data[pos];
+  const ByteClass& cls = ClassOf(c);
   TokenKind kind;
-  std::size_t length = 1;
-  if (const std::size_t p = kPunctuation.find(c);
-      p != std::string_view::npos) {
-    kind = kPunctuationKinds[p];
-  } else if (c == '-' && input_.substr(pos_ + 1, 1) == ">") {
-    kind = TokenKind::kArrow;
-    length = 2;
+  std::size_t end = pos + 1;
+  std::size_t quote = 0;  // a string's text excludes its quotes
+  if (cls.flags & kPunct) {
+    kind = cls.punct;
+  } else if (cls.flags & kIdentStart) {
+    kind = TokenKind::kIdentifier;
+    while (end < size && (ClassOf(data[end]).flags & kIdentCont)) ++end;
   } else if (c == '"') {
-    const std::size_t close = input_.find_first_of("\"\n", pos_ + 1);
-    if (close == std::string_view::npos || input_[close] != '"') {
-      return Fail(token, "unterminated string literal");
+    while (end < size && data[end] != '"' && data[end] != '\n') ++end;
+    if (end == size || data[end] != '"') {
+      Fail(token, "unterminated string literal");
+      return false;
     }
     kind = TokenKind::kString;
-    length = close + 1 - pos_;
-  } else if (IsDigit(c)) {
+    ++end;
+    quote = 1;
+  } else if (cls.flags & kDigit) {
     kind = TokenKind::kNumber;
-    while (pos_ + length < input_.size() && IsDigit(input_[pos_ + length])) {
-      ++length;
-    }
-  } else if (IsIdentStart(c)) {
-    kind = TokenKind::kIdentifier;
-    while (pos_ + length < input_.size() &&
-           IsIdentCont(input_[pos_ + length])) {
-      ++length;
-    }
+    while (end < size && (ClassOf(data[end]).flags & kDigit)) ++end;
+  } else if (c == '-' && pos + 1 < size && data[pos + 1] == '>') {
+    kind = TokenKind::kArrow;
+    end = pos + 2;
   } else {
-    return Fail(token, std::string("unexpected character '") + c + "'");
+    Fail(token, std::string("unexpected character '") + c + "'");
+    return false;
   }
-  std::string_view text = input_.substr(pos_, length);
-  if (kind == TokenKind::kString) text = text.substr(1, length - 2);
-  *token = Token{kind, text, line_, column_};
-  pos_ += length;
+  const std::size_t length = end - pos;
+  token->kind = kind;
+  token->text = std::string_view(data + pos + quote, length - 2 * quote);
+  token->line = line_;
+  token->column = column_;
+  pos_ = end;
   column_ += length;
   if (++count_ > max_tokens_) {
-    return Fail(token, "token count exceeds the limit of " +
-                           std::to_string(max_tokens_) + " tokens");
+    Fail(token, "token count exceeds the limit of " +
+                    std::to_string(max_tokens_) + " tokens");
+    return false;
   }
-  return Status::OK();
+  return true;
 }
 
 }  // namespace tdx

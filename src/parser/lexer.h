@@ -89,10 +89,19 @@ class Lexer {
   /// Reads the next token into *token; at end of input, a kEnd token (and
   /// again on every later call). On failure returns a ParseError carrying
   /// line and column, and *token is a kEnd token at the failing position.
-  Status Next(Token* token);
+  Status Next(Token* token) { return Read(token) ? Status::OK() : status_; }
+
+  /// Next without building a Status per token: false on failure, and
+  /// status() holds the error.
+  bool Read(Token* token);
+
+  /// OK, or the first failure.
+  const Status& status() const { return status_; }
 
  private:
-  Status Fail(Token* token, std::string what);
+  /// Records the failure and makes *token a kEnd token at the current
+  /// position.
+  void Fail(Token* token, std::string what);
 
   std::string_view input_;
   std::size_t max_tokens_;

@@ -65,8 +65,9 @@ class Parser {
   // error is reported only once the parser reaches it (ErrorHere), so an
   // earlier parse error wins and the first error in input order is the one
   // returned. Nothing is pulled past it, so it is the last token pulled.
-  void Pull(Token* token) { lex_error_ = lexer_.Next(token); }
-  bool CurrentFailed() const { return !lex_error_.ok() && !has_next_; }
+  // Lexer failures are sticky, so the lexer's status is the last pull's.
+  void Pull(Token* token) { lexer_.Read(token); }
+  bool CurrentFailed() const { return !lexer_.status().ok() && !has_next_; }
   /// Peek(0) is the current token; Peek(1), pulled on demand, the one after.
   const Token& Peek(std::size_t ahead = 0) {
     if (ahead == 0 || CurrentFailed()) return cur_;
@@ -101,7 +102,7 @@ class Parser {
   /// introducing keyword.
   SourceSpan SpanHere() const { return SourceSpan{cur_.line, cur_.column}; }
   Status ErrorHere(const std::string& what) const {
-    if (CurrentFailed()) return lex_error_;
+    if (CurrentFailed()) return lexer_.status();
     const std::string text(cur_.text);
     return Status::ParseError(what + " at line " + std::to_string(cur_.line) +
                               ", column " + std::to_string(cur_.column) +
@@ -122,6 +123,7 @@ class Parser {
     }
     statement_span_ = SpanHere();
     const std::string_view keyword = cur_.text;
+    if (keyword == "fact") return ParseFact();  // most statements are facts
     if (keyword == "source" || keyword == "target") {
       return ParseRelationDecl(keyword == "source" ? SchemaRole::kSource
                                                    : SchemaRole::kTarget);
@@ -129,7 +131,6 @@ class Parser {
     if (keyword == "tgd") return ParseTgd(/*target=*/false);
     if (keyword == "ttgd") return ParseTgd(/*target=*/true);
     if (keyword == "egd") return ParseEgd();
-    if (keyword == "fact") return ParseFact();
     if (keyword == "query") return ParseQuery();
     return ErrorHere("unknown statement keyword '" + std::string(keyword) +
                      "'");
@@ -375,84 +376,114 @@ class Parser {
     return Status::OK();
   }
 
-  /// Consumes a finite interval endpoint. Numerals past 2^64 - 1 are
-  /// rejected rather than wrapped, and 2^64 - 1 itself is kTimeInfinity,
-  /// which only `inf` may spell.
-  Result<TimePoint> ParseTimePoint() {
-    const Token t = Advance();
-    TimePoint value = 0;
+  /// Consumes a finite interval endpoint into *out. Numerals past
+  /// 2^64 - 1 are rejected rather than wrapped, and 2^64 - 1 itself is
+  /// kTimeInfinity, which only `inf` may spell: on either, returns false
+  /// and consumes nothing (TimePointError reports it).
+  bool TakeTimePoint(TimePoint* out) {
+    const std::string_view text = cur_.text;
     const std::from_chars_result r =
-        std::from_chars(t.text.data(), t.text.data() + t.text.size(), value);
-    if (r.ec == std::errc() && value != kTimeInfinity) return value;
+        std::from_chars(text.data(), text.data() + text.size(), *out);
+    if (r.ec != std::errc() || *out == kTimeInfinity) return false;
+    Advance();
+    return true;
+  }
+  Status TimePointError() const {
+    TimePoint value = 0;
+    const std::from_chars_result r = std::from_chars(
+        cur_.text.data(), cur_.text.data() + cur_.text.size(), value);
     return Status::ParseError(
-        "interval endpoint " + std::string(t.text) +
+        "interval endpoint " + std::string(cur_.text) +
         (r.ec != std::errc()
              ? " is out of range"
              : " is the infinity sentinel; write 'inf' for an unbounded end") +
-        " at line " + std::to_string(t.line) + ", column " +
-        std::to_string(t.column));
+        " at line " + std::to_string(cur_.line) + ", column " +
+        std::to_string(cur_.column));
   }
 
+  /// "[s, e)" or "[s, inf)". Each step that fails hands over to the
+  /// statusful form of the same step (Expect, ErrorHere, TimePointError),
+  /// which reports the error; a well-formed interval builds no Status.
   Result<Interval> ParseInterval() {
-    TDX_RETURN_IF_ERROR(Expect(TokenKind::kLBracket, "to open interval"));
+    if (!Match(TokenKind::kLBracket)) {
+      return Expect(TokenKind::kLBracket, "to open interval");
+    }
     if (!Check(TokenKind::kNumber)) {
       return ErrorHere("expected interval start point");
     }
-    TDX_ASSIGN_OR_RETURN(const TimePoint start, ParseTimePoint());
-    TDX_RETURN_IF_ERROR(Expect(TokenKind::kComma, "in interval"));
+    TimePoint start = 0;
+    if (!TakeTimePoint(&start)) return TimePointError();
+    if (!Match(TokenKind::kComma)) {
+      return Expect(TokenKind::kComma, "in interval");
+    }
     TimePoint end = kTimeInfinity;
     if (Check(TokenKind::kNumber)) {
-      TDX_ASSIGN_OR_RETURN(end, ParseTimePoint());
+      if (!TakeTimePoint(&end)) return TimePointError();
     } else if (Check(TokenKind::kIdentifier) && cur_.text == "inf") {
       Advance();
     } else {
       return ErrorHere("expected interval end point or 'inf'");
     }
-    TDX_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "to close interval"));
-    // Checked factory at the trust boundary: malformed input must not reach
-    // the asserting Interval constructor.
-    Result<Interval> iv = Interval::Make(start, end);
-    if (!iv.ok()) {
-      return Status::ParseError(iv.status().message() + " at line " +
-                                std::to_string(cur_.line));
+    if (!Match(TokenKind::kRParen)) {
+      return Expect(TokenKind::kRParen, "to close interval");
     }
-    return iv;
+    // Checked at the trust boundary: malformed input must not reach the
+    // asserting Interval constructor.
+    if (start < end) return Interval(start, end);
+    return Status::ParseError(Interval::Make(start, end).status().message() +
+                              " at line " + std::to_string(cur_.line));
   }
 
+  /// The hot statement: a program is mostly facts. Like ParseInterval, a
+  /// well-formed fact builds no Status until the insertion's.
   Status ParseFact() {
     Advance();  // "fact"
     if (!Check(TokenKind::kIdentifier)) {
       return ErrorHere("expected relation name in fact");
     }
     const Token name = Advance();
-    Result<RelationId> snap = program_->schema.Find(name.text);
-    if (!snap.ok()) {
-      return WithSpan(snap.status(), SourceSpan{name.line, name.column});
+    // A run of facts over one relation resolves its name once. A resolved
+    // name stays valid: declarations only add names.
+    if (name.text != fact_name_) {
+      Result<RelationId> snap = program_->schema.Find(name.text);
+      if (!snap.ok()) {
+        return WithSpan(snap.status(), SourceSpan{name.line, name.column});
+      }
+      TDX_ASSIGN_OR_RETURN(fact_rel_, program_->schema.TwinOf(*snap));
+      fact_name_ = name.text;
     }
-    TDX_ASSIGN_OR_RETURN(RelationId conc, program_->schema.TwinOf(*snap));
-    TDX_RETURN_IF_ERROR(Expect(TokenKind::kLParen, "after relation name"));
-    // Room for the interval too, which ConcreteInstance::Add appends.
-    std::vector<Value> data;
-    data.reserve(program_->schema.relation(conc).arity());
+    if (!Match(TokenKind::kLParen)) {
+      return Expect(TokenKind::kLParen, "after relation name");
+    }
+    // One row buffer serves every fact: the arguments, then the interval.
+    fact_row_.clear();
     do {
-      if (data.size() >= limits_.max_atom_terms) {
+      if (fact_row_.size() >= limits_.max_atom_terms) {
         return ErrorHere("fact over '" + std::string(name.text) +
                          "' exceeds the limit of " +
                          std::to_string(limits_.max_atom_terms) +
                          " arguments");
       }
-      if (Check(TokenKind::kString) || Check(TokenKind::kNumber)) {
-        data.push_back(program_->universe.Constant(Advance().text));
-      } else {
+      if (!Check(TokenKind::kString) && !Check(TokenKind::kNumber)) {
         return ErrorHere("fact arguments must be constants");
       }
+      fact_row_.push_back(program_->universe.Constant(Advance().text));
     } while (Match(TokenKind::kComma));
-    TDX_RETURN_IF_ERROR(Expect(TokenKind::kRParen, "after fact arguments"));
-    TDX_RETURN_IF_ERROR(Expect(TokenKind::kAt, "before fact interval"));
-    TDX_ASSIGN_OR_RETURN(Interval iv, ParseInterval());
-    TDX_RETURN_IF_ERROR(Expect(TokenKind::kSemicolon, "after fact"));
-    return WithSpan(program_->source.Add(conc, std::move(data), iv),
-                    statement_span_);
+    if (!Match(TokenKind::kRParen)) {
+      return Expect(TokenKind::kRParen, "after fact arguments");
+    }
+    if (!Match(TokenKind::kAt)) {
+      return Expect(TokenKind::kAt, "before fact interval");
+    }
+    TDX_ASSIGN_OR_RETURN(const Interval iv, ParseInterval());
+    if (!Match(TokenKind::kSemicolon)) {
+      return Expect(TokenKind::kSemicolon, "after fact");
+    }
+    fact_row_.push_back(Value::OfInterval(iv));
+    return WithSpan(
+        program_->source.Add(fact_rel_,
+                             ValueSpan(fact_row_.data(), fact_row_.size())),
+        statement_span_);
   }
 
   Status ParseQuery() {
@@ -510,10 +541,12 @@ class Parser {
   Token cur_;          ///< Peek(0)
   Token next_;         ///< Peek(1), valid while has_next_
   bool has_next_ = false;
-  Status lex_error_;   ///< status of the last pull
   ParseLimits limits_;
   std::size_t atom_depth_ = 0;  ///< temporal-operator nesting in ParseAtom
   SourceSpan statement_span_;   ///< span of the statement being parsed
+  std::string_view fact_name_;  ///< relation name of the last fact, or empty
+  RelationId fact_rel_ = 0;     ///< its concrete relation
+  std::vector<Value> fact_row_;  ///< ParseFact's reused row buffer
   ParsedProgram* program_;
 };
 

@@ -10,7 +10,7 @@ std::string RenderFact(RelationId rel, const Value* args, std::size_t n,
   out += "(";
   for (std::size_t i = 0; i < n; ++i) {
     if (i > 0) out += ", ";
-    out += u.Render(args[i]);
+    u.AppendRendered(args[i], &out);
   }
   out += ")";
   return out;

@@ -299,14 +299,6 @@ RewriteResult Instance::RewriteFacts(
   return result;
 }
 
-std::vector<Fact> Instance::CopyFacts(RelationId rel) const {
-  std::vector<Fact> out;
-  const FactColumn column = facts(rel);
-  out.reserve(column.size());
-  for (FactView view : column) out.push_back(view.ToFact());
-  return out;
-}
-
 void Instance::ForEach(const std::function<void(FactView)>& fn) const {
   for (RelationId rel = 0; rel < by_rel_.size(); ++rel) {
     const RelationStore& store = by_rel_[rel];

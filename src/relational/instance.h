@@ -195,10 +195,6 @@ class Instance {
     return FactColumn(rel, store.arena.data(), store.count, store.arity);
   }
 
-  /// Materialized copy of one relation's facts (for callers that sort or
-  /// otherwise outlive instance mutations).
-  std::vector<Fact> CopyFacts(RelationId rel) const;
-
   /// Applies `fn` to every fact (relation id order, then insertion order).
   /// The views passed to `fn` are invalidated when `fn` returns if it
   /// mutates any instance; do not mutate THIS instance from `fn`.

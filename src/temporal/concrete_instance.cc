@@ -49,9 +49,14 @@ Status CheckFact(const Schema& schema, FactView fact) {
 Status ConcreteInstance::Add(RelationId rel, std::vector<Value> data,
                              const Interval& iv) {
   data.push_back(Value::OfInterval(iv));
-  Fact fact(rel, std::move(data));
-  TDX_RETURN_IF_ERROR(CheckFact(schema(), fact.View()));
-  facts_.Insert(std::move(fact));
+  return Add(rel, ValueSpan(data.data(), data.size()));
+}
+
+Status ConcreteInstance::Add(RelationId rel, ValueSpan row) {
+  TDX_RETURN_IF_ERROR(CheckFact(
+      schema(), FactView(rel, 0, row.data(),
+                         static_cast<std::uint32_t>(row.size()))));
+  facts_.InsertSpan(rel, row.data(), row.size());
   return Status::OK();
 }
 

@@ -42,6 +42,10 @@ class ConcreteInstance {
   /// mis-annotated null. Duplicate facts are silently ignored.
   Status Add(RelationId rel, std::vector<Value> data, const Interval& iv);
 
+  /// Adds the fact rel(row...), whose last value must be its interval;
+  /// the same checks as above. Copies the row and allocates nothing else.
+  Status Add(RelationId rel, ValueSpan row);
+
   /// Checks every stored fact against the representation invariants.
   Status Validate() const;
 

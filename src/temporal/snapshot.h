@@ -15,6 +15,9 @@
 #ifndef TDX_TEMPORAL_SNAPSHOT_H_
 #define TDX_TEMPORAL_SNAPSHOT_H_
 
+#include <cstddef>
+#include <vector>
+
 #include "src/common/status.h"
 #include "src/temporal/concrete_instance.h"
 
@@ -24,6 +27,37 @@ namespace tdx {
 /// relations. Fails with NotFound if some concrete relation lacks a twin.
 Result<Instance> SnapshotAt(const ConcreteInstance& instance, TimePoint l,
                             Universe* universe);
+
+/// The snapshots of a complete instance at a batch of time points, split
+/// into pieces of equal snapshots. Two sorted points p < q see the same
+/// snapshot when no fact starts or ends in (p, q]; each such endpoint cuts
+/// in front of the first point at or after it (the endpoint splitting of
+/// Dignös et al., Snapshot Semantics for Temporal Multiset Relations).
+struct SnapshotPieces {
+  std::vector<TimePoint> points;      ///< the points, sorted and distinct
+  std::vector<std::size_t> piece_of;  ///< the piece of points[j]
+  std::vector<TimePoint> firsts;      ///< the first point of each piece
+  /// The facts of each piece's snapshot, in source order (the order
+  /// SnapshotAt inserts them in).
+  std::vector<std::vector<FactRef>> rows;
+
+  /// The piece of a point in `points`.
+  std::size_t PieceOf(TimePoint l) const;
+};
+
+/// One scan over the facts of `instance`: finds the pieces of `points`
+/// (any order, duplicates allowed) and hands each piece its rows.
+/// Precondition: the instance is complete, so the points of one piece
+/// share every fact and no null needs projecting.
+SnapshotPieces SplitSnapshots(const ConcreteInstance& instance,
+                              std::vector<TimePoint> points);
+
+/// Materializes piece k over the snapshot twin relations: fact for fact
+/// and in order, SnapshotAt(instance, pieces.firsts[k]). Fails like
+/// SnapshotAt when a relation lacks a twin.
+Result<Instance> MaterializePiece(const ConcreteInstance& instance,
+                                  const SnapshotPieces& pieces,
+                                  std::size_t k);
 
 }  // namespace tdx
 

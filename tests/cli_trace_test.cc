@@ -1,7 +1,8 @@
 // Span coverage of a traced tdx_cli run: every millisecond of `cli.run`
 // must belong to a named child span (parse, analyze, the engine, print),
 // so a slow run can be explained from its trace file alone. Drives the
-// real binary on the perfbench-size cascade program.
+// real binary on the perfbench-size cascade program, for `chase`, `query`
+// and `query-at`.
 
 #include <algorithm>
 #include <cstdlib>
@@ -28,17 +29,21 @@ std::string WriteCascadeProgram() {
   const std::string path = ::testing::TempDir() + "cli_trace_cascade.tdx";
   std::ofstream out(path);
   out << SerializeSchema(w->schema)
-      << SerializeMapping(w->mapping, w->schema, w->universe) << *facts;
+      << SerializeMapping(w->mapping, w->schema, w->universe) << *facts
+      << "query reached(x): Cur(x);\n";
   return path;
 }
 
-TEST(CliTraceTest, ChildSpansCoverTheRun) {
+// Runs `tdx_cli <command> <program> <args>` traced and checks that the
+// spans nested in cli.run cover at least 95% of it.
+void ExpectChildSpansCoverTheRun(const std::string& command,
+                                 const std::string& args) {
   const std::string program = WriteCascadeProgram();
   const std::string trace = ::testing::TempDir() + "cli_trace_cascade.json";
-  const std::string command = std::string("\"") + TDX_CLI + "\" chase \"" +
-                              program + "\" --trace-out=\"" + trace +
-                              "\" > /dev/null 2>&1";
-  ASSERT_EQ(std::system(command.c_str()), 0) << command;
+  const std::string shell = std::string("\"") + TDX_CLI + "\" " + command +
+                            " \"" + program + "\" " + args +
+                            " --trace-out=\"" + trace + "\" > /dev/null 2>&1";
+  ASSERT_EQ(std::system(shell.c_str()), 0) << shell;
 
   std::ifstream in(trace);
   std::stringstream text;
@@ -77,8 +82,23 @@ TEST(CliTraceTest, ChildSpansCoverTheRun) {
     reach = end;
   }
   EXPECT_GE(covered / (run_end - run_begin), 0.95)
-      << "cli.run " << run_end - run_begin << "us, children cover "
-      << covered << "us:" << names;
+      << command << ": cli.run " << run_end - run_begin
+      << "us, children cover " << covered << "us:" << names;
+}
+
+TEST(CliTraceTest, ChildSpansCoverTheRun) {
+  ExpectChildSpansCoverTheRun("chase", "");
+}
+
+TEST(CliTraceTest, ChildSpansCoverAQueryRun) {
+  ExpectChildSpansCoverTheRun("query", "reached");
+}
+
+// The perfbench point set: 0..31 over cascade's horizon.
+TEST(CliTraceTest, ChildSpansCoverAQueryAtRun) {
+  std::string args = "reached";
+  for (int l = 0; l < 32; ++l) args += " " + std::to_string(l);
+  ExpectChildSpansCoverTheRun("query-at", args + " --jobs=2");
 }
 
 }  // namespace

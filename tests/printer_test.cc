@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "tests/test_util.h"
 
 namespace tdx {
@@ -125,6 +131,56 @@ TEST(PrinterTest, CsvOfEmptyRelationIsHeaderOnly) {
       *schema.AddRelation("E", {"a", "b"}, SchemaRole::kSource);
   Instance inst(&schema);
   EXPECT_EQ(RenderRelationCsv(inst, e, u), "\"a\",\"b\"\n");
+}
+
+// The table sorts row positions under packed keys; its row order must be
+// that of sorted Fact copies whatever the values: constants interned out
+// of spelling order, labeled nulls, one annotated null under several
+// annotations, and interval values, in every column.
+TEST(PrinterTest, TableRowsFollowSortedFactOrder) {
+  Schema schema;
+  const RelationId r =
+      *schema.AddRelation("R", {"a", "b", "c"}, SchemaRole::kTarget);
+  Universe u;
+  std::vector<Value> pool;
+  for (const char* name : {"m", "b", "z", "a"}) {
+    pool.push_back(u.Constant(name));
+  }
+  pool.push_back(u.FreshNull());
+  pool.push_back(u.FreshNull());
+  const Value annotated = u.FreshAnnotatedNull(Interval(0, 9));
+  pool.push_back(annotated);
+  pool.push_back(annotated.Reannotated(Interval(2, 4)));
+  pool.push_back(Value::OfInterval(Interval(1, 3)));
+  pool.push_back(Value::OfInterval(Interval(1, kTimeInfinity)));
+
+  std::mt19937 rng(7);
+  Instance instance(&schema);
+  for (int i = 0; i < 300; ++i) {
+    instance.Insert(r, {pool[rng() % pool.size()], pool[rng() % pool.size()],
+                        pool[rng() % pool.size()]});
+  }
+  std::vector<Fact> sorted;
+  instance.ForEach([&](FactView f) { sorted.push_back(f.ToFact()); });
+  std::sort(sorted.begin(), sorted.end());
+
+  // Compare the data lines with spaces removed (padding and the spaces
+  // inside rendered intervals alike).
+  const auto squeeze = [](std::string text) {
+    text.erase(std::remove(text.begin(), text.end(), ' '), text.end());
+    return text;
+  };
+  std::istringstream table(RenderRelationTable(instance, r, u));
+  std::string line;
+  std::getline(table, line);  // relation name
+  std::getline(table, line);  // header
+  for (const Fact& fact : sorted) {
+    ASSERT_TRUE(std::getline(table, line));
+    std::string expected;
+    for (const Value& v : fact.args()) expected += u.Render(v);
+    EXPECT_EQ(squeeze(line), squeeze(expected));
+  }
+  EXPECT_FALSE(std::getline(table, line));
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 namespace tdx {
 namespace {
 
@@ -101,6 +106,71 @@ TEST_F(SnapshotTest, FailsWithoutTwin) {
   ConcreteInstance ic(&bare);
   ASSERT_TRUE(ic.Add(r, {u_.Constant("x")}, Interval(0, 2)).ok());
   EXPECT_FALSE(SnapshotAt(ic, 0, &u_).ok());
+}
+
+// The split's pieces against the single-point oracle: on random complete
+// instances (duplicate data over overlapping intervals included, so that
+// insertion deduplicates), every point of every piece must see SnapshotAt
+// of the piece's first point, fact for fact and in order.
+TEST_F(SnapshotTest, SplitPiecesMatchSnapshotAt) {
+  std::mt19937_64 rng(20161);
+  const auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+  for (int round = 0; round < 60; ++round) {
+    ConcreteInstance ic(&schema_);
+    const std::size_t facts = pick(40);
+    for (std::size_t i = 0; i < facts; ++i) {
+      const TimePoint start = pick(30);
+      const Interval iv = pick(6) == 0
+                              ? Interval::FromStart(start)
+                              : Interval(start, start + 1 + pick(12));
+      const Value a = u_.Constant("p" + std::to_string(pick(4)));
+      const Value b = u_.Constant("c" + std::to_string(pick(3)));
+      const Status added =
+          pick(2) == 0 ? ic.Add(e_plus_, {a, b}, iv)
+                       : ic.Add(emp_plus_, {a, b, u_.Constant("s")}, iv);
+      ASSERT_TRUE(added.ok()) << added;
+    }
+    std::vector<TimePoint> points;
+    const std::size_t count = 1 + pick(20);
+    for (std::size_t i = 0; i < count; ++i) points.push_back(pick(45));
+
+    const SnapshotPieces pieces = SplitSnapshots(ic, points);
+    ASSERT_TRUE(std::is_sorted(pieces.points.begin(), pieces.points.end()));
+    ASSERT_EQ(pieces.rows.size(), pieces.firsts.size());
+    for (const TimePoint l : points) {
+      const std::size_t k = pieces.PieceOf(l);
+      ASSERT_LT(k, pieces.firsts.size());
+      auto piece = MaterializePiece(ic, pieces, k);
+      auto oracle = SnapshotAt(ic, l, &u_);
+      ASSERT_TRUE(piece.ok()) << piece.status();
+      ASSERT_TRUE(oracle.ok()) << oracle.status();
+      std::vector<Fact> got, want;
+      piece->ForEach([&](FactView f) { got.push_back(f.ToFact()); });
+      oracle->ForEach([&](FactView f) { want.push_back(f.ToFact()); });
+      EXPECT_EQ(got, want) << "round " << round << ", point " << l
+                           << ", piece " << k;
+    }
+    // A piece starts at its first point, and pieces do not repeat.
+    for (std::size_t k = 0; k < pieces.firsts.size(); ++k) {
+      EXPECT_EQ(pieces.PieceOf(pieces.firsts[k]), k);
+    }
+  }
+}
+
+TEST_F(SnapshotTest, PieceWithoutTwinFailsLikeSnapshotAt) {
+  Schema bare;
+  const RelationId r =
+      *bare.AddTemporalRelation("R+", {"a"}, SchemaRole::kSource);
+  ConcreteInstance ic(&bare);
+  ASSERT_TRUE(ic.Add(r, {u_.Constant("x")}, Interval(0, 2)).ok());
+  const SnapshotPieces pieces = SplitSnapshots(ic, {0, 5});
+  ASSERT_EQ(pieces.firsts, (std::vector<TimePoint>{0, 5}));
+  const auto covered = MaterializePiece(ic, pieces, 0);
+  ASSERT_FALSE(covered.ok());
+  EXPECT_EQ(covered.status(), SnapshotAt(ic, 0, &u_).status());
+  const auto empty = MaterializePiece(ic, pieces, 1);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_TRUE(empty->empty());
 }
 
 }  // namespace

@@ -56,5 +56,43 @@ TEST(SymbolTableTest, SpellingsSurviveGrowth) {
   }
 }
 
+TEST(SymbolTableTest, IdsFollowFirstAppearance) {
+  SymbolTable table;
+  EXPECT_EQ(table.Intern("b"), 0u);
+  EXPECT_EQ(table.Intern("a"), 1u);
+  EXPECT_EQ(table.Intern("b"), 0u);
+  EXPECT_EQ(table.Intern("c"), 2u);
+}
+
+// Spelling views point into the arena, which never moves a byte: a view
+// taken early must still read right after the table grew well past its
+// first chunk and slot table, and after the table itself moved.
+TEST(SymbolTableTest, SpellingViewsOutliveGrowthAndMoves) {
+  SymbolTable table;
+  const std::string_view first = table.Spelling(table.Intern("first"));
+  const std::string long_spelling(100000, 'x');
+  const SymbolId long_id = table.Intern(long_spelling);
+  for (int i = 0; i < 50000; ++i) {
+    table.Intern("symbol-number-" + std::to_string(i));
+  }
+  EXPECT_EQ(first, "first");
+  EXPECT_EQ(table.Spelling(long_id), long_spelling);
+
+  SymbolTable moved = std::move(table);
+  EXPECT_EQ(first, "first");
+  EXPECT_EQ(moved.size(), 50002u);
+  EXPECT_EQ(moved.Intern("first"), 0u);
+  EXPECT_EQ(moved.Intern(long_spelling), long_id);
+  SymbolId out = 0;
+  ASSERT_TRUE(moved.Lookup("symbol-number-49999", &out));
+  EXPECT_EQ(moved.Spelling(out), "symbol-number-49999");
+
+  // The moved-from table is empty and usable.
+  EXPECT_EQ(table.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_FALSE(table.Lookup("first", &out));
+  EXPECT_EQ(table.Intern("fresh"), 0u);
+  EXPECT_EQ(moved.Spelling(0), "first");
+}
+
 }  // namespace
 }  // namespace tdx

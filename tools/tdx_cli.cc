@@ -48,6 +48,7 @@
 // 3 no solution exists (chase failure is an answer, not an error);
 // 4 aborted (budget exhausted or injected fault; partial state only).
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cstdlib>
@@ -169,6 +170,26 @@ bool ParseSize(std::string_view text, std::size_t* out) {
   const char* end = text.data() + text.size();
   auto [ptr, ec] = std::from_chars(text.data(), end, *out);
   return ec == std::errc() && ptr == end;
+}
+
+// Reads a time-point argument: a decimal numeral spanning the whole
+// argument, below the kTimeInfinity sentinel (the parser's rule for
+// interval endpoints). Prints a message naming the argument and returns
+// false otherwise.
+bool ParseTimePointArg(std::string_view text, tdx::TimePoint* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  const char* problem = nullptr;
+  if (ec == std::errc::result_out_of_range) {
+    problem = "is out of range";
+  } else if (ec != std::errc() || ptr != end) {
+    problem = "is not a decimal numeral";
+  } else if (*out == tdx::kTimeInfinity) {
+    problem = "is the infinity sentinel; time points must be finite";
+  }
+  if (problem == nullptr) return true;
+  std::cerr << "time point '" << text << "' " << problem << "\n";
+  return false;
 }
 
 // Consumes `--flag=N` arguments into `options`; everything else (command,
@@ -300,6 +321,9 @@ tdx::Result<tdx::CChaseOutcome> RunCChase(tdx::ParsedProgram& program,
 
 int RunChase(tdx::ParsedProgram& program, const CliOptions& options,
              bool with_core) {
+  // Opened when printing starts, and closed only after every local below
+  // is freed: the span names the command's teardown too.
+  std::optional<tdx::obs::TraceSpan> print;
   auto chase = RunCChase(program, options);
   if (!chase.ok()) {
     std::cerr << chase.status() << "\n";
@@ -315,7 +339,7 @@ int RunChase(tdx::ParsedProgram& program, const CliOptions& options,
   std::optional<tdx::ConcreteInstance> core;
   tdx::CoreStats core_stats;
   if (with_core) core = tdx::ComputeConcreteCore(chase->target, &core_stats);
-  TDX_TRACE_SPAN("cli.print");
+  print.emplace("cli.print");
   if (core.has_value()) {
     std::cout << tdx::RenderConcreteInstance(*core, program.universe);
     std::cout << "(core: removed " << core_stats.facts_removed << " of "
@@ -331,15 +355,13 @@ int RunChase(tdx::ParsedProgram& program, const CliOptions& options,
 // chase per piece of equal snapshots, fanned out over --jobs threads
 // (core/certain.h).
 int RunQueryAt(tdx::ParsedProgram& program, const CliOptions& options,
-               const std::vector<std::string>& positional) {
+               const std::vector<std::string>& positional,
+               const std::vector<tdx::TimePoint>& points) {
+  std::optional<tdx::obs::TraceSpan> print;  // as in RunChase
   auto query = program.FindQuery(positional[2]);
   if (!query.ok()) {
     std::cerr << query.status() << "\n";
     return EXIT_FAILURE;
-  }
-  std::vector<tdx::TimePoint> points;
-  for (std::size_t i = 3; i < positional.size(); ++i) {
-    points.push_back(std::stoull(positional[i]));
   }
   auto results = [&] {
     TDX_TRACE_SPAN("cli.query");
@@ -351,7 +373,7 @@ int RunQueryAt(tdx::ParsedProgram& program, const CliOptions& options,
     std::cerr << results.status() << "\n";
     return EXIT_FAILURE;
   }
-  TDX_TRACE_SPAN("cli.print");
+  print.emplace("cli.print");
   for (std::size_t i = 0; i < points.size(); ++i) {
     const tdx::CertainAnswersResult& result = (*results)[i];
     std::cout << "--- certain(" << positional[2] << ", db_" << points[i]
@@ -399,6 +421,7 @@ int RunAbstract(tdx::ParsedProgram& program) {
 
 int RunQuery(tdx::ParsedProgram& program, const CliOptions& options,
              const std::string& name) {
+  std::optional<tdx::obs::TraceSpan> print;  // as in RunChase
   auto query = program.FindQuery(name);
   if (!query.ok()) {
     std::cerr << query.status() << "\n";
@@ -431,7 +454,7 @@ int RunQuery(tdx::ParsedProgram& program, const CliOptions& options,
     std::cout << "NO SOLUTION\n";
     return kExitNoSolution;
   }
-  TDX_TRACE_SPAN("cli.print");
+  print.emplace("cli.print");
   std::cout << tdx::RenderAnswers(result->answers, program.universe);
   return EXIT_SUCCESS;
 }
@@ -474,7 +497,7 @@ int RunVerify(tdx::ParsedProgram& program, const CliOptions& options) {
 }
 
 int RunSnapshots(tdx::ParsedProgram& program, const CliOptions& options,
-                 const std::vector<std::string>& positional) {
+                 const std::vector<tdx::TimePoint>& points) {
   auto chase = RunCChase(program, options);
   if (chase.ok() && chase->kind == tdx::ChaseResultKind::kAborted) {
     return ReportAbort(chase->abort_dimension, chase->abort_reason);
@@ -488,8 +511,7 @@ int RunSnapshots(tdx::ParsedProgram& program, const CliOptions& options,
     std::cerr << ja.status() << "\n";
     return EXIT_FAILURE;
   }
-  for (std::size_t i = 2; i < positional.size(); ++i) {
-    const tdx::TimePoint l = std::stoull(positional[i]);
+  for (const tdx::TimePoint l : points) {
     std::cout << "--- db_" << l << " ---\n"
               << tdx::RenderInstanceTables(ja->At(l, &program.universe),
                                            program.universe);
@@ -515,6 +537,24 @@ int RunPlan(tdx::ParsedProgram& program, const CliOptions& options) {
 int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
   if (positional.size() < 2) return Usage();
   const std::string& command = positional[0];
+  // Declared first, so that it closes after the program is freed.
+  std::optional<tdx::obs::TraceSpan> teardown;
+
+  // Time-point arguments are checked before the program is read.
+  std::size_t first_point = positional.size();
+  std::size_t end_point = positional.size();
+  if (command == "snapshots") first_point = 2;
+  if (command == "query-at") first_point = 3;
+  if (command == "possible") {
+    first_point = 3;
+    end_point = std::min<std::size_t>(4, positional.size());
+  }
+  std::vector<tdx::TimePoint> points;
+  for (std::size_t i = first_point; i < end_point; ++i) {
+    if (!ParseTimePointArg(positional[i], &points.emplace_back())) {
+      return kExitUsage;
+    }
+  }
 
   // Arm the chaos fault before anything that can hit a site (the parser
   // has one). "site" fires on the first hit; "site@K" lets K hits pass.
@@ -569,67 +609,71 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
     }
   }
 
-  if (command == "chase") return RunChase(program, options, false);
-  if (command == "core") return RunChase(program, options, true);
-  if (command == "resume") {
-    if (positional.size() < 3) return Usage();
-    auto checkpoint = tdx::LoadChaseCheckpoint(
-        positional[2], text, &program.schema, &program.universe);
-    if (!checkpoint.ok()) {
-      std::cerr << checkpoint.status() << "\n";
-      return kExitError;
+  const int code = [&]() -> int {
+    if (command == "chase") return RunChase(program, options, false);
+    if (command == "core") return RunChase(program, options, true);
+    if (command == "resume") {
+      if (positional.size() < 3) return Usage();
+      auto checkpoint = tdx::LoadChaseCheckpoint(
+          positional[2], text, &program.schema, &program.universe);
+      if (!checkpoint.ok()) {
+        std::cerr << checkpoint.status() << "\n";
+        return kExitError;
+      }
+      options.resume_from = &*checkpoint;
+      return RunChase(program, options, false);
     }
-    options.resume_from = &*checkpoint;
-    return RunChase(program, options, false);
-  }
-  if (command == "plan") return RunPlan(program, options);
-  if (command == "normalize") return RunNormalize(program, options);
-  if (command == "abstract") return RunAbstract(program);
-  if (command == "verify") return RunVerify(program, options);
-  if (command == "query") {
-    if (positional.size() < 3) return Usage();
-    return RunQuery(program, options, positional[2]);
-  }
-  if (command == "snapshots") return RunSnapshots(program, options, positional);
-  if (command == "query-at") {
-    if (positional.size() < 4) return Usage();
-    return RunQueryAt(program, options, positional);
-  }
-  if (command == "possible") {
-    if (positional.size() < 4) return Usage();
-    auto chase = RunCChase(program, options);
-    if (chase.ok() && chase->kind == tdx::ChaseResultKind::kAborted) {
-      return ReportAbort(chase->abort_dimension, chase->abort_reason);
+    if (command == "plan") return RunPlan(program, options);
+    if (command == "normalize") return RunNormalize(program, options);
+    if (command == "abstract") return RunAbstract(program);
+    if (command == "verify") return RunVerify(program, options);
+    if (command == "query") {
+      if (positional.size() < 3) return Usage();
+      return RunQuery(program, options, positional[2]);
     }
-    if (!chase.ok() || chase->kind != tdx::ChaseResultKind::kSuccess) {
-      std::cerr << "chase failed\n";
-      return EXIT_FAILURE;
+    if (command == "snapshots") return RunSnapshots(program, options, points);
+    if (command == "query-at") {
+      if (positional.size() < 4) return Usage();
+      return RunQueryAt(program, options, positional, points);
     }
-    auto query = program.FindQuery(positional[2]);
-    if (!query.ok()) {
-      std::cerr << query.status() << "\n";
-      return EXIT_FAILURE;
+    if (command == "possible") {
+      if (positional.size() < 4) return Usage();
+      auto chase = RunCChase(program, options);
+      if (chase.ok() && chase->kind == tdx::ChaseResultKind::kAborted) {
+        return ReportAbort(chase->abort_dimension, chase->abort_reason);
+      }
+      if (!chase.ok() || chase->kind != tdx::ChaseResultKind::kSuccess) {
+        std::cerr << "chase failed\n";
+        return EXIT_FAILURE;
+      }
+      auto query = program.FindQuery(positional[2]);
+      if (!query.ok()) {
+        std::cerr << query.status() << "\n";
+        return EXIT_FAILURE;
+      }
+      auto answers = tdx::PossibleAnswersAt(**query, chase->target, points[0],
+                                            &program.universe);
+      if (!answers.ok()) {
+        std::cerr << answers.status() << "\n";
+        return EXIT_FAILURE;
+      }
+      std::cout << tdx::RenderAnswers(*answers, program.universe);
+      return EXIT_SUCCESS;
     }
-    auto answers = tdx::PossibleAnswersAt(**query, chase->target,
-                                          std::stoull(positional[3]),
-                                          &program.universe);
-    if (!answers.ok()) {
-      std::cerr << answers.status() << "\n";
-      return EXIT_FAILURE;
+    if (command == "emit") {
+      auto emitted = tdx::SerializeProgram(program);
+      if (!emitted.ok()) {
+        std::cerr << emitted.status() << "\n";
+        return EXIT_FAILURE;
+      }
+      std::cout << *emitted;
+      return EXIT_SUCCESS;
     }
-    std::cout << tdx::RenderAnswers(*answers, program.universe);
-    return EXIT_SUCCESS;
-  }
-  if (command == "emit") {
-    auto emitted = tdx::SerializeProgram(program);
-    if (!emitted.ok()) {
-      std::cerr << emitted.status() << "\n";
-      return EXIT_FAILURE;
-    }
-    std::cout << *emitted;
-    return EXIT_SUCCESS;
-  }
-  return Usage();
+    return Usage();
+  }();
+  // Freeing the program is part of the run: named, like the rest of it.
+  teardown.emplace("cli.teardown");
+  return code;
 }
 
 // Writes `text` to `path`, demoting a success exit to kExitError on I/O
