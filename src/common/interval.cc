@@ -26,11 +26,6 @@ Interval Interval::MergeWith(const Interval& other) const {
   return Interval(std::min(start_, other.start_), std::max(end_, other.end_));
 }
 
-std::pair<Interval, Interval> Interval::SplitAt(TimePoint t) const {
-  assert(start_ < t && t < end_ && "split point must be interior");
-  return {Interval(start_, t), Interval(t, end_)};
-}
-
 namespace {
 
 void AppendTimePoint(TimePoint t, std::string* out) {
@@ -92,6 +87,19 @@ std::vector<Interval> FragmentInterval(const Interval& iv,
   std::vector<Interval> out;
   AppendFragments(iv, cuts, &out);
   return out;
+}
+
+std::vector<Interval> MergeIntervals(std::vector<Interval> intervals) {
+  std::sort(intervals.begin(), intervals.end());
+  std::vector<Interval> runs;
+  for (const Interval& iv : intervals) {
+    if (!runs.empty() && runs.back().Mergeable(iv)) {
+      runs.back() = runs.back().MergeWith(iv);
+    } else {
+      runs.push_back(iv);
+    }
+  }
+  return runs;
 }
 
 std::vector<TimePoint> DistinctFiniteEndpoints(const std::vector<Interval>& ivs) {

@@ -98,10 +98,6 @@ class Interval {
   /// Union of two mergeable intervals. Asserts Mergeable(other).
   Interval MergeWith(const Interval& other) const;
 
-  /// Splits this interval at an interior point `t` (start < t < end) into
-  /// [start, t) and [t, end). Asserts `t` is interior.
-  std::pair<Interval, Interval> SplitAt(TimePoint t) const;
-
   /// Renders as "[s, e)" with "inf" for the unbounded endpoint.
   std::string ToString() const;
   /// Appends ToString() to *out, building no temporary string.
@@ -154,6 +150,10 @@ std::vector<Interval> FragmentInterval(const Interval& iv,
 /// allocation-free form used by the normalizers' hot emission loops.
 void AppendFragments(const Interval& iv, const std::vector<TimePoint>& cuts,
                      std::vector<Interval>* out);
+
+/// The union of `intervals` as maximal runs: sorted by start, pairwise
+/// disjoint and non-adjacent. Sorts, then merges mergeable neighbours.
+std::vector<Interval> MergeIntervals(std::vector<Interval> intervals);
 
 /// Collects the distinct endpoints (starts and finite ends, including
 /// kTimeInfinity sentinels filtered out) of `ivs`, sorted ascending.

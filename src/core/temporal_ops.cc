@@ -4,7 +4,7 @@
 #include <map>
 #include <vector>
 
-#include "src/temporal/timeline.h"
+#include "src/common/interval.h"
 
 namespace tdx {
 
@@ -43,10 +43,9 @@ std::string ClosureRelationName(std::string_view base, TemporalOp op) {
 namespace {
 
 /// The (possibly empty) interval at which op(R(a)) holds, given the
-/// timeline at which R(a) holds.
-std::optional<Interval> ClosureSpan(const Timeline& timeline,
+/// maximal runs (MergeIntervals) at which R(a) holds.
+std::optional<Interval> ClosureSpan(const std::vector<Interval>& runs,
                                     TemporalOp op) {
-  const std::vector<Interval>& runs = timeline.runs();
   if (runs.empty()) return std::nullopt;
   switch (op) {
     case TemporalOp::kOncePast:
@@ -107,7 +106,7 @@ Status MaterializeClosure(const ConcreteInstance& source, RelationId rel,
 
   for (auto& [data, ivs] : groups) {
     const std::optional<Interval> span =
-        ClosureSpan(Timeline::FromIntervals(std::move(ivs)), op);
+        ClosureSpan(MergeIntervals(std::move(ivs)), op);
     if (!span.has_value()) continue;
     TDX_RETURN_IF_ERROR(out->Add(closure_rel, data, *span));
   }

@@ -14,7 +14,7 @@ Result<RelationId> Schema::AddRelation(std::string_view name,
     return Status::InvalidArgument("relation '" + std::string(name) +
                                    "' must have at least one attribute");
   }
-  if (by_name_.count(std::string(name)) != 0) {
+  if (by_name_.count(name) != 0) {
     return Status::AlreadyExists("relation '" + std::string(name) +
                                  "' is already registered");
   }
@@ -54,7 +54,7 @@ Result<RelationId> Schema::AddRelationPair(std::string_view name,
 }
 
 Result<RelationId> Schema::Find(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
+  auto it = by_name_.find(name);
   if (it == by_name_.end()) {
     return Status::NotFound("no relation named '" + std::string(name) + "'");
   }

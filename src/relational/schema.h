@@ -17,6 +17,7 @@
 #define TDX_RELATIONAL_SCHEMA_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -104,7 +105,16 @@ class Schema {
 
  private:
   std::vector<RelationSchema> relations_;
-  std::unordered_map<std::string, RelationId> by_name_;
+  /// Hashes std::string and std::string_view alike, so that Find looks a
+  /// view up without building a string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>()(name);
+    }
+  };
+  std::unordered_map<std::string, RelationId, NameHash, std::equal_to<>>
+      by_name_;
 };
 
 }  // namespace tdx

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/relational/homomorphism.h"
+#include "src/relational/universal.h"
 
 namespace tdx {
 
@@ -22,25 +23,11 @@ struct PieceProblem {
 
 PieceProblem BuildPieceProblem(const Instance& snapshot) {
   PieceProblem problem;
-  std::unordered_map<Value, VarId, ValueHash> var_of;
-  snapshot.ForEach([&](FactView fact) {
-    Atom atom;
-    atom.rel = fact.relation();
-    for (const Value& v : fact.args()) {
-      if (v.is_any_null()) {
-        auto [it, inserted] = var_of.emplace(
-            v, static_cast<VarId>(var_of.size()));
-        if (inserted && v.is_null()) {
-          problem.labeled_vars.emplace_back(it->second, v.null_id());
-        }
-        atom.terms.push_back(Term::Var(it->second));
-      } else {
-        atom.terms.push_back(Term::Val(v));
-      }
-    }
-    problem.conj.atoms.push_back(std::move(atom));
-  });
-  problem.conj.num_vars = var_of.size();
+  std::unordered_map<Value, VarId, ValueHash> null_vars;
+  problem.conj = InstanceToConjunction(snapshot, &null_vars);
+  for (const auto& [null, var] : null_vars) {
+    if (null.is_null()) problem.labeled_vars.emplace_back(var, null.null_id());
+  }
   return problem;
 }
 

@@ -72,9 +72,6 @@ class AbstractInstance {
   /// piece — the unknown still spans the same snapshots.
   AbstractInstance RefinedAt(const std::vector<TimePoint>& cuts) const;
 
-  /// One representative time point per piece (its span start).
-  std::vector<TimePoint> Representatives() const;
-
   std::string ToString(const Universe& u) const;
 
  private:

@@ -28,11 +28,13 @@ namespace tdx {
 Result<Instance> SnapshotAt(const ConcreteInstance& instance, TimePoint l,
                             Universe* universe);
 
-/// The snapshots of a complete instance at a batch of time points, split
-/// into pieces of equal snapshots. Two sorted points p < q see the same
-/// snapshot when no fact starts or ends in (p, q]; each such endpoint cuts
-/// in front of the first point at or after it (the endpoint splitting of
-/// Dignös et al., Snapshot Semantics for Temporal Multiset Relations).
+/// A batch of time points split into pieces that hold the same facts. Two
+/// sorted points p < q share their facts when no fact starts or ends in
+/// (p, q]; each such endpoint cuts in front of the first point at or after
+/// it (the endpoint splitting of Dignös et al., Snapshot Semantics for
+/// Temporal Multiset Relations). The points of a piece see equal snapshots
+/// when the instance is complete; otherwise each projects the piece's
+/// annotated nulls to its own point.
 struct SnapshotPieces {
   std::vector<TimePoint> points;      ///< the points, sorted and distinct
   std::vector<std::size_t> piece_of;  ///< the piece of points[j]
@@ -47,14 +49,14 @@ struct SnapshotPieces {
 
 /// One scan over the facts of `instance`: finds the pieces of `points`
 /// (any order, duplicates allowed) and hands each piece its rows.
-/// Precondition: the instance is complete, so the points of one piece
-/// share every fact and no null needs projecting.
 SnapshotPieces SplitSnapshots(const ConcreteInstance& instance,
                               std::vector<TimePoint> points);
 
-/// Materializes piece k over the snapshot twin relations: fact for fact
-/// and in order, SnapshotAt(instance, pieces.firsts[k]). Fails like
-/// SnapshotAt when a relation lacks a twin.
+/// Materializes piece k over the snapshot twin relations, in source order,
+/// with annotated nulls un-projected: the template that
+/// AbstractInstance::FromConcrete needs. When the instance is complete this
+/// is, fact for fact and in order, SnapshotAt(instance, pieces.firsts[k]).
+/// Fails like SnapshotAt when a relation lacks a twin.
 Result<Instance> MaterializePiece(const ConcreteInstance& instance,
                                   const SnapshotPieces& pieces,
                                   std::size_t k);

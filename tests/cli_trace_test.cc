@@ -1,8 +1,8 @@
 // Span coverage of a traced tdx_cli run: every millisecond of `cli.run`
 // must belong to a named child span (parse, analyze, the engine, print),
 // so a slow run can be explained from its trace file alone. Drives the
-// real binary on the perfbench-size cascade program, for `chase`, `query`
-// and `query-at`.
+// real binary on the perfbench-size cascade program, for `chase`, `query`,
+// `query-at`, `abstract` and `snapshots`.
 
 #include <algorithm>
 #include <cstdlib>
@@ -99,6 +99,16 @@ TEST(CliTraceTest, ChildSpansCoverAQueryAtRun) {
   std::string args = "reached";
   for (int l = 0; l < 32; ++l) args += " " + std::to_string(l);
   ExpectChildSpansCoverTheRun("query-at", args + " --jobs=2");
+}
+
+TEST(CliTraceTest, ChildSpansCoverAnAbstractRun) {
+  ExpectChildSpansCoverTheRun("abstract", "");
+}
+
+TEST(CliTraceTest, ChildSpansCoverASnapshotsRun) {
+  std::string args;
+  for (int l = 0; l < 32; ++l) args += " " + std::to_string(l);
+  ExpectChildSpansCoverTheRun("snapshots", args);
 }
 
 }  // namespace

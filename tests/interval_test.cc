@@ -1,6 +1,11 @@
 #include "src/common/interval.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "src/temporal/coalesce.h"
 
 namespace tdx {
 namespace {
@@ -78,11 +83,88 @@ TEST(IntervalTest, MergeWith) {
             Interval::FromStart(1));
 }
 
-TEST(IntervalTest, SplitAt) {
-  const auto [left, right] = Interval(2, 9).SplitAt(5);
-  EXPECT_EQ(left, Interval(2, 5));
-  EXPECT_EQ(right, Interval(5, 9));
+TEST(IntervalTest, MergeIntervalsNormalizes) {
+  EXPECT_EQ(MergeIntervals({Interval(5, 8), Interval(1, 3), Interval(3, 5),
+                            Interval(10, 12)}),
+            (std::vector<Interval>{Interval(1, 8), Interval(10, 12)}));
+  EXPECT_TRUE(MergeIntervals({}).empty());
 }
+
+// MergeIntervals as an independent oracle for coalescing: the coalesced runs
+// of one data tuple are exactly the merged runs of its fact intervals.
+TEST(IntervalTest, MergeIntervalsAgreesWithCoalesce) {
+  Universe u;
+  Schema schema;
+  const RelationId e_plus =
+      *schema.AddRelationPair("E", {"name"}, SchemaRole::kSource);
+  ConcreteInstance ic(&schema);
+  const std::vector<Interval> ivs = {Interval(1, 4), Interval(4, 6),
+                                     Interval(9, 12), Interval(11, 15)};
+  for (const Interval& iv : ivs) {
+    ASSERT_TRUE(ic.Add(e_plus, {u.Constant("x")}, iv).ok());
+  }
+  const ConcreteInstance coalesced = Coalesce(ic);
+  std::vector<Interval> coalesced_ivs;
+  coalesced.facts().ForEach(
+      [&](FactView f) { coalesced_ivs.push_back(f.interval()); });
+  std::sort(coalesced_ivs.begin(), coalesced_ivs.end());
+  EXPECT_EQ(MergeIntervals(ivs), coalesced_ivs);
+}
+
+/// Decodes a bitmask over points 0..7 into merged runs of unit intervals.
+std::vector<Interval> RunsFromMask(int mask) {
+  std::vector<Interval> ivs;
+  for (int bit = 0; bit < 8; ++bit) {
+    if (mask & (1 << bit)) {
+      ivs.emplace_back(static_cast<TimePoint>(bit),
+                       static_cast<TimePoint>(bit + 1));
+    }
+  }
+  return MergeIntervals(std::move(ivs));
+}
+
+bool MaskBit(int mask, int bit) { return (mask >> bit) & 1; }
+
+bool Covers(const std::vector<Interval>& runs, TimePoint p) {
+  return std::any_of(runs.begin(), runs.end(),
+                     [p](const Interval& iv) { return iv.Contains(p); });
+}
+
+void ExpectMaximalRuns(const std::vector<Interval>& runs) {
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_LT(runs[i - 1].end(), runs[i].start()) << i;
+  }
+  EXPECT_EQ(MergeIntervals(runs), runs);
+}
+
+// Property sweep: a timeline is the merged runs of its intervals. On dense
+// small universes, merging two timelines' runs together is their pointwise
+// union, and every result of MergeIntervals is sorted, pairwise disjoint,
+// non-adjacent and a fixed point of MergeIntervals.
+using TimelineLaws = ::testing::TestWithParam<int>;
+
+TEST_P(TimelineLaws, PointwiseSemantics) {
+  const int combined = GetParam();
+  const int mask_a = combined & 0xFF;
+  const int mask_b = (combined >> 8) & 0xFF;
+  const std::vector<Interval> a = RunsFromMask(mask_a);
+  const std::vector<Interval> b = RunsFromMask(mask_b);
+  std::vector<Interval> both = a;
+  both.insert(both.end(), b.begin(), b.end());
+  const std::vector<Interval> u = MergeIntervals(std::move(both));
+  ExpectMaximalRuns(a);
+  ExpectMaximalRuns(b);
+  ExpectMaximalRuns(u);
+  for (int p = 0; p < 10; ++p) {
+    const bool in_a = p < 8 && MaskBit(mask_a, p);
+    const bool in_b = p < 8 && MaskBit(mask_b, p);
+    EXPECT_EQ(Covers(a, p), in_a) << p;
+    EXPECT_EQ(Covers(u, p), in_a || in_b) << p;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MaskPairs, TimelineLaws,
+                         ::testing::Range(0, 1 << 16, 1309));
 
 TEST(IntervalTest, ToString) {
   EXPECT_EQ(Interval(2012, 2014).ToString(), "[2012, 2014)");

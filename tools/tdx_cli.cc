@@ -410,11 +410,13 @@ int RunNormalize(tdx::ParsedProgram& program, const CliOptions& options) {
 }
 
 int RunAbstract(tdx::ParsedProgram& program) {
+  std::optional<tdx::obs::TraceSpan> print;  // as in RunChase
   auto ia = tdx::AbstractInstance::FromConcrete(program.source);
   if (!ia.ok()) {
     std::cerr << ia.status() << "\n";
     return EXIT_FAILURE;
   }
+  print.emplace("cli.print");
   std::cout << tdx::RenderAbstractInstance(*ia, program.universe);
   return EXIT_SUCCESS;
 }
@@ -498,6 +500,7 @@ int RunVerify(tdx::ParsedProgram& program, const CliOptions& options) {
 
 int RunSnapshots(tdx::ParsedProgram& program, const CliOptions& options,
                  const std::vector<tdx::TimePoint>& points) {
+  std::optional<tdx::obs::TraceSpan> print;  // as in RunChase
   auto chase = RunCChase(program, options);
   if (chase.ok() && chase->kind == tdx::ChaseResultKind::kAborted) {
     return ReportAbort(chase->abort_dimension, chase->abort_reason);
@@ -511,6 +514,7 @@ int RunSnapshots(tdx::ParsedProgram& program, const CliOptions& options,
     std::cerr << ja.status() << "\n";
     return EXIT_FAILURE;
   }
+  print.emplace("cli.print");
   for (const tdx::TimePoint l : points) {
     std::cout << "--- db_" << l << " ---\n"
               << tdx::RenderInstanceTables(ja->At(l, &program.universe),
