@@ -15,7 +15,10 @@
 // BM_StTgdPhase isolates the st-tgd phase and reports heap allocations
 // per collected trigger (allocs_per_trigger, gated in
 // bench/bench_gates.json), counted by the global operator new below, which
-// replaces the default one in this binary only.
+// replaces the default one in this binary only. The same operators keep
+// the live heap bytes (the requested sizes of the blocks not yet freed)
+// and their high watermark, from which BM_CChaseBySize reports
+// peak_heap_bytes_per_fact.
 //
 // BM_QueryAtCascade runs query-at's per-snapshot certain answers
 // (CertainAnswersAtMany) at the 32 points 0..31 of a 20-stage cascade over
@@ -28,7 +31,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstddef>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <optional>
 #include <string_view>
@@ -43,6 +48,56 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_bytes{0};
+
+// Every block carries its requested size in a header, so a free knows what
+// it returns. The requested size, unlike malloc_usable_size, does not
+// depend on which free chunk the allocator happened to reuse, so the live
+// byte count is a function of the program's allocations alone.
+constexpr std::size_t kSizeHeader = alignof(std::max_align_t);
+
+void* CountedMalloc(std::size_t size) {
+  if (size > SIZE_MAX - kSizeHeader) throw std::bad_alloc();
+  auto* block = static_cast<unsigned char*>(std::malloc(size + kSizeHeader));
+  if (block == nullptr) throw std::bad_alloc();
+  std::memcpy(block, &size, sizeof size);
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto bytes = static_cast<std::int64_t>(size);
+  const std::int64_t live =
+      g_live_bytes.fetch_add(bytes, std::memory_order_relaxed) + bytes;
+  std::int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak_bytes.compare_exchange_weak(peak, live,
+                                             std::memory_order_relaxed)) {
+  }
+  return block + kSizeHeader;
+}
+
+void CountedFree(void* p) {
+  if (p == nullptr) return;
+  unsigned char* block = static_cast<unsigned char*>(p) - kSizeHeader;
+  std::size_t size = 0;
+  std::memcpy(&size, block, sizeof size);
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(size),
+                         std::memory_order_relaxed);
+  std::free(block);
+}
+
+/// The high watermark of live heap bytes from construction on, above the
+/// bytes live at construction.
+class HeapWatermark {
+ public:
+  HeapWatermark() : start_(g_live_bytes.load(std::memory_order_relaxed)) {
+    g_peak_bytes.store(start_, std::memory_order_relaxed);
+  }
+  std::int64_t Peak() const {
+    return g_peak_bytes.load(std::memory_order_relaxed) - start_;
+  }
+
+ private:
+  std::int64_t start_;
+};
 }  // namespace
 
 // None of these is inlined: once malloc or free is inlined beside an
@@ -50,26 +105,20 @@ std::atomic<std::uint64_t> g_allocations{0};
 // emits), GCC's -Wmismatched-new-delete reports a mismatched pair.
 
 [[gnu::noinline]] void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+  return CountedMalloc(size);
 }
 
 [[gnu::noinline]] void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
+  return CountedMalloc(size);
 }
 
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { CountedFree(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { CountedFree(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 [[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
+  CountedFree(p);
 }
 
 namespace {
@@ -98,17 +147,28 @@ void ReportChase(benchmark::State& state, const tdx::CChaseOutcome& outcome,
   state.counters["nulls"] = static_cast<double>(outcome.stats.fresh_nulls);
 }
 
+// peak_heap_bytes_per_fact is the first iteration's heap high watermark
+// over one CChase, from the iteration's start, per source fact. Every run
+// of the benchmark builds a fresh workload, so the first iteration starts
+// from the same heap and the figure is deterministic; later iterations
+// reuse a universe whose null table has grown.
 void BM_CChaseBySize(benchmark::State& state) {
   auto w = MakeInstance(state.range(0), 100, 0.7);
   std::optional<tdx::CChaseOutcome> last;
+  std::optional<std::int64_t> peak_bytes;
   for (auto _ : state) {
     // Each iteration needs its own universe evolution; reuse is fine since
     // fresh nulls only grow the id space.
+    const HeapWatermark watermark;
     auto outcome = tdx::CChase(w->source, w->lifted, &w->universe);
+    if (!peak_bytes.has_value()) peak_bytes = watermark.Peak();
     benchmark::DoNotOptimize(outcome);
     if (outcome.ok()) last = std::move(outcome).value();
   }
   ReportChase(state, *last, w->source.size());
+  state.counters["peak_heap_bytes_per_fact"] =
+      static_cast<double>(*peak_bytes) /
+      static_cast<double>(w->source.size());
 }
 BENCHMARK(BM_CChaseBySize)->Arg(25)->Arg(50)->Arg(100)->Arg(200)->Arg(400);
 

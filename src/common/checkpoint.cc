@@ -111,7 +111,7 @@ Status SaveChaseCheckpoint(const ChaseCheckpoint& checkpoint,
 }
 
 Result<ChaseCheckpoint> LoadChaseCheckpoint(const std::string& path,
-                                            std::string_view program_text,
+                                            std::uint64_t program_fingerprint,
                                             const Schema* schema,
                                             Universe* universe) {
   TDX_TRACE_SPAN("checkpoint.load");
@@ -124,7 +124,7 @@ Result<ChaseCheckpoint> LoadChaseCheckpoint(const std::string& path,
   buffer << in.rdbuf();
   TDX_ASSIGN_OR_RETURN(ChaseCheckpoint checkpoint,
                        ParseCheckpoint(buffer.str(), schema, universe));
-  if (checkpoint.program_fingerprint != FingerprintText(program_text)) {
+  if (checkpoint.program_fingerprint != program_fingerprint) {
     return Status::InvalidArgument(
         "checkpoint was written for a different program (fingerprint "
         "mismatch)");

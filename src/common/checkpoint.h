@@ -223,14 +223,14 @@ Status SaveChaseCheckpoint(const ChaseCheckpoint& checkpoint,
                            const std::string& path);
 
 /// Reads, parses, and validates a checkpoint: the stored program
-/// fingerprint must match `program_text` (the caller re-parses the same
-/// program to rebuild the symbol table; `schema` and `universe` are the
-/// re-parsed program's). Constants in the checkpoint are re-interned into
-/// `universe`. The caller still passes the result to the c-chase via
-/// CChaseOptions::resume_from, which restores the null namespace and
-/// validates the config.
+/// fingerprint must equal `program_fingerprint`, the FingerprintText of the
+/// program the caller re-parsed to rebuild the symbol table (`schema` and
+/// `universe` are that program's); a mismatch is InvalidArgument.
+/// Constants in the checkpoint are re-interned into `universe`. The caller
+/// still passes the result to the c-chase via CChaseOptions::resume_from,
+/// which restores the null namespace and validates the config.
 Result<ChaseCheckpoint> LoadChaseCheckpoint(const std::string& path,
-                                            std::string_view program_text,
+                                            std::uint64_t program_fingerprint,
                                             const Schema* schema,
                                             Universe* universe);
 

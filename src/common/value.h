@@ -31,6 +31,7 @@
 #ifndef TDX_COMMON_VALUE_H_
 #define TDX_COMMON_VALUE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -56,11 +57,23 @@ enum class ValueKind : std::uint8_t {
 };
 
 /// A tagged, trivially copyable value handle. See file comment.
+///
+/// Layout (24 bytes): one 64-bit word holds the kind in its top two bits
+/// and the symbol or null id below them, and the 16-byte interval payload
+/// follows inline. Constants and labeled nulls carry the fixed payload
+/// [0, 1) and interval values the id 0, so the word and the payload
+/// together are the value's identity: equality compares both, and the
+/// canonical order compares the word (kind, then id) before the payload.
+///
+/// Ids stay below 2^62 on every input: symbol ids are 32-bit,
+/// Universe::FreshNull counts up from 0, and the tdxckpt decoder
+/// (src/parser/serialize.cc) refuses a null id at or above its `nulls`
+/// count, which is at most the checkpoint body's bytes / 10.
 class Value {
  public:
   /// Default: the constant with symbol id 0 (rarely meaningful; present so
   /// Value is usable in containers). Prefer the factories on Universe.
-  Value() : kind_(ValueKind::kConstant), id_(0), iv_(0, 1) {}
+  Value() : word_(0), iv_(0, 1) {}
 
   static Value Constant(SymbolId sym) {
     return Value(ValueKind::kConstant, sym, Interval(0, 1));
@@ -75,23 +88,26 @@ class Value {
     return Value(ValueKind::kInterval, 0, iv);
   }
 
-  ValueKind kind() const { return kind_; }
-  bool is_constant() const { return kind_ == ValueKind::kConstant; }
-  bool is_null() const { return kind_ == ValueKind::kNull; }
-  bool is_annotated_null() const { return kind_ == ValueKind::kAnnotatedNull; }
-  bool is_interval() const { return kind_ == ValueKind::kInterval; }
+  /// Ids must stay below this bound: the kind takes the top two bits.
+  static constexpr std::uint64_t kIdLimit = std::uint64_t{1} << 62;
+
+  ValueKind kind() const { return static_cast<ValueKind>(word_ >> 62); }
+  bool is_constant() const { return kind() == ValueKind::kConstant; }
+  bool is_null() const { return kind() == ValueKind::kNull; }
+  bool is_annotated_null() const { return kind() == ValueKind::kAnnotatedNull; }
+  bool is_interval() const { return kind() == ValueKind::kInterval; }
   /// Any kind of unknown (labeled or annotated).
   bool is_any_null() const { return is_null() || is_annotated_null(); }
 
   /// Symbol id; valid only for constants.
   SymbolId symbol() const {
     assert(is_constant());
-    return static_cast<SymbolId>(id_);
+    return static_cast<SymbolId>(word_);
   }
   /// Null id; valid for labeled and annotated nulls.
   NullId null_id() const {
     assert(is_any_null());
-    return id_;
+    return word_ & (kIdLimit - 1);
   }
   /// Interval payload; valid for annotated nulls (the annotation) and
   /// interval values.
@@ -103,44 +119,37 @@ class Value {
   /// Same null id, different annotation. Valid only for annotated nulls.
   Value Reannotated(const Interval& annotation) const {
     assert(is_annotated_null());
-    return AnnotatedNull(id_, annotation);
+    Value v = *this;
+    v.iv_ = annotation;
+    return v;
   }
 
   friend bool operator==(const Value& a, const Value& b) {
-    if (a.kind_ != b.kind_) return false;
-    switch (a.kind_) {
-      case ValueKind::kConstant:
-      case ValueKind::kNull:
-        return a.id_ == b.id_;
-      case ValueKind::kAnnotatedNull:
-        return a.id_ == b.id_ && a.iv_ == b.iv_;
-      case ValueKind::kInterval:
-        return a.iv_ == b.iv_;
-    }
-    return false;
+    return a.word_ == b.word_ && a.iv_ == b.iv_;
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
   /// Canonical total order by (kind, id, interval); used for deterministic
   /// iteration (the chase fires triggers in canonical order).
   friend bool operator<(const Value& a, const Value& b) {
-    if (a.kind_ != b.kind_) return a.kind_ < b.kind_;
-    if (a.id_ != b.id_) return a.id_ < b.id_;
+    if (a.word_ != b.word_) return a.word_ < b.word_;
     return a.iv_ < b.iv_;
   }
 
   std::size_t Hash() const {
-    std::size_t h = std::hash<std::uint8_t>()(static_cast<std::uint8_t>(kind_));
+    const ValueKind k = kind();
+    const std::uint64_t id = word_ & (kIdLimit - 1);
+    std::size_t h = std::hash<std::uint8_t>()(static_cast<std::uint8_t>(k));
     auto mix = [&h](std::size_t v) {
       h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
     };
-    switch (kind_) {
+    switch (k) {
       case ValueKind::kConstant:
       case ValueKind::kNull:
-        mix(std::hash<std::uint64_t>()(id_));
+        mix(std::hash<std::uint64_t>()(id));
         break;
       case ValueKind::kAnnotatedNull:
-        mix(std::hash<std::uint64_t>()(id_));
+        mix(std::hash<std::uint64_t>()(id));
         mix(IntervalHash()(iv_));
         break;
       case ValueKind::kInterval:
@@ -152,12 +161,15 @@ class Value {
 
  private:
   Value(ValueKind kind, std::uint64_t id, const Interval& iv)
-      : kind_(kind), id_(id), iv_(iv) {}
+      : word_((static_cast<std::uint64_t>(kind) << 62) | id), iv_(iv) {
+    assert(id < kIdLimit && "value id collides with the kind bits");
+  }
 
-  ValueKind kind_;
-  std::uint64_t id_;
+  std::uint64_t word_;  ///< kind << 62 | id
   Interval iv_;
 };
+
+static_assert(sizeof(Value) == 24, "Value is one id word plus an Interval");
 
 struct ValueHash {
   std::size_t operator()(const Value& v) const { return v.Hash(); }

@@ -210,7 +210,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
     if (resume == nullptr) offer_checkpoint(true, "init", nullptr);
     // ---- Step 1: normalize the source w.r.t. lhs(Sigma+st) --------------
     if (!guard.PokeFault("cchase/normalize-source")) return aborted();
-    TDX_TRACE_SPAN("cchase.normalize_source");
+    obs::TraceSpan span("cchase.normalize_source");
     outcome.normalized_source =
         options.use_naive_normalizer
             ? NaiveNormalize(source, &outcome.source_norm_stats, &guard)
@@ -218,6 +218,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
                         &guard);
     if (guard.tripped()) return aborted();
     offer_checkpoint(true, "st-tgd", nullptr);
+    obs::ProbePeakRss(&span);
   } else {
     outcome.normalized_source = ConcreteInstance(*resume->normalized_source);
   }
@@ -237,7 +238,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   Instance target(&source.schema());
   if (start_phase == "init" || start_phase == "st-tgd") {
     if (!guard.PokeFault("cchase/tgd-phase")) return aborted();
-    TDX_TRACE_SPAN("cchase.st_tgd");
+    obs::TraceSpan span("cchase.st_tgd");
     const Instance& normalized = outcome.normalized_source.facts();
     HomomorphismFinder source_finder(normalized, &outcome.stats.search);
     HomomorphismFinder target_finder(target, &outcome.stats.search);
@@ -248,6 +249,7 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       outcome.target = ConcreteInstance(std::move(target));
       return aborted();
     }
+    obs::ProbePeakRss(&span);
   } else {
     target = *resume->target;
   }

@@ -8,6 +8,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include <sys/resource.h>
+
 #ifdef __linux__
 #include <unistd.h>
 
@@ -18,10 +20,13 @@
 #endif
 
 #include "src/obs/json.h"
+#include "src/obs/metrics.h"
 
 namespace tdx::obs {
 
 namespace {
+
+std::atomic<bool> g_peak_rss_probes{false};
 
 std::uint64_t SteadyNowMicros() {
   return static_cast<std::uint64_t>(
@@ -282,6 +287,20 @@ std::string Tracer::ToChromeTraceJson() const {
 
 void Tracer::Write(std::ostream& out) const {
   out << ToChromeTraceJson() << '\n';
+}
+
+void SetPeakRssProbes(bool enabled) {
+  g_peak_rss_probes.store(enabled, std::memory_order_relaxed);
+}
+
+void ProbePeakRss(TraceSpan* span) {
+  if (!g_peak_rss_probes.load(std::memory_order_relaxed)) return;
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return;
+  const auto kb = static_cast<std::uint64_t>(usage.ru_maxrss);  // KiB
+  span->SetArg("peak_rss_kb", kb);
+  static Gauge gauge("process.peak_rss_kb");
+  gauge.Set(kb);
 }
 
 }  // namespace tdx::obs

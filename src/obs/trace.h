@@ -140,6 +140,16 @@ class TraceSpan {
   std::uint64_t arg_value_ = 0;
 };
 
+/// Stage memory probes. While enabled (tdx_cli enables them under
+/// --trace-out or --metrics-out), ProbePeakRss reads the process's peak
+/// resident set size (getrusage, in KiB) and records it as the span arg
+/// `peak_rss_kb` of `span` and in the high-watermark gauge
+/// `process.peak_rss_kb`. Called at the close of a few stages only (the
+/// CLI's parse and run, the c-chase's source normalization and st phase),
+/// never once per round. Disabled, a probe is one relaxed load.
+void SetPeakRssProbes(bool enabled);
+void ProbePeakRss(TraceSpan* span);
+
 /// Installs `tracer` for the enclosing scope.
 class ScopedTracer {
  public:

@@ -1,16 +1,21 @@
 // Checkpoint/resume mechanics: the durable encoding round-trips every field
 // (interval-annotated nulls included), the loader rejects anything it cannot
 // trust (wrong program, wrong version, torn or tampered file, counts the
-// text cannot hold), the cadence gates round-level safe points, and the
-// c-chase refuses checkpoints written under different execution options.
+// text cannot hold), the cadence gates round-level safe points, the
+// c-chase refuses checkpoints written under different execution options,
+// and `tdx_cli resume` refuses a checkpoint of another program.
 // The end-to-end kill/resume guarantees live in tests/chaos_resume_test.cc.
 
 #include "src/common/checkpoint.h"
 
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -457,12 +462,19 @@ TEST(CheckpointFileTest, SaveLoadRoundTrips) {
 
   ASSERT_TRUE(
       SaveChaseCheckpoint(ck, program->schema, program->universe, path).ok());
-  auto loaded = LoadChaseCheckpoint(path, kPaperProgram, &program->schema,
-                                    &program->universe);
+  auto loaded = LoadChaseCheckpoint(path, FingerprintText(kPaperProgram),
+                                    &program->schema, &program->universe);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->phase, ck.phase);
   EXPECT_EQ(loaded->null_names, ck.null_names);
   std::remove(path.c_str());
+}
+
+// The paper program with one more source fact: it parses against the same
+// schema, so only the fingerprint tells the two programs apart.
+std::string EditedPaperProgram() {
+  return std::string(kPaperProgram) +
+         "fact E(\"Cy\", \"IBM\") @ [2016, 2017);\n";
 }
 
 TEST(CheckpointFileTest, RejectsDifferentProgram) {
@@ -472,18 +484,67 @@ TEST(CheckpointFileTest, RejectsDifferentProgram) {
   ASSERT_TRUE(
       SaveChaseCheckpoint(ck, program->schema, program->universe, path).ok());
 
-  auto loaded = LoadChaseCheckpoint(path, "not the same program",
-                                    &program->schema, &program->universe);
-  EXPECT_FALSE(loaded.ok());
+  const std::string edited = EditedPaperProgram();
+  auto edited_program = ParseOrDie(edited);
+  auto loaded = LoadChaseCheckpoint(path, FingerprintText(edited),
+                                    &edited_program->schema,
+                                    &edited_program->universe);
+  ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("fingerprint mismatch"),
+            std::string::npos)
+      << loaded.status();
+
+  // The program it was written for still loads it.
+  auto same = LoadChaseCheckpoint(path, FingerprintText(kPaperProgram),
+                                  &program->schema, &program->universe);
+  EXPECT_TRUE(same.ok()) << same.status();
   std::remove(path.c_str());
+}
+
+// `tdx_cli resume` binds a checkpoint to the program text it was written
+// under: the same file resumes to the uninterrupted run's table, an edited
+// one exits 1 with the fingerprint mismatch.
+TEST(CliResumeTest, RefusesAnEditedProgram) {
+  const std::string program = TempPath("cli_resume.tdx");
+  const std::string edited = TempPath("cli_resume_edited.tdx");
+  const std::string checkpoint = TempPath("cli_resume.tdxckpt");
+  WriteAll(program, std::string(kPaperProgram));
+  WriteAll(edited, EditedPaperProgram());
+  const std::string out = TempPath("cli_resume.out");
+  const std::string err = TempPath("cli_resume.err");
+  // Runs tdx_cli with `args`; returns its exit code, its stdout and stderr.
+  const auto run = [&](const std::string& args) {
+    const std::string shell = std::string("\"") + TDX_CLI + "\" " + args +
+                              " > \"" + out + "\" 2> \"" + err + "\"";
+    const int status = std::system(shell.c_str());
+    return std::make_tuple(WIFEXITED(status) ? WEXITSTATUS(status) : -1,
+                           ReadAll(out), ReadAll(err));
+  };
+
+  const auto [chase_code, chase_out, chase_err] =
+      run("chase \"" + program + "\" --checkpoint=\"" + checkpoint +
+          "\" --checkpoint-every=1");
+  ASSERT_EQ(chase_code, 0) << chase_err;
+  const auto [same_code, same_out, same_err] =
+      run("resume \"" + program + "\" \"" + checkpoint + "\"");
+  EXPECT_EQ(same_code, 0) << same_err;
+  EXPECT_EQ(same_out, chase_out);
+  const auto [edited_code, edited_out, edited_err] =
+      run("resume \"" + edited + "\" \"" + checkpoint + "\"");
+  EXPECT_EQ(edited_code, 1);
+  EXPECT_NE(edited_err.find("fingerprint mismatch"), std::string::npos)
+      << edited_err;
+  for (const std::string& path : {program, edited, checkpoint, out, err}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CheckpointFileTest, RejectsMissingFile) {
   auto program = ParseOrDie(kPaperProgram);
   auto loaded = LoadChaseCheckpoint(TempPath("does_not_exist.tdxckpt"),
-                                    kPaperProgram, &program->schema,
-                                    &program->universe);
+                                    FingerprintText(kPaperProgram),
+                                    &program->schema, &program->universe);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }
@@ -501,8 +562,8 @@ TEST(CheckpointFileTest, RejectsTamperedFile) {
   text[pos + 7] = '9';  // flip the round counter without fixing the checksum
   WriteAll(path, text);
 
-  auto loaded = LoadChaseCheckpoint(path, kPaperProgram, &program->schema,
-                                    &program->universe);
+  auto loaded = LoadChaseCheckpoint(path, FingerprintText(kPaperProgram),
+                                    &program->schema, &program->universe);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   std::remove(path.c_str());
@@ -517,8 +578,8 @@ TEST(CheckpointFileTest, RejectsTruncatedFile) {
 
   std::string text = ReadAll(path);
   WriteAll(path, text.substr(0, text.size() / 2));
-  auto loaded = LoadChaseCheckpoint(path, kPaperProgram, &program->schema,
-                                    &program->universe);
+  auto loaded = LoadChaseCheckpoint(path, FingerprintText(kPaperProgram),
+                                    &program->schema, &program->universe);
   EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
 }

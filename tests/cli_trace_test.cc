@@ -2,9 +2,11 @@
 // must belong to a named child span (parse, analyze, the engine, print),
 // so a slow run can be explained from its trace file alone. Drives the
 // real binary on the perfbench-size cascade program, for `chase`, `query`,
-// `query-at`, `abstract` and `snapshots`.
+// `query-at`, `abstract` and `snapshots`. Also checks the peak-RSS
+// readings at the close of the CLI's and the c-chase's stages.
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -109,6 +111,58 @@ TEST(CliTraceTest, ChildSpansCoverASnapshotsRun) {
   std::string args;
   for (int l = 0; l < 32; ++l) args += " " + std::to_string(l);
   ExpectChildSpansCoverTheRun("snapshots", args);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// The stage memory probes: the close of cli.parse, cchase.normalize_source,
+// cchase.st_tgd and cli.run carries the peak RSS as `peak_rss_kb`, which
+// never decreases along those stages, and --metrics-out keeps the last
+// reading as the high-watermark gauge process.peak_rss_kb.
+TEST(CliTraceTest, StagesCarryANonDecreasingPeakRss) {
+  const std::string program = WriteCascadeProgram();
+  const std::string trace = ::testing::TempDir() + "cli_trace_rss.json";
+  const std::string metrics = ::testing::TempDir() + "cli_trace_rss.metrics";
+  const std::string shell = std::string("\"") + TDX_CLI + "\" chase \"" +
+                            program + "\" --trace-out=\"" + trace +
+                            "\" --metrics-out=\"" + metrics +
+                            "\" > /dev/null 2>&1";
+  ASSERT_EQ(std::system(shell.c_str()), 0) << shell;
+
+  auto parsed = obs::ParseJson(ReadFile(trace));
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const obs::Json* events = parsed->Find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  double last = 0;
+  for (const char* stage : {"cli.parse", "cchase.normalize_source",
+                            "cchase.st_tgd", "cli.run"}) {
+    const obs::Json* reading = nullptr;
+    for (const obs::Json& event : events->items()) {
+      if (event.Find("name")->as_string() != stage) continue;
+      const obs::Json* args = event.Find("args");
+      ASSERT_NE(args, nullptr) << stage;
+      reading = args->Find("peak_rss_kb");
+    }
+    ASSERT_NE(reading, nullptr) << stage << " has no peak_rss_kb";
+    EXPECT_GT(reading->as_number(), 0) << stage;
+    EXPECT_GE(reading->as_number(), last) << stage;
+    last = reading->as_number();
+  }
+
+  auto snapshot = obs::ParseJson(ReadFile(metrics));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  const obs::Json* gauges = snapshot->Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  const obs::Json* gauge = gauges->Find("process.peak_rss_kb");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->as_number(), last);
+  std::remove(trace.c_str());
+  std::remove(metrics.c_str());
 }
 
 }  // namespace

@@ -1,5 +1,10 @@
 #include "src/common/value.h"
 
+#include <cstdint>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace tdx {
@@ -141,6 +146,67 @@ TEST(ValueOrderTest, TotalOrderIsStrict) {
     EXPECT_TRUE(values[i - 1] < values[i] || values[i - 1] == values[i]);
     EXPECT_FALSE(values[i] < values[i - 1]);
   }
+}
+
+// The packed layout keeps the (kind, id, interval) order, equality and hash
+// of a value: checked against a plain tuple model for every kind at the
+// smallest id, an id past 32 bits and the largest id the kind bits leave
+// (constants stop at the largest 32-bit symbol id).
+TEST(ValueOrderTest, PackedIdsKeepOrderEqualityAndHash) {
+  constexpr std::uint64_t kMaxId = Value::kIdLimit - 1;
+  struct Model {
+    int kind;
+    std::uint64_t id;
+    TimePoint start;
+    TimePoint end;
+    auto Key() const { return std::tie(kind, id, start, end); }
+  };
+  std::vector<std::pair<Value, Model>> values;
+  const std::vector<Interval> intervals = {Interval(0, 1), Interval(0, 2),
+                                           Interval(5, kTimeInfinity)};
+  for (const std::uint64_t id : {std::uint64_t{0}, std::uint64_t{0xFFFFFFFF}}) {
+    values.push_back({Value::Constant(static_cast<SymbolId>(id)),
+                      Model{0, id, 0, 1}});
+  }
+  for (const std::uint64_t id : {std::uint64_t{0}, std::uint64_t{1} << 32,
+                                 kMaxId}) {
+    values.push_back({Value::Null(id), Model{1, id, 0, 1}});
+    for (const Interval& iv : intervals) {
+      values.push_back({Value::AnnotatedNull(id, iv),
+                        Model{2, id, iv.start(), iv.end()}});
+    }
+  }
+  for (const Interval& iv : intervals) {
+    values.push_back(
+        {Value::OfInterval(iv), Model{3, 0, iv.start(), iv.end()}});
+  }
+
+  for (const auto& [v, m] : values) {
+    EXPECT_EQ(static_cast<int>(v.kind()), m.kind);
+    if (v.is_constant()) {
+      EXPECT_EQ(v.symbol(), m.id);
+    }
+    if (v.is_any_null()) {
+      EXPECT_EQ(v.null_id(), m.id);
+    }
+    if (v.is_annotated_null()) {
+      const Value moved = v.Reannotated(Interval(7, 9));
+      EXPECT_EQ(moved.null_id(), m.id);
+      EXPECT_EQ(moved.interval(), Interval(7, 9));
+    }
+    for (const auto& [w, n] : values) {
+      EXPECT_EQ(v == w, m.Key() == n.Key());
+      EXPECT_EQ(v < w, m.Key() < n.Key());
+      if (v == w) {
+        EXPECT_EQ(v.Hash(), w.Hash());
+      }
+    }
+  }
+  // Equal values built apart hash alike.
+  EXPECT_EQ(Value::AnnotatedNull(kMaxId, Interval(0, 2)).Hash(),
+            Value::AnnotatedNull(kMaxId, Interval(0, 2)).Hash());
+  EXPECT_EQ(Value::Null(std::uint64_t{1} << 32).Hash(),
+            Value::Null(std::uint64_t{1} << 32).Hash());
 }
 
 }  // namespace

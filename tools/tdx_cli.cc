@@ -578,11 +578,20 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
                             skip);
   }
 
-  std::string text;
+  // The program text lives only as long as the parse: the parsed program
+  // keeps no view into it, and only checkpointing and resume need its
+  // fingerprint.
+  std::uint64_t fingerprint = 0;
   auto parsed = [&]() -> tdx::Result<std::unique_ptr<tdx::ParsedProgram>> {
-    TDX_TRACE_SPAN("cli.parse");
-    TDX_ASSIGN_OR_RETURN(text, tdx::ReadProgramFile(positional[1]));
-    return tdx::ParseProgram(text, options.parse_limits);
+    tdx::obs::TraceSpan span("cli.parse");
+    TDX_ASSIGN_OR_RETURN(const std::string text,
+                         tdx::ReadProgramFile(positional[1]));
+    if (!options.checkpoint_path.empty() || command == "resume") {
+      fingerprint = tdx::FingerprintText(text);
+    }
+    auto program = tdx::ParseProgram(text, options.parse_limits);
+    tdx::obs::ProbePeakRss(&span);
+    return program;
   }();
   if (!parsed.ok()) {
     std::cerr << parsed.status() << "\n";
@@ -596,8 +605,8 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
   tdx::Checkpointer checkpointer(options.checkpoint_path, &program.schema,
                                  &program.universe);
   checkpointer.set_cadence(options.checkpoint_every);
-  if (!options.checkpoint_path.empty()) {  // resume fingerprints on load
-    checkpointer.set_fingerprint(tdx::FingerprintText(text));
+  if (!options.checkpoint_path.empty()) {
+    checkpointer.set_fingerprint(fingerprint);
     options.checkpointer = &checkpointer;
   }
 
@@ -619,7 +628,7 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
     if (command == "resume") {
       if (positional.size() < 3) return Usage();
       auto checkpoint = tdx::LoadChaseCheckpoint(
-          positional[2], text, &program.schema, &program.universe);
+          positional[2], fingerprint, &program.schema, &program.universe);
       if (!checkpoint.ok()) {
         std::cerr << checkpoint.status() << "\n";
         return kExitError;
@@ -710,12 +719,15 @@ int main(int argc, char** argv) {
     tracer.emplace();
     tracer->MarkProcessStart();
   }
+  tdx::obs::SetPeakRssProbes(tracer.has_value() ||
+                             !options.metrics_out.empty());
   int code;
   {
     std::optional<tdx::obs::ScopedTracer> installed;
     if (tracer.has_value()) installed.emplace(&*tracer);
-    TDX_TRACE_SPAN("cli.run");
+    tdx::obs::TraceSpan span("cli.run");
     code = RunCli(options, positional);
+    tdx::obs::ProbePeakRss(&span);
   }
   if (tracer.has_value()) {
     code = WriteObsFile(options.trace_out, tracer->ToChromeTraceJson(), code);
