@@ -143,21 +143,6 @@ void AnalyzeTermination(const AnalysisInput& in, AnalysisReport* report) {
 // ---------------------------------------------------------------------------
 // TDX010: temporal satisfiability of tgd bodies against the source.
 
-/// Sorts and merges overlapping/adjacent intervals into a disjoint cover
-/// of the same time points.
-std::vector<Interval> MergeCover(std::vector<Interval> ivs) {
-  std::sort(ivs.begin(), ivs.end());
-  std::vector<Interval> out;
-  for (const Interval& iv : ivs) {
-    if (!out.empty() && out.back().Mergeable(iv)) {
-      out.back() = out.back().MergeWith(iv);
-    } else {
-      out.push_back(iv);
-    }
-  }
-  return out;
-}
-
 /// Pointwise intersection of two disjoint sorted covers.
 std::vector<Interval> IntersectCovers(const std::vector<Interval>& a,
                                       const std::vector<Interval>& b) {
@@ -189,7 +174,7 @@ void AnalyzeSatisfiability(const AnalysisInput& in, AnalysisReport* report) {
     for (const FactView f : in.source->facts().facts(*twin)) {
       if (f.has_interval()) ivs.push_back(f.interval());
     }
-    return &coverage.emplace(rel, MergeCover(std::move(ivs))).first->second;
+    return &coverage.emplace(rel, MergeIntervals(std::move(ivs))).first->second;
   };
   for (std::size_t ti = 0; ti < in.mapping->st_tgds.size(); ++ti) {
     const Tgd& tgd = in.mapping->st_tgds[ti];

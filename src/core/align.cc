@@ -1,5 +1,7 @@
 #include "src/core/align.h"
 
+#include "src/obs/trace.h"
+
 namespace tdx {
 
 Result<AlignmentReport> VerifyAlignment(const ConcreteInstance& jc,
@@ -9,9 +11,39 @@ Result<AlignmentReport> VerifyAlignment(const ConcreteInstance& jc,
   AlignmentReport report;
   report.outcome_agreed = true;
   report.forward_checked = true;
-  report.forward = AbstractHomomorphismExists(jc_sem, ja);
-  report.backward = AbstractHomomorphismExists(ja, jc_sem);
+  {
+    TDX_TRACE_SPAN("align.forward");
+    report.forward = AbstractHomomorphismExists(jc_sem, ja);
+  }
+  {
+    TDX_TRACE_SPAN("align.backward");
+    report.backward = AbstractHomomorphismExists(ja, jc_sem);
+  }
   return report;
+}
+
+Result<AlignmentReport> CompareWithAbstractChase(
+    const CChaseOutcome& concrete, const ConcreteInstance& source,
+    const Mapping& snapshot_mapping, Universe* universe,
+    const ChaseOptions& options) {
+  AlignmentReport report;
+  TDX_ASSIGN_OR_RETURN(AbstractInstance abstract_source,
+                       AbstractInstance::FromConcrete(source));
+  TDX_ASSIGN_OR_RETURN(
+      AbstractChaseOutcome abstract,
+      AbstractChase(abstract_source, snapshot_mapping, universe, options));
+  if (abstract.kind == ChaseResultKind::kAborted) {
+    report.abort_dimension = abstract.abort_dimension;
+    report.abort_reason = std::move(abstract.abort_reason);
+    return report;
+  }
+
+  report.outcome_agreed = (concrete.kind == abstract.kind);
+  if (!report.outcome_agreed ||
+      concrete.kind == ChaseResultKind::kFailure) {
+    return report;  // nothing further to compare
+  }
+  return VerifyAlignment(concrete.target, abstract.target);
 }
 
 Result<AlignmentReport> VerifyCorollary20(const ConcreteInstance& source,
@@ -20,24 +52,8 @@ Result<AlignmentReport> VerifyCorollary20(const ConcreteInstance& source,
                                           Universe* universe) {
   TDX_ASSIGN_OR_RETURN(CChaseOutcome concrete,
                        CChase(source, lifted_mapping, universe));
-  TDX_ASSIGN_OR_RETURN(AbstractInstance abstract_source,
-                       AbstractInstance::FromConcrete(source));
-  TDX_ASSIGN_OR_RETURN(
-      AbstractChaseOutcome abstract,
-      AbstractChase(abstract_source, snapshot_mapping, universe));
-
-  AlignmentReport report;
-  report.outcome_agreed = (concrete.kind == abstract.kind);
-  if (!report.outcome_agreed ||
-      concrete.kind == ChaseResultKind::kFailure) {
-    return report;  // nothing further to compare
-  }
-  TDX_ASSIGN_OR_RETURN(AlignmentReport inner,
-                       VerifyAlignment(concrete.target, abstract.target));
-  report.forward_checked = true;
-  report.forward = inner.forward;
-  report.backward = inner.backward;
-  return report;
+  return CompareWithAbstractChase(concrete, source, snapshot_mapping,
+                                  universe);
 }
 
 }  // namespace tdx

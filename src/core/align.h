@@ -4,8 +4,9 @@
 // The paper's central correctness statement: if Jc = c-chase(Ic, M+) and
 // Ja = chase([[Ic]], M), then [[Jc]] ~ Ja (homomorphically equivalent as
 // abstract instances). VerifyAlignment checks this on concrete objects;
-// VerifyCorollary20 runs both chases itself and checks end-to-end,
-// including agreement of success/failure.
+// CompareWithAbstractChase takes a c-chase outcome, runs the abstract chase
+// and checks end-to-end, including agreement of success/failure;
+// VerifyCorollary20 runs the c-chase first, then the same comparison.
 
 #ifndef TDX_CORE_ALIGN_H_
 #define TDX_CORE_ALIGN_H_
@@ -29,15 +30,28 @@ struct AlignmentReport {
   }
   /// False when both chases failed (nothing to compare, but aligned).
   bool forward_checked = false;
+  /// Set when the abstract chase exhausted its budget: nothing was
+  /// compared, and the report is neither aligned nor misaligned.
+  ResourceDimension abort_dimension = ResourceDimension::kNone;
+  std::string abort_reason;
+  bool aborted() const { return abort_dimension != ResourceDimension::kNone; }
 };
 
 /// Checks [[jc]] ~ ja.
 Result<AlignmentReport> VerifyAlignment(const ConcreteInstance& jc,
                                         const AbstractInstance& ja);
 
-/// End-to-end Corollary 20: runs c-chase(source, lifted) and
-/// chase([[source]], snapshot_mapping), compares outcome kinds, and on
-/// mutual success checks homomorphic equivalence of the semantics.
+/// Corollary 20 for `concrete` = c-chase(source, lifted), a run that
+/// succeeded or failed: runs chase([[source]], snapshot_mapping) under
+/// `options`, compares outcome kinds, and on mutual success checks
+/// homomorphic equivalence of the semantics.
+Result<AlignmentReport> CompareWithAbstractChase(
+    const CChaseOutcome& concrete, const ConcreteInstance& source,
+    const Mapping& snapshot_mapping, Universe* universe,
+    const ChaseOptions& options = {});
+
+/// End-to-end Corollary 20: runs c-chase(source, lifted), then
+/// CompareWithAbstractChase, both without limits.
 Result<AlignmentReport> VerifyCorollary20(const ConcreteInstance& source,
                                           const Mapping& snapshot_mapping,
                                           const Mapping& lifted_mapping,

@@ -55,7 +55,7 @@ struct CChaseOptions {
   /// Never changes the result (output is bit-identical to full passes),
   /// so the checkpoint config fingerprint ignores it and
   /// checkpoints interchange between incremental and full runs. Ignored
-  /// under use_naive_normalizer. --no-incremental-normalize in the CLI.
+  /// under use_naive_normalizer.
   bool incremental_normalize = true;
   /// Resource budget for the whole run (all four phases share one guard).
   /// Unlimited by default. Exhaustion yields kind == kAborted with partial

@@ -5,15 +5,13 @@
 // evaluation on the chase result; Corollary 22 carries this to the concrete
 // view: certain(q, [[Ic]], M) = [[q+(Jc)!]] where Jc = c-chase(Ic).
 //
-// Two entry points:
+// Three entry points:
 //  * CertainAnswers — the production path: c-chase, then concrete naive
 //    evaluation; answers are temporal (k+1)-tuples.
-//  * BruteForceCertainAnswersAt — test oracle for small instances: chases a
-//    materialized snapshot, then intersects the query's answers over a
-//    family of derived solutions (the universal solution and random
-//    homomorphic images of it). Sound because every derived instance IS a
-//    solution; the universal solution makes the intersection exact for
-//    unions of conjunctive queries.
+//  * CertainAnswersAt — the per-snapshot oracle: chases the materialized
+//    snapshot db_l, then naive-evaluates the non-temporal query on it.
+//  * CertainAnswersAtMany — CertainAnswersAt for a batch of time points,
+//    one snapshot chase per piece of equal snapshots (tdx_cli query-at).
 
 #ifndef TDX_CORE_CERTAIN_H_
 #define TDX_CORE_CERTAIN_H_

@@ -2,8 +2,9 @@
 // must belong to a named child span (parse, analyze, the engine, print),
 // so a slow run can be explained from its trace file alone. Drives the
 // real binary on the perfbench-size cascade program, for `chase`, `query`,
-// `query-at`, `abstract` and `snapshots`. Also checks the peak-RSS
-// readings at the close of the CLI's and the c-chase's stages.
+// `query-at`, `abstract`, `snapshots` and `verify`. Also checks that
+// `verify` chases once, and the peak-RSS readings at the close of the
+// CLI's and the c-chase's stages.
 
 #include <algorithm>
 #include <cstdio>
@@ -23,12 +24,20 @@
 namespace tdx {
 namespace {
 
+// A scratch file name of the running test's own: ctest runs the tests of
+// this file as concurrent processes.
+std::string TestFile(const std::string& suffix) {
+  return ::testing::TempDir() + "cli_trace_" +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         suffix;
+}
+
 std::string WriteCascadeProgram() {
   auto w = MakeCascadeWorkload(CascadeConfig{
       .stages = 100, .ballast_keys = 60, .ballast_dup = 30, .horizon = 32});
   auto facts = SerializeInstanceFacts(w->source, w->universe);
   EXPECT_TRUE(facts.ok()) << facts.status();
-  const std::string path = ::testing::TempDir() + "cli_trace_cascade.tdx";
+  const std::string path = TestFile(".tdx");
   std::ofstream out(path);
   out << SerializeSchema(w->schema)
       << SerializeMapping(w->mapping, w->schema, w->universe) << *facts
@@ -36,23 +45,33 @@ std::string WriteCascadeProgram() {
   return path;
 }
 
-// Runs `tdx_cli <command> <program> <args>` traced and checks that the
-// spans nested in cli.run cover at least 95% of it.
-void ExpectChildSpansCoverTheRun(const std::string& command,
-                                 const std::string& args) {
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+// Runs `tdx_cli <command> <program> <args>` traced on the cascade program
+// and returns its trace (a JSON null if the run or the parse failed).
+obs::Json RunTraced(const std::string& command, const std::string& args) {
   const std::string program = WriteCascadeProgram();
-  const std::string trace = ::testing::TempDir() + "cli_trace_cascade.json";
+  const std::string trace = TestFile(".json");
   const std::string shell = std::string("\"") + TDX_CLI + "\" " + command +
                             " \"" + program + "\" " + args +
                             " --trace-out=\"" + trace + "\" > /dev/null 2>&1";
-  ASSERT_EQ(std::system(shell.c_str()), 0) << shell;
+  EXPECT_EQ(std::system(shell.c_str()), 0) << shell;
+  auto parsed = obs::ParseJson(ReadFile(trace));
+  EXPECT_TRUE(parsed.ok()) << parsed.status();
+  return parsed.ok() ? std::move(parsed).value() : obs::Json();
+}
 
-  std::ifstream in(trace);
-  std::stringstream text;
-  text << in.rdbuf();
-  auto parsed = obs::ParseJson(text.str());
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  const obs::Json* events = parsed->Find("traceEvents");
+// Checks that the spans nested in cli.run cover at least 95% of a traced
+// `tdx_cli <command> <program> <args>`.
+void ExpectChildSpansCoverTheRun(const std::string& command,
+                                 const std::string& args) {
+  const obs::Json trace = RunTraced(command, args);
+  const obs::Json* events = trace.Find("traceEvents");
   ASSERT_NE(events, nullptr);
 
   double run_begin = -1;
@@ -113,11 +132,32 @@ TEST(CliTraceTest, ChildSpansCoverASnapshotsRun) {
   ExpectChildSpansCoverTheRun("snapshots", args);
 }
 
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  std::stringstream text;
-  text << in.rdbuf();
-  return text.str();
+TEST(CliTraceTest, ChildSpansCoverAVerifyRun) {
+  ExpectChildSpansCoverTheRun("verify", "");
+}
+
+// The number of spans called `name` in a traced run.
+int CountSpans(const obs::Json& trace, const std::string& name) {
+  const obs::Json* events = trace.Find("traceEvents");
+  EXPECT_NE(events, nullptr);
+  if (events == nullptr) return -1;
+  int count = 0;
+  for (const obs::Json& event : events->items()) {
+    count += event.Find("name")->as_string() == name;
+  }
+  return count;
+}
+
+// Corollary 20 compares one c-chase with the abstract chase: `verify` runs
+// the c-chase once and plans no more than `chase` does (the parser's plan
+// and the lint pass's).
+TEST(CliTraceTest, VerifyRunsTheCChaseOnce) {
+  const obs::Json verify = RunTraced("verify", "");
+  EXPECT_EQ(CountSpans(verify, "cchase.run"), 1);
+  EXPECT_EQ(CountSpans(verify, "planner.plan_chase"),
+            CountSpans(RunTraced("chase", ""), "planner.plan_chase"));
+  EXPECT_EQ(CountSpans(RunTraced("verify", "--no-lint"), "planner.plan_chase"),
+            1);
 }
 
 // The stage memory probes: the close of cli.parse, cchase.normalize_source,
@@ -126,8 +166,8 @@ std::string ReadFile(const std::string& path) {
 // reading as the high-watermark gauge process.peak_rss_kb.
 TEST(CliTraceTest, StagesCarryANonDecreasingPeakRss) {
   const std::string program = WriteCascadeProgram();
-  const std::string trace = ::testing::TempDir() + "cli_trace_rss.json";
-  const std::string metrics = ::testing::TempDir() + "cli_trace_rss.metrics";
+  const std::string trace = TestFile(".json");
+  const std::string metrics = TestFile(".metrics");
   const std::string shell = std::string("\"") + TDX_CLI + "\" chase \"" +
                             program + "\" --trace-out=\"" + trace +
                             "\" --metrics-out=\"" + metrics +

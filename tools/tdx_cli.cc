@@ -26,12 +26,9 @@
 //   --max-input-bytes=N --max-tokens=N --max-nesting-depth=N
 //
 // Execution flags: --jobs=N (query-at's snapshot chases; 0 = all cores),
-// --stats, --naive-chase, --no-schedule (ignore the chase planner's
-// schedule: run every rule and every egd/normalization pass, as if the
-// planner did not exist),
-// --no-incremental-normalize (re-run every target normalization pass from
-// scratch), --no-lint (skip the static-analysis warnings), and
-// --format=text|json (plan command only)
+// --stats, --no-lint (skip the static-analysis warnings), and
+// --format=text|json (plan command only). The engine's ablation switches
+// are library options (ChaseOptions, CChaseOptions), not flags.
 //
 // Checkpointing (chase/core/resume): --checkpoint=PATH writes a resumable
 // checkpoint at every phase boundary and every --checkpoint-every=N-th
@@ -75,8 +72,7 @@
 #include "src/parser/parser.h"
 #include "src/parser/serialize.h"
 #include "src/parser/printer.h"
-#include "src/temporal/abstract_chase.h"
-#include "src/temporal/snapshot.h"
+#include "src/temporal/abstract_instance.h"
 
 namespace {
 
@@ -125,12 +121,6 @@ int Usage() {
          "                        chases (0 = all hardware threads;\n"
          "                        default 1)\n"
          "  --stats               print chase statistics after chase/core\n"
-         "  --naive-chase         disable semi-naive target-tgd rounds\n"
-         "  --no-schedule         ignore the chase planner's schedule: run\n"
-         "                        every rule and every egd pass unconditionally\n"
-         "  --no-incremental-normalize  re-run every target normalization\n"
-         "                        pass from scratch instead of reusing the\n"
-         "                        previous pass's components (same output)\n"
          "  --format=FMT          plan output format: text (default) or json\n"
          "  --checkpoint=PATH     chase/core/resume: write a resumable\n"
          "                        checkpoint to PATH at every safe point\n"
@@ -150,9 +140,6 @@ struct CliOptions {
   tdx::ParseLimits parse_limits;
   bool lint = true;
   bool stats = false;
-  bool semi_naive = true;
-  bool scheduled = true;
-  bool incremental_normalize = true;
   std::string format = "text";
   unsigned jobs = 1;
   std::string checkpoint_path;
@@ -209,18 +196,6 @@ bool ParseFlags(int argc, char** argv, CliOptions* options,
     }
     if (arg == "--stats") {
       options->stats = true;
-      continue;
-    }
-    if (arg == "--naive-chase") {
-      options->semi_naive = false;
-      continue;
-    }
-    if (arg == "--no-schedule") {
-      options->scheduled = false;
-      continue;
-    }
-    if (arg == "--no-incremental-normalize") {
-      options->incremental_normalize = false;
       continue;
     }
     const std::size_t eq = arg.find('=');
@@ -306,17 +281,33 @@ int ReportAbort(tdx::ResourceDimension dimension, const std::string& reason) {
   return kExitAborted;
 }
 
-tdx::Result<tdx::CChaseOutcome> RunCChase(tdx::ParsedProgram& program,
-                                          const CliOptions& options) {
+// The one c-chase of every command that chases, and the one report of a
+// chase without a solution: an error (exit 1), an abort (exit 4) or a
+// failure (exit 3, unless `failure_is_answer`) is printed, *code set and
+// nullopt returned. Otherwise the outcome is returned.
+std::optional<tdx::CChaseOutcome> RunCChase(tdx::ParsedProgram& program,
+                                            const CliOptions& options,
+                                            int* code,
+                                            bool failure_is_answer = false) {
   tdx::CChaseOptions chase_options;
   chase_options.limits = options.limits;
-  chase_options.semi_naive = options.semi_naive;
-  chase_options.scheduled = options.scheduled;
-  chase_options.incremental_normalize = options.incremental_normalize;
   chase_options.checkpointer = options.checkpointer;
   chase_options.resume_from = options.resume_from;
-  return tdx::CChase(program.source, program.lifted, &program.universe,
-                     chase_options);
+  auto chase = tdx::CChase(program.source, program.lifted, &program.universe,
+                           chase_options);
+  if (!chase.ok()) {
+    std::cerr << chase.status() << "\n";
+    *code = kExitError;
+  } else if (chase->kind == tdx::ChaseResultKind::kAborted) {
+    *code = ReportAbort(chase->abort_dimension, chase->abort_reason);
+  } else if (chase->kind == tdx::ChaseResultKind::kFailure &&
+             !failure_is_answer) {
+    std::cout << "NO SOLUTION: " << chase->failure_reason << "\n";
+    *code = kExitNoSolution;
+  } else {
+    return std::move(*chase);
+  }
+  return std::nullopt;
 }
 
 int RunChase(tdx::ParsedProgram& program, const CliOptions& options,
@@ -324,18 +315,9 @@ int RunChase(tdx::ParsedProgram& program, const CliOptions& options,
   // Opened when printing starts, and closed only after every local below
   // is freed: the span names the command's teardown too.
   std::optional<tdx::obs::TraceSpan> print;
-  auto chase = RunCChase(program, options);
-  if (!chase.ok()) {
-    std::cerr << chase.status() << "\n";
-    return kExitError;
-  }
-  if (chase->kind == tdx::ChaseResultKind::kAborted) {
-    return ReportAbort(chase->abort_dimension, chase->abort_reason);
-  }
-  if (chase->kind == tdx::ChaseResultKind::kFailure) {
-    std::cout << "NO SOLUTION: " << chase->failure_reason << "\n";
-    return kExitNoSolution;
-  }
+  int code = kExitSuccess;
+  auto chase = RunCChase(program, options, &code);
+  if (!chase.has_value()) return code;
   std::optional<tdx::ConcreteInstance> core;
   tdx::CoreStats core_stats;
   if (with_core) core = tdx::ComputeConcreteCore(chase->target, &core_stats);
@@ -461,30 +443,39 @@ int RunQuery(tdx::ParsedProgram& program, const CliOptions& options,
   return EXIT_SUCCESS;
 }
 
+// Corollary 20: the c-chase once, against the abstract chase under its limits.
 int RunVerify(tdx::ParsedProgram& program, const CliOptions& options) {
+  std::optional<tdx::obs::TraceSpan> print;  // as in RunChase
+  int code = kExitSuccess;
+  auto chase = RunCChase(program, options, &code, /*failure_is_answer=*/true);
+  if (!chase.has_value()) return code;
   // Independent oracle first: the c-chase result must satisfy the mapping.
-  auto chase = RunCChase(program, options);
-  if (chase.ok() && chase->kind == tdx::ChaseResultKind::kAborted) {
-    return ReportAbort(chase->abort_dimension, chase->abort_reason);
-  }
-  if (chase.ok() && chase->kind == tdx::ChaseResultKind::kSuccess) {
-    auto sat = tdx::CheckSolution(program.source, chase->target,
-                                  program.mapping, &program.universe);
+  std::string satisfies;  // the first report line, after a solution
+  if (chase->kind == tdx::ChaseResultKind::kSuccess) {
+    auto sat = [&] {
+      TDX_TRACE_SPAN("verify.check_solution");
+      return tdx::CheckSolution(program.source, chase->target, program.mapping,
+                                &program.universe);
+    }();
     if (!sat.ok()) {
       std::cerr << sat.status() << "\n";
       return EXIT_FAILURE;
     }
-    std::cout << "target satisfies the mapping: "
-              << (sat->satisfied ? "yes" : ("NO (" + sat->violation + ")"))
-              << "\n";
+    satisfies = "target satisfies the mapping: " +
+                (sat->satisfied ? "yes" : "NO (" + sat->violation + ")") + "\n";
   }
-  auto report = tdx::VerifyCorollary20(program.source, program.mapping,
-                                       program.lifted, &program.universe);
+  auto report = tdx::CompareWithAbstractChase(
+      *chase, program.source, program.mapping, &program.universe,
+      {.limits = options.limits});
   if (!report.ok()) {
     std::cerr << report.status() << "\n";
     return EXIT_FAILURE;
   }
-  std::cout << "chase outcomes agree: "
+  if (report->aborted()) {
+    return ReportAbort(report->abort_dimension, report->abort_reason);
+  }
+  print.emplace("cli.print");
+  std::cout << satisfies << "chase outcomes agree: "
             << (report->outcome_agreed ? "yes" : "NO") << "\n";
   if (report->forward_checked) {
     std::cout << "[[c-chase(Ic)]] -> chase([[Ic]]): "
@@ -501,14 +492,9 @@ int RunVerify(tdx::ParsedProgram& program, const CliOptions& options) {
 int RunSnapshots(tdx::ParsedProgram& program, const CliOptions& options,
                  const std::vector<tdx::TimePoint>& points) {
   std::optional<tdx::obs::TraceSpan> print;  // as in RunChase
-  auto chase = RunCChase(program, options);
-  if (chase.ok() && chase->kind == tdx::ChaseResultKind::kAborted) {
-    return ReportAbort(chase->abort_dimension, chase->abort_reason);
-  }
-  if (!chase.ok() || chase->kind != tdx::ChaseResultKind::kSuccess) {
-    std::cerr << "chase failed\n";
-    return EXIT_FAILURE;
-  }
+  int code = kExitSuccess;
+  auto chase = RunCChase(program, options, &code);
+  if (!chase.has_value()) return code;
   auto ja = tdx::AbstractInstance::FromConcrete(chase->target);
   if (!ja.ok()) {
     std::cerr << ja.status() << "\n";
@@ -651,14 +637,9 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
     }
     if (command == "possible") {
       if (positional.size() < 4) return Usage();
-      auto chase = RunCChase(program, options);
-      if (chase.ok() && chase->kind == tdx::ChaseResultKind::kAborted) {
-        return ReportAbort(chase->abort_dimension, chase->abort_reason);
-      }
-      if (!chase.ok() || chase->kind != tdx::ChaseResultKind::kSuccess) {
-        std::cerr << "chase failed\n";
-        return EXIT_FAILURE;
-      }
+      int unsolved = kExitSuccess;
+      auto chase = RunCChase(program, options, &unsolved);
+      if (!chase.has_value()) return unsolved;
       auto query = program.FindQuery(positional[2]);
       if (!query.ok()) {
         std::cerr << query.status() << "\n";
