@@ -1,7 +1,6 @@
 #include "src/analysis/planner.h"
 
 #include <algorithm>
-#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -324,56 +323,11 @@ PlanDetails PlanChaseDetailed(const Mapping& mapping, const Schema& schema) {
   }
   for (std::vector<std::size_t>& out : adj) std::sort(out.begin(), out.end());
 
-  // ---- SCC condensation into strata (iterative Tarjan, like -------------
-  // PrecedenceComponents: fuzzed mappings must not overflow the stack).
-  std::vector<std::size_t> index(n, SIZE_MAX), low(n, 0);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::size_t> stack;
-  std::vector<std::vector<std::size_t>> components;
-  std::size_t next_index = 0;
-  struct Frame {
-    std::size_t v;
-    std::size_t edge = 0;
-  };
-  for (std::size_t root = 0; root < n; ++root) {
-    if (index[root] != SIZE_MAX) continue;
-    std::vector<Frame> frames{Frame{root}};
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.edge == 0) {
-        index[f.v] = low[f.v] = next_index++;
-        stack.push_back(f.v);
-        on_stack[f.v] = true;
-      }
-      bool descended = false;
-      while (f.edge < adj[f.v].size()) {
-        const std::size_t w = adj[f.v][f.edge++];
-        if (index[w] == SIZE_MAX) {
-          frames.push_back(Frame{w});
-          descended = true;
-          break;
-        }
-        if (on_stack[w]) low[f.v] = std::min(low[f.v], index[w]);
-      }
-      if (descended) continue;
-      if (low[f.v] == index[f.v]) {
-        std::vector<std::size_t> component;
-        while (true) {
-          const std::size_t w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          component.push_back(w);
-          if (w == f.v) break;
-        }
-        std::sort(component.begin(), component.end());
-        components.push_back(std::move(component));
-      }
-      const std::size_t finished = f.v;
-      frames.pop_back();
-      if (!frames.empty()) {
-        low[frames.back().v] = std::min(low[frames.back().v], low[finished]);
-      }
-    }
+  // ---- SCC condensation into strata -------------------------------------
+  std::vector<std::vector<std::size_t>> components =
+      StronglyConnectedComponents(adj);
+  for (std::vector<std::size_t>& component : components) {
+    std::sort(component.begin(), component.end());
   }
   // Tarjan emits SCCs sinks-first; reversing yields topological order.
   std::reverse(components.begin(), components.end());

@@ -25,18 +25,11 @@ bool MayActivate(const Tgd& a, const Tgd& b) {
   return false;
 }
 
-std::vector<std::vector<std::size_t>> PrecedenceComponents(
-    const std::vector<Tgd>& tgds) {
-  const std::size_t n = tgds.size();
-  std::vector<std::vector<std::size_t>> adj(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (MayActivate(tgds[i], tgds[j])) adj[i].push_back(j);
-    }
-  }
-
-  // Iterative Tarjan SCC (explicit stack: fuzzed mappings must not be able
-  // to overflow the call stack).
+std::vector<std::vector<std::size_t>> StronglyConnectedComponents(
+    const std::vector<std::vector<std::size_t>>& adj) {
+  // Iterative Tarjan (explicit stack: fuzzed mappings must not be able to
+  // overflow the call stack).
+  const std::size_t n = adj.size();
   std::vector<std::size_t> index(n, SIZE_MAX), low(n, 0);
   std::vector<bool> on_stack(n, false);
   std::vector<std::size_t> stack;
@@ -87,6 +80,18 @@ std::vector<std::vector<std::size_t>> PrecedenceComponents(
     }
   }
   return components;
+}
+
+std::vector<std::vector<std::size_t>> PrecedenceComponents(
+    const std::vector<Tgd>& tgds) {
+  const std::size_t n = tgds.size();
+  std::vector<std::vector<std::size_t>> adj(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (MayActivate(tgds[i], tgds[j])) adj[i].push_back(j);
+    }
+  }
+  return StronglyConnectedComponents(adj);
 }
 
 TerminationCertificate CertifyTermination(const std::vector<Tgd>& target_tgds,

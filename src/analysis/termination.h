@@ -60,6 +60,13 @@ bool AtomsCompatible(const Atom& head, const Atom& body);
 /// distinct constants (firing `a` may then create a trigger for `b`).
 bool MayActivate(const Tgd& a, const Tgd& b);
 
+/// The strongly connected components of the graph with adjacency lists
+/// `adj` (Tarjan's algorithm, without recursion), each listed in the order
+/// Tarjan pops it, sinks first: a component comes before every component
+/// that has an edge into it. Shared with the chase planner's strata.
+std::vector<std::vector<std::size_t>> StronglyConnectedComponents(
+    const std::vector<std::vector<std::size_t>>& adj);
+
 /// Partitions tgd indices into strongly connected components of the
 /// precedence graph, in an arbitrary deterministic order. Exposed for the
 /// analyzer's diagnostics and for tests.

@@ -73,7 +73,7 @@ bool Checkpointer::AtSafePoint(bool phase_boundary, const BuildFn& build) {
       return false;
     }
   }
-  if (keep_latest_) latest_ = std::move(checkpoint);
+  if (path_.empty()) latest_ = std::move(checkpoint);
   ++writes_;
   metrics.writes.Inc();
   last_cost_ = std::chrono::steady_clock::now() - start;

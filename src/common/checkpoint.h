@@ -153,8 +153,7 @@ class Checkpointer {
                const Universe* universe)
       : path_(std::move(path)),
         schema_(schema),
-        universe_(universe),
-        keep_latest_(path_.empty()) {}
+        universe_(universe) {}
 
   Checkpointer(const Checkpointer&) = delete;
   Checkpointer& operator=(const Checkpointer&) = delete;
@@ -179,8 +178,6 @@ class Checkpointer {
   void set_fingerprint(std::uint64_t fingerprint) {
     fingerprint_ = fingerprint;
   }
-  /// Also retain the newest checkpoint in memory (implied by empty path).
-  void set_keep_latest(bool keep) { keep_latest_ = keep || path_.empty(); }
 
   using BuildFn = std::function<ChaseCheckpoint()>;
 
@@ -190,7 +187,7 @@ class Checkpointer {
   /// if a checkpoint was persisted.
   bool AtSafePoint(bool phase_boundary, const BuildFn& build);
 
-  /// The newest checkpoint, when keep-latest is on.
+  /// The newest checkpoint, kept when the path is empty.
   const std::optional<ChaseCheckpoint>& latest() const { return latest_; }
   /// First write failure, if any (OK otherwise).
   const Status& last_error() const { return last_error_; }
@@ -205,7 +202,6 @@ class Checkpointer {
   std::size_t every_rounds_ = 16;
   double max_overhead_ = 0.05;
   std::uint64_t fingerprint_ = 0;
-  bool keep_latest_;
   std::size_t safe_points_ = 0;
   std::size_t round_points_ = 0;
   std::size_t writes_ = 0;

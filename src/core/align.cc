@@ -4,6 +4,20 @@
 
 namespace tdx {
 
+namespace {
+
+/// chase([[source]], mapping). The abstract source lives only while the
+/// chase reads it; the comparison needs just the chase's target.
+Result<AbstractChaseOutcome> ChaseAbstractSource(
+    const ConcreteInstance& source, const Mapping& snapshot_mapping,
+    Universe* universe, const ChaseOptions& options) {
+  TDX_ASSIGN_OR_RETURN(AbstractInstance abstract_source,
+                       AbstractInstance::FromConcrete(source));
+  return AbstractChase(abstract_source, snapshot_mapping, universe, options);
+}
+
+}  // namespace
+
 Result<AlignmentReport> VerifyAlignment(const ConcreteInstance& jc,
                                         const AbstractInstance& ja) {
   TDX_ASSIGN_OR_RETURN(AbstractInstance jc_sem,
@@ -27,11 +41,9 @@ Result<AlignmentReport> CompareWithAbstractChase(
     const Mapping& snapshot_mapping, Universe* universe,
     const ChaseOptions& options) {
   AlignmentReport report;
-  TDX_ASSIGN_OR_RETURN(AbstractInstance abstract_source,
-                       AbstractInstance::FromConcrete(source));
   TDX_ASSIGN_OR_RETURN(
       AbstractChaseOutcome abstract,
-      AbstractChase(abstract_source, snapshot_mapping, universe, options));
+      ChaseAbstractSource(source, snapshot_mapping, universe, options));
   if (abstract.kind == ChaseResultKind::kAborted) {
     report.abort_dimension = abstract.abort_dimension;
     report.abort_reason = std::move(abstract.abort_reason);

@@ -72,8 +72,6 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
   config += options.semi_naive ? '1' : '0';
   config += " naive-normalizer=";
   config += options.use_naive_normalizer ? '1' : '0';
-  config += " coalesce=";
-  config += options.coalesce_result ? '1' : '0';
   CChaseOutcome outcome(ConcreteInstance(&source.schema()),
                         ConcreteInstance(&source.schema()));
   const std::string start_phase =
@@ -443,11 +441,6 @@ Result<CChaseOutcome> CChase(const ConcreteInstance& source,
       return Status::Internal("c-chase exceeded its iteration budget");
     }
     offer_checkpoint(true, "loop-top", &concrete_target.facts());
-  }
-  if (outcome.kind == ChaseResultKind::kSuccess &&
-      options.coalesce_result) {
-    TDX_TRACE_SPAN("cchase.coalesce");
-    concrete_target = Coalesce(concrete_target);
   }
   outcome.target = std::move(concrete_target);
   return outcome;

@@ -29,7 +29,6 @@
 
 #include "src/core/normalize.h"
 #include "src/relational/chase.h"
-#include "src/temporal/coalesce.h"
 #include "src/temporal/concrete_instance.h"
 
 namespace tdx {
@@ -40,9 +39,6 @@ class Checkpointer;
 struct ChaseCheckpoint;
 
 struct CChaseOptions {
-  /// Coalesce the final target (canonical compact form). Off by default to
-  /// match the paper's Figure 9 output shape.
-  bool coalesce_result = false;
   /// Normalize (Algorithm 1) vs NaiveNormalize for the two normalization
   /// steps. Algorithm 1 by default; the naive normalizer is exposed for the
   /// ablation benchmarks.

@@ -186,38 +186,6 @@ std::string RenderAbstractInstance(const AbstractInstance& instance,
   return out;
 }
 
-std::string RenderRelationCsv(const Instance& instance, RelationId rel,
-                              const Universe& u) {
-  const RelationSchema& schema = instance.schema().relation(rel);
-  std::string out;
-  auto quote = [&out](std::string_view field) {
-    out += '"';
-    for (char c : field) {
-      if (c == '"') out += '"';
-      out += c;
-    }
-    out += '"';
-  };
-  for (std::size_t c = 0; c < schema.arity(); ++c) {
-    if (c > 0) out += ",";
-    quote(schema.attributes[c]);
-  }
-  out += "\n";
-  const FactColumn column = instance.facts(rel);
-  std::string cell;
-  for (const std::uint32_t pos : SortedPositions(column)) {
-    const FactView fact = column[pos];
-    for (std::size_t c = 0; c < fact.arity(); ++c) {
-      if (c > 0) out += ",";
-      cell.clear();
-      u.AppendRendered(fact.arg(c), &cell);
-      quote(cell);
-    }
-    out += "\n";
-  }
-  return out;
-}
-
 std::string RenderAnswers(const std::vector<Tuple>& answers,
                           const Universe& u) {
   // Evaluation already returns its answers sorted; then the order is the

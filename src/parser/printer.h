@@ -35,12 +35,6 @@ std::string RenderAbstractInstance(const AbstractInstance& instance,
 std::string RenderAnswers(const std::vector<Tuple>& answers,
                           const Universe& u);
 
-/// One relation as RFC-4180-style CSV with a header row (fields quoted,
-/// embedded quotes doubled), rows in canonical sorted order. Suited for
-/// handing exchange results to downstream tools.
-std::string RenderRelationCsv(const Instance& instance, RelationId rel,
-                              const Universe& u);
-
 /// A c-chase run's work record as `tdx_cli chase --stats` prints it: one
 /// "(stats: ...)" line for ChaseStats, then "(norm-source: ...)" and
 /// "(norm-target: ...)" for the two normalization records. Every field of

@@ -70,13 +70,4 @@ Result<RelationId> Schema::TwinOf(RelationId id) const {
   return *relations_[id].twin;
 }
 
-std::vector<RelationId> Schema::RelationsWhere(SchemaRole role,
-                                               bool temporal) const {
-  std::vector<RelationId> out;
-  for (const RelationSchema& rel : relations_) {
-    if (rel.role == role && rel.temporal == temporal) out.push_back(rel.id);
-  }
-  return out;
-}
-
 }  // namespace tdx

@@ -100,9 +100,6 @@ class Schema {
 
   std::size_t relation_count() const { return relations_.size(); }
 
-  /// All relation ids with the given role and temporality.
-  std::vector<RelationId> RelationsWhere(SchemaRole role, bool temporal) const;
-
  private:
   std::vector<RelationSchema> relations_;
   /// Hashes std::string and std::string_view alike, so that Find looks a

@@ -35,22 +35,38 @@ class AbstractHomSearch {
  public:
   AbstractHomSearch(const AbstractInstance& from, const AbstractInstance& to)
       : from_(&from), to_(&to) {
+    // The overlaps of the two piece lists, left to right: each `from` piece
+    // meets the `to` pieces its span crosses. Both lists cover [0, inf), so
+    // the walk advances whichever piece ends first (both when they end
+    // together) and stops at the two unbounded tails.
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < from.pieces().size() && j < to.pieces().size()) {
+      overlaps_.emplace_back(i, j);
+      const Interval& a = from.pieces()[i].span;
+      const Interval& b = to.pieces()[j].span;
+      if (a.end() <= b.end()) ++i;
+      if (b.end() <= a.end()) ++j;
+    }
     // A labeled null may take an annotated (projected) image only when it
-    // occupies a single snapshot: exactly one piece, of span length 1.
+    // occupies a single snapshot: exactly one overlap, of span length 1.
+    // Counting `from` pieces gives the same answer: a piece of length 1
+    // has one overlap, of length 1, and a longer piece has either several
+    // overlaps or one as long as itself.
     std::unordered_map<NullId, std::pair<std::size_t, std::size_t>>
         occurrence;  // null -> (#pieces it occurs in, index of last one)
-    for (std::size_t i = 0; i < from.pieces().size(); ++i) {
+    for (std::size_t p = 0; p < from.pieces().size(); ++p) {
       std::unordered_set<NullId> here;
-      from.pieces()[i].snapshot.ForEach([&](FactView fact) {
+      from.pieces()[p].snapshot.ForEach([&](FactView fact) {
         for (const Value& v : fact.args()) {
           if (v.is_null()) here.insert(v.null_id());
         }
       });
       for (NullId n : here) {
-        auto [it, inserted] = occurrence.emplace(n, std::make_pair(1u, i));
+        auto [it, inserted] = occurrence.emplace(n, std::make_pair(1u, p));
         if (!inserted) {
           ++it->second.first;
-          it->second.second = i;
+          it->second.second = p;
         }
       }
     }
@@ -63,9 +79,10 @@ class AbstractHomSearch {
     }
   }
 
-  /// Depth-first over the pieces, one cursor per piece on an explicit stack.
+  /// Depth-first over the overlaps, one cursor per overlap on an explicit
+  /// stack.
   bool Run() {
-    const std::size_t n = from_->pieces().size();
+    const std::size_t n = overlaps_.size();
     if (n == 0) return true;
     std::vector<std::unique_ptr<Level>> stack;
     stack.push_back(Enter(0));
@@ -84,9 +101,10 @@ class AbstractHomSearch {
   }
 
  private:
-  /// One piece of the search: its symbolic problem, the binding its cursor
-  /// extends (with the labeled nulls that earlier pieces fixed already
-  /// bound), and the labeled nulls its current match added to global_.
+  /// One overlap of the search: the symbolic problem of its `from` piece,
+  /// the binding its cursor extends into the `to` piece (with the labeled
+  /// nulls that earlier overlaps fixed already bound), and the labeled
+  /// nulls its current match added to global_.
   struct Level {
     Level(PieceProblem p, const Instance& to, const Binding& fixed)
         : problem(std::move(p)),
@@ -100,7 +118,8 @@ class AbstractHomSearch {
     std::vector<NullId> added;
   };
 
-  std::unique_ptr<Level> Enter(std::size_t i) {
+  std::unique_ptr<Level> Enter(std::size_t k) {
+    const auto [i, j] = overlaps_[k];
     PieceProblem problem = BuildPieceProblem(from_->pieces()[i].snapshot);
     Binding fixed(problem.conj.num_vars);
     for (const auto& [var, null] : problem.labeled_vars) {
@@ -108,7 +127,7 @@ class AbstractHomSearch {
       if (it != global_.end()) fixed.Bind(var, it->second);
     }
     return std::make_unique<Level>(std::move(problem),
-                                   to_->pieces()[i].snapshot, fixed);
+                                   to_->pieces()[j].snapshot, fixed);
   }
 
   /// Validates the level's current match and records the images of its
@@ -129,15 +148,15 @@ class AbstractHomSearch {
   const AbstractInstance* to_;
   std::unordered_map<NullId, Value> global_;
   std::unordered_set<NullId> single_snapshot_nulls_;
+  /// (from piece, to piece) of every overlap, left to right.
+  std::vector<std::pair<std::size_t, std::size_t>> overlaps_;
 };
 
 }  // namespace
 
 bool AbstractHomomorphismExists(const AbstractInstance& from,
                                 const AbstractInstance& to) {
-  auto [a, b] = AlignPieces(from, to);
-  assert(a.pieces().size() == b.pieces().size());
-  return AbstractHomSearch(a, b).Run();
+  return AbstractHomSearch(from, to).Run();
 }
 
 bool AreAbstractEquivalent(const AbstractInstance& a,

@@ -5,19 +5,23 @@
 // labeled null (Example 2 shows why condition 2 matters: the same null
 // appearing in two snapshots must map to the same value in both).
 //
-// Finite reduction: both instances are refined to a common piece partition.
-// Within a piece, snapshots are isomorphic via re-projection, so a
-// *symbolic* piece-level match decides all of the piece's snapshots at
-// once. Variable discipline:
+// Finite reduction: the two piece lists are walked side by side, and each
+// overlap of a `from` piece with a `to` piece (their common span) is one
+// step of the search; neither instance is refined or copied. Within an
+// overlap both templates are constant, and the snapshots are isomorphic
+// via re-projection, so a *symbolic* match of the `from` template into the
+// `to` template decides all of the overlap's snapshots at once. Variable
+// discipline:
 //
 //  * an interval-annotated null of the domain denotes a different unknown
-//    per snapshot, so its image is free per piece (constant, labeled null,
-//    or annotated null of the codomain) and independent across pieces —
-//    a (null, piece)-local variable;
+//    per snapshot, so its image is free per overlap (constant, labeled
+//    null, or annotated null of the codomain) and independent across
+//    overlaps —
+//    a (null, overlap)-local variable;
 //  * a labeled null of the domain denotes the SAME unknown in every
 //    snapshot it spans, so it is one global variable whose image must be a
 //    constant or a labeled null of the codomain — except when the null
-//    occurs in exactly one piece of span length 1 (a single snapshot), in
+//    occurs in exactly one overlap of span length 1 (a single snapshot), in
 //    which case an annotated image (one projected codomain null) is fine.
 //
 // The checker is sound; it is complete for homomorphisms that are uniform

@@ -1,6 +1,5 @@
 #include "src/temporal/abstract_instance.h"
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -81,53 +80,6 @@ Instance AbstractInstance::At(TimePoint l, Universe* universe) const {
   }
   // Not covered (ValidateCover would have failed); empty snapshot.
   return Instance(schema_);
-}
-
-std::vector<TimePoint> AbstractInstance::Boundaries() const {
-  std::vector<TimePoint> out;
-  out.reserve(pieces_.size());
-  for (const AbstractPiece& piece : pieces_) out.push_back(piece.span.start());
-  return out;
-}
-
-AbstractInstance AbstractInstance::RefinedAt(
-    const std::vector<TimePoint>& cuts) const {
-  AbstractInstance out(schema_);
-  for (const AbstractPiece& piece : pieces_) {
-    for (const Interval& sub : FragmentInterval(piece.span, cuts)) {
-      out.AddPiece(sub, piece.snapshot);
-    }
-  }
-  return out;
-}
-
-std::string AbstractInstance::ToString(const Universe& u) const {
-  std::string out;
-  for (const AbstractPiece& piece : pieces_) {
-    out += piece.span.ToString();
-    out += ":\n";
-    std::string body = piece.snapshot.ToString(u);
-    if (body.empty()) body = "(empty)\n";
-    // indent
-    std::size_t pos = 0;
-    while (pos < body.size()) {
-      std::size_t nl = body.find('\n', pos);
-      if (nl == std::string::npos) nl = body.size();
-      out += "  " + body.substr(pos, nl - pos) + "\n";
-      pos = nl + 1;
-    }
-  }
-  return out;
-}
-
-std::pair<AbstractInstance, AbstractInstance> AlignPieces(
-    const AbstractInstance& a, const AbstractInstance& b) {
-  std::vector<TimePoint> cuts = a.Boundaries();
-  const std::vector<TimePoint> more = b.Boundaries();
-  cuts.insert(cuts.end(), more.begin(), more.end());
-  std::sort(cuts.begin(), cuts.end());
-  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-  return {a.RefinedAt(cuts), b.RefinedAt(cuts)};
 }
 
 }  // namespace tdx

@@ -64,26 +64,10 @@ class AbstractInstance {
 
   const std::vector<AbstractPiece>& pieces() const { return pieces_; }
 
-  /// Piece boundaries: the start of every piece (ascending; first is 0).
-  std::vector<TimePoint> Boundaries() const;
-
-  /// Returns a copy whose pieces are additionally split at `cuts` (sorted
-  /// ascending). Labeled nulls remain shared between the halves of a split
-  /// piece — the unknown still spans the same snapshots.
-  AbstractInstance RefinedAt(const std::vector<TimePoint>& cuts) const;
-
-  std::string ToString(const Universe& u) const;
-
  private:
   const Schema* schema_;
   std::vector<AbstractPiece> pieces_;
 };
-
-/// Refines both instances to the union of their boundaries, so that pieces
-/// correspond one-to-one. Used by the abstract homomorphism checker and the
-/// alignment verifier.
-std::pair<AbstractInstance, AbstractInstance> AlignPieces(
-    const AbstractInstance& a, const AbstractInstance& b);
 
 }  // namespace tdx
 

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/temporal/coalesce.h"
 #include "tests/test_util.h"
 
 namespace tdx {
@@ -206,17 +207,11 @@ TEST(CChaseTest, CoalesceOptionCompactsResult) {
     fact S("Ada", "18k") @ [0, 4);
     fact S("Ada", "18k") @ [4, 10);
   )");
-  CChaseOptions plain;
-  auto loose = CChase(program->source, program->lifted, &program->universe,
-                      plain);
+  auto loose = CChase(program->source, program->lifted, &program->universe);
   ASSERT_TRUE(loose.ok());
-  CChaseOptions opts;
-  opts.coalesce_result = true;
-  auto tight = CChase(program->source, program->lifted, &program->universe,
-                      opts);
-  ASSERT_TRUE(tight.ok());
-  EXPECT_GT(loose->target.size(), tight->target.size());
-  EXPECT_TRUE(HasConcreteFact(tight->target, program->universe, "Emp+",
+  const ConcreteInstance tight = Coalesce(loose->target);
+  EXPECT_GT(loose->target.size(), tight.size());
+  EXPECT_TRUE(HasConcreteFact(tight, program->universe, "Emp+",
                               {"Ada", "IBM", "18k"}, Interval(0, 10)));
 }
 

@@ -2,9 +2,9 @@
 // must belong to a named child span (parse, analyze, the engine, print),
 // so a slow run can be explained from its trace file alone. Drives the
 // real binary on the perfbench-size cascade program, for `chase`, `query`,
-// `query-at`, `abstract`, `snapshots` and `verify`. Also checks that
-// `verify` chases once, and the peak-RSS readings at the close of the
-// CLI's and the c-chase's stages.
+// `query-at`, `abstract`, `snapshots`, `verify`, `core` and `possible`.
+// Also checks that `verify` chases once, and the peak-RSS readings at the
+// close of the CLI's and the c-chase's stages.
 
 #include <algorithm>
 #include <cstdio>
@@ -134,6 +134,14 @@ TEST(CliTraceTest, ChildSpansCoverASnapshotsRun) {
 
 TEST(CliTraceTest, ChildSpansCoverAVerifyRun) {
   ExpectChildSpansCoverTheRun("verify", "");
+}
+
+TEST(CliTraceTest, ChildSpansCoverACoreRun) {
+  ExpectChildSpansCoverTheRun("core", "");
+}
+
+TEST(CliTraceTest, ChildSpansCoverAPossibleRun) {
+  ExpectChildSpansCoverTheRun("possible", "reached 5");
 }
 
 // The number of spans called `name` in a traced run.

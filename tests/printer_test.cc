@@ -99,40 +99,6 @@ TEST(PrinterTest, AnswersRenderSorted) {
   EXPECT_LT(out.find("(a, [1, 3))"), out.find("(b, [0, 2))"));
 }
 
-TEST(PrinterTest, CsvExportQuotesAndSorts) {
-  // The text format has no string escapes, so the embedded-quote value is
-  // built through the API.
-  Universe u;
-  Schema schema;
-  const RelationId e_plus =
-      *schema.AddRelationPair("E", {"name", "note"}, SchemaRole::kSource);
-  ConcreteInstance ic(&schema);
-  // Canonical fact order follows constant interning order; intern Ada
-  // first so it sorts first.
-  const Value ada = u.Constant("Ada");
-  ASSERT_TRUE(ic.Add(e_plus, {u.Constant("Bob"), u.Constant("plain")},
-                     Interval(2, 9))
-                  .ok());
-  ASSERT_TRUE(ic.Add(e_plus, {ada, u.Constant("said \"hi\"")},
-                     Interval(0, 5))
-                  .ok());
-  const std::string csv = RenderRelationCsv(ic.facts(), e_plus, u);
-  const std::string expected =
-      "\"name\",\"note\",\"T\"\n"
-      "\"Ada\",\"said \"\"hi\"\"\",\"[0, 5)\"\n"
-      "\"Bob\",\"plain\",\"[2, 9)\"\n";
-  EXPECT_EQ(csv, expected);
-}
-
-TEST(PrinterTest, CsvOfEmptyRelationIsHeaderOnly) {
-  Universe u;
-  Schema schema;
-  const RelationId e =
-      *schema.AddRelation("E", {"a", "b"}, SchemaRole::kSource);
-  Instance inst(&schema);
-  EXPECT_EQ(RenderRelationCsv(inst, e, u), "\"a\",\"b\"\n");
-}
-
 // The table sorts row positions under packed keys; its row order must be
 // that of sorted Fact copies whatever the values: constants interned out
 // of spelling order, labeled nulls, one annotated null under several

@@ -77,15 +77,5 @@ TEST(SchemaTest, TwinOfUnpairedIsNotFound) {
   EXPECT_EQ(schema.TwinOf(*id).status().code(), StatusCode::kNotFound);
 }
 
-TEST(SchemaTest, RelationsWhereFilters) {
-  Schema schema;
-  ASSERT_TRUE(schema.AddRelationPair("E", {"a"}, SchemaRole::kSource).ok());
-  ASSERT_TRUE(schema.AddRelationPair("T", {"a"}, SchemaRole::kTarget).ok());
-  EXPECT_EQ(schema.RelationsWhere(SchemaRole::kSource, false).size(), 1u);
-  EXPECT_EQ(schema.RelationsWhere(SchemaRole::kSource, true).size(), 1u);
-  EXPECT_EQ(schema.RelationsWhere(SchemaRole::kTarget, true).size(), 1u);
-  EXPECT_EQ(schema.relation_count(), 4u);
-}
-
 }  // namespace
 }  // namespace tdx

@@ -73,6 +73,7 @@
 #include "src/parser/serialize.h"
 #include "src/parser/printer.h"
 #include "src/temporal/abstract_instance.h"
+#include "src/temporal/snapshot.h"
 
 namespace {
 
@@ -320,7 +321,10 @@ int RunChase(tdx::ParsedProgram& program, const CliOptions& options,
   if (!chase.has_value()) return code;
   std::optional<tdx::ConcreteInstance> core;
   tdx::CoreStats core_stats;
-  if (with_core) core = tdx::ComputeConcreteCore(chase->target, &core_stats);
+  if (with_core) {
+    TDX_TRACE_SPAN("core.search");
+    core = tdx::ComputeConcreteCore(chase->target, &core_stats);
+  }
   print.emplace("cli.print");
   if (core.has_value()) {
     std::cout << tdx::RenderConcreteInstance(*core, program.universe);
@@ -495,17 +499,41 @@ int RunSnapshots(tdx::ParsedProgram& program, const CliOptions& options,
   int code = kExitSuccess;
   auto chase = RunCChase(program, options, &code);
   if (!chase.has_value()) return code;
-  auto ja = tdx::AbstractInstance::FromConcrete(chase->target);
-  if (!ja.ok()) {
-    std::cerr << ja.status() << "\n";
+  print.emplace("cli.print");
+  for (const tdx::TimePoint l : points) {
+    auto snapshot = tdx::SnapshotAt(chase->target, l, &program.universe);
+    if (!snapshot.ok()) {
+      std::cerr << snapshot.status() << "\n";
+      return EXIT_FAILURE;
+    }
+    std::cout << "--- db_" << l << " ---\n"
+              << tdx::RenderInstanceTables(*snapshot, program.universe);
+  }
+  return EXIT_SUCCESS;
+}
+
+// Possible answers of the named query at one time point of the solution.
+int RunPossible(tdx::ParsedProgram& program, const CliOptions& options,
+                const std::string& name, tdx::TimePoint l) {
+  std::optional<tdx::obs::TraceSpan> print;  // as in RunChase
+  int code = kExitSuccess;
+  auto chase = RunCChase(program, options, &code);
+  if (!chase.has_value()) return code;
+  auto query = program.FindQuery(name);
+  if (!query.ok()) {
+    std::cerr << query.status() << "\n";
+    return EXIT_FAILURE;
+  }
+  auto answers = [&] {
+    TDX_TRACE_SPAN("possible.search");
+    return tdx::PossibleAnswersAt(**query, chase->target, l, &program.universe);
+  }();
+  if (!answers.ok()) {
+    std::cerr << answers.status() << "\n";
     return EXIT_FAILURE;
   }
   print.emplace("cli.print");
-  for (const tdx::TimePoint l : points) {
-    std::cout << "--- db_" << l << " ---\n"
-              << tdx::RenderInstanceTables(ja->At(l, &program.universe),
-                                           program.universe);
-  }
+  std::cout << tdx::RenderAnswers(*answers, program.universe);
   return EXIT_SUCCESS;
 }
 
@@ -637,22 +665,7 @@ int RunCli(CliOptions& options, const std::vector<std::string>& positional) {
     }
     if (command == "possible") {
       if (positional.size() < 4) return Usage();
-      int unsolved = kExitSuccess;
-      auto chase = RunCChase(program, options, &unsolved);
-      if (!chase.has_value()) return unsolved;
-      auto query = program.FindQuery(positional[2]);
-      if (!query.ok()) {
-        std::cerr << query.status() << "\n";
-        return EXIT_FAILURE;
-      }
-      auto answers = tdx::PossibleAnswersAt(**query, chase->target, points[0],
-                                            &program.universe);
-      if (!answers.ok()) {
-        std::cerr << answers.status() << "\n";
-        return EXIT_FAILURE;
-      }
-      std::cout << tdx::RenderAnswers(*answers, program.universe);
-      return EXIT_SUCCESS;
+      return RunPossible(program, options, positional[2], points[0]);
     }
     if (command == "emit") {
       auto emitted = tdx::SerializeProgram(program);
